@@ -69,6 +69,7 @@ class DependencyGraph:
     vertices: set = field(default_factory=set)
     edges: set = field(default_factory=set)  # (root, register root it reads)
     cycles: list = field(default_factory=list)  # SCCs of size>1 and self-loops
+    order: list = field(default_factory=list)  # every SCC, dependencies first
 
 
 def _and(a, b):
@@ -255,11 +256,17 @@ class _Blaster:
                 raise UnassignedNet(expr.name)
             return [self.net_bit(expr.name, i) for i in range(w)]
         if isinstance(expr, A.Select):
-            base_bits = (self.blast(A.Ident(expr.base)) if isinstance(expr.base, str)
-                         else self.blast(expr.base))
             try:
                 idx = const_eval(expr.index, {})
             except ValueError:
+                idx = None
+            if idx is not None and isinstance(expr.base, str):
+                # only the selected bit: blasting the whole base vector would
+                # follow c[i] into c[i+1] on carry chains
+                return [self.net_bit(expr.base, idx) if idx >= 0 else CONST0]
+            base_bits = (self.blast(A.Ident(expr.base)) if isinstance(expr.base, str)
+                         else self.blast(expr.base))
+            if idx is None:
                 amt = self.blast(expr.index)
                 return [self._shift_dynamic(base_bits, amt, left=False)[0]]
             return [base_bits[idx] if 0 <= idx < len(base_bits) else CONST0]
@@ -404,14 +411,15 @@ def compute_dependencies(forest) -> DependencyGraph:
                 adj[tree.root].add(target)
                 graph.vertices.add(target)
                 adj.setdefault(target, set())
-    for scc in _sccs(adj):
+    graph.order = _sccs(adj)
+    for scc in graph.order:
         if len(scc) > 1 or any(v in adj.get(v, ()) for v in scc):
             graph.cycles.append(set(scc))
     return graph
 
 
 def _sccs(adj):
-    """Tarjan, iterative."""
+    """Tarjan, iterative; each SCC comes after every SCC it reaches."""
     index = {}
     low = {}
     on_stack = set()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bitgraph import dump_forest
@@ -14,14 +13,6 @@ from .pipeline import Config, analyze, render_report
 from .report import DEFAULT_DETECT, DEFAULT_WARN, Thresholds, calibrate_thresholds
 
 ERROR_EXIT = 3
-
-
-def worker_count() -> int:
-    """Parallelism cap from QFLOW_THREADS (analysis itself is sequential)."""
-    try:
-        return max(1, int(os.environ.get("QFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class _Parser(argparse.ArgumentParser):

@@ -27,9 +27,6 @@ class Config:
     max_channel_inputs: int = 5
     thresholds: Thresholds = field(default_factory=Thresholds)
     cap: bool = True
-    format: str = "text"
-    unroll: int = 8
-    seed: int = 42
 
     def __post_init__(self):
         if not 1 <= self.max_channel_inputs <= 16:

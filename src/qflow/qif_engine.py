@@ -6,8 +6,15 @@ channel's posterior Bayes vulnerability (PBV) with observable low inputs
 is the sum over observable configurations of the best single guess.
 Leakage cascades by summing incoming per-secret-bit leakage over channel
 inputs and scaling by the channel PBV.  Registers pass probabilities and
-leakage through unchanged; sequential cycles are resolved by an
-elementwise-max fixpoint.
+leakage through unchanged.
+
+Propagation walks the strongly connected components of the register
+dependency graph in dependency order, so every input from outside a
+component is final before the component is reached.  A component
+without a cycle is one bind tree: each of its channels is visited once,
+and one 2^k enumeration gives both its output probability and its PBV.
+Only a sequential cycle iterates: its own channels run the taint and
+probability fixpoints and then the elementwise-max leakage fixpoint.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bitgraph import BitRef
+from .bitgraph import BitRef, DependencyGraph
 from .channelizer import Channel, ChannelGraph
 from .errors import ArityMismatch, NonConvergentFixpoint
 
@@ -56,17 +63,39 @@ class ProbAnnotatedGraph:
 # --------------------------------------------------------------------------
 # Per-channel computations
 
-def _effective_probs(channel: Channel, probs, tainted):
-    if len(probs) != len(channel.inputs):
-        raise ArityMismatch(
-            f"channel {channel.cid} takes {len(channel.inputs)} probabilities")
-    if channel.uniform_high_override:
-        return [0.5 if t else p for p, t in zip(probs, tainted)]
-    return list(probs)
-
-
 def _default_taint(channel: Channel):
     return [ci.kind == "high" for ci in channel.inputs]
+
+
+def _enumerate(channel: Channel, probs, tainted=None):
+    """P(output = 1) and, if ``tainted`` is given, J(o, l, h) of a table channel.
+
+    One pass over the 2^k input assignments under input independence;
+    masses are added in assignment order.
+    """
+    k = len(channel.inputs)
+    if len(probs) != k:
+        raise ArityMismatch(f"channel {channel.cid} takes {k} probabilities")
+    p1 = 0.0
+    entries = {}
+    for assignment in range(1 << k):
+        o = channel.table[assignment]
+        if tainted is None and not o:
+            continue
+        mass = 1.0
+        l_part = []
+        h_part = []
+        for i in range(k):
+            bit = (assignment >> i) & 1
+            mass *= probs[i] if bit else 1.0 - probs[i]
+            if tainted is not None:
+                (h_part if tainted[i] else l_part).append(bit)
+        if o:
+            p1 += mass
+        if tainted is not None and mass != 0.0:
+            key = (o, tuple(l_part), tuple(h_part))
+            entries[key] = entries.get(key, 0.0) + mass
+    return p1, JointTable(entries)
 
 
 def joint_distribution(channel: Channel, probs, tainted=None) -> JointTable:
@@ -74,58 +103,38 @@ def joint_distribution(channel: Channel, probs, tainted=None) -> JointTable:
     if channel.table is None:
         raise ArityMismatch("joint tables are materialized for table channels only")
     tainted = list(tainted) if tainted is not None else _default_taint(channel)
-    probs = _effective_probs(channel, probs, tainted)
-    k = len(channel.inputs)
-    entries = {}
-    for assignment in range(1 << k):
-        mass = 1.0
-        l_part = []
-        h_part = []
-        for i in range(k):
-            bit = (assignment >> i) & 1
-            mass *= probs[i] if bit else 1.0 - probs[i]
-            (h_part if tainted[i] else l_part).append(bit)
-        if mass == 0.0:
-            continue
-        o = channel.table[assignment]
-        key = (o, tuple(l_part), tuple(h_part))
-        entries[key] = entries.get(key, 0.0) + mass
-    return JointTable(entries)
+    return _enumerate(channel, probs, tainted)[1]
 
 
-def channel_pbv(channel: Channel, probs, tainted=None) -> float:
-    """V1 with observable lows: sum over (o, l) of the best h guess."""
+def channel_prob_pbv(channel: Channel, probs, tainted=None):
+    """(P(output = 1), PBV with observable lows) under input independence.
+
+    The PBV sums over (o, l) the best h guess.  Table channels take both
+    from one enumeration; macros use closed forms.
+    """
     tainted = list(tainted) if tainted is not None else _default_taint(channel)
-    if not any(tainted):
-        return 1.0
     if channel.macro is not None:
-        return _macro_pbv(channel, probs, tainted)
-    joint = joint_distribution(channel, probs, tainted)
+        return _macro_prob(channel, probs), _macro_pbv(channel, probs, tainted)
+    if not any(tainted):
+        return _enumerate(channel, probs)[0], 1.0
+    p1, joint = _enumerate(channel, probs, tainted)
     best = {}
     for (o, l_part, _h), mass in joint.entries.items():
         key = (o, l_part)
         if mass > best.get(key, 0.0):
             best[key] = mass
-    return sum(best.values())
+    return p1, sum(best.values())
+
+
+def channel_pbv(channel: Channel, probs, tainted=None) -> float:
+    """V1 with observable lows: sum over (o, l) of the best h guess."""
+    return channel_prob_pbv(channel, probs, tainted)[1]
 
 
 def channel_output_probability(channel: Channel, probs) -> float:
     """P(output = 1) under input independence; macros use closed forms."""
     if channel.table is not None:
-        if len(probs) != len(channel.inputs):
-            raise ArityMismatch(
-                f"channel {channel.cid} takes {len(channel.inputs)} probabilities")
-        k = len(channel.inputs)
-        total = 0.0
-        for assignment in range(1 << k):
-            if not channel.table[assignment]:
-                continue
-            mass = 1.0
-            for i in range(k):
-                bit = (assignment >> i) & 1
-                mass *= probs[i] if bit else 1.0 - probs[i]
-            total += mass
-        return total
+        return _enumerate(channel, probs)[0]
     return _macro_prob(channel, probs)
 
 
@@ -212,139 +221,122 @@ def _macro_pbv(channel: Channel, probs, tainted) -> float:
 class _Propagator:
     def __init__(self, graph: ChannelGraph, design, input_probs):
         self.graph = graph
-        self.design = design
+        self.input_probs = input_probs
         self.secrets = [(sid, net, bit, input_probs.get((net, bit), 0.5))
                         for net, bit, sid in design.high_bits()]
-        self.input_probs = input_probs
-        self.registers = sorted(
-            {r for r in graph.root_channel if r.role == "register"},
-            key=lambda r: (r.net, r.bit))
-        self.reg_tainted = self._taint_fixpoint()
+        self.minent = {sid: source_leakage(p) for sid, _n, _b, p in self.secrets}
+        self.source = {(net, bit): {sid: self.minent[sid]} if self.minent[sid] > 0.0 else {}
+                       for sid, net, bit, _p in self.secrets}
+        self.blocks = {}  # tree root -> its channels, in id order
+        for ch in graph.channels:
+            self.blocks.setdefault(ch.root, []).append(ch)
+        self.chan_prob, self.chan_pbv, self.chan_leak, self.chan_tainted = {}, {}, {}, {}
+        self.reg_prob, self.reg_leak, self.reg_tainted = {}, {}, {}
 
-    def _leaf_prob(self, ref: BitRef, reg_prob):
-        if ref.role == "register":
-            return reg_prob.get(ref, 0.5)
-        return self.input_probs.get((ref.net, ref.bit), 0.5)
+    def run(self, deps: DependencyGraph):
+        cyclic = {r for scc in deps.cycles for r in scc}
+        for scc in deps.order:
+            chans = [ch for root in scc for ch in self.blocks.get(root, ())]
+            regs = [r for r in scc if r.role == "register"]
+            if scc[0] in cyclic:
+                self._fixpoints(chans, regs)
+                continue
+            for ch in chans:
+                probs, tainted = self._probs(ch), self._taints(ch)
+                self.chan_tainted[ch.cid] = any(tainted)
+                self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = channel_prob_pbv(
+                    ch, probs, tainted)
+                self.chan_leak[ch.cid] = self._leak(ch)
+            for reg in regs:
+                cid = self.graph.root_channel[reg]
+                self.reg_tainted[reg] = self.chan_tainted[cid]
+                self.reg_prob[reg] = self.chan_prob[cid]
+                self.reg_leak[reg] = {}
+            self._raise_leak(regs)
+        if len(self.chan_prob) != len(self.graph.channels):
+            raise ValueError("the dependency graph does not cover every channel's root")
 
-    def _input_prob(self, ci, chan_prob, reg_prob):
-        if ci.kind == "derived":
-            return chan_prob[ci.ref]
-        return self._leaf_prob(ci.ref, reg_prob)
+    def _probs(self, ch):
+        return [self.chan_prob[ci.ref] if ci.kind == "derived"
+                else self.reg_prob.get(ci.ref, 0.5) if ci.kind == "register"
+                else self.input_probs.get((ci.ref.net, ci.ref.bit), 0.5)
+                for ci in ch.inputs]
 
-    def _input_tainted(self, ci, chan_tainted):
-        if ci.kind == "high":
-            return True
-        if ci.kind == "derived":
-            return chan_tainted[ci.ref]
-        if ci.kind == "register":
-            return self.reg_tainted.get(self._reg_key(ci.ref), False)
-        return False
+    def _taints(self, ch):
+        return [ci.kind == "high"
+                or (ci.kind == "derived" and self.chan_tainted[ci.ref])
+                or (ci.kind == "register" and self.reg_tainted.get(ci.ref, False))
+                for ci in ch.inputs]
 
-    @staticmethod
-    def _reg_key(ref):
-        return (ref.net, ref.bit)
+    def _leak(self, ch):
+        incoming = {}
+        for ci in ch.inputs:
+            if ci.kind == "high":
+                vec = self.source.get((ci.ref.net, ci.ref.bit), {})
+            elif ci.kind == "register":
+                vec = self.reg_leak.get(ci.ref, {})
+            elif ci.kind == "derived":
+                vec = self.chan_leak[ci.ref]
+            else:
+                continue
+            for sid, val in vec.items():
+                incoming[sid] = incoming.get(sid, 0.0) + val
+        pbv = self.chan_pbv[ch.cid]
+        return {sid: v * pbv for sid, v in incoming.items()}
 
-    def _taint_fixpoint(self):
-        tainted = {(r.net, r.bit): False for r in self.registers}
-        self.reg_tainted = tainted
-        for _ in range(len(self.registers) + 1):
-            chan_tainted = {}
-            changed = False
-            for ch in self.graph.channels:
-                chan_tainted[ch.cid] = any(
-                    self._input_tainted(ci, chan_tainted) for ci in ch.inputs)
-            for reg in self.registers:
-                t = chan_tainted[self.graph.root_channel[reg]]
-                if t and not tainted[(reg.net, reg.bit)]:
-                    tainted[(reg.net, reg.bit)] = True
-                    changed = True
-            if not changed:
+    def _raise_leak(self, regs):
+        """Raise each register's vector to its root channel's; return the largest rise."""
+        delta = 0.0
+        for reg in regs:
+            cur = self.reg_leak[reg]
+            for sid, val in self.chan_leak[self.graph.root_channel[reg]].items():
+                val = min(val, self.minent[sid])  # bounded: guarantees convergence
+                if val > cur.get(sid, 0.0):
+                    delta = max(delta, val - cur.get(sid, 0.0))
+                    cur[sid] = val
+        return delta
+
+    def _fixpoints(self, chans, regs):
+        """Taint, probability and leakage fixpoints over one sequential cycle."""
+        roots = [self.graph.root_channel[r] for r in regs]
+        for reg in regs:
+            self.reg_tainted[reg], self.reg_prob[reg], self.reg_leak[reg] = False, 0.5, {}
+        for _ in range(len(regs) + 1):
+            for ch in chans:
+                self.chan_tainted[ch.cid] = any(self._taints(ch))
+            rising = [r for r, cid in zip(regs, roots)
+                      if self.chan_tainted[cid] and not self.reg_tainted[r]]
+            if not rising:
                 break
-        self.chan_tainted = chan_tainted
-        return tainted
-
-    def probabilities(self):
-        reg_prob = {r: 0.5 for r in self.registers}
-        chan_prob = {}
+            self.reg_tainted.update(dict.fromkeys(rising, True))
         for _ in range(MAX_FIXPOINT_ITERS):
-            chan_prob = {}
-            for ch in self.graph.channels:
-                probs = [self._input_prob(ci, chan_prob, reg_prob)
-                         for ci in ch.inputs]
-                chan_prob[ch.cid] = channel_output_probability(ch, probs)
+            for ch in chans:
+                self.chan_prob[ch.cid] = channel_output_probability(ch, self._probs(ch))
             delta = 0.0
-            for reg in self.registers:
-                new = chan_prob[self.graph.root_channel[reg]]
-                delta = max(delta, abs(new - reg_prob[reg]))
-                reg_prob[reg] = new
+            for reg, cid in zip(regs, roots):
+                delta = max(delta, abs(self.chan_prob[cid] - self.reg_prob[reg]))
+                self.reg_prob[reg] = self.chan_prob[cid]
             if delta < PROB_TOL:
                 break
-        return chan_prob, reg_prob
-
-    def vulnerabilities(self, chan_prob, reg_prob):
-        chan_pbv = {}
-        for ch in self.graph.channels:
-            probs = [self._input_prob(ci, chan_prob, reg_prob) for ci in ch.inputs]
-            tainted = [self._input_tainted(ci, self.chan_tainted) for ci in ch.inputs]
-            chan_pbv[ch.cid] = channel_pbv(ch, probs, tainted)
-        return chan_pbv
-
-    def leakage(self, chan_pbv, deps=None):
-        minent = {sid: source_leakage(p) for sid, _n, _b, p in self.secrets}
-        source = {}
-        for sid, net, bit, p in self.secrets:
-            source[(net, bit)] = {sid: minent[sid]} if minent[sid] > 0.0 else {}
-
-        reg_leak = {r: {} for r in self.registers}
-        chan_leak = {}
-        converged = False
+        for ch in chans:
+            self.chan_pbv[ch.cid] = channel_pbv(ch, self._probs(ch), self._taints(ch))
         for _ in range(MAX_FIXPOINT_ITERS):
-            chan_leak = {}
-            for ch in self.graph.channels:
-                incoming = {}
-                for ci in ch.inputs:
-                    if ci.kind == "high":
-                        vec = source.get((ci.ref.net, ci.ref.bit), {})
-                    elif ci.kind == "register":
-                        vec = reg_leak.get(BitRef(ci.ref.net, ci.ref.bit, "register"), {})
-                    elif ci.kind == "derived":
-                        vec = chan_leak[ci.ref]
-                    else:
-                        vec = {}
-                    for sid, val in vec.items():
-                        incoming[sid] = incoming.get(sid, 0.0) + val
-                pbv = chan_pbv[ch.cid]
-                chan_leak[ch.cid] = {sid: v * pbv for sid, v in incoming.items()}
-            delta = 0.0
-            for reg in self.registers:
-                est = chan_leak[self.graph.root_channel[reg]]
-                cur = reg_leak[reg]
-                for sid, val in est.items():
-                    val = min(val, minent[sid])  # bounded: guarantees convergence
-                    if val > cur.get(sid, 0.0):
-                        delta = max(delta, val - cur.get(sid, 0.0))
-                        cur[sid] = val
-            if delta < LEAK_TOL:
-                converged = True
-                break
-        if not converged:
-            cyclic = sorted({r for scc in (deps.cycles if deps else [])
-                             for r in scc}, key=str) or self.registers
-            raise NonConvergentFixpoint(cyclic)
-        return chan_leak, reg_leak, minent
+            for ch in chans:
+                self.chan_leak[ch.cid] = self._leak(ch)
+            if self._raise_leak(regs) < LEAK_TOL:
+                return
+        raise NonConvergentFixpoint(sorted(regs, key=str))
 
 
-def propagate(graph: ChannelGraph, design, input_probs=None, deps=None) -> ProbAnnotatedGraph:
-    """Full annotation pass: probabilities, PBVs, leakage vectors."""
-    input_probs = input_probs or {}
-    prop = _Propagator(graph, design, input_probs)
-    chan_prob, reg_prob = prop.probabilities()
-    chan_pbv = prop.vulnerabilities(chan_prob, reg_prob)
-    chan_leak, reg_leak, _ = prop.leakage(chan_pbv, deps)
+def propagate(graph: ChannelGraph, design, input_probs,
+              deps: DependencyGraph) -> ProbAnnotatedGraph:
+    """Probabilities, PBVs and leakage vectors, one SCC of ``deps`` at a time."""
+    prop = _Propagator(graph, design, input_probs or {})
+    prop.run(deps)
     return ProbAnnotatedGraph(
-        graph=graph, chan_prob=chan_prob, chan_pbv=chan_pbv,
-        chan_leak=chan_leak, chan_tainted=prop.chan_tainted,
-        reg_prob=reg_prob, reg_leak=reg_leak, secrets=prop.secrets)
+        graph=graph, chan_prob=prop.chan_prob, chan_pbv=prop.chan_pbv,
+        chan_leak=prop.chan_leak, chan_tainted=prop.chan_tainted,
+        reg_prob=prop.reg_prob, reg_leak=prop.reg_leak, secrets=prop.secrets)
 
 
 def output_contributions(annotated: ProbAnnotatedGraph, design):

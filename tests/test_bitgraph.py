@@ -126,6 +126,46 @@ endmodule
     exhaustive_equal(src, "m", ref, ["a"])
 
 
+def test_generate_carry_chain():
+    src = """module m(input [3:0] k, input c0, output [4:0] c);
+assign c[0] = c0;
+genvar i;
+generate
+for (i = 0; i < 4; i = i + 1) begin
+assign c[i+1] = c[i] ^ k[i];
+end
+endgenerate
+endmodule
+"""
+    def ref(w):
+        c = w["c0"]
+        for i in range(4):
+            c |= (((c >> i) ^ (w["k"] >> i)) & 1) << (i + 1)
+        return {"c": c}
+    exhaustive_equal(src, "m", ref, ["k", "c0"])
+
+
+def test_ripple_carry_adder():
+    src = """module m(input [3:0] a, input [3:0] b, input cin,
+output [3:0] s, output cout);
+wire [4:0] c;
+assign c[0] = cin;
+genvar i;
+generate
+for (i = 0; i < 4; i = i + 1) begin
+assign s[i] = a[i] ^ b[i] ^ c[i];
+assign c[i+1] = (a[i] & b[i]) | (c[i] & (a[i] ^ b[i]));
+end
+endgenerate
+assign cout = c[4];
+endmodule
+"""
+    def ref(w):
+        total = w["a"] + w["b"] + w["cin"]
+        return {"s": total & 15, "cout": total >> 4}
+    exhaustive_equal(src, "m", ref, ["a", "b", "cin"])
+
+
 def test_wide_compare_becomes_macro():
     src = """module m(input [5:0] a, input [5:0] b, output y);
 assign y = a == b;

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 from qflow import corpus
-from qflow.cli import main, worker_count
+from qflow.cli import main
 
 IDENTITY = """module m(High input [1:0] h, output [1:0] y);
 assign y = h;
@@ -126,15 +126,6 @@ def test_dump_flags(tmp_path):
     r = run_cli(["analyze", "--top", "m", "--dump-trees", "--dump-channels", src])
     assert b"y[0]" in r.stderr
     assert b"table=" in r.stderr or b"inputs=" in r.stderr
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("QFLOW_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("QFLOW_THREADS", "bogus")
-    assert worker_count() == 1
-    monkeypatch.delenv("QFLOW_THREADS")
-    assert worker_count() == 1
 
 
 def test_main_callable_in_process(tmp_path, capsys):

@@ -7,10 +7,12 @@ import random
 import pytest
 
 from qflow import corpus
-from qflow.bitgraph import BitRef, bit_blast, compute_dependencies
+from qflow.bitgraph import BitRef, DependencyGraph, bit_blast, compute_dependencies
 from qflow.channelizer import ChanInput, Channel, merge
+from qflow.errors import NonConvergentFixpoint
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.qif_engine import (
+    LEAK_TOL,
     accumulate_totals,
     channel_output_probability,
     channel_pbv,
@@ -262,6 +264,118 @@ endmodule
              if ann.chan_tainted[ch.cid]]
     assert all(b <= a + 1e-12 for a, b in zip(leaks, leaks[1:]))
     assert leaks[-1] == a.totals[0]
+
+
+def test_deep_acyclic_pipeline():
+    # each stage is one acyclic SCC, visited once: depth is not bounded
+    # by the fixpoint's sweep limit
+    depth = 130
+    stages = "\n".join(f"s{i} <= {'~' if i % 2 else ''}s{i - 1} ^ a;"
+                        for i in range(1, depth))
+    regs = ", ".join(f"s{i}" for i in range(depth))
+    a = analyze_source(f"""module m(input clk, High input [3:0] key, input [1:0] a,
+output [1:0] y);
+reg [1:0] {regs};
+always @(posedge clk) begin
+s0 <= {{key[2], key[0]}};
+{stages}
+end
+assign y = s{depth - 1};
+endmodule
+""", "m")
+    verdicts = {(s.net, s.bit): (s.cls, s.leakage_bits) for s in a.report.secrets}
+    assert verdicts == {("key", 0): ("leak", 1.0), ("key", 1): ("ok", 0.0),
+                        ("key", 2): ("leak", 1.0), ("key", 3): ("ok", 0.0)}
+
+
+def test_propagate_needs_every_root_scheduled():
+    a = analyze_corpus("example.v", "example")
+    with pytest.raises(ValueError):
+        propagate(a.graph, a.design, {}, DependencyGraph())
+
+
+CYCLE_DESIGNS = {
+    "accumulator": """module m(input clk, High input [3:0] key, input [3:0] a,
+output [3:0] y);
+reg [3:0] acc;
+always @(posedge clk) begin
+acc <= acc ^ key ^ a;
+end
+assign y = acc;
+endmodule
+""",
+    "ring": """module m(input clk, High input [1:0] key, input [1:0] a,
+output [1:0] y);
+reg [1:0] r0, r1;
+always @(posedge clk) begin
+r0 <= r1 ^ key;
+r1 <= r0 & a;
+end
+assign y = r1;
+endmodule
+""",
+    "lfsr": """module m(input clk, High input [7:0] key, input [7:0] a,
+output [7:0] y);
+reg [7:0] s;
+always @(posedge clk) begin
+s <= {s[6:0], s[7] ^ s[5] ^ s[4] ^ s[3]} ^ key;
+end
+assign y = s & a;
+endmodule
+""",
+    "downstream": """module m(input clk, High input [3:0] key, input [3:0] a,
+output [3:0] y);
+reg [3:0] acc, stage;
+always @(posedge clk) begin
+acc <= acc ^ key;
+stage <= acc & a;
+end
+assign y = stage;
+endmodule
+""",
+}
+
+# Totals of the whole-graph fixpoint that the SCC schedule replaced, per
+# (design, p_high, bound).  A cycle still stops once a sweep raises no
+# register by LEAK_TOL, but the old sweep read the channels downstream of
+# a cycle one sweep behind; each of up to 8 outputs may now be higher by
+# less than LEAK_TOL.
+CYCLE_TOTALS = {
+    ("accumulator", None, 2): [0.9999999981373549] * 4,
+    ("accumulator", None, 5): [0.9999999981373549] * 4,
+    ("accumulator", 0.9, 2): [0.15200309344504995] * 4,
+    ("accumulator", 0.9, 5): [0.15200309344504995] * 4,
+    ("ring", None, 2): [0.75] * 2,
+    ("ring", None, 5): [0.75] * 2,
+    ("ring", 0.9, 2): [0.12485968390132231] * 2,
+    ("ring", 0.9, 5): [0.12485968390132231] * 2,
+    ("lfsr", None, 2): [0.7794192472406394, 0.8088385035193824, 0.8676770160489014,
+                        0.9853540410168762, 0.8309984672590076, 0.7171421271626173,
+                        0.5868568506472798, 0.4237137024018125],
+    ("lfsr", None, 5): [0.09472511082771007, 0.7656017786418374, 0.7812035622125109,
+                        0.8124071287448942, 0.7800891505730192, 0.7154531930674466,
+                        0.5861812770931465, 0.4223625550138763],
+    ("lfsr", 0.9, 2): NonConvergentFixpoint,
+    ("lfsr", 0.9, 5): [0.10089826006137202] + [0.15200309344504995] * 7,
+    ("downstream", None, 2): [0.7499999986030161] * 4,
+    ("downstream", None, 5): [0.7499999986030161] * 4,
+    ("downstream", 0.9, 2): [0.11400232008378747] * 4,
+    ("downstream", 0.9, 5): [0.11400232008378747] * 4,
+}
+
+
+@pytest.mark.parametrize("design,p_high,bound", sorted(CYCLE_TOTALS, key=str))
+def test_sequential_cycle_totals(design, p_high, bound):
+    want = CYCLE_TOTALS[(design, p_high, bound)]
+    src = CYCLE_DESIGNS[design]
+    if want is NonConvergentFixpoint:
+        with pytest.raises(NonConvergentFixpoint):
+            analyze_source(src, "m", p_high=p_high, max_channel_inputs=bound)
+        return
+    a = analyze_source(src, "m", p_high=p_high, max_channel_inputs=bound)
+    got = [a.totals[sid] for sid in sorted(a.totals)]
+    assert len(got) == len(want)
+    assert all(abs(g - w) < 8 * LEAK_TOL for g, w in zip(got, want)), got
 
 
 def test_probability_overrides():

@@ -36,7 +36,7 @@ class BitRef:
 class Node:
     op: str  # const0 const1 leaf AND OR XOR NOT MUX EQM LTM ADDM SUBM
     children: tuple = ()
-    ref: BitRef | None = None
+    ref: object = None  # leaves: a BitRef, or a channel id inside channels
     meta: tuple | None = None  # macros: (width, out_bit)
 
     def is_macro(self):
@@ -53,10 +53,15 @@ class BindTree:
     node: Node
 
     def leaves(self):
+        """Leaf refs, one per distinct leaf node; shared subtrees are visited once."""
         out = []
+        seen = set()
         stack = [self.node]
         while stack:
             n = stack.pop()
+            if id(n) in seen:
+                continue
+            seen.add(id(n))
             if n.op == "leaf":
                 out.append(n.ref)
             else:
@@ -271,11 +276,14 @@ class _Blaster:
                 return [self._shift_dynamic(base_bits, amt, left=False)[0]]
             return [base_bits[idx] if 0 <= idx < len(base_bits) else CONST0]
         if isinstance(expr, A.PartSelect):
-            base_bits = (self.blast(A.Ident(expr.base)) if isinstance(expr.base, str)
-                         else self.blast(expr.base))
             msb = const_eval(expr.msb, {})
             lsb = const_eval(expr.lsb, {})
-            return [base_bits[i] if i < len(base_bits) else CONST0
+            if isinstance(expr.base, str):
+                # only the selected bits, as for a constant Select
+                return [self.net_bit(expr.base, i) if i >= 0 else CONST0
+                        for i in range(lsb, msb + 1)]
+            base_bits = self.blast(expr.base)
+            return [base_bits[i] if 0 <= i < len(base_bits) else CONST0
                     for i in range(lsb, msb + 1)]
         if isinstance(expr, A.Unary):
             op = expr.op
@@ -467,37 +475,61 @@ def _sccs(adj):
     return out
 
 
-def eval_node(node: Node, values) -> int:
-    """Evaluate a tree given leaf values keyed by BitRef."""
-    if node.op == "const0":
+def eval_node(node: Node, values, ones=1) -> int:
+    """Evaluate a tree given leaf values keyed by each leaf's ``ref``.
+
+    With ``ones = 2**n - 1`` and each leaf bound to an n-bit lane mask (see
+    ``lane_masks``), one walk evaluates n assignments at once: bit j of the
+    result is the tree's value under the assignment of lane j.
+    """
+    op = node.op
+    if op == "const0":
         return 0
-    if node.op == "const1":
-        return 1
-    if node.op == "leaf":
+    if op == "const1":
+        return ones
+    if op == "leaf":
         return values[node.ref]
     kids = node.children
-    if node.op == "AND":
-        return eval_node(kids[0], values) & eval_node(kids[1], values)
-    if node.op == "OR":
-        return eval_node(kids[0], values) | eval_node(kids[1], values)
-    if node.op == "XOR":
-        return eval_node(kids[0], values) ^ eval_node(kids[1], values)
-    if node.op == "NOT":
-        return 1 - eval_node(kids[0], values)
-    if node.op == "MUX":
-        sel = eval_node(kids[0], values)
-        return eval_node(kids[1] if sel else kids[2], values)
+    if op == "AND":
+        return eval_node(kids[0], values, ones) & eval_node(kids[1], values, ones)
+    if op == "OR":
+        return eval_node(kids[0], values, ones) | eval_node(kids[1], values, ones)
+    if op == "XOR":
+        return eval_node(kids[0], values, ones) ^ eval_node(kids[1], values, ones)
+    if op == "NOT":
+        return ones ^ eval_node(kids[0], values, ones)
+    if op == "MUX":
+        sel = eval_node(kids[0], values, ones)
+        if sel == ones:
+            return eval_node(kids[1], values, ones)
+        if not sel:
+            return eval_node(kids[2], values, ones)
+        return ((sel & eval_node(kids[1], values, ones))
+                | ((ones ^ sel) & eval_node(kids[2], values, ones)))
     if node.is_macro():
         w, out_bit = node.meta
-        a = sum(eval_node(kids[i], values) << i for i in range(w))
-        b = sum(eval_node(kids[w + i], values) << i for i in range(w))
-        if node.op == "EQM":
-            return int(a == b)
-        if node.op == "LTM":
-            return int(a < b)
-        total = (a - b) if node.op == "SUBM" else (a + b)
-        return (total >> out_bit) & 1
-    raise ValueError(f"unknown node op {node.op}")
+        sub = op == "SUBM"
+        eq, lt, carry = ones, 0, ones if sub else 0
+        # LSB first, as in _Blaster._eq/_lt/_add
+        for i in range(w if out_bit is None else out_bit + 1):
+            x = eval_node(kids[i], values, ones)
+            y = eval_node(kids[w + i], values, ones)
+            if op == "EQM":
+                eq &= ones ^ x ^ y
+            elif op == "LTM":
+                lt = ((ones ^ x) & y) | ((ones ^ x ^ y) & lt)
+            else:
+                y = ones ^ y if sub else y
+                total = x ^ y ^ carry
+                carry = (x & y) | (carry & (x ^ y))
+        return eq if op == "EQM" else lt if op == "LTM" else total
+    raise ValueError(f"unknown node op {op}")
+
+
+def lane_masks(n):
+    """Masks of 2^n lanes, one per input i: bit j is set iff bit i of j is."""
+    ones = (1 << (1 << n)) - 1
+    return [ones // ((1 << (1 << i)) + 1) << (1 << i) for i in range(n)]
 
 
 def dump_forest(forest) -> str:

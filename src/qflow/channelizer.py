@@ -3,48 +3,30 @@
 A table channel is a Boolean function over at most ``max_channel_inputs``
 distinct input bits (single-node channels may exceed the bound by their
 own arity, since a binary gate cannot have fewer than two inputs).
-ADD/SUB/COMPARE macro nodes become standalone macro channels carrying a
-width instead of a table; their high inputs are treated as uniformly
-distributed by the engine.
+A table is filled by one bit-parallel ``eval_node`` walk over lane masks.
+ADD/SUB/COMPARE macro nodes become standalone macro channels that keep
+their macro node instead of a table; their high inputs are treated as
+uniformly distributed by the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bitgraph import BindTree, BitRef, Node
+from .bitgraph import BitRef, Node, eval_node, lane_masks
 from .errors import ArityMismatch
 
 DEFAULT_MAX_CHANNEL_INPUTS = 5
 MAX_TABLE_INPUTS = 16  # 2^16 table entries
 
 
-@dataclass(frozen=True)
-class ChanInput:
-    kind: str  # 'high' | 'low' | 'register' | 'derived'
-    ref: object  # BitRef for leaf kinds, channel id for 'derived'
-
-    def __str__(self):
-        tag = {"high": "H", "low": "L", "register": "R", "derived": "D"}[self.kind]
-        return f"{tag} {self.ref}"
-
-
-@dataclass(frozen=True)
-class MacroInfo:
-    op: str  # EQM | LTM | ADDM | SUBM
-    width: int
-    out_bit: int | None
-    # per-bit operand sources, LSB first: ('in', input_index) or ('const', v)
-    a_bits: tuple
-    b_bits: tuple
-
-
 @dataclass
 class Channel:
     cid: int
-    inputs: tuple  # ChanInput, distinct, stable order
+    # distinct, stable order: a leaf BitRef, or the id of a derived channel
+    inputs: tuple
     table: tuple | None  # len 2^k; index bit i = inputs[i]
-    macro: MacroInfo | None
+    macro: Node | None  # EQM | LTM | ADDM | SUBM; leaves are inputs or constants
     output: BitRef | None  # root bit for final channels, None for internal
     root: BitRef  # which tree this channel was cut from
     uniform_high_override: bool = False
@@ -60,37 +42,16 @@ class ChannelGraph:
         return self.channels[cid]
 
 
-# piece expression nodes: ('in', idx) | ('const', v) | (op, child pieces...)
-def _peval(pexpr, bits):
-    tag = pexpr[0]
-    if tag == "in":
-        return bits[pexpr[1]]
-    if tag == "const":
-        return pexpr[1]
-    if tag == "NOT":
-        return 1 - _peval(pexpr[1], bits)
-    if tag == "AND":
-        return _peval(pexpr[1], bits) & _peval(pexpr[2], bits)
-    if tag == "OR":
-        return _peval(pexpr[1], bits) | _peval(pexpr[2], bits)
-    if tag == "XOR":
-        return _peval(pexpr[1], bits) ^ _peval(pexpr[2], bits)
-    if tag == "MUX":
-        sel = _peval(pexpr[1], bits)
-        return _peval(pexpr[2] if sel else pexpr[3], bits)
-    raise ValueError(f"bad piece op {tag}")
+def input_label(ci) -> str:
+    """``H key[3]``, ``L low[0]``, ``R tmp4[0]`` for bits, ``D 7`` for channel ids."""
+    if isinstance(ci, int):
+        return f"D {ci}"
+    tag = {"input-high": "H", "input-low": "L", "register": "R"}[ci.role]
+    return f"{tag} {ci}"
 
 
-@dataclass
-class _Piece:
-    inputs: list  # ChanInput, ordered by first use
-    expr: tuple
-
-
-def _leaf_input(ref: BitRef) -> ChanInput:
-    kind = {"input-high": "high", "input-low": "low", "register": "register"}[ref.role]
-    return ChanInput(kind, ref)
-
+# A piece is (inputs, node): a node whose leaves are exactly ``inputs``,
+# ordered by first use, with each derived channel as Node("leaf", ref=cid).
 
 class _Merger:
     def __init__(self, graph: ChannelGraph, bound: int):
@@ -98,116 +59,70 @@ class _Merger:
         self.bound = min(max(bound, 1), MAX_TABLE_INPUTS)
         self.root = None
 
-    def seal(self, piece: _Piece) -> int:
-        """Materialize a piece as a table channel; return its id."""
-        k = len(piece.inputs)
-        table = []
-        for assignment in range(1 << k):
-            bits = [(assignment >> i) & 1 for i in range(k)]
-            table.append(_peval(piece.expr, bits))
+    def add(self, inputs, table, macro) -> int:
         cid = len(self.graph.channels)
         self.graph.channels.append(Channel(
-            cid=cid, inputs=tuple(piece.inputs), table=tuple(table),
-            macro=None, output=None, root=self.root))
+            cid=cid, inputs=tuple(inputs), table=table, macro=macro,
+            output=None, root=self.root, uniform_high_override=macro is not None))
         return cid
 
-    def as_derived(self, piece: _Piece) -> _Piece:
-        cid = self.seal(piece)
-        return _Piece([ChanInput("derived", cid)], ("in", 0))
+    def seal(self, piece) -> int:
+        """Materialize a piece as a table channel from one bit-parallel walk."""
+        inputs, node = piece
+        lanes = 1 << len(inputs)
+        packed = eval_node(node, dict(zip(inputs, lane_masks(len(inputs)))),
+                           (1 << lanes) - 1)
+        return self.add(inputs, tuple((packed >> a) & 1 for a in range(lanes)), None)
 
-    def build(self, node: Node) -> _Piece:
-        if node.op == "const0":
-            return _Piece([], ("const", 0))
-        if node.op == "const1":
-            return _Piece([], ("const", 1))
+    def derived(self, cid):
+        return [cid], Node("leaf", ref=cid)
+
+    def build(self, node: Node):
+        if node.op in ("const0", "const1"):
+            return [], node
         if node.op == "leaf":
-            return _Piece([_leaf_input(node.ref)], ("in", 0))
+            return [node.ref], node
         if node.is_macro():
             return self.macro_piece(node)
-        pieces = [self.build(c) for c in node.children]
-        merged, exprs = self.merge(pieces)
-        return _Piece(merged, (node.op, *exprs))
+        inputs, kids = self.merge([self.build(c) for c in node.children])
+        return inputs, Node(node.op, tuple(kids))
 
     def merge(self, pieces):
         """Union child input sets; seal children until the bound is met.
 
         Sealing goes largest-child-first so cheap leaves stay direct inputs;
-        ties break toward the lexicographically smaller first input for
-        determinism.  A fully sealed gate always fits (its arity is the
+        ties break toward the lexicographically smaller first input label
+        for determinism.  A fully sealed gate always fits (its arity is the
         floor on channel size).
         """
         def union_size(ps):
-            seen = set()
-            for p in ps:
-                seen.update(p.inputs)
-            return len(seen)
+            return len({ci for inputs, _node in ps for ci in inputs})
 
-        pieces = list(pieces)
         while union_size(pieces) > self.bound:
-            candidates = [i for i, p in enumerate(pieces) if len(p.inputs) > 1]
+            candidates = [i for i, p in enumerate(pieces) if len(p[0]) > 1]
             if not candidates:
                 break  # all single-input: arity floor, accept over-bound
-            candidates.sort(key=lambda i: (-len(pieces[i].inputs),
-                                           str(pieces[i].inputs[0])))
+            candidates.sort(key=lambda i: (-len(pieces[i][0]),
+                                           input_label(pieces[i][0][0])))
             i = candidates[0]
-            pieces[i] = self.as_derived(pieces[i])
+            pieces[i] = self.derived(self.seal(pieces[i]))
 
-        inputs = []
-        index = {}
-        exprs = []
-        for p in pieces:
-            remap = {}
-            for j, ci in enumerate(p.inputs):
-                if ci not in index:
-                    index[ci] = len(inputs)
-                    inputs.append(ci)
-                remap[j] = index[ci]
-            exprs.append(_remap(p.expr, remap))
-        return inputs, exprs
+        inputs = list(dict.fromkeys(ci for p in pieces for ci in p[0]))
+        return inputs, [node for _inputs, node in pieces]
 
-    def macro_piece(self, node: Node) -> _Piece:
-        w, out_bit = node.meta
-        inputs = []
-        index = {}
-        operand_bits = []
+    def macro_piece(self, node: Node):
+        """A standalone macro channel; each non-leaf operand bit is sealed first."""
+        kids = []
         for child in node.children:
-            if child.op == "const0":
-                operand_bits.append(("const", 0))
-                continue
-            if child.op == "const1":
-                operand_bits.append(("const", 1))
-                continue
-            if child.op == "leaf":
-                ci = _leaf_input(child.ref)
-            else:
+            if child.op not in ("const0", "const1", "leaf"):
                 piece = self.build(child)
-                if piece.expr[0] == "const":
-                    operand_bits.append(piece.expr)
-                    continue
-                if len(piece.inputs) == 1 and piece.expr == ("in", 0):
-                    ci = piece.inputs[0]
-                else:
-                    ci = ChanInput("derived", self.seal(piece))
-            if ci not in index:
-                index[ci] = len(inputs)
-                inputs.append(ci)
-            operand_bits.append(("in", index[ci]))
-        macro = MacroInfo(node.op, w, out_bit,
-                          tuple(operand_bits[:w]), tuple(operand_bits[w:]))
-        cid = len(self.graph.channels)
-        self.graph.channels.append(Channel(
-            cid=cid, inputs=tuple(inputs), table=None, macro=macro,
-            output=None, root=self.root, uniform_high_override=True))
-        return _Piece([ChanInput("derived", cid)], ("in", 0))
-
-
-def _remap(pexpr, remap):
-    tag = pexpr[0]
-    if tag == "in":
-        return ("in", remap[pexpr[1]])
-    if tag == "const":
-        return pexpr
-    return (tag, *(_remap(c, remap) for c in pexpr[1:]))
+                if piece[1].op != "leaf":  # a gate; a nested macro is already a leaf
+                    piece = self.derived(self.seal(piece))
+                child = piece[1]
+            kids.append(child)
+        inputs = dict.fromkeys(c.ref for c in kids if c.op == "leaf")
+        macro = Node(node.op, tuple(kids), meta=node.meta)
+        return self.derived(self.add(inputs, None, macro))
 
 
 def merge(forest, deps, max_channel_inputs=DEFAULT_MAX_CHANNEL_INPUTS) -> ChannelGraph:
@@ -218,13 +133,8 @@ def merge(forest, deps, max_channel_inputs=DEFAULT_MAX_CHANNEL_INPUTS) -> Channe
     merger = _Merger(graph, max_channel_inputs)
     for tree in sorted(forest, key=lambda t: (t.root.net, t.root.bit)):
         merger.root = tree.root
-        piece = merger.build(tree.node)
-        cid = merger.seal(piece)
-        final = graph.channels[cid]
-        graph.channels[cid] = Channel(
-            cid=cid, inputs=final.inputs, table=final.table, macro=final.macro,
-            output=tree.root, root=tree.root,
-            uniform_high_override=final.uniform_high_override)
+        cid = merger.seal(merger.build(tree.node))
+        graph.channels[cid].output = tree.root
         graph.root_channel[tree.root] = cid
     return graph
 
@@ -243,33 +153,23 @@ def channel_function_eval(channel: Channel, assignment) -> int:
                 f"channel {channel.cid} takes {len(channel.inputs)} inputs, "
                 f"got {len(bits)}")
     if channel.table is not None:
-        idx = sum(b << i for i, b in enumerate(bits))
-        return channel.table[idx]
-    m = channel.macro
-    def value(src):
-        return src[1] if src[0] == "const" else bits[src[1]]
-    a = sum(value(s) << i for i, s in enumerate(m.a_bits))
-    b = sum(value(s) << i for i, s in enumerate(m.b_bits))
-    if m.op == "EQM":
-        return int(a == b)
-    if m.op == "LTM":
-        return int(a < b)
-    total = (a - b) if m.op == "SUBM" else (a + b)
-    return (total >> m.out_bit) & 1
+        return channel.table[sum(b << i for i, b in enumerate(bits))]
+    return eval_node(channel.macro, dict(zip(channel.inputs, bits)))
 
 
 def dump_channels(graph: ChannelGraph) -> str:
     """Stable textual channel list with hex truth tables, for golden tests."""
     lines = []
     for ch in graph.channels:
-        ins = ", ".join(str(ci) for ci in ch.inputs)
+        ins = ", ".join(input_label(ci) for ci in ch.inputs)
         if ch.table is not None:
             packed = sum(v << i for i, v in enumerate(ch.table))
             body = f"table=0x{packed:x}/{len(ch.inputs)}"
         else:
-            body = f"macro={ch.macro.op}/{ch.macro.width}"
-            if ch.macro.out_bit is not None:
-                body += f":{ch.macro.out_bit}"
+            width, out_bit = ch.macro.meta
+            body = f"macro={ch.macro.op}/{width}"
+            if out_bit is not None:
+                body += f":{out_bit}"
         out = f" out={ch.output}" if ch.output is not None else ""
         lines.append(f"c{ch.cid} root={ch.root}{out} inputs=[{ins}] {body}")
     return "\n".join(lines) + "\n"

@@ -64,7 +64,8 @@ class ProbAnnotatedGraph:
 # Per-channel computations
 
 def _default_taint(channel: Channel):
-    return [ci.kind == "high" for ci in channel.inputs]
+    return [not isinstance(ci, int) and ci.role == "input-high"
+            for ci in channel.inputs]
 
 
 def _enumerate(channel: Channel, probs, tainted=None):
@@ -138,22 +139,20 @@ def channel_output_probability(channel: Channel, probs) -> float:
     return _macro_prob(channel, probs)
 
 
-def _operand_probs(macro, probs, override_tainted=None, tainted=None):
-    def bit_prob(src):
-        if src[0] == "const":
-            return float(src[1])
-        p = probs[src[1]]
-        if override_tainted is not None and tainted[src[1]]:
-            p = 0.5
-        return p
-    a = [bit_prob(s) for s in macro.a_bits]
-    b = [bit_prob(s) for s in macro.b_bits]
-    return a, b
+def _operands(channel: Channel, per_input, const):
+    """Operands (a, b) of a macro channel, LSB first: ``per_input[i]`` for
+    a bit read from input i, ``const(v)`` for a constant bit v."""
+    index = {ci: i for i, ci in enumerate(channel.inputs)}
+    bits = [per_input[index[c.ref]] if c.op == "leaf"
+            else const(int(c.op == "const1")) for c in channel.macro.children]
+    w = channel.macro.meta[0]
+    return bits[:w], bits[w:]
 
 
 def _macro_prob(channel: Channel, probs) -> float:
     m = channel.macro
-    pa, pb = _operand_probs(m, probs)
+    width, out_bit = m.meta
+    pa, pb = _operands(channel, probs, float)
     if m.op == "EQM":
         p = 1.0
         for x, y in zip(pa, pb):
@@ -163,7 +162,7 @@ def _macro_prob(channel: Channel, probs) -> float:
         # MSB first: P(a<b) = sum_i P(equal above i) * P(a_i=0, b_i=1)
         p = 0.0
         eq_above = 1.0
-        for i in range(m.width - 1, -1, -1):
+        for i in range(width - 1, -1, -1):
             p += eq_above * (1.0 - pa[i]) * pb[i]
             eq_above *= pa[i] * pb[i] + (1.0 - pa[i]) * (1.0 - pb[i])
         return p
@@ -173,15 +172,11 @@ def _macro_prob(channel: Channel, probs) -> float:
         pc = 1.0
     else:
         pc = 0.0
-    for k in range(m.out_bit + 1):
+    for k in range(out_bit + 1):
         pxor = pa[k] * (1.0 - pb[k]) + (1.0 - pa[k]) * pb[k]
         psum = pxor * (1.0 - pc) + (1.0 - pxor) * pc
         pc = pa[k] * pb[k] + pxor * pc
     return psum
-
-
-def _side_tainted(bits, tainted):
-    return any(src[0] == "in" and tainted[src[1]] for src in bits)
 
 
 def _macro_pbv(channel: Channel, probs, tainted) -> float:
@@ -191,9 +186,9 @@ def _macro_pbv(channel: Channel, probs, tainted) -> float:
     the secret operand for every fixed observable value, hence PBV 1.
     """
     m = channel.macro
-    w = m.width
-    a_t = _side_tainted(m.a_bits, tainted)
-    b_t = _side_tainted(m.b_bits, tainted)
+    w = m.meta[0]
+    a_taint, b_taint = _operands(channel, tainted, lambda _v: False)
+    a_t, b_t = any(a_taint), any(b_taint)
     if not (a_t or b_t):
         return 1.0
     if m.op in ("ADDM", "SUBM"):
@@ -201,7 +196,7 @@ def _macro_pbv(channel: Channel, probs, tainted) -> float:
     if m.op == "EQM":
         return 2.0 ** (1 - w)
     # LTM, a < b: one outcome class is empty at the observable boundary
-    pa, pb = _operand_probs(m, probs)
+    pa, pb = _operands(channel, probs, float)
     if a_t and not b_t:
         p_empty = 1.0
         for y in pb:
@@ -257,26 +252,26 @@ class _Propagator:
             raise ValueError("the dependency graph does not cover every channel's root")
 
     def _probs(self, ch):
-        return [self.chan_prob[ci.ref] if ci.kind == "derived"
-                else self.reg_prob.get(ci.ref, 0.5) if ci.kind == "register"
-                else self.input_probs.get((ci.ref.net, ci.ref.bit), 0.5)
+        return [self.chan_prob[ci] if isinstance(ci, int)
+                else self.reg_prob.get(ci, 0.5) if ci.role == "register"
+                else self.input_probs.get((ci.net, ci.bit), 0.5)
                 for ci in ch.inputs]
 
     def _taints(self, ch):
-        return [ci.kind == "high"
-                or (ci.kind == "derived" and self.chan_tainted[ci.ref])
-                or (ci.kind == "register" and self.reg_tainted.get(ci.ref, False))
+        return [self.chan_tainted[ci] if isinstance(ci, int)
+                else self.reg_tainted.get(ci, False) if ci.role == "register"
+                else ci.role == "input-high"
                 for ci in ch.inputs]
 
     def _leak(self, ch):
         incoming = {}
         for ci in ch.inputs:
-            if ci.kind == "high":
-                vec = self.source.get((ci.ref.net, ci.ref.bit), {})
-            elif ci.kind == "register":
-                vec = self.reg_leak.get(ci.ref, {})
-            elif ci.kind == "derived":
-                vec = self.chan_leak[ci.ref]
+            if isinstance(ci, int):
+                vec = self.chan_leak[ci]
+            elif ci.role == "register":
+                vec = self.reg_leak.get(ci, {})
+            elif ci.role == "input-high":
+                vec = self.source.get((ci.net, ci.bit), {})
             else:
                 continue
             for sid, val in vec.items():

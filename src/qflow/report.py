@@ -69,15 +69,16 @@ def classify(totals, t: Thresholds, secrets, contributions=None,
     ``secrets`` is the engine's (sid, net, bit, p) list; ``contributions``
     the per-output-bit leakage vectors used for path reporting.
     """
+    paths = {}  # sid -> its nonzero contributions, in output order
+    for out_net, out_bit, vec in contributions or ():
+        for sid, val in vec.items():
+            if val > 0.0:
+                paths.setdefault(sid, []).append((out_net, out_bit, val))
     entries = []
     for sid, net, bit, _p in sorted(secrets):
         total = totals.get(sid, 0.0)
-        paths = []
-        if contributions:
-            for out_net, out_bit, vec in contributions:
-                if vec.get(sid, 0.0) > 0.0:
-                    paths.append((out_net, out_bit, vec[sid]))
-        entries.append(SecretEntry(net, bit, total, classify_value(total, t), paths))
+        entries.append(SecretEntry(net, bit, total, classify_value(total, t),
+                                   paths.get(sid, [])))
     return Report(design=design_meta or {}, thresholds=t, secrets=entries,
                   runtime_seconds=runtime_seconds)
 

@@ -1,16 +1,22 @@
 """Bit-blasting, bind trees, and the dependency graph."""
 
 import itertools
+import random
 
 import pytest
 
 from qflow import corpus
 from qflow.bitgraph import (
+    CONST0,
+    CONST1,
+    BindTree,
     BitRef,
+    Node,
     bit_blast,
     compute_dependencies,
     dump_forest,
     eval_node,
+    lane_masks,
 )
 from qflow.errors import CombinationalLoop
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
@@ -114,25 +120,31 @@ endmodule
 
 
 def test_concat_repl_partselect():
-    src = """module m(input [3:0] a, output [3:0] y, output [3:0] z);
+    src = """module m(input [3:0] a, output [3:0] y, output [3:0] z, output [1:0] n);
 assign y = {a[1:0], a[3:2]};
 assign z = {2{a[1:0]}};
+assign n = a[0:-1];
 endmodule
 """
     def ref(w):
         a = w["a"]
         lo, hi = a & 3, (a >> 2) & 3
-        return {"y": (lo << 2) | hi, "z": (a & 3) | ((a & 3) << 2)}
+        # a bit below 0 reads as 0, like one above the MSB
+        return {"y": (lo << 2) | hi, "z": (a & 3) | ((a & 3) << 2),
+                "n": (a & 1) << 1}
     exhaustive_equal(src, "m", ref, ["a"])
 
 
-def test_generate_carry_chain():
-    src = """module m(input [3:0] k, input c0, output [4:0] c);
+@pytest.mark.parametrize("step", ["c[i+1] = c[i] ^ k[i]",
+                                  "c[i+1:i+1] = c[i:i] ^ k[i]"],
+                         ids=["bit_select", "part_select"])
+def test_generate_carry_chain(step):
+    src = f"""module m(input [3:0] k, input c0, output [4:0] c);
 assign c[0] = c0;
 genvar i;
 generate
 for (i = 0; i < 4; i = i + 1) begin
-assign c[i+1] = c[i] ^ k[i];
+assign {step};
 end
 endgenerate
 endmodule
@@ -178,15 +190,62 @@ endmodule
 
 
 def test_macro_eval_matches_arith():
-    src = """module m(input [4:0] a, input [4:0] b, output [4:0] s, output lt);
+    src = """module m(input [4:0] a, input [4:0] b, output [4:0] s, output lt,
+output [4:0] t, output eq);
 assign s = a - b;
 assign lt = a < b;
+assign t = a + b;
+assign eq = a == b;
 endmodule
 """
     def ref(w):
         a, b = w["a"], w["b"]
-        return {"s": (a - b) & 31, "lt": int(a < b)}
+        return {"s": (a - b) & 31, "lt": int(a < b), "t": (a + b) & 31,
+                "eq": int(a == b)}
     exhaustive_equal(src, "m", ref, ["a", "b"])
+
+
+def random_node(rng, refs, depth):
+    """A random tree over ``refs`` with gates, MUX, NOT, constants and macros."""
+    if depth <= 0 or rng.random() < 0.2:
+        r = rng.random()
+        return (CONST0 if r < 0.1 else CONST1 if r < 0.2
+                else Node("leaf", ref=rng.choice(refs)))
+    op = rng.choice(["AND", "OR", "XOR", "NOT", "MUX", "EQM", "LTM", "ADDM", "SUBM"])
+    if op in ("EQM", "LTM", "ADDM", "SUBM"):
+        w = rng.randint(1, 3)
+        out_bit = None if op in ("EQM", "LTM") else rng.randrange(w)
+        kids = tuple(random_node(rng, refs, depth - 2) for _ in range(2 * w))
+        return Node(op, kids, meta=(w, out_bit))
+    arity = {"NOT": 1, "MUX": 3}.get(op, 2)
+    return Node(op, tuple(random_node(rng, refs, depth - 1) for _ in range(arity)))
+
+
+def test_eval_node_lanes_match_scalar():
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        refs = [BitRef("x", i, "input-low") for i in range(n)]
+        node = random_node(rng, refs, 5)
+        ones = (1 << (1 << n)) - 1
+        packed = eval_node(node, dict(zip(refs, lane_masks(n))), ones)
+        assert 0 <= packed <= ones
+        for lane in range(1 << n):
+            scalar = eval_node(node, {r: (lane >> i) & 1 for i, r in enumerate(refs)})
+            assert scalar in (0, 1)
+            assert (packed >> lane) & 1 == scalar, (node, lane)
+
+
+def test_leaves_visit_shared_nodes_once():
+    ref = BitRef("q", 0, "register")
+    node = Node("leaf", ref=ref)
+    for _ in range(20):
+        node = Node("XOR", (node, node))  # 2^20 root-to-leaf paths
+    tree = BindTree(ref, node)
+    assert tree.leaves() == [ref]
+    deps = compute_dependencies([tree])
+    assert deps.edges == {(ref, ref)}
+    assert deps.cycles == [{ref}]
 
 
 def test_combinational_loop_detected():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflow.bitgraph import BitRef
-from qflow.channelizer import ChanInput, Channel
+from qflow.channelizer import Channel
 from qflow.qif_engine import (
     channel_output_probability,
     channel_pbv,
@@ -19,7 +19,7 @@ from conftest import analyze_source
 
 def table_channel(bits, kinds):
     inputs = tuple(
-        ChanInput("high" if k else "low", BitRef("x", i, "input-low"))
+        BitRef("x", i, "input-high" if k else "input-low")
         for i, k in enumerate(kinds))
     return Channel(cid=0, inputs=inputs, table=tuple(bits), macro=None,
                    output=None, root=None, uniform_high_override=False)
@@ -42,14 +42,14 @@ def enum_reference(ch, probs):
         for i in range(k):
             bit = (a >> i) & 1
             mass *= probs[i] if bit else 1.0 - probs[i]
-            (high if ch.inputs[i].kind == "high" else low).append(bit)
+            (high if ch.inputs[i].role == "input-high" else low).append(bit)
         if ch.table[a]:
             p1 += mass
         cur = best.setdefault((ch.table[a], tuple(low)), {})
         hk = tuple(high)
         cur[hk] = cur.get(hk, 0.0) + mass
     pbv = sum(max(d.values()) for d in best.values())
-    if not any(ci.kind == "high" for ci in ch.inputs):
+    if not any(ci.role == "input-high" for ci in ch.inputs):
         pbv = 1.0
     return p1, pbv
 
@@ -80,7 +80,7 @@ def test_pbv_within_bounds(data):
     ch = table_channel(bits, kinds)
     prior = 1.0
     for p, ci in zip(probs, ch.inputs):
-        if ci.kind == "high":
+        if ci.role == "input-high":
             prior *= max(p, 1.0 - p)
     pbv = channel_pbv(ch, probs)
     assert prior - 1e-12 <= pbv <= 1.0 + 1e-12

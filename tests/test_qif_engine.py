@@ -8,7 +8,7 @@ import pytest
 
 from qflow import corpus
 from qflow.bitgraph import BitRef, DependencyGraph, bit_blast, compute_dependencies
-from qflow.channelizer import ChanInput, Channel, merge
+from qflow.channelizer import Channel, merge
 from qflow.errors import NonConvergentFixpoint
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.qif_engine import (
@@ -27,8 +27,7 @@ from conftest import analyze_corpus, analyze_source
 def random_table_channel(rng, k):
     table = tuple(rng.randint(0, 1) for _ in range(1 << k))
     inputs = tuple(
-        ChanInput("high" if rng.random() < 0.5 else "low",
-                  BitRef("x", i, "input-low"))
+        BitRef("x", i, "input-high" if rng.random() < 0.5 else "input-low")
         for i in range(k))
     return Channel(cid=0, inputs=inputs, table=table, macro=None,
                    output=None, root=None, uniform_high_override=False)
@@ -49,7 +48,7 @@ def enum_prob(ch, probs):
 
 
 def enum_pbv(ch, probs):
-    if not any(ci.kind == "high" for ci in ch.inputs):
+    if not any(ci.role == "input-high" for ci in ch.inputs):
         return 1.0
     k = len(ch.inputs)
     best = {}
@@ -59,7 +58,7 @@ def enum_pbv(ch, probs):
         for i in range(k):
             bit = (a >> i) & 1
             mass *= probs[i] if bit else 1.0 - probs[i]
-            (h_part if ch.inputs[i].kind == "high" else l_part).append(bit)
+            (h_part if ch.inputs[i].role == "input-high" else l_part).append(bit)
         key = (ch.table[a], tuple(l_part))
         cur = best.setdefault(key, {})
         hk = tuple(h_part)
@@ -150,7 +149,7 @@ def test_pbv_bounds():
         probs = [rng.random() for _ in ch.inputs]
         prior = 1.0
         for p, ci in zip(probs, ch.inputs):
-            if ci.kind == "high":
+            if ci.role == "input-high":
                 prior *= max(p, 1.0 - p)
         pbv = channel_pbv(ch, probs)
         assert prior - 1e-12 <= pbv <= 1.0 + 1e-12
@@ -174,7 +173,7 @@ def enum_macro(ch, probs):
     """Reference prob/PBV by direct enumeration of the macro function."""
     from qflow.channelizer import channel_function_eval
     k = len(ch.inputs)
-    tainted = [ci.kind == "high" for ci in ch.inputs]
+    tainted = [ci.role == "input-high" for ci in ch.inputs]
     eff = [0.5 if t and ch.uniform_high_override else p
            for p, t in zip(probs, tainted)]
     p1 = 0.0

@@ -475,45 +475,55 @@ def _sccs(adj):
     return out
 
 
-def eval_node(node: Node, values, ones=1) -> int:
+def eval_node(node: Node, values, ones=1, memo=None) -> int:
     """Evaluate a tree given leaf values keyed by each leaf's ``ref``.
 
     With ``ones = 2**n - 1`` and each leaf bound to an n-bit lane mask (see
     ``lane_masks``), one walk evaluates n assignments at once: bit j of the
     result is the tree's value under the assignment of lane j.
+
+    ``memo``, a dict owned by the caller, keeps each gate's value by node
+    identity, so a node shared by several parents is evaluated once and a
+    reconvergent DAG costs one visit per node.  The caller empties it
+    whenever ``values`` change.
     """
     op = node.op
+    if op == "leaf":
+        return values[node.ref]
     if op == "const0":
         return 0
     if op == "const1":
         return ones
-    if op == "leaf":
-        return values[node.ref]
+    if memo is not None:
+        out = memo.get(id(node))
+        if out is not None:
+            return out
     kids = node.children
     if op == "AND":
-        return eval_node(kids[0], values, ones) & eval_node(kids[1], values, ones)
-    if op == "OR":
-        return eval_node(kids[0], values, ones) | eval_node(kids[1], values, ones)
-    if op == "XOR":
-        return eval_node(kids[0], values, ones) ^ eval_node(kids[1], values, ones)
-    if op == "NOT":
-        return ones ^ eval_node(kids[0], values, ones)
-    if op == "MUX":
-        sel = eval_node(kids[0], values, ones)
+        out = eval_node(kids[0], values, ones, memo) & eval_node(kids[1], values, ones, memo)
+    elif op == "OR":
+        out = eval_node(kids[0], values, ones, memo) | eval_node(kids[1], values, ones, memo)
+    elif op == "XOR":
+        out = eval_node(kids[0], values, ones, memo) ^ eval_node(kids[1], values, ones, memo)
+    elif op == "NOT":
+        out = ones ^ eval_node(kids[0], values, ones, memo)
+    elif op == "MUX":
+        sel = eval_node(kids[0], values, ones, memo)
         if sel == ones:
-            return eval_node(kids[1], values, ones)
-        if not sel:
-            return eval_node(kids[2], values, ones)
-        return ((sel & eval_node(kids[1], values, ones))
-                | ((ones ^ sel) & eval_node(kids[2], values, ones)))
-    if node.is_macro():
+            out = eval_node(kids[1], values, ones, memo)
+        elif not sel:
+            out = eval_node(kids[2], values, ones, memo)
+        else:
+            out = ((sel & eval_node(kids[1], values, ones, memo))
+                   | ((ones ^ sel) & eval_node(kids[2], values, ones, memo)))
+    elif node.is_macro():
         w, out_bit = node.meta
         sub = op == "SUBM"
         eq, lt, carry = ones, 0, ones if sub else 0
         # LSB first, as in _Blaster._eq/_lt/_add
         for i in range(w if out_bit is None else out_bit + 1):
-            x = eval_node(kids[i], values, ones)
-            y = eval_node(kids[w + i], values, ones)
+            x = eval_node(kids[i], values, ones, memo)
+            y = eval_node(kids[w + i], values, ones, memo)
             if op == "EQM":
                 eq &= ones ^ x ^ y
             elif op == "LTM":
@@ -522,8 +532,12 @@ def eval_node(node: Node, values, ones=1) -> int:
                 y = ones ^ y if sub else y
                 total = x ^ y ^ carry
                 carry = (x & y) | (carry & (x ^ y))
-        return eq if op == "EQM" else lt if op == "LTM" else total
-    raise ValueError(f"unknown node op {op}")
+        out = eq if op == "EQM" else lt if op == "LTM" else total
+    else:
+        raise ValueError(f"unknown node op {op}")
+    if memo is not None:
+        memo[id(node)] = out
+    return out
 
 
 def lane_masks(n):

@@ -29,7 +29,6 @@ class Channel:
     macro: Node | None  # EQM | LTM | ADDM | SUBM; leaves are inputs or constants
     output: BitRef | None  # root bit for final channels, None for internal
     root: BitRef  # which tree this channel was cut from
-    uniform_high_override: bool = False
 
 
 @dataclass
@@ -63,7 +62,7 @@ class _Merger:
         cid = len(self.graph.channels)
         self.graph.channels.append(Channel(
             cid=cid, inputs=tuple(inputs), table=table, macro=macro,
-            output=None, root=self.root, uniform_high_override=macro is not None))
+            output=None, root=self.root))
         return cid
 
     def seal(self, piece) -> int:

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bitgraph import BindTree, BitRef, Node, compute_dependencies, eval_node
+from .bitgraph import BindTree, BitRef, Node, compute_dependencies, eval_node, lane_masks
 from .channelizer import merge
 from .errors import TooLarge
 from .frontend.elaborate import ElaboratedDesign, FlatNet
@@ -20,6 +20,7 @@ from .qif_engine import accumulate_totals, propagate
 
 ENUMERATION_LIMIT = 24
 DEFAULT_UNROLL_CYCLES = 8
+LANE_BITS = 16  # input bits per lane block: one unroll evaluates 2^16 assignments
 
 
 @dataclass
@@ -27,10 +28,42 @@ class FlatFunction:
     high_inputs: list  # BitRef
     low_inputs: list  # BitRef
     outputs: list  # (net, bit)
-    fn: object  # (h_bits tuple, l_bits tuple) -> tuple of output bits
+    registers: list  # register BitRefs the forest reads
+    next_state: dict  # (net, bit) of a register -> its driving Node, or None
+    comb: dict  # (net, bit) of a top output -> its Node
+    cycles: int
 
     def eval(self, h_bits, l_bits):
-        return self.fn(tuple(h_bits), tuple(l_bits))
+        values = dict(zip(self.high_inputs, h_bits))
+        values.update(zip(self.low_inputs, l_bits))
+        return tuple(self.unroll(values))
+
+    def unroll(self, values, ones=1, memo=None):
+        """Every output bit of every cycle, with the inputs bound in ``values``.
+
+        Registers start at 0 and inputs are held constant.  With lane masks
+        in ``values`` and ``ones`` the all-lanes mask, each output is a mask
+        over every lane at once.  ``memo`` goes to ``eval_node`` and is
+        emptied whenever the registers change.
+        """
+        def load(state):
+            for ref in self.registers:
+                values[ref] = state[(ref.net, ref.bit)]
+            if memo is not None:
+                memo.clear()
+
+        state = dict.fromkeys(self.next_state, 0)
+        load(state)
+        obs = []
+        for _ in range(self.cycles):
+            state = {key: state[key] if node is None
+                     else eval_node(node, values, ones, memo)
+                     for key, node in self.next_state.items()}
+            load(state)
+            obs += [state[key] if key in state
+                    else eval_node(self.comb[key], values, ones, memo)
+                    for key in self.outputs]
+        return obs
 
 
 def _leaf_refs(forest):
@@ -59,10 +92,10 @@ def flatten_forest(forest, design: ElaboratedDesign | None = None,
     upper-bounds a single random-moment observation.
     """
     highs, lows, regs = _leaf_refs(forest)
-    reg_roots = {(t.root.net, t.root.bit): t for t in forest
-                 if t.root.role == "register"}
-    for key in {(r.net, r.bit) for r in regs}:
-        reg_roots.setdefault(key, None)
+    next_state = {(t.root.net, t.root.bit): t.node for t in forest
+                  if t.root.role == "register"}
+    for r in regs:
+        next_state.setdefault((r.net, r.bit), None)
 
     if design is not None:
         output_bits = []
@@ -72,36 +105,10 @@ def flatten_forest(forest, design: ElaboratedDesign | None = None,
     else:
         output_bits = sorted((t.root.net, t.root.bit) for t in forest
                              if t.root.role == "top-output")
-    comb_roots = {(t.root.net, t.root.bit): t for t in forest
-                  if t.root.role == "top-output"}
-    sequential = bool(reg_roots)
-    n_cycles = cycles if sequential else 1
-
-    def fn(h_bits, l_bits):
-        values = {}
-        for ref, v in zip(highs, h_bits):
-            values[ref] = v
-        for ref, v in zip(lows, l_bits):
-            values[ref] = v
-        state = {key: 0 for key in reg_roots}
-        obs = []
-        for _ in range(n_cycles):
-            for ref in regs:
-                values[ref] = state[(ref.net, ref.bit)]
-            nxt = {}
-            for key, tree in reg_roots.items():
-                nxt[key] = eval_node(tree.node, values) if tree is not None else state[key]
-            state = nxt
-            for ref in regs:
-                values[ref] = state[(ref.net, ref.bit)]
-            for key in output_bits:
-                if key in reg_roots:
-                    obs.append(state[key])
-                else:
-                    obs.append(eval_node(comb_roots[key].node, values))
-        return tuple(obs)
-
-    return FlatFunction(highs, lows, output_bits, fn)
+    comb = {(t.root.net, t.root.bit): t.node for t in forest
+            if t.root.role == "top-output"}
+    return FlatFunction(highs, lows, output_bits, regs, next_state, comb,
+                        cycles if next_state else 1)
 
 
 def _bit_probs(refs, probs):
@@ -119,32 +126,82 @@ def exact_prior_vulnerability(high_probs) -> float:
     return v
 
 
+_INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by item size
+
+
+def _lane_keys(columns, lanes):
+    """One key per lane, lane 0 first; two lanes share a key iff every column agrees.
+
+    The binary digits of eight columns at a time become one byte per lane,
+    and up to eight such bytes are packed into one int per lane.
+    """
+    digits = f"0{lanes}b"
+    low_bit = int.from_bytes(b"\x01" * lanes, "little")
+    packed = []
+    for g in range(0, len(columns) or 1, 8):
+        acc = 0
+        for k, col in enumerate(columns[g:g + 8]):
+            acc |= (int.from_bytes(format(col, digits).encode(), "big") & low_bit) << k
+        packed.append(acc.to_bytes(lanes, "little"))
+    if len(packed) > 8:
+        return list(zip(*packed))
+    width = 1 << (len(packed) - 1).bit_length()
+    buf = bytearray(lanes * width)
+    for k, part in enumerate(packed):
+        buf[k::width] = part
+    return memoryview(buf).cast(_INT_CODES[width]).tolist()
+
+
 def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
-    """Sum over (outputs, lows) of the best secret guess, full enumeration."""
+    """Sum over (outputs, lows) of the best secret guess, full enumeration.
+
+    Assignments are evaluated bit-parallel.  Of the input bits, highs
+    first, the first ``LANE_BITS`` are bound to lane masks, so one
+    ``unroll`` gives every output over a block of lanes, and the rest are
+    bound to constants in an outer loop over blocks.  Lanes thus run in
+    the order of the assignment-at-a-time enumeration, and the blocks of
+    one assignment of the outer low bits are adjacent.  A bit of prior 0
+    or 1 has one assignment of nonzero mass; it is bound to that constant
+    instead of enumerated.
+    """
     nh, nl = len(f.high_inputs), len(f.low_inputs)
     if nh + nl > ENUMERATION_LIMIT:
         raise TooLarge(nh + nl, ENUMERATION_LIMIT)
-    hp = _bit_probs(f.high_inputs, probs)
-    lp = _bit_probs(f.low_inputs, probs)
-    best = {}
-    for la in range(1 << nl):
-        l_bits = tuple((la >> i) & 1 for i in range(nl))
-        lmass = 1.0
-        for i, b in enumerate(l_bits):
-            lmass *= lp[i] if b else 1.0 - lp[i]
-        if lmass == 0.0:
-            continue
-        for ha in range(1 << nh):
-            h_bits = tuple((ha >> i) & 1 for i in range(nh))
-            mass = lmass
-            for i, b in enumerate(h_bits):
-                mass *= hp[i] if b else 1.0 - hp[i]
-            if mass == 0.0:
+    refs = f.high_inputs + f.low_inputs
+    priors = list(zip(refs, _bit_probs(refs, probs)))
+    free = [(ref, p) for ref, p in priors if p not in (0.0, 1.0)]
+    lane, outer = free[:LANE_BITS], free[LANE_BITS:]
+    lanes = 1 << len(lane)
+    ones = (1 << lanes) - 1
+    values = {ref: ones if p else 0 for ref, p in priors if p in (0.0, 1.0)}
+    values.update(zip((ref for ref, _ in lane), lane_masks(len(lane))))
+    lane_lows = [values[ref] for ref, _ in lane if ref.role == "input-low"]
+    # blocks per assignment of the outer low bits
+    span = 1 << sum(ref.role == "input-high" for ref, _ in outer)
+    uniform = all(p == 0.5 for _, p in free)
+    if not uniform:
+        lane_mass = [1.0]
+        for _, p in lane:
+            lane_mass = [m * (1.0 - p) for m in lane_mass] + [m * p for m in lane_mass]
+    posterior = 0.0
+    for group in range(0, 1 << len(outer), span):
+        best = {}  # lane key -> best mass among the group's lanes
+        for a in range(group, group + span):
+            start = 1.0
+            for i, (ref, p) in enumerate(outer):
+                bit = (a >> i) & 1
+                values[ref] = ones if bit else 0
+                start *= p if bit else 1.0 - p
+            keys = _lane_keys(f.unroll(values, ones, {}) + lane_lows, lanes)
+            if uniform:  # one lane mass, so it is every key's best
+                best.update(dict.fromkeys(keys, 0.5 ** len(free)))
                 continue
-            key = (f.eval(h_bits, l_bits), l_bits)
-            if mass > best.get(key, 0.0):
-                best[key] = mass
-    return sum(best.values())
+            for key, m in zip(keys, lane_mass):
+                mass = start * m
+                if mass > best.get(key, 0.0):
+                    best[key] = mass
+        posterior += sum(best.values())
+    return posterior
 
 
 def exact_multiplicative_leakage(f: FlatFunction, probs=None):

@@ -228,8 +228,13 @@ def test_eval_node_lanes_match_scalar():
         refs = [BitRef("x", i, "input-low") for i in range(n)]
         node = random_node(rng, refs, 5)
         ones = (1 << (1 << n)) - 1
-        packed = eval_node(node, dict(zip(refs, lane_masks(n))), ones)
+        values = dict(zip(refs, lane_masks(n)))
+        packed = eval_node(node, values, ones)
         assert 0 <= packed <= ones
+        memo = {}
+        assert eval_node(node, values, ones, memo) == packed
+        # ``node`` is shared by both children, so the memo serves the second
+        assert eval_node(Node("XOR", (node, Node("NOT", (node,)))), values, ones, memo) == ones
         for lane in range(1 << n):
             scalar = eval_node(node, {r: (lane >> i) & 1 for i, r in enumerate(refs)})
             assert scalar in (0, 1)

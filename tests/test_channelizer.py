@@ -111,7 +111,7 @@ endmodule
     macros = [ch for ch in graph.channels if ch.macro is not None]
     assert len(macros) == 1
     assert macros[0].macro.op == "LTM"
-    assert macros[0].uniform_high_override
+    assert macros[0].table is None
 
 
 def test_dump_channels_stable():

@@ -22,7 +22,7 @@ def table_channel(bits, kinds):
         BitRef("x", i, "input-high" if k else "input-low")
         for i, k in enumerate(kinds))
     return Channel(cid=0, inputs=inputs, table=tuple(bits), macro=None,
-                   output=None, root=None, uniform_high_override=False)
+                   output=None, root=None)
 
 
 def channels(max_k=4):

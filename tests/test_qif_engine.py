@@ -30,7 +30,7 @@ def random_table_channel(rng, k):
         BitRef("x", i, "input-high" if rng.random() < 0.5 else "input-low")
         for i in range(k))
     return Channel(cid=0, inputs=inputs, table=table, macro=None,
-                   output=None, root=None, uniform_high_override=False)
+                   output=None, root=None)
 
 
 def enum_prob(ch, probs):
@@ -174,7 +174,7 @@ def enum_macro(ch, probs):
     from qflow.channelizer import channel_function_eval
     k = len(ch.inputs)
     tainted = [ci.role == "input-high" for ci in ch.inputs]
-    eff = [0.5 if t and ch.uniform_high_override else p
+    eff = [0.5 if t and ch.macro is not None else p
            for p, t in zip(probs, tainted)]
     p1 = 0.0
     best = {}

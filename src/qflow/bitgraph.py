@@ -1,14 +1,18 @@
-"""Bit-blasting of the flat netlist into per-bit expression trees.
+"""Bit-blasting of the flat netlist into per-bit expression DAGs.
 
 Every top-level output bit and every register bit becomes the root of one
-tree whose leaves are primary input bits, register bits, or constants.
-Internal wires are inlined.  Wide adders/subtractors and comparisons stay
-as width-tagged macro nodes above the expansion limit so the engine can
-apply closed-form vulnerability expressions to them.
+DAG whose leaves are primary input bits, register bits, or constants.
+Internal wires are inlined by sharing: every reader of a wire bit gets the
+same ``Node``, so a wire read twice is one node with two parents, and
+walks over a root (``BindTree.leaves``, ``eval_node`` with a memo, the
+channelizer, ``dump_forest``) visit it once.  Wide adders/subtractors and
+comparisons stay as width-tagged macro nodes above the expansion limit so
+the engine can apply closed-form vulnerability expressions to them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import CombinationalLoop, UnassignedNet, UnsupportedConstruct
@@ -476,11 +480,11 @@ def _sccs(adj):
 
 
 def eval_node(node: Node, values, ones=1, memo=None) -> int:
-    """Evaluate a tree given leaf values keyed by each leaf's ``ref``.
+    """Evaluate a node's DAG given leaf values keyed by each leaf's ``ref``.
 
     With ``ones = 2**n - 1`` and each leaf bound to an n-bit lane mask (see
     ``lane_masks``), one walk evaluates n assignments at once: bit j of the
-    result is the tree's value under the assignment of lane j.
+    result is the node's value under the assignment of lane j.
 
     ``memo``, a dict owned by the caller, keeps each gate's value by node
     identity, so a node shared by several parents is evaluated once and a
@@ -547,18 +551,53 @@ def lane_masks(n):
 
 
 def dump_forest(forest) -> str:
-    """One stable S-expression per root, for golden tests."""
+    """One stable S-expression per root, for golden tests.
+
+    A gate that one root reaches more than once is written once, as a
+    binding ``%n = (...)`` indented under that root's line (each binding
+    above the ones it reads), and named ``%n`` wherever it is read; names
+    count up through the whole dump.  A tree-shaped root is one line, and
+    the dump is linear in DAG size.
+    """
+    counter = itertools.count()
+    shared, names, bindings = set(), {}, []  # of the root being rendered
+
     def render(node):
         if node.op in ("const0", "const1"):
             return node.op[-1]
         if node.op == "leaf":
             return str(node.ref)
+        if id(node) in names:
+            return names[id(node)]
+        tag = node.op
         if node.is_macro():
             w, out_bit = node.meta
-            tag = node.op if out_bit is None else f"{node.op}:{out_bit}"
-            return f"({tag}/{w} " + " ".join(render(c) for c in node.children) + ")"
-        return f"({node.op} " + " ".join(render(c) for c in node.children) + ")"
+            tag = (tag if out_bit is None else f"{tag}:{out_bit}") + f"/{w}"
+        text = f"({tag} " + " ".join(render(c) for c in node.children) + ")"
+        if id(node) not in shared:
+            return text
+        name = names[id(node)] = f"%{next(counter)}"
+        bindings.append(f"  {name} = {text}")
+        return name
 
-    lines = [f"{tree.root} = {render(tree.node)}"
-             for tree in sorted(forest, key=lambda t: (t.root.net, t.root.bit))]
+    lines = []
+    for tree in sorted(forest, key=lambda t: (t.root.net, t.root.bit)):
+        shared, names, bindings = _shared_gates(tree.node), {}, []
+        lines.append(f"{tree.root} = {render(tree.node)}")
+        lines += reversed(bindings)
     return "\n".join(lines) + "\n"
+
+
+def _shared_gates(root):
+    """Ids of the gates that ``root`` reaches along more than one edge."""
+    seen, shared = set(), set()
+    stack = [root]
+    while stack:
+        for child in stack.pop().children:
+            if id(child) in seen:
+                if child.children:
+                    shared.add(id(child))
+            else:
+                seen.add(id(child))
+                stack.append(child)
+    return shared

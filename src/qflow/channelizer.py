@@ -1,4 +1,10 @@
-"""Greedy bottom-up merging of bind-tree nodes into bounded channels.
+"""Greedy bottom-up merging of bind-DAG nodes into bounded channels.
+
+``bit_blast`` shares a node among all its readers, so each bind tree is a
+DAG.  The merger visits each of its nodes once per tree: a node read
+twice is built once, and if it is sealed, it is one channel that both
+readers take as the same input.  Sharing never crosses trees, so each
+channel's ``root`` is the one tree it was cut from.
 
 A table channel is a Boolean function over at most ``max_channel_inputs``
 distinct input bits (single-node channels may exceed the bound by their
@@ -56,7 +62,21 @@ class _Merger:
     def __init__(self, graph: ChannelGraph, bound: int):
         self.graph = graph
         self.bound = min(max(bound, 1), MAX_TABLE_INPUTS)
-        self.root = None
+        # per bind tree, by node identity (hashing a Node recurses through
+        # its children, exponential on a DAG): node -> piece, and piece node
+        # -> channel id.  Every keyed node lives in the forest or in a built
+        # piece, so no id is reused while the memos hold it.
+        self.built = {}
+        self.sealed = {}
+
+    def start(self, root):
+        """Forget the last tree: sharing, and each channel's ``root``, stay
+        within one tree."""
+        self.root = root
+        self.built.clear()
+        self.sealed.clear()
+        # a piece can read a node twice only after build() met one twice
+        self.shared = False
 
     def add(self, inputs, table, macro) -> int:
         cid = len(self.graph.channels)
@@ -68,10 +88,14 @@ class _Merger:
     def seal(self, piece) -> int:
         """Materialize a piece as a table channel from one bit-parallel walk."""
         inputs, node = piece
-        lanes = 1 << len(inputs)
-        packed = eval_node(node, dict(zip(inputs, lane_masks(len(inputs)))),
-                           (1 << lanes) - 1)
-        return self.add(inputs, tuple((packed >> a) & 1 for a in range(lanes)), None)
+        cid = self.sealed.get(id(node))
+        if cid is None:
+            lanes = 1 << len(inputs)
+            packed = eval_node(node, dict(zip(inputs, lane_masks(len(inputs)))),
+                               (1 << lanes) - 1, memo={} if self.shared else None)
+            cid = self.add(inputs, tuple((packed >> a) & 1 for a in range(lanes)), None)
+            self.sealed[id(node)] = cid
+        return cid
 
     def derived(self, cid):
         return [cid], Node("leaf", ref=cid)
@@ -81,10 +105,17 @@ class _Merger:
             return [], node
         if node.op == "leaf":
             return [node.ref], node
-        if node.is_macro():
-            return self.macro_piece(node)
-        inputs, kids = self.merge([self.build(c) for c in node.children])
-        return inputs, Node(node.op, tuple(kids))
+        piece = self.built.get(id(node))
+        if piece is not None:
+            self.shared = True
+        else:
+            if node.is_macro():
+                piece = self.macro_piece(node)
+            else:
+                inputs, kids = self.merge([self.build(c) for c in node.children])
+                piece = inputs, Node(node.op, tuple(kids))
+            self.built[id(node)] = piece
+        return piece
 
     def merge(self, pieces):
         """Union child input sets; seal children until the bound is met.
@@ -131,7 +162,7 @@ def merge(forest, deps, max_channel_inputs=DEFAULT_MAX_CHANNEL_INPUTS) -> Channe
     graph = ChannelGraph(max_channel_inputs=max_channel_inputs)
     merger = _Merger(graph, max_channel_inputs)
     for tree in sorted(forest, key=lambda t: (t.root.net, t.root.bit)):
-        merger.root = tree.root
+        merger.start(tree.root)
         cid = merger.seal(merger.build(tree.node))
         graph.channels[cid].output = tree.root
         graph.root_channel[tree.root] = cid

@@ -295,4 +295,36 @@ def test_dump_forest_stable():
     forest = forest_of(EXAMPLE, "example")
     text = dump_forest(forest)
     assert text == dump_forest(forest_of(EXAMPLE, "example"))
-    assert "o[0]" in text and "o[1]" in text
+    assert text == ("o[0] = (XOR (AND i[0] (AND i[1] low[0])) (NOT low[0]))\n"
+                    "o[1] = (OR (AND i[0] i[1]) 1)\n")
+
+
+def test_dump_forest_names_shared_gates():
+    src = """module m(input [3:0] a, output y, output z);
+wire t, u;
+assign t = a[0] & a[1];
+assign u = (t ^ a[2]) | (t ^ a[3]);
+assign y = u ^ u;
+assign z = t | a[2];
+endmodule
+"""
+    # a gate reached twice within a root is bound once; z reaches t once
+    assert dump_forest(forest_of(src, "m")) == (
+        "y[0] = (XOR %1 %1)\n"
+        "  %1 = (OR (XOR %0 a[2]) (XOR %0 a[3]))\n"
+        "  %0 = (AND a[0] a[1])\n"
+        "z[0] = (OR (AND a[0] a[1]) a[2])\n")
+
+
+def test_dump_forest_linear_on_reconvergent_chain():
+    def dump_size(stages):
+        lines = ["module m(input [%d:0] a, output y);" % stages,
+                 "wire " + ", ".join(f"w{i}" for i in range(stages + 1)) + ";",
+                 "assign w0 = a[0];"]
+        lines += [f"assign w{i + 1} = (w{i} & a[{i + 1}]) ^ (w{i} | a[{i + 1}]);"
+                  for i in range(stages)]
+        lines += [f"assign y = w{stages};", "endmodule"]
+        return len(dump_forest(forest_of("\n".join(lines), "m")))
+
+    # a tree rendering doubles per stage; bindings add one line per stage
+    assert dump_size(16) < 2.2 * dump_size(8)

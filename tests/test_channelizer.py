@@ -1,6 +1,8 @@
-"""Bounded greedy merging of bind trees into channels."""
+"""Bounded greedy merging of bind DAGs into channels."""
 
 import itertools
+import math
+import time
 
 import pytest
 
@@ -9,6 +11,9 @@ from qflow.bitgraph import BitRef, bit_blast, compute_dependencies, eval_node
 from qflow.channelizer import channel_function_eval, dump_channels, merge
 from qflow.errors import ArityMismatch
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
+from qflow.oracle import exact_multiplicative_leakage, flatten_forest
+
+from conftest import analyze_source
 
 
 def pipeline_to_graph(src, top, bound):
@@ -19,15 +24,18 @@ def pipeline_to_graph(src, top, bound):
     return forest, merge(forest, deps, bound)
 
 
-def compose_eval(graph, channel, leaf_values):
-    """Evaluate a channel recursively through its derived inputs."""
-    bits = []
-    for ci in channel.inputs:
-        if isinstance(ci, int):
-            bits.append(compose_eval(graph, graph.by_id(ci), leaf_values))
-        else:
-            bits.append(leaf_values[ci])
-    return channel_function_eval(channel, bits)
+def channel_values(graph, leaf_values):
+    """Every channel's value, composed through its derived inputs.
+
+    Channel ids are topologically ordered, so one pass in id order
+    evaluates each channel once.
+    """
+    out = []
+    for ch in graph.channels:
+        bits = [out[ci] if isinstance(ci, int) else leaf_values[ci]
+                for ci in ch.inputs]
+        out.append(channel_function_eval(ch, bits))
+    return out
 
 
 EXAMPLE = corpus.read("example.v")
@@ -89,10 +97,10 @@ endmodule
                         key=str)
         for combo in itertools.product((0, 1), repeat=len(leaves)):
             values = dict(zip(leaves, combo))
+            got = channel_values(graph, values)
             for tree in forest:
                 want = eval_node(tree.node, values)
-                ch = graph.by_id(graph.root_channel[tree.root])
-                assert compose_eval(graph, ch, values) == want
+                assert got[graph.root_channel[tree.root]] == want
 
 
 def test_channel_eval_arity_mismatch():
@@ -121,3 +129,78 @@ def test_dump_channels_stable():
     assert dump_channels(g1) == (
         "c0 root=o[0] out=o[0] inputs=[H i[0], H i[1], L low[0]] table=0x8f/3\n"
         "c1 root=o[1] out=o[1] inputs=[H i[0], H i[1]] table=0xf/2\n")
+
+
+# -- shared (reconvergent) nodes: built and sealed once per tree -------------
+
+def chain_source(stages, fresh_bits=True):
+    """``w{i+1} = (w{i} op k[i]) op (w{i} op l[i])``: each stage reads w{i} twice.
+
+    Without ``fresh_bits`` every stage reads k[0] and l[0], so the whole
+    chain fits one channel and its table comes from one walk of the DAG.
+    """
+    ops = itertools.cycle([("&", "^", "|"), ("^", "|", "&"), ("|", "&", "^")])
+    lines = [f"module chain(High input [{stages}:0] k, input [{stages}:0] l, output y);",
+             "wire " + ", ".join(f"w{i}" for i in range(stages + 1)) + ";",
+             "assign w0 = k[0] ^ l[0];"]
+    for i in range(stages):
+        a, b, c = next(ops)
+        bit = i + 1 if fresh_bits else 0
+        lines.append(f"assign w{i + 1} = (w{i} {a} k[{bit}]) {b} (w{i} {c} l[{bit}]);")
+    lines += [f"assign y = w{stages};", "endmodule", ""]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("stages,fresh_bits", [(40, True), (20, False)])
+def test_reconvergent_chain_merges_in_linear_time(stages, fresh_bits):
+    start = time.perf_counter()
+    _forest, graph = pipeline_to_graph(chain_source(stages, fresh_bits), "chain", 5)
+    assert time.perf_counter() - start < 1.0
+    assert len(graph.channels) <= 2 * stages
+
+
+# t reads six key bits; y reads t twice, so t's channels come once at bound 5
+SHARED_T = """module m(High input [5:0] k, input [5:0] l, output y);
+wire t;
+assign t = ^(k & l);
+assign y = t ^ t;
+endmodule
+"""
+
+
+def test_shared_wire_sealed_once():
+    _forest, graph = pipeline_to_graph(SHARED_T, "m", 5)
+    # t's two channels, each listed once, and y's
+    assert dump_channels(graph) == (
+        "c0 root=y[0] inputs=[H k[0], L l[0], H k[1], L l[1]] table=0x7888/4\n"
+        "c1 root=y[0] inputs=[D 0, H k[2], L l[2], H k[3], L l[3]] table=0x956a6a6a/5\n"
+        "c2 root=y[0] out=y[0] inputs=[D 1, H k[4], L l[4], H k[5], L l[5]] table=0x0/5\n")
+    a = analyze_source(SHARED_T, "m", cap=False)
+    estimate = math.fsum(a.totals.values())
+    _ratio, exact = exact_multiplicative_leakage(flatten_forest(a.forest, a.design))
+    assert exact == 0.0  # y is constant
+    assert estimate == 0.3789825439453125
+
+
+def test_shared_wire_cut_once_per_output_tree():
+    src = """module m(High input [2:0] k, input [2:0] l, output y, output z);
+wire t;
+assign t = k[0] ^ k[1] ^ k[2];
+assign y = (t & l[0]) ^ (t | l[1]);
+assign z = t & l[2];
+endmodule
+"""
+    _forest, graph = pipeline_to_graph(src, "m", 3)
+    t_bits = ["k[0]", "k[1]", "k[2]"]
+    t_channels = [ch for ch in graph.channels
+                  if [str(ci) for ci in ch.inputs] == t_bits]
+    assert sorted(str(ch.root) for ch in t_channels) == ["y[0]", "z[0]"]
+    for out in ("y", "z"):
+        root = BitRef(out, 0, "top-output")
+        stack, tree = [graph.root_channel[root]], set()
+        while stack:
+            cid = stack.pop()
+            tree.add(cid)
+            stack += [ci for ci in graph.by_id(cid).inputs if isinstance(ci, int)]
+        assert {graph.by_id(cid).root for cid in tree} == {root}
+        assert len([cid for cid in tree if graph.by_id(cid) in t_channels]) == 1

@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow.bitgraph import BitRef
+from qflow.bitgraph import BitRef, eval_node
 from qflow.channelizer import Channel
 from qflow.qif_engine import (
     channel_output_probability,
@@ -15,6 +15,7 @@ from qflow.qif_engine import (
 )
 
 from conftest import analyze_source
+from test_channelizer import channel_values, pipeline_to_graph
 
 
 def table_channel(bits, kinds):
@@ -132,8 +133,60 @@ def test_expression_semantics_preserved(data):
     src = f"module m({ports}, output y);\nassign y = {text};\nendmodule\n"
     a = analyze_source(src, "m")
     tree = next(t for t in a.forest if t.root.net == "y")
-    from qflow.bitgraph import eval_node
     for word in range(1 << len(names)):
         env = {n: (word >> i) & 1 for i, n in enumerate(names)}
         leaf_env = {leaf: env[leaf.net] for leaf in tree.leaves()}
         assert eval_node(tree.node, leaf_env) == fn(env)
+
+
+# -- random modules whose wires later wires read 1-3 times ------------------
+
+@st.composite
+def shared_wire_modules(draw):
+    """Wires ``w{i}`` over k[2:0] (high), l[1:0] and one earlier wire read 1-3 times."""
+    bits = [f"k[{i}]" for i in range(3)] + [f"l[{i}]" for i in range(2)]
+    n = draw(st.integers(1, 5))
+    lines = []
+    for i in range(n):
+        terms = draw(st.lists(st.sampled_from(bits), min_size=1, max_size=2))
+        if i:
+            terms += [f"w{draw(st.integers(0, i - 1))}"] * draw(st.integers(1, 3))
+        terms = draw(st.permutations(terms))
+        expr = terms[0]
+        for term in terms[1:]:
+            op = draw(st.sampled_from(["&", "|", "^", "?"]))
+            if op == "?":
+                expr = f"({draw(st.sampled_from(bits))} ? {expr} : {term})"
+            else:
+                expr = f"({expr} {op} {term})"
+        if draw(st.booleans()):
+            expr = f"~{expr}"
+        lines.append(f"assign w{i} = {expr};")
+    # z reads an earlier wire too, so a wire can be shared by two outputs
+    z = draw(st.integers(0, n - 1))
+    return "\n".join([
+        "module m(High input [2:0] k, input [1:0] l, output y, output z);",
+        "wire " + ", ".join(f"w{i}" for i in range(n)) + ";",
+        *lines, f"assign y = w{n - 1};", f"assign z = w{z} ^ l[0];", "endmodule", ""])
+
+
+def gate_count(node, seen):
+    if id(node) in seen or not node.children:
+        return 0
+    seen.add(id(node))
+    return 1 + sum(gate_count(c, seen) for c in node.children)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_wire_modules())
+def test_shared_wires_channelize_exactly(src):
+    for bound in range(1, 6):
+        forest, graph = pipeline_to_graph(src, "m", bound)
+        gates = sum(gate_count(t.node, set()) for t in forest)
+        assert len(graph.channels) <= gates + len(forest)
+        leaves = sorted({leaf for t in forest for leaf in t.leaves()}, key=str)
+        for word in range(1 << len(leaves)):
+            values = {leaf: (word >> i) & 1 for i, leaf in enumerate(leaves)}
+            got = channel_values(graph, values)
+            for tree in forest:
+                assert got[graph.root_channel[tree.root]] == eval_node(tree.node, values)

@@ -118,36 +118,6 @@ class _Blaster:
         self._expr_memo = {}
         self._in_progress = []
 
-    # -- widths ------------------------------------------------------------
-    def width(self, expr):
-        if isinstance(expr, A.Num):
-            return expr.width if expr.width else max(expr.value.bit_length(), 1)
-        if isinstance(expr, A.Ident):
-            if expr.name not in self.design.nets:
-                raise UnassignedNet(expr.name)
-            return self.design.nets[expr.name].width
-        if isinstance(expr, A.Select):
-            return 1
-        if isinstance(expr, A.PartSelect):
-            return const_eval(expr.msb, {}) - const_eval(expr.lsb, {}) + 1
-        if isinstance(expr, A.Unary):
-            if expr.op in ("~", "-", "+"):
-                return self.width(expr.operand)
-            return 1
-        if isinstance(expr, A.Binary):
-            if expr.op in ("&", "|", "^", "~^", "+", "-"):
-                return max(self.width(expr.left), self.width(expr.right))
-            if expr.op in ("<<", ">>"):
-                return self.width(expr.left)
-            return 1
-        if isinstance(expr, A.Ternary):
-            return max(self.width(expr.then), self.width(expr.other))
-        if isinstance(expr, A.Concat):
-            return sum(self.width(p) for p in expr.parts)
-        if isinstance(expr, A.Repl):
-            return const_eval(expr.count, {}) * self.width(expr.value)
-        raise UnsupportedConstruct(type(expr).__name__)
-
     # -- nets --------------------------------------------------------------
     def leaf(self, net, bit):
         kind = self.design.nets[net].kind
@@ -199,10 +169,11 @@ class _Blaster:
         self._expr_memo[key] = (expr, bits)
         return bits
 
-    def _extend(self, bits, w):
-        if len(bits) >= w:
-            return bits[:w]
-        return bits + [CONST0] * (w - len(bits))
+    def _operands(self, left, right):
+        """Both operands' bits, the narrower one zero-extended to the wider."""
+        ab, bb = self.blast(left), self.blast(right)
+        w = max(len(ab), len(bb))
+        return ab + [CONST0] * (w - len(ab)), bb + [CONST0] * (w - len(bb))
 
     def _reduce(self, bits, op):
         acc = bits[0]
@@ -252,12 +223,9 @@ class _Blaster:
             out.append(s)
         return out
 
-    def _macro_cmp(self, op, abits, bbits, w):
-        return Node(op, tuple(abits + bbits), meta=(w, None))
-
     def _blast(self, expr):
         if isinstance(expr, A.Num):
-            w = self.width(expr)
+            w = expr.width or max(expr.value.bit_length(), 1)
             return [CONST1 if (expr.value >> i) & 1 else CONST0 for i in range(w)]
         if isinstance(expr, A.Ident):
             w = self.design.nets[expr.name].width if expr.name in self.design.nets else 0
@@ -315,9 +283,7 @@ class _Blaster:
         if isinstance(expr, A.Binary):
             op = expr.op
             if op in ("&", "|", "^", "~^"):
-                w = self.width(expr)
-                ab = self._extend(self.blast(expr.left), w)
-                bb = self._extend(self.blast(expr.right), w)
+                ab, bb = self._operands(expr.left, expr.right)
                 if op == "~^":
                     return [_not(_xor(x, y)) for x, y in zip(ab, bb)]
                 name = {"&": "AND", "|": "OR", "^": "XOR"}[op]
@@ -326,24 +292,16 @@ class _Blaster:
                 x = self._bool(expr.left)
                 y = self._bool(expr.right)
                 return [Node("AND" if op == "&&" else "OR", (x, y))]
-            if op in ("==", "!="):
-                w = max(self.width(expr.left), self.width(expr.right))
-                ab = self._extend(self.blast(expr.left), w)
-                bb = self._extend(self.blast(expr.right), w)
-                node = (self._eq(ab, bb) if w <= self.expand_limit
-                        else self._macro_cmp("EQM", ab, bb, w))
-                return [node if op == "==" else _not(node)]
-            if op in ("<", "<=", ">", ">="):
-                w = max(self.width(expr.left), self.width(expr.right))
-                ab = self._extend(self.blast(expr.left), w)
-                bb = self._extend(self.blast(expr.right), w)
+            if op in ("==", "!=", "<", "<=", ">", ">="):
+                ab, bb = self._operands(expr.left, expr.right)
+                w, eq = len(ab), op in ("==", "!=")
                 if op in (">", "<="):
                     ab, bb = bb, ab  # a>b == b<a ; a<=b == !(b<a) == !(a'<b')
-                if w <= self.expand_limit:
-                    node = self._lt(ab, bb)
+                if w > self.expand_limit:
+                    node = Node("EQM" if eq else "LTM", tuple(ab + bb), meta=(w, None))
                 else:
-                    node = self._macro_cmp("LTM", ab, bb, w)
-                return [node if op in ("<", ">") else _not(node)]
+                    node = self._eq(ab, bb) if eq else self._lt(ab, bb)
+                return [node if op in ("==", "<", ">") else _not(node)]
             if op in ("<<", ">>"):
                 bits = self.blast(expr.left)
                 try:
@@ -357,9 +315,8 @@ class _Blaster:
                 return [bits[i + amt] if i + amt < len(bits) else CONST0
                         for i in range(len(bits))]
             if op in ("+", "-"):
-                w = self.width(expr)
-                ab = self._extend(self.blast(expr.left), w)
-                bb = self._extend(self.blast(expr.right), w)
+                ab, bb = self._operands(expr.left, expr.right)
+                w = len(ab)
                 if w > self.expand_limit:
                     mop = "ADDM" if op == "+" else "SUBM"
                     return [Node(mop, tuple(ab + bb), meta=(w, k)) for k in range(w)]
@@ -367,9 +324,7 @@ class _Blaster:
             raise UnsupportedConstruct(f"operator {op}")
         if isinstance(expr, A.Ternary):
             sel = self._bool(expr.cond)
-            w = self.width(expr)
-            tb = self._extend(self.blast(expr.then), w)
-            ob = self._extend(self.blast(expr.other), w)
+            tb, ob = self._operands(expr.then, expr.other)
             return [_mux(sel, t, o) for t, o in zip(tb, ob)]
         if isinstance(expr, A.Concat):
             bits = []

@@ -41,7 +41,6 @@ class Channel:
 class ChannelGraph:
     channels: list = field(default_factory=list)
     root_channel: dict = field(default_factory=dict)  # root BitRef -> cid
-    max_channel_inputs: int = DEFAULT_MAX_CHANNEL_INPUTS
 
     def by_id(self, cid) -> Channel:
         return self.channels[cid]
@@ -155,11 +154,11 @@ class _Merger:
         return self.derived(self.add(inputs, None, macro))
 
 
-def merge(forest, deps, max_channel_inputs=DEFAULT_MAX_CHANNEL_INPUTS) -> ChannelGraph:
+def merge(forest, max_channel_inputs=DEFAULT_MAX_CHANNEL_INPUTS) -> ChannelGraph:
     """Channelize every bind tree; channels are topologically ordered by id."""
     if max_channel_inputs < 1:
         raise ValueError("max_channel_inputs must be >= 1")
-    graph = ChannelGraph(max_channel_inputs=max_channel_inputs)
+    graph = ChannelGraph()
     merger = _Merger(graph, max_channel_inputs)
     for tree in sorted(forest, key=lambda t: (t.root.net, t.root.bit)):
         merger.start(tree.root)

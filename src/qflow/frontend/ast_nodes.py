@@ -157,6 +157,7 @@ class GenerateFor:
     step: Expr
     items: list
     line: int = 0
+    label: str | None = None  # ``begin : label``; None names it genblk<n>
 
 
 @dataclass

@@ -10,6 +10,7 @@ if/case control flow becomes ternary expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import (
     MultipleDrivers,
@@ -61,6 +62,23 @@ class ElaboratedDesign:
         return out
 
 
+class _Scope(NamedTuple):
+    """Where an item's names live.
+
+    ``base`` prefixes the module's own nets, ``local`` maps the nets
+    declared in enclosing generate-loop bodies to their per-iteration flat
+    names, and ``prefix`` is given to the instances and loop iterations
+    declared here, e.g. ``g[0].`` inside iteration 0 of ``begin : g``.
+    """
+
+    base: str
+    prefix: str
+    local: dict
+
+    def flat(self, name):
+        return self.local.get(name, self.base + name)
+
+
 # --------------------------------------------------------------------------
 # Constant evaluation over parameter / genvar environments
 
@@ -110,43 +128,43 @@ class _Elaborator:
             raise UnsupportedConstruct(f"non-zero range base [{m}:{l}]", where)
         return m - l + 1, l
 
-    def resolve(self, expr, env, prefix):
-        """Substitute parameters/genvars with constants, prefix net names."""
+    def resolve(self, expr, env, scope):
+        """Substitute parameters/genvars with constants, flatten net names."""
         if isinstance(expr, A.Num):
             return expr
         if isinstance(expr, A.Ident):
             if expr.name in env:
                 return A.Num(env[expr.name])
-            return A.Ident(prefix + expr.name)
+            return A.Ident(scope.flat(expr.name))
         if isinstance(expr, A.Select):
             base = expr.base
             if isinstance(base, str):
                 if base in env:  # parameter indexed as value: unsupported
                     raise UnsupportedConstruct(f"bit-select of parameter {base}")
-                base = prefix + base
+                base = scope.flat(base)
             else:
-                base = self.resolve(base, env, prefix)
-            idx = self.resolve(expr.index, env, prefix)
+                base = self.resolve(base, env, scope)
+            idx = self.resolve(expr.index, env, scope)
             return A.Select(base, idx)
         if isinstance(expr, A.PartSelect):
             base = expr.base
-            base = prefix + base if isinstance(base, str) else self.resolve(base, env, prefix)
-            return A.PartSelect(base, self.resolve(expr.msb, env, prefix),
-                                self.resolve(expr.lsb, env, prefix))
+            base = scope.flat(base) if isinstance(base, str) else self.resolve(base, env, scope)
+            return A.PartSelect(base, self.resolve(expr.msb, env, scope),
+                                self.resolve(expr.lsb, env, scope))
         if isinstance(expr, A.Unary):
-            return A.Unary(expr.op, self.resolve(expr.operand, env, prefix))
+            return A.Unary(expr.op, self.resolve(expr.operand, env, scope))
         if isinstance(expr, A.Binary):
-            return A.Binary(expr.op, self.resolve(expr.left, env, prefix),
-                            self.resolve(expr.right, env, prefix))
+            return A.Binary(expr.op, self.resolve(expr.left, env, scope),
+                            self.resolve(expr.right, env, scope))
         if isinstance(expr, A.Ternary):
-            return A.Ternary(self.resolve(expr.cond, env, prefix),
-                             self.resolve(expr.then, env, prefix),
-                             self.resolve(expr.other, env, prefix))
+            return A.Ternary(self.resolve(expr.cond, env, scope),
+                             self.resolve(expr.then, env, scope),
+                             self.resolve(expr.other, env, scope))
         if isinstance(expr, A.Concat):
-            return A.Concat(tuple(self.resolve(p, env, prefix) for p in expr.parts))
+            return A.Concat(tuple(self.resolve(p, env, scope) for p in expr.parts))
         if isinstance(expr, A.Repl):
-            return A.Repl(self.resolve(expr.count, env, prefix),
-                          self.resolve(expr.value, env, prefix))
+            return A.Repl(self.resolve(expr.count, env, scope),
+                          self.resolve(expr.value, env, scope))
         raise UnsupportedConstruct(f"expression {type(expr).__name__}")
 
     def net_width(self, name):
@@ -191,15 +209,21 @@ class _Elaborator:
             kind = p.direction if prefix == "" else "wire"
             self.nets[prefix + pname] = FlatNet(prefix + pname, w, kind)
         deferred = []
-        self._declare_items(mod.items, env, prefix, mod, deferred)
-        for item, ienv in deferred:
-            self._elab_item(item, ienv, prefix, stack, mod)
+        self._declare_items(mod.items, env, _Scope(prefix, prefix, {}), deferred)
+        for item, ienv, scope in deferred:
+            self._elab_item(item, ienv, scope, stack)
 
-    def _declare_items(self, items, env, prefix, mod, deferred):
-        """First pass: declare nets so widths are known before lowering."""
+    def _declare_items(self, items, env, scope, deferred):
+        """First pass: declare nets so widths are known before lowering.
+
+        Each generate-loop iteration is its own scope: the nets and
+        instances its body declares get the iteration's prefix, and every
+        other name still resolves to the enclosing scope.
+        """
+        loops = 0
         for item in items:
             if isinstance(item, A.NetDecl):
-                flat = prefix + item.name
+                flat = scope.flat(item.name)
                 w, _ = self._range_width(item.msb, item.lsb, env, flat)
                 if flat in self.nets:
                     # port re-declared as reg: keep the port kind
@@ -208,12 +232,20 @@ class _Elaborator:
                 else:
                     self.nets[flat] = FlatNet(flat, w, item.kind)
                 if item.init is not None:
-                    deferred.append((A.ContAssign(A.Ident(item.name), item.init), dict(env)))
+                    deferred.append((A.ContAssign(A.Ident(item.name), item.init), dict(env),
+                                     scope))
             elif isinstance(item, A.GenerateFor):
+                loops += 1
+                label = item.label or f"genblk{loops}"
                 for ienv in self._generate_envs(item, env):
-                    self._declare_items(item.items, ienv, prefix, mod, deferred)
+                    prefix = f"{scope.prefix}{label}[{ienv[item.genvar]}]."
+                    local = dict(scope.local)
+                    local.update((d.name, prefix + d.name) for d in item.items
+                                 if isinstance(d, A.NetDecl))
+                    self._declare_items(item.items, ienv, _Scope(scope.base, prefix, local),
+                                        deferred)
             else:
-                deferred.append((item, dict(env)))
+                deferred.append((item, dict(env), scope))
 
     def _generate_envs(self, gen, env):
         try:
@@ -233,26 +265,27 @@ class _Elaborator:
                 raise NonConstantGenerateBound(f"genvar {gen.genvar}") from e
         raise NonConstantGenerateBound(f"genvar {gen.genvar}: unroll limit exceeded")
 
-    def _elab_item(self, item, env, prefix, stack, mod):
+    def _elab_item(self, item, env, scope, stack):
         if isinstance(item, A.ContAssign):
-            target = self.resolve(item.target, env, prefix)
-            rhs = self.resolve(item.rhs, env, prefix)
+            target = self.resolve(item.target, env, scope)
+            rhs = self.resolve(item.rhs, env, scope)
             net, msb, lsb = self.target_bits(target)
             self.assigns.append(FlatAssign(net, msb, lsb, rhs))
         elif isinstance(item, A.Always):
-            self._lower_always(item, env, prefix)
+            self._lower_always(item, env, scope)
         elif isinstance(item, A.Instance):
-            self._elab_instance(item, env, prefix, stack)
+            self._elab_instance(item, env, scope, stack)
         else:
             raise UnsupportedConstruct(type(item).__name__)
 
-    def _elab_instance(self, inst, env, prefix, stack):
+    def _elab_instance(self, inst, env, scope, stack):
         if inst.module not in self.ast.modules:
             raise UnknownSignal(f"module {inst.module}")
         if inst.module in stack:
             raise RecursiveInstantiation(stack + [inst.module])
         child = self.ast.modules[inst.module]
-        cprefix = prefix + inst.name + "."
+        where = scope.prefix + inst.name
+        cprefix = where + "."
 
         overrides = {}
         pnames = list(child.params)
@@ -260,13 +293,13 @@ class _Elaborator:
             pname = name if name is not None else (pnames[i] if i < len(pnames) else None)
             if pname is None or pname not in child.params:
                 raise UnknownSignal(f"parameter {pname} of {inst.module}")
-            overrides[pname] = const_eval(self.resolve(expr, env, prefix), {})
+            overrides[pname] = const_eval(self.resolve(expr, env, scope), {})
 
         conns = {}
         for i, (pname, expr) in enumerate(inst.connections):
             if pname is None:
                 if i >= len(child.port_order):
-                    raise WidthMismatch(f"{prefix}{inst.name}", "too many port connections")
+                    raise WidthMismatch(where, "too many port connections")
                 pname = child.port_order[i]
             if pname not in child.ports:
                 raise UnknownSignal(f"port {pname} of {inst.module}")
@@ -278,30 +311,30 @@ class _Elaborator:
             if expr is None:
                 continue
             port = child.ports[pname]
-            resolved = self.resolve(expr, env, prefix)
+            resolved = self.resolve(expr, env, scope)
             flat_port = cprefix + pname
             pw = self.nets[flat_port].width
             if port.direction == "input":
                 if isinstance(resolved, A.Ident) and resolved.name in self.nets:
                     aw = self.nets[resolved.name].width
                     if aw != pw:
-                        raise WidthMismatch(f"{prefix}{inst.name}.{pname}",
+                        raise WidthMismatch(f"{where}.{pname}",
                                             f"port width {pw} vs {aw}")
                 self.assigns.append(FlatAssign(flat_port, pw - 1, 0, resolved))
             else:
                 net, msb, lsb = self.target_bits(resolved)
                 if msb - lsb + 1 != pw:
-                    raise WidthMismatch(f"{prefix}{inst.name}.{pname}",
+                    raise WidthMismatch(f"{where}.{pname}",
                                         f"port width {pw} vs {msb - lsb + 1}")
                 self.assigns.append(FlatAssign(net, msb, lsb, A.Ident(flat_port)))
 
     # -- procedural lowering ----------------------------------------------
-    def _lower_always(self, always, env, prefix):
+    def _lower_always(self, always, env, scope):
         sequential = always.sens[0] == "posedge"
-        clock = prefix + always.sens[1] if sequential else None
+        clock = scope.flat(always.sens[1]) if sequential else None
         benv: dict = {}  # net -> list of per-bit exprs (blocking view)
         nenv: dict = {}  # net -> list of per-bit exprs (nonblocking targets)
-        self._exec(always.body, env, prefix, benv, nenv)
+        self._exec(always.body, env, scope, benv, nenv)
         if sequential:
             # blocking targets inside a clocked block infer registers too
             for net, bits in list(benv.items()):
@@ -368,13 +401,13 @@ class _Elaborator:
             return parts[0]
         return A.Concat(tuple(parts))
 
-    def _exec(self, stmt, env, prefix, benv, nenv):
+    def _exec(self, stmt, env, scope, benv, nenv):
         if isinstance(stmt, A.Block):
             for s in stmt.stmts:
-                self._exec(s, env, prefix, benv, nenv)
+                self._exec(s, env, scope, benv, nenv)
         elif isinstance(stmt, A.ProcAssign):
-            target = self.resolve(stmt.target, env, prefix)
-            rhs = self._subst(self.resolve(stmt.rhs, env, prefix), benv)
+            target = self.resolve(stmt.target, env, scope)
+            rhs = self._subst(self.resolve(stmt.rhs, env, scope), benv)
             net, msb, lsb = self.target_bits(target)
             if net not in self.nets:
                 raise UnknownSignal(net)
@@ -384,18 +417,18 @@ class _Elaborator:
             for k in range(width):
                 bits[lsb + k] = rhs if width == 1 else A.Select(rhs, A.Num(k))
         elif isinstance(stmt, A.If):
-            cond = self._subst(self.resolve(stmt.cond, env, prefix), benv)
+            cond = self._subst(self.resolve(stmt.cond, env, scope), benv)
             b1 = {n: list(v) for n, v in benv.items()}
             n1 = {n: list(v) for n, v in nenv.items()}
-            self._exec(stmt.then, env, prefix, b1, n1)
+            self._exec(stmt.then, env, scope, b1, n1)
             b2 = {n: list(v) for n, v in benv.items()}
             n2 = {n: list(v) for n, v in nenv.items()}
             if stmt.other is not None:
-                self._exec(stmt.other, env, prefix, b2, n2)
+                self._exec(stmt.other, env, scope, b2, n2)
             self._merge(cond, benv, b1, b2)
             self._merge(cond, nenv, n1, n2)
         elif isinstance(stmt, A.Case):
-            self._exec(self._desugar_case(stmt), env, prefix, benv, nenv)
+            self._exec(self._desugar_case(stmt), env, scope, benv, nenv)
         else:
             raise UnsupportedConstruct(type(stmt).__name__)
 

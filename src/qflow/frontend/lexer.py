@@ -1,5 +1,11 @@
 """Tokenizer for the supported Verilog subset.
 
+One compiled alternation of named groups, ``_TOKEN``, is the whole lexer:
+``re`` tries the groups in table order at each position, so the table's
+order is the precedence (comments before ``/``, sized literals before
+decimals, punctuation longest-first), and the catch-all last group turns
+any other character into a syntax error.
+
 Comments are stripped here, except that ``// qflow: high`` trailing
 comments are recorded by line number so the parser can attach security
 labels to the declaration on that line.
@@ -8,7 +14,7 @@ labels to the declaration on that line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import UnsupportedConstruct, VerilogSyntaxError
 
@@ -20,10 +26,6 @@ KEYWORDS = {
     "initial", "function", "task",
 }
 
-_SIZED_NUM = re.compile(r"(\d+)?'([bodhBODH])([0-9a-fA-FxXzZ_?]+)")
-_BIN_NUM = re.compile(r"0b([01_]+)")
-_DEC_NUM = re.compile(r"\d+")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _HIGH_COMMENT = re.compile(r"qflow\s*:\s*high", re.IGNORECASE)
 
 # longest-first punctuation / operators
@@ -34,9 +36,29 @@ _PUNCT = [
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">",
 ]
 
+_TOKEN = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
+    ("newline", r"\n"),
+    ("blank", r"[ \t\r]+"),
+    ("comment", r"//[^\n]*"),
+    # ends at the first '*/' after the '/', so '/*/' is a whole comment
+    ("block", r"/\*(?:/|.*?\*/)"),
+    # '(*)' is a wildcard sensitivity list, not an attribute
+    ("attr", r"\(\*(?!\))(?P<body>.*?)\*\)"),
+    ("open_block", r"/\*"),
+    ("open_attr", r"\(\*(?!\))"),
+    ("sized", r"(?P<size>\d+)?'(?P<base>[bodhBODH])(?P<digits>[0-9a-fA-FxXzZ_?]+)"),
+    ("bin", r"0b(?P<bits>[01_]+)"),
+    ("dec", r"\d+"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_$]*"),
+    ("punct", "|".join(map(re.escape, _PUNCT))),
+    ("bad", r"."),
+)), re.DOTALL)
 
-@dataclass(frozen=True)
-class Token:
+_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
+_BASE_BITS = {"b": 1, "o": 3, "d": 0, "h": 4}
+
+
+class Token(NamedTuple):
     kind: str  # 'id' | 'kw' | 'num' | 'attr' | punctuation text | 'eof'
     text: str
     value: object  # (value, width) for nums, attribute body for attrs
@@ -44,99 +66,67 @@ class Token:
     col: int
 
 
-def _base_bits(base: str) -> int:
-    return {"b": 1, "o": 3, "d": 0, "h": 4}[base.lower()]
+def _sized(m, path, line, col):
+    """(value, width) of a ``[size]'<base><digits>`` literal."""
+    base = m.group("base").lower()
+    digits = m.group("digits").replace("_", "")
+    if re.search(r"[xXzZ?]", digits):
+        raise UnsupportedConstruct(
+            "x/z value in literal (two-valued logic only)", f"{path}:{line}")
+    try:
+        value = int(digits, _RADIX[base])
+    except ValueError:
+        raise VerilogSyntaxError(
+            path, line, col, f"invalid digit in literal {m.group()!r}") from None
+    if m.group("size") is not None:
+        width = int(m.group("size"))
+    elif base == "d":
+        width = None
+    else:
+        width = len(digits) * _BASE_BITS[base]
+    if width:
+        value &= (1 << width) - 1
+    return value, width
 
 
 def tokenize(path: str, text: str):
     """Return (tokens, high_comment_lines)."""
     tokens = []
     high_lines = set()
-    i, line, linestart = 0, 1, 0
-    n = len(text)
-
-    def err(msg, l, c):
-        raise VerilogSyntaxError(path, l, c, msg)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, linestart = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "newline":
             line += 1
-            i += 1
-            linestart = i
+            linestart = m.end()
             continue
-        if c in " \t\r":
-            i += 1
+        if kind == "blank":
             continue
-        col = i - linestart + 1
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            if _HIGH_COMMENT.search(text[i:j]):
+        col = m.start() - linestart + 1
+        if kind == "word":
+            tokens.append(Token("kw" if tok in KEYWORDS else "id", tok, tok, line, col))
+        elif kind == "punct":
+            tokens.append(Token(tok, tok, tok, line, col))
+        elif kind == "dec":
+            tokens.append(Token("num", tok, (int(tok), None), line, col))
+        elif kind == "sized":
+            tokens.append(Token("num", tok, _sized(m, path, line, col), line, col))
+        elif kind == "bin":
+            bits = m.group("bits").replace("_", "")
+            tokens.append(Token("num", tok, (int(bits, 2), len(bits)), line, col))
+        elif kind == "comment":
+            if _HIGH_COMMENT.search(tok):
                 high_lines.add(line)
-            i = j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i)
-            if j < 0:
-                err("unterminated block comment", line, col)
-            line += text.count("\n", i, j)
-            i = j + 2
-            continue
-        # '(*)' is a wildcard sensitivity list, not an attribute
-        if text.startswith("(*", i) and not text.startswith("(*)", i):
-            j = text.find("*)", i)
-            if j < 0:
-                err("unterminated attribute", line, col)
-            body = text[i + 2:j].strip()
-            tokens.append(Token("attr", body, body, line, col))
-            line += text.count("\n", i, j)
-            i = j + 2
-            continue
-        m = _SIZED_NUM.match(text, i)
-        if m:
-            size, base, digits = m.groups()
-            digits = digits.replace("_", "")
-            if re.search(r"[xXzZ?]", digits):
-                raise UnsupportedConstruct(
-                    "x/z value in literal (two-valued logic only)", f"{path}:{line}")
-            value = int(digits, {"b": 2, "o": 8, "d": 10, "h": 16}[base.lower()])
-            if size is not None:
-                width = int(size)
-            elif base.lower() == "d":
-                width = None
-            else:
-                width = len(digits) * _base_bits(base)
-            if width:
-                value &= (1 << width) - 1
-            tokens.append(Token("num", m.group(0), (value, width), line, col))
-            i = m.end()
-            continue
-        m = _BIN_NUM.match(text, i)
-        if m:
-            digits = m.group(1).replace("_", "")
-            tokens.append(
-                Token("num", m.group(0), (int(digits, 2), len(digits)), line, col))
-            i = m.end()
-            continue
-        m = _DEC_NUM.match(text, i)
-        if m:
-            tokens.append(Token("num", m.group(0), (int(m.group(0)), None), line, col))
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "kw" if word in KEYWORDS else "id"
-            tokens.append(Token(kind, word, word, line, col))
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, p, line, col))
-                i += len(p)
-                break
+        elif kind in ("block", "attr"):
+            if kind == "attr":
+                body = m.group("body").strip()
+                tokens.append(Token("attr", body, body, line, col))
+            # the column base stays at the line the comment opened on
+            line += tok.count("\n")
         else:
-            err(f"unexpected character {c!r}", line, col)
+            msg = {"open_block": "unterminated block comment",
+                   "open_attr": "unterminated attribute"}.get(
+                kind, f"unexpected character {tok!r}")
+            raise VerilogSyntaxError(path, line, col, msg)
     tokens.append(Token("eof", "", None, line, 1))
     return tokens, high_lines

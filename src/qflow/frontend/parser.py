@@ -1,4 +1,11 @@
-"""Recursive-descent parser for the supported Verilog subset."""
+"""Recursive-descent parser for the supported Verilog subset.
+
+Binary operators are parsed by precedence climbing over one table,
+``_BIN_LEVEL`` (operator -> binding level, built from ``_BIN_LEVELS``):
+``binary`` loops over the operators of its level and looser, and
+recurses only for a right operand that binds tighter, so a parenthesis
+costs a fixed handful of frames whatever the number of levels.
+"""
 
 from __future__ import annotations
 
@@ -27,8 +34,8 @@ class _Parser:
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
-    def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.pos]  # ``next`` never moves past 'eof'
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -39,6 +46,10 @@ class _Parser:
     def at(self, kind, text=None):
         tok = self.peek()
         return tok.kind == kind and (text is None or tok.text == text)
+
+    def accept(self, kind, text=None):
+        """Consume and return the next token if it matches, else None."""
+        return self.next() if self.at(kind, text) else None
 
     def expect(self, kind, text=None):
         tok = self.next()
@@ -69,19 +80,16 @@ class _Parser:
         self.expect("kw", "module")
         name = self.expect("id").text
         mod = A.ModuleDecl(name=name, port_order=[])
-        if self.at("#"):
-            self.next()
+        if self.accept("#"):
             self.expect("(")
             while not self.at(")"):
                 self.expect("kw", "parameter")
                 pname = self.expect("id").text
                 self.expect("=")
                 mod.params[pname] = A.ParamDecl(pname, self.expression())
-                if self.at(","):
-                    self.next()
+                self.accept(",")
             self.expect(")")
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             self.port_list(mod)
             self.expect(")")
         self.expect(";")
@@ -94,12 +102,10 @@ class _Parser:
         """Consume any (* qflow_high *) attribute / literal High prefix."""
         high = False
         while True:
-            if self.at("attr"):
-                if _QFLOW_ATTR in self.peek().text:
-                    high = True
-                self.next()
-            elif self.at("id", "High"):
-                self.next()
+            attr = self.accept("attr")
+            if attr:
+                high = high or _QFLOW_ATTR in attr.text
+            elif self.accept("id", "High"):
                 high = True
             else:
                 return high
@@ -112,9 +118,8 @@ class _Parser:
         if not ansi:
             while True:
                 mod.port_order.append(self.expect("id").text)
-                if not self.at(","):
+                if not self.accept(","):
                     return
-                self.next()
         direction = None
         msb = lsb = None
         high = False
@@ -126,8 +131,7 @@ class _Parser:
                     self.reject(tok)
                 direction = tok.text
                 high = marked
-                if self.at("kw") and self.peek().text in ("wire", "reg"):
-                    self.next()
+                self.accept("kw", "wire") or self.accept("kw", "reg")
                 msb = lsb = None
                 if self.at("["):
                     msb, lsb = self.range_spec()
@@ -141,9 +145,8 @@ class _Parser:
             mod.ports[nt.text] = A.PortDecl(direction, msb, lsb, nt.text,
                                             high=decl_high and direction == "input",
                                             line=nt.line)
-            if not self.at(","):
+            if not self.accept(","):
                 return
-            self.next()
 
     def range_spec(self):
         self.expect("[")
@@ -178,11 +181,9 @@ class _Parser:
                 mod.items.append(self.always_block())
             elif kw == "genvar":
                 self.next()
-                while True:
+                self.expect("id")
+                while self.accept(","):
                     self.expect("id")
-                    if not self.at(","):
-                        break
-                    self.next()
                 self.expect(";")
             elif kw == "generate":
                 self.next()
@@ -203,8 +204,7 @@ class _Parser:
     def direction_decl(self, mod, high=False):
         tok = self.next()
         direction = tok.text
-        if self.at("kw") and self.peek().text in ("wire", "reg"):
-            self.next()
+        self.accept("kw", "wire") or self.accept("kw", "reg")
         msb = lsb = None
         if self.at("["):
             msb, lsb = self.range_spec()
@@ -215,9 +215,8 @@ class _Parser:
                 mod.port_order.append(nt.text)
             mod.ports[nt.text] = A.PortDecl(direction, msb, lsb, nt.text,
                                             high=decl_high, line=nt.line)
-            if not self.at(","):
+            if not self.accept(","):
                 break
-            self.next()
         self.expect(";")
 
     def net_decl(self, mod):
@@ -228,14 +227,10 @@ class _Parser:
             msb, lsb = self.range_spec()
         while True:
             nt = self.expect("id")
-            init = None
-            if self.at("="):
-                self.next()
-                init = self.expression()
+            init = self.expression() if self.accept("=") else None
             mod.items.append(A.NetDecl(kind, msb, lsb, nt.text, init, line=nt.line))
-            if not self.at(","):
+            if not self.accept(","):
                 break
-            self.next()
         self.expect(";")
 
     def param_decl(self, mod, local):
@@ -246,22 +241,17 @@ class _Parser:
             name = self.expect("id").text
             self.expect("=")
             mod.params[name] = A.ParamDecl(name, self.expression(), local=local)
-            if not self.at(","):
+            if not self.accept(","):
                 break
-            self.next()
         self.expect(";")
 
     def always_block(self):
         tok = self.expect("kw", "always")
         self.expect("@")
-        paren = self.at("(")
-        if paren:
-            self.next()
-        if self.at("*"):
-            self.next()
+        paren = self.accept("(")
+        if self.accept("*"):
             sens = ("comb",)
-        elif self.at("kw", "posedge"):
-            self.next()
+        elif self.accept("kw", "posedge"):
             sens = ("posedge", self.expect("id").text)
             if self.at("id", "or") or self.at("kw", "or"):
                 raise UnsupportedConstruct(
@@ -294,11 +284,9 @@ class _Parser:
         self.expect(")")
         gen = A.GenerateFor(genvar, init, cond, step, [], line=tok.line)
         sub = A.ModuleDecl(name="<generate>", port_order=[])
-        if self.at("kw", "begin"):
-            self.next()
-            if self.at(":"):
-                self.next()
-                self.expect("id")
+        if self.accept("kw", "begin"):
+            if self.accept(":"):
+                gen.label = self.expect("id").text
             while not self.at("kw", "end"):
                 self.module_item(sub, in_generate=True)
             self.expect("kw", "end")
@@ -310,8 +298,7 @@ class _Parser:
     def instance(self):
         mtok = self.expect("id")
         overrides = []
-        if self.at("#"):
-            self.next()
+        if self.accept("#"):
             self.expect("(")
             overrides = self.connection_list()
             self.expect(")")
@@ -327,8 +314,7 @@ class _Parser:
         if self.at(")"):
             return conns
         while True:
-            if self.at("."):
-                self.next()
+            if self.accept("."):
                 pname = self.expect("id").text
                 self.expect("(")
                 expr = None if self.at(")") else self.expression()
@@ -336,9 +322,8 @@ class _Parser:
                 conns.append((pname, expr))
             else:
                 conns.append((None, self.expression()))
-            if not self.at(","):
+            if not self.accept(","):
                 return conns
-            self.next()
 
     # -- statements --------------------------------------------------------
     def statement(self):
@@ -346,8 +331,7 @@ class _Parser:
         if tok.kind == "kw":
             if tok.text == "begin":
                 self.next()
-                if self.at(":"):
-                    self.next()
+                if self.accept(":"):
                     self.expect("id")
                 stmts = []
                 while not self.at("kw", "end"):
@@ -360,10 +344,7 @@ class _Parser:
                 cond = self.expression()
                 self.expect(")")
                 then = self.statement()
-                other = None
-                if self.at("kw", "else"):
-                    self.next()
-                    other = self.statement()
+                other = self.statement() if self.accept("kw", "else") else None
                 return A.If(cond, then, other)
             if tok.text == "case":
                 return self.case_stmt()
@@ -371,11 +352,9 @@ class _Parser:
                 self.reject(tok)
             self.err(f"unexpected keyword {tok.text!r} in statement")
         target = self.lvalue()
-        if self.at("="):
-            self.next()
+        if self.accept("="):
             blocking = True
-        elif self.at("<="):
-            self.next()
+        elif self.accept("<="):
             blocking = False
         else:
             self.err("expected '=' or '<='")
@@ -390,16 +369,11 @@ class _Parser:
         self.expect(")")
         items = []
         while not self.at("kw", "endcase"):
-            if self.at("kw", "default"):
-                self.next()
-                if self.at(":"):
-                    self.next()
+            if self.accept("kw", "default"):
+                self.accept(":")
                 items.append((None, self.statement()))
             else:
-                labels = [self.expression()]
-                while self.at(","):
-                    self.next()
-                    labels.append(self.expression())
+                labels = self.expressions()
                 self.expect(":")
                 items.append((tuple(labels), self.statement()))
         self.expect("kw", "endcase")
@@ -407,11 +381,9 @@ class _Parser:
 
     def lvalue(self):
         name = self.expect("id").text
-        if self.at("["):
-            self.next()
+        if self.accept("["):
             first = self.expression()
-            if self.at(":"):
-                self.next()
+            if self.accept(":"):
                 lsb = self.expression()
                 self.expect("]")
                 return A.PartSelect(name, first, lsb)
@@ -426,30 +398,33 @@ class _Parser:
     ]
 
     def expression(self):
-        return self.ternary()
-
-    def ternary(self):
-        cond = self.binary(0)
-        if self.at("?"):
-            self.next()
+        """A ternary, right-associative, over binary operands."""
+        cond = self.binary()
+        if self.accept("?"):
             then = self.expression()
             self.expect(":")
-            other = self.ternary()
-            return A.Ternary(cond, then, other)
+            return A.Ternary(cond, then, self.expression())
         return cond
 
-    def binary(self, level):
-        if level >= len(self._BIN_LEVELS):
-            return self.unary()
-        ops = self._BIN_LEVELS[level]
-        left = self.binary(level + 1)
-        while self.peek().kind in ops:
+    def expressions(self):
+        """A comma-separated list of expressions."""
+        parts = [self.expression()]
+        while self.accept(","):
+            parts.append(self.expression())
+        return parts
+
+    _BIN_LEVEL = {op: level for level, ops in enumerate(_BIN_LEVELS) for op in ops}
+
+    def binary(self, min_level=0):
+        """Operators binding at ``min_level`` or tighter, left-associative."""
+        left = self.unary()
+        while True:
+            level = self._BIN_LEVEL.get(self.peek().kind)
+            if level is None or level < min_level:
+                return left
             op = self.next().text
-            if op == "^~":
-                op = "~^"
             right = self.binary(level + 1)
-            left = A.Binary(op, left, right)
-        return left
+            left = A.Binary("~^" if op == "^~" else op, left, right)
 
     _UNARY = ("~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^")
 
@@ -462,33 +437,21 @@ class _Parser:
 
     def primary(self):
         tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            value, width = tok.value
-            return A.Num(value, width)
+        if self.accept("num"):
+            return A.Num(*tok.value)
         if tok.kind == "id":
             return self.lvalue()
-        if tok.kind == "(":
-            self.next()
+        if self.accept("("):
             e = self.expression()
             self.expect(")")
             return e
-        if tok.kind == "{":
-            self.next()
-            first = self.expression()
-            if self.at("{"):
-                self.next()
-                parts = [self.expression()]
-                while self.at(","):
-                    self.next()
-                    parts.append(self.expression())
+        if self.accept("{"):
+            parts = self.expressions()
+            if len(parts) == 1 and self.accept("{"):
+                value = self.expressions()
                 self.expect("}")
                 self.expect("}")
-                return A.Repl(first, A.Concat(tuple(parts)) if len(parts) > 1 else parts[0])
-            parts = [first]
-            while self.at(","):
-                self.next()
-                parts.append(self.expression())
+                return A.Repl(parts[0], A.Concat(tuple(value)) if len(value) > 1 else value[0])
             self.expect("}")
             return A.Concat(tuple(parts))
         self.err(f"unexpected token {tok.text!r} in expression")

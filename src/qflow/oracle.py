@@ -293,7 +293,7 @@ def differential_run(seed, count, max_bits=12, max_channel_inputs=2, cap=False):
     for i in range(count):
         forest, design = random_forest(rng, max_bits)
         deps = compute_dependencies(forest)
-        graph = merge(forest, deps, max_channel_inputs)
+        graph = merge(forest, max_channel_inputs)
         annotated = propagate(graph, design, {}, deps)
         totals = accumulate_totals(annotated, design, cap=cap)
         qmodel = sum(totals.values())

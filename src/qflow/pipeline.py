@@ -104,7 +104,7 @@ def analyze(config: Config, file_texts=None) -> Analysis:
     design = elaborate(ast, config.top, labels)
     forest = bit_blast(design)
     deps = compute_dependencies(forest)
-    graph = merge(forest, deps, config.max_channel_inputs)
+    graph = merge(forest, config.max_channel_inputs)
     input_probs = build_input_probs(design, config)
     annotated = propagate(graph, design, input_probs, deps)
     totals = accumulate_totals(annotated, design, cap=config.cap)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from qflow import corpus
-from qflow.bitgraph import BitRef, bit_blast, compute_dependencies, eval_node
+from qflow.bitgraph import BitRef, bit_blast, eval_node
 from qflow.channelizer import channel_function_eval, dump_channels, merge
 from qflow.errors import ArityMismatch
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
@@ -20,8 +20,7 @@ def pipeline_to_graph(src, top, bound):
     ast = parse(SourceUnit([("<t>", src)], top))
     design = elaborate(ast, top, extract_labels(ast, top))
     forest = bit_blast(design)
-    deps = compute_dependencies(forest)
-    return forest, merge(forest, deps, bound)
+    return forest, merge(forest, bound)
 
 
 def channel_values(graph, leaf_values):

@@ -16,6 +16,8 @@ from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.frontend import ast_nodes as A
 from qflow.frontend.lexer import tokenize
 
+from conftest import analyze_source
+
 
 def parse_text(src, top=None):
     return parse(SourceUnit([("<test>", src)], top))
@@ -65,6 +67,30 @@ def test_wildcard_sensitivity_is_not_an_attribute():
     assert "(" in kinds and "*" in kinds
 
 
+def test_positions_after_multiline_comment_and_attribute():
+    # lines advance inside the comment, but columns still count from the
+    # start of the line the comment or attribute opened on
+    toks, _ = tokenize("<t>", "wire /* a\n  b */ x;")
+    assert [(t.text, t.line, t.col) for t in toks] == [
+        ("wire", 1, 1), ("x", 2, 18), (";", 2, 19), ("", 2, 1)]
+    toks, _ = tokenize("<t>", "(* a,\n b *) input x;")
+    assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
+        ("attr", "a,\n b", 1, 1), ("kw", "input", 2, 13), ("id", "x", 2, 19),
+        (";", ";", 2, 20), ("eof", "", 2, 1)]
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("a /* x", 1, 3, "unterminated block comment"),
+    ("b\n  (* y", 2, 3, "unterminated attribute"),
+    ("c ` d", 1, 3, "unexpected character '`'"),
+    ("x\n  4'b3;", 2, 3, "invalid digit in literal \"4'b3\""),
+])
+def test_lexer_error_positions(text, line, col, message):
+    with pytest.raises(VerilogSyntaxError) as e:
+        tokenize("<t>", text)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
+
+
 # -- parser ----------------------------------------------------------------
 
 EXAMPLE = corpus.read("example.v")
@@ -106,6 +132,73 @@ assign y = s;
 endmodule
 """
     assert parse_text(src).modules["m"].ports["s"].high
+
+
+def rhs_of(expr):
+    src = f"module m(input a, output y);\nassign y = {expr};\nendmodule\n"
+    return parse_text(src).modules["m"].items[0].rhs
+
+
+# loosest first, as in the Verilog operator precedence table
+PRECEDENCE = [
+    ("||",), ("&&",), ("|",), ("^", "~^", "^~"), ("&",),
+    ("==", "!="), ("<", "<=", ">", ">="), ("<<", ">>"), ("+", "-"),
+]
+
+
+def test_binary_operator_table():
+    level = {op: i for i, ops in enumerate(PRECEDENCE) for op in ops}
+    a, b, c = A.Ident("a"), A.Ident("b"), A.Ident("c")
+    for op1 in level:
+        for op2 in level:
+            n1, n2 = ("~^" if op == "^~" else op for op in (op1, op2))
+            if level[op1] >= level[op2]:  # equal levels associate left
+                want = A.Binary(n2, A.Binary(n1, a, b), c)
+            else:
+                want = A.Binary(n1, a, A.Binary(n2, b, c))
+            assert repr(rhs_of(f"a {op1} b {op2} c")) == repr(want), (op1, op2)
+
+
+@pytest.mark.parametrize("expr, want", [
+    ("~a & b", "Binary(op='&', left=Unary(op='~', operand=Ident(name='a')), "
+               "right=Ident(name='b'))"),
+    ("a | ~&b", "Binary(op='|', left=Ident(name='a'), "
+                "right=Unary(op='~&', operand=Ident(name='b')))"),
+    ("-a + b", "Binary(op='+', left=Unary(op='-', operand=Ident(name='a')), "
+               "right=Ident(name='b'))"),
+    ("!a || b", "Binary(op='||', left=Unary(op='!', operand=Ident(name='a')), "
+                "right=Ident(name='b'))"),
+    ("a ^ ^b", "Binary(op='^', left=Ident(name='a'), "
+               "right=Unary(op='^', operand=Ident(name='b')))"),
+    ("a ? b : c ? d : e", "Ternary(cond=Ident(name='a'), then=Ident(name='b'), "
+                          "other=Ternary(cond=Ident(name='c'), then=Ident(name='d'), "
+                          "other=Ident(name='e')))"),
+    ("a | b ? c : d", "Ternary(cond=Binary(op='|', left=Ident(name='a'), "
+                      "right=Ident(name='b')), then=Ident(name='c'), other=Ident(name='d'))"),
+    ("a ? b ? c : d : e", "Ternary(cond=Ident(name='a'), then=Ternary(cond=Ident(name='b'), "
+                          "then=Ident(name='c'), other=Ident(name='d')), "
+                          "other=Ident(name='e'))"),
+])
+def test_unary_and_ternary_shapes(expr, want):
+    assert repr(rhs_of(expr)) == want
+
+
+def test_deep_parentheses_parse_and_analyse():
+    # 150 levels of parentheses that spell out the left-associative
+    # reading: the same AST, and the same analysis, as the flat chain
+    n = 150
+    nested = "k[0]"
+    for i in range(1, n + 1):
+        nested = f"({nested} ^ k[{i}])"
+    flat = " ^ ".join(f"k[{i}]" for i in range(n + 1))
+    assert repr(rhs_of(nested)) == repr(rhs_of(flat))
+    totals = []
+    for expr in (nested, flat):
+        src = (f"module m(input [{n}:0] k, // qflow: high\n"
+               f"output y);\nassign y = {expr};\nendmodule\n")
+        totals.append(analyze_source(src, "m").totals)
+    assert len(totals[0]) == n + 1
+    assert totals[0] == totals[1]
 
 
 def test_syntax_error_has_position():
@@ -184,6 +277,51 @@ def test_generate_unroll_t2100():
     assert all(a.clock == "clk" for a in seq)
     assert d.nets["tmp0"].kind == "reg"
     assert d.nets["load"].kind == "output"
+
+
+INV_IN_LOOP = """module inv(input a, output y);
+assign y = ~a;
+endmodule
+module top(input [3:0] k, // qflow: high
+           output [3:0] o);
+genvar i;
+generate
+for (i = 0; i < 4; i = i + 1) begin : g
+  inv u (.a(k[i]), .y(o[i]));
+end
+endgenerate
+endmodule
+"""
+
+WIRE_IN_LOOP = """module top(input [3:0] k, // qflow: high
+           input [3:0] a, output [3:0] o);
+genvar i;
+generate
+for (i = 0; i < 4; i = i + 1) begin
+  wire t;
+  assign t = k[i] ^ a[i];
+  assign o[i] = t;
+end
+endgenerate
+endmodule
+"""
+
+
+def test_instances_in_generate_loop_are_per_iteration():
+    d = full(INV_IN_LOOP, "top")
+    assert {f"g[{i}].u.y" for i in range(4)} <= set(d.nets)
+    assert "u.y" not in d.nets
+    a = analyze_source(INV_IN_LOOP, "top")
+    assert a.totals == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
+
+
+def test_wire_declared_in_generate_loop_is_per_iteration():
+    d = full(WIRE_IN_LOOP, "top")
+    # an unnamed loop body is genblk<n>; undeclared names stay module nets
+    assert {f"genblk1[{i}].t" for i in range(4)} <= set(d.nets)
+    assert "t" not in d.nets
+    a = analyze_source(WIRE_IN_LOOP, "top")
+    assert a.totals == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
 
 def test_parameters_and_overrides():

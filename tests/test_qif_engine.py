@@ -7,7 +7,7 @@ import random
 import pytest
 
 from qflow import corpus
-from qflow.bitgraph import BitRef, DependencyGraph, bit_blast, compute_dependencies
+from qflow.bitgraph import BitRef, DependencyGraph, bit_blast
 from qflow.channelizer import Channel, merge
 from qflow.errors import NonConvergentFixpoint
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
@@ -164,8 +164,7 @@ def macro_design(expr, w, outw=1):
     design = elaborate(ast, "m", extract_labels(ast, "m"))
     # force macro lowering at every width under test
     forest = bit_blast(design, expand_limit=1)
-    deps = compute_dependencies(forest)
-    graph = merge(forest, deps, 5)
+    graph = merge(forest, 5)
     return design, forest, graph
 
 

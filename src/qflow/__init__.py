@@ -14,7 +14,7 @@ from .oracle import (
 from .pipeline import Analysis, Config, analyze, render_report
 from .qif_engine import (
     accumulate_totals,
-    channel_pbv,
+    channel_prob_pbv,
     output_contributions,
     propagate,
     source_leakage,
@@ -34,7 +34,7 @@ __all__ = [
     "analyze",
     "bit_blast",
     "calibrate_thresholds",
-    "channel_pbv",
+    "channel_prob_pbv",
     "classify",
     "compute_dependencies",
     "differential_run",

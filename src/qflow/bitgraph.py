@@ -36,7 +36,7 @@ class BitRef:
         return f"{self.net}[{self.bit}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity: a shared node is one key
 class Node:
     op: str  # const0 const1 leaf AND OR XOR NOT MUX EQM LTM ADDM SUBM
     children: tuple = ()
@@ -63,9 +63,9 @@ class BindTree:
         stack = [self.node]
         while stack:
             n = stack.pop()
-            if id(n) in seen:
+            if n in seen:
                 continue
-            seen.add(id(n))
+            seen.add(n)
             if n.op == "leaf":
                 out.append(n.ref)
             else:
@@ -75,7 +75,6 @@ class BindTree:
 
 @dataclass
 class DependencyGraph:
-    vertices: set = field(default_factory=set)
     edges: set = field(default_factory=set)  # (root, register root it reads)
     cycles: list = field(default_factory=list)  # SCCs of size>1 and self-loops
     order: list = field(default_factory=list)  # every SCC, dependencies first
@@ -366,18 +365,14 @@ def bit_blast(design: ElaboratedDesign, expand_limit=DEFAULT_EXPAND_LIMIT):
 def compute_dependencies(forest) -> DependencyGraph:
     """Root-to-root read edges; sequential cycles flagged for the fixpoint."""
     graph = DependencyGraph()
-    by_key = {(t.root.net, t.root.bit): t.root for t in forest}
     adj = {}
     for tree in forest:
-        graph.vertices.add(tree.root)
         adj.setdefault(tree.root, set())
         for leaf in tree.leaves():
-            if leaf.role == "register":
-                target = by_key.get((leaf.net, leaf.bit), leaf)
-                graph.edges.add((tree.root, target))
-                adj[tree.root].add(target)
-                graph.vertices.add(target)
-                adj.setdefault(target, set())
+            if leaf.role == "register":  # equal to its own tree's root
+                graph.edges.add((tree.root, leaf))
+                adj[tree.root].add(leaf)
+                adj.setdefault(leaf, set())
     graph.order = _sccs(adj)
     for scc in graph.order:
         if len(scc) > 1 or any(v in adj.get(v, ()) for v in scc):
@@ -441,8 +436,8 @@ def eval_node(node: Node, values, ones=1, memo=None) -> int:
     ``lane_masks``), one walk evaluates n assignments at once: bit j of the
     result is the node's value under the assignment of lane j.
 
-    ``memo``, a dict owned by the caller, keeps each gate's value by node
-    identity, so a node shared by several parents is evaluated once and a
+    ``memo``, a dict owned by the caller, keeps each gate's value by node,
+    so a node shared by several parents is evaluated once and a
     reconvergent DAG costs one visit per node.  The caller empties it
     whenever ``values`` change.
     """
@@ -454,7 +449,7 @@ def eval_node(node: Node, values, ones=1, memo=None) -> int:
     if op == "const1":
         return ones
     if memo is not None:
-        out = memo.get(id(node))
+        out = memo.get(node)
         if out is not None:
             return out
     kids = node.children
@@ -495,7 +490,7 @@ def eval_node(node: Node, values, ones=1, memo=None) -> int:
     else:
         raise ValueError(f"unknown node op {op}")
     if memo is not None:
-        memo[id(node)] = out
+        memo[node] = out
     return out
 
 
@@ -522,16 +517,16 @@ def dump_forest(forest) -> str:
             return node.op[-1]
         if node.op == "leaf":
             return str(node.ref)
-        if id(node) in names:
-            return names[id(node)]
+        if node in names:
+            return names[node]
         tag = node.op
         if node.is_macro():
             w, out_bit = node.meta
             tag = (tag if out_bit is None else f"{tag}:{out_bit}") + f"/{w}"
         text = f"({tag} " + " ".join(render(c) for c in node.children) + ")"
-        if id(node) not in shared:
+        if node not in shared:
             return text
-        name = names[id(node)] = f"%{next(counter)}"
+        name = names[node] = f"%{next(counter)}"
         bindings.append(f"  {name} = {text}")
         return name
 
@@ -544,15 +539,15 @@ def dump_forest(forest) -> str:
 
 
 def _shared_gates(root):
-    """Ids of the gates that ``root`` reaches along more than one edge."""
+    """The gates that ``root`` reaches along more than one edge."""
     seen, shared = set(), set()
     stack = [root]
     while stack:
         for child in stack.pop().children:
-            if id(child) in seen:
+            if child in seen:
                 if child.children:
-                    shared.add(id(child))
+                    shared.add(child)
             else:
-                seen.add(id(child))
+                seen.add(child)
                 stack.append(child)
     return shared

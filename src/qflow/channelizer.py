@@ -9,7 +9,9 @@ channel's ``root`` is the one tree it was cut from.
 A table channel is a Boolean function over at most ``max_channel_inputs``
 distinct input bits (single-node channels may exceed the bound by their
 own arity, since a binary gate cannot have fewer than two inputs).
-A table is filled by one bit-parallel ``eval_node`` walk over lane masks.
+A table is filled by one bit-parallel ``eval_node`` walk over lane masks
+and kept packed as an int: bit ``a`` is the output under assignment ``a``,
+whose bit ``i`` is the value of ``inputs[i]``.
 ADD/SUB/COMPARE macro nodes become standalone macro channels that keep
 their macro node instead of a table; their high inputs are treated as
 uniformly distributed by the engine.
@@ -31,7 +33,7 @@ class Channel:
     cid: int
     # distinct, stable order: a leaf BitRef, or the id of a derived channel
     inputs: tuple
-    table: tuple | None  # len 2^k; index bit i = inputs[i]
+    table: int | None  # packed: bit a = output when input i is bit i of a
     macro: Node | None  # EQM | LTM | ADDM | SUBM; leaves are inputs or constants
     output: BitRef | None  # root bit for final channels, None for internal
     root: BitRef  # which tree this channel was cut from
@@ -41,9 +43,6 @@ class Channel:
 class ChannelGraph:
     channels: list = field(default_factory=list)
     root_channel: dict = field(default_factory=dict)  # root BitRef -> cid
-
-    def by_id(self, cid) -> Channel:
-        return self.channels[cid]
 
 
 def input_label(ci) -> str:
@@ -60,11 +59,8 @@ def input_label(ci) -> str:
 class _Merger:
     def __init__(self, graph: ChannelGraph, bound: int):
         self.graph = graph
-        self.bound = min(max(bound, 1), MAX_TABLE_INPUTS)
-        # per bind tree, by node identity (hashing a Node recurses through
-        # its children, exponential on a DAG): node -> piece, and piece node
-        # -> channel id.  Every keyed node lives in the forest or in a built
-        # piece, so no id is reused while the memos hold it.
+        self.bound = bound
+        # per bind tree, by node identity: node -> piece, piece node -> cid
         self.built = {}
         self.sealed = {}
 
@@ -87,13 +83,13 @@ class _Merger:
     def seal(self, piece) -> int:
         """Materialize a piece as a table channel from one bit-parallel walk."""
         inputs, node = piece
-        cid = self.sealed.get(id(node))
+        cid = self.sealed.get(node)
         if cid is None:
-            lanes = 1 << len(inputs)
-            packed = eval_node(node, dict(zip(inputs, lane_masks(len(inputs)))),
-                               (1 << lanes) - 1, memo={} if self.shared else None)
-            cid = self.add(inputs, tuple((packed >> a) & 1 for a in range(lanes)), None)
-            self.sealed[id(node)] = cid
+            table = eval_node(node, dict(zip(inputs, lane_masks(len(inputs)))),
+                              (1 << (1 << len(inputs))) - 1,
+                              memo={} if self.shared else None)
+            cid = self.add(inputs, table, None)
+            self.sealed[node] = cid
         return cid
 
     def derived(self, cid):
@@ -104,7 +100,7 @@ class _Merger:
             return [], node
         if node.op == "leaf":
             return [node.ref], node
-        piece = self.built.get(id(node))
+        piece = self.built.get(node)
         if piece is not None:
             self.shared = True
         else:
@@ -113,7 +109,7 @@ class _Merger:
             else:
                 inputs, kids = self.merge([self.build(c) for c in node.children])
                 piece = inputs, Node(node.op, tuple(kids))
-            self.built[id(node)] = piece
+            self.built[node] = piece
         return piece
 
     def merge(self, pieces):
@@ -156,8 +152,8 @@ class _Merger:
 
 def merge(forest, max_channel_inputs=DEFAULT_MAX_CHANNEL_INPUTS) -> ChannelGraph:
     """Channelize every bind tree; channels are topologically ordered by id."""
-    if max_channel_inputs < 1:
-        raise ValueError("max_channel_inputs must be >= 1")
+    if not 1 <= max_channel_inputs <= MAX_TABLE_INPUTS:
+        raise ValueError(f"max_channel_inputs must be in [1, {MAX_TABLE_INPUTS}]")
     graph = ChannelGraph()
     merger = _Merger(graph, max_channel_inputs)
     for tree in sorted(forest, key=lambda t: (t.root.net, t.root.bit)):
@@ -168,21 +164,15 @@ def merge(forest, max_channel_inputs=DEFAULT_MAX_CHANNEL_INPUTS) -> ChannelGraph
     return graph
 
 
-def channel_function_eval(channel: Channel, assignment) -> int:
-    """Evaluate one channel on a per-input bit assignment (list or dict)."""
-    if isinstance(assignment, dict):
-        try:
-            bits = [assignment[ci] for ci in channel.inputs]
-        except KeyError as e:
-            raise ArityMismatch(f"missing input {e.args[0]}") from None
-    else:
-        bits = list(assignment)
-        if len(bits) != len(channel.inputs):
-            raise ArityMismatch(
-                f"channel {channel.cid} takes {len(channel.inputs)} inputs, "
-                f"got {len(bits)}")
+def channel_function_eval(channel: Channel, bits) -> int:
+    """Evaluate one channel on its input bits, in ``inputs`` order."""
+    bits = list(bits)
+    if len(bits) != len(channel.inputs):
+        raise ArityMismatch(
+            f"channel {channel.cid} takes {len(channel.inputs)} inputs, "
+            f"got {len(bits)}")
     if channel.table is not None:
-        return channel.table[sum(b << i for i, b in enumerate(bits))]
+        return (channel.table >> sum(b << i for i, b in enumerate(bits))) & 1
     return eval_node(channel.macro, dict(zip(channel.inputs, bits)))
 
 
@@ -192,8 +182,7 @@ def dump_channels(graph: ChannelGraph) -> str:
     for ch in graph.channels:
         ins = ", ".join(input_label(ci) for ci in ch.inputs)
         if ch.table is not None:
-            packed = sum(v << i for i, v in enumerate(ch.table))
-            body = f"table=0x{packed:x}/{len(ch.inputs)}"
+            body = f"table=0x{ch.table:x}/{len(ch.inputs)}"
         else:
             width, out_bit = ch.macro.meta
             body = f"macro={ch.macro.op}/{width}"

@@ -121,8 +121,9 @@ def tokenize(path: str, text: str):
             if kind == "attr":
                 body = m.group("body").strip()
                 tokens.append(Token("attr", body, body, line, col))
-            # the column base stays at the line the comment opened on
-            line += tok.count("\n")
+            if "\n" in tok:  # the next column counts from its last line
+                line += tok.count("\n")
+                linestart = m.start() + tok.rindex("\n") + 1
         else:
             msg = {"open_block": "unterminated block comment",
                    "open_attr": "unterminated attribute"}.get(

@@ -82,7 +82,7 @@ def _leaf_refs(forest):
             sorted(regs.values(), key=lambda r: (r.net, r.bit)))
 
 
-def flatten_forest(forest, design: ElaboratedDesign | None = None,
+def flatten_forest(forest, design: ElaboratedDesign,
                    cycles=DEFAULT_UNROLL_CYCLES) -> FlatFunction:
     """Exact multi-cycle semantics of a bind forest.
 
@@ -97,14 +97,10 @@ def flatten_forest(forest, design: ElaboratedDesign | None = None,
     for r in regs:
         next_state.setdefault((r.net, r.bit), None)
 
-    if design is not None:
-        output_bits = []
-        for name, fn in sorted(design.nets.items()):
-            if fn.kind == "output":
-                output_bits.extend((name, b) for b in range(fn.width))
-    else:
-        output_bits = sorted((t.root.net, t.root.bit) for t in forest
-                             if t.root.role == "top-output")
+    output_bits = []
+    for name, fn in sorted(design.nets.items()):
+        if fn.kind == "output":
+            output_bits.extend((name, b) for b in range(fn.width))
     comb = {(t.root.net, t.root.bit): t.node for t in forest
             if t.root.role == "top-output"}
     return FlatFunction(highs, lows, output_bits, regs, next_state, comb,

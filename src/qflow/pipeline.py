@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bitgraph import bit_blast, compute_dependencies
-from .channelizer import merge
+from .channelizer import MAX_TABLE_INPUTS, merge
 from .errors import UnknownSignal
 from .frontend import SourceUnit, elaborate, extract_labels, parse
 from .qif_engine import accumulate_totals, output_contributions, propagate
@@ -29,8 +29,8 @@ class Config:
     cap: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.max_channel_inputs <= 16:
-            raise ValueError("max_channel_inputs must be in [1, 16]")
+        if not 1 <= self.max_channel_inputs <= MAX_TABLE_INPUTS:
+            raise ValueError(f"max_channel_inputs must be in [1, {MAX_TABLE_INPUTS}]")
         if self.p_high is not None and not 0.0 <= self.p_high <= 1.0:
             raise ValueError("probabilities must be in [0, 1]")
 

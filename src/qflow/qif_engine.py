@@ -1,12 +1,13 @@
 """QModel execution: probabilities, posterior Bayes vulnerability, leakage.
 
-Per channel, the joint distribution over (output, observable inputs,
-secret-carrying inputs) is built under the independence assumption; the
-channel's posterior Bayes vulnerability (PBV) with observable low inputs
-is the sum over observable configurations of the best single guess.
-Leakage cascades by summing incoming per-secret-bit leakage over channel
-inputs and scaling by the channel PBV.  Registers pass probabilities and
-leakage through unchanged.
+One kernel, ``channel_prob_pbv``, gives a channel's output probability
+and its posterior Bayes vulnerability (PBV) with observable low inputs:
+the sum over observable configurations of the best single guess of the
+secret-carrying inputs, under the independence assumption.  A table
+channel takes both from one pass over the assignments of its packed
+truth table; no joint table is built.  Leakage cascades by summing
+incoming per-secret-bit leakage over channel inputs and scaling by the
+channel PBV.  Registers pass probabilities and leakage through unchanged.
 
 Propagation walks the strongly connected components of the register
 dependency graph in dependency order, so every input from outside a
@@ -14,7 +15,9 @@ component is final before the component is reached.  A component
 without a cycle is one bind tree: each of its channels is visited once,
 and one 2^k enumeration gives both its output probability and its PBV.
 Only a sequential cycle iterates: its own channels run the taint and
-probability fixpoints and then the elementwise-max leakage fixpoint.
+probability fixpoints (the kernel with an all-False taint, so P(1) only),
+one kernel call each for the PBV, and then the elementwise-max leakage
+fixpoint.
 """
 
 from __future__ import annotations
@@ -40,15 +43,6 @@ def source_leakage(p1: float) -> float:
 
 
 @dataclass
-class JointTable:
-    # (output value(s), low assignment, high assignment) -> probability mass
-    entries: dict
-
-    def total(self):
-        return sum(self.entries.values())
-
-
-@dataclass
 class ProbAnnotatedGraph:
     graph: ChannelGraph
     chan_prob: dict = field(default_factory=dict)  # cid -> p1
@@ -63,80 +57,40 @@ class ProbAnnotatedGraph:
 # --------------------------------------------------------------------------
 # Per-channel computations
 
-def _default_taint(channel: Channel):
-    return [not isinstance(ci, int) and ci.role == "input-high"
-            for ci in channel.inputs]
-
-
-def _enumerate(channel: Channel, probs, tainted=None):
-    """P(output = 1) and, if ``tainted`` is given, J(o, l, h) of a table channel.
-
-    One pass over the 2^k input assignments under input independence;
-    masses are added in assignment order.
-    """
-    k = len(channel.inputs)
-    if len(probs) != k:
-        raise ArityMismatch(f"channel {channel.cid} takes {k} probabilities")
-    p1 = 0.0
-    entries = {}
-    for assignment in range(1 << k):
-        o = channel.table[assignment]
-        if tainted is None and not o:
-            continue
-        mass = 1.0
-        l_part = []
-        h_part = []
-        for i in range(k):
-            bit = (assignment >> i) & 1
-            mass *= probs[i] if bit else 1.0 - probs[i]
-            if tainted is not None:
-                (h_part if tainted[i] else l_part).append(bit)
-        if o:
-            p1 += mass
-        if tainted is not None and mass != 0.0:
-            key = (o, tuple(l_part), tuple(h_part))
-            entries[key] = entries.get(key, 0.0) + mass
-    return p1, JointTable(entries)
-
-
-def joint_distribution(channel: Channel, probs, tainted=None) -> JointTable:
-    """J(o, l, h) for a table channel under input independence."""
-    if channel.table is None:
-        raise ArityMismatch("joint tables are materialized for table channels only")
-    tainted = list(tainted) if tainted is not None else _default_taint(channel)
-    return _enumerate(channel, probs, tainted)[1]
-
-
 def channel_prob_pbv(channel: Channel, probs, tainted=None):
     """(P(output = 1), PBV with observable lows) under input independence.
 
-    The PBV sums over (o, l) the best h guess.  Table channels take both
-    from one enumeration; macros use closed forms.
+    ``tainted[i]`` says whether input i carries a secret (by default, when
+    it is an ``input-high`` leaf).  The PBV sums over (o, l) the best guess
+    of the tainted inputs h; an untainted channel's PBV is 1.  In a table
+    channel each (l, h) is one assignment ``a``, so one pass over the 2^k
+    assignments gives P(1) and, keyed by (o, a & low_mask), the best
+    guesses.  Masses are added in assignment order.  Macros use closed forms.
     """
-    tainted = list(tainted) if tainted is not None else _default_taint(channel)
+    if tainted is None:
+        tainted = [not isinstance(ci, int) and ci.role == "input-high"
+                   for ci in channel.inputs]
     if channel.macro is not None:
         return _macro_prob(channel, probs), _macro_pbv(channel, probs, tainted)
-    if not any(tainted):
-        return _enumerate(channel, probs)[0], 1.0
-    p1, joint = _enumerate(channel, probs, tainted)
-    best = {}
-    for (o, l_part, _h), mass in joint.entries.items():
-        key = (o, l_part)
-        if mass > best.get(key, 0.0):
-            best[key] = mass
-    return p1, sum(best.values())
-
-
-def channel_pbv(channel: Channel, probs, tainted=None) -> float:
-    """V1 with observable lows: sum over (o, l) of the best h guess."""
-    return channel_prob_pbv(channel, probs, tainted)[1]
-
-
-def channel_output_probability(channel: Channel, probs) -> float:
-    """P(output = 1) under input independence; macros use closed forms."""
-    if channel.table is not None:
-        return _enumerate(channel, probs)[0]
-    return _macro_prob(channel, probs)
+    k = len(channel.inputs)
+    if len(probs) != k:
+        raise ArityMismatch(f"channel {channel.cid} takes {k} probabilities")
+    masses = [1.0]  # masses[a]: product over inputs i, in order, of P(bit i of a)
+    for p in probs:
+        q = 1.0 - p
+        masses = [m * q for m in masses] + [m * p for m in masses]
+    secret = any(tainted)
+    low_mask = sum(1 << i for i, t in enumerate(tainted) if not t)
+    table, p1, best = channel.table, 0.0, {}
+    for a, mass in enumerate(masses):
+        o = (table >> a) & 1
+        if o:
+            p1 += mass
+        if secret:
+            key = (o << k) | (a & low_mask)
+            if mass > best.get(key, 0.0):
+                best[key] = mass
+    return p1, sum(best.values()) if secret else 1.0
 
 
 def _operands(channel: Channel, per_input, const):
@@ -306,7 +260,8 @@ class _Propagator:
             self.reg_tainted.update(dict.fromkeys(rising, True))
         for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:
-                self.chan_prob[ch.cid] = channel_output_probability(ch, self._probs(ch))
+                self.chan_prob[ch.cid] = channel_prob_pbv(
+                    ch, self._probs(ch), [False] * len(ch.inputs))[0]
             delta = 0.0
             for reg, cid in zip(regs, roots):
                 delta = max(delta, abs(self.chan_prob[cid] - self.reg_prob[reg]))
@@ -314,7 +269,7 @@ class _Propagator:
             if delta < PROB_TOL:
                 break
         for ch in chans:
-            self.chan_pbv[ch.cid] = channel_pbv(ch, self._probs(ch), self._taints(ch))
+            self.chan_pbv[ch.cid] = channel_prob_pbv(ch, self._probs(ch), self._taints(ch))[1]
         for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:
                 self.chan_leak[ch.cid] = self._leak(ch)

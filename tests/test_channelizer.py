@@ -12,6 +12,7 @@ from qflow.channelizer import channel_function_eval, dump_channels, merge
 from qflow.errors import ArityMismatch
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.oracle import exact_multiplicative_leakage, flatten_forest
+from qflow.qif_engine import channel_prob_pbv
 
 from conftest import analyze_source
 
@@ -55,6 +56,28 @@ def test_bound_one_splits_every_gate():
     # every multi-input channel is a lone gate at its arity floor
     for ch in graph.channels:
         assert len(ch.inputs) <= 2
+
+
+@pytest.mark.parametrize("bound", [0, 17])
+def test_merge_rejects_bound_out_of_range(bound):
+    forest, _graph = pipeline_to_graph(EXAMPLE, "example", 1)
+    with pytest.raises(ValueError, match=r"must be in \[1, 16\]"):
+        merge(forest, bound)
+
+
+def test_zero_table_is_a_table_channel():
+    # a table is a packed int and may be 0; only ``table is None`` marks a macro
+    src = """module m(High input k, output y, output z);
+assign y = k & ~k;
+assign z = 1'b0;
+endmodule
+"""
+    _forest, graph = pipeline_to_graph(src, "m", 5)
+    assert dump_channels(graph) == (
+        "c0 root=y[0] out=y[0] inputs=[H k[0]] table=0x0/1\n"
+        "c1 root=z[0] out=z[0] inputs=[] table=0x0/0\n")
+    assert [channel_prob_pbv(ch, [0.5] * len(ch.inputs))
+            for ch in graph.channels] == [(0.0, 0.5), (0.0, 1.0)]
 
 
 def test_t2200_register_cut_channels():
@@ -200,6 +223,6 @@ endmodule
         while stack:
             cid = stack.pop()
             tree.add(cid)
-            stack += [ci for ci in graph.by_id(cid).inputs if isinstance(ci, int)]
-        assert {graph.by_id(cid).root for cid in tree} == {root}
-        assert len([cid for cid in tree if graph.by_id(cid) in t_channels]) == 1
+            stack += [ci for ci in graph.channels[cid].inputs if isinstance(ci, int)]
+        assert {graph.channels[cid].root for cid in tree} == {root}
+        assert len([cid for cid in tree if graph.channels[cid] in t_channels]) == 1

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import qflow
 from qflow import corpus
 from qflow.cli import main
 
@@ -132,3 +133,8 @@ def test_main_callable_in_process(tmp_path, capsys):
     src = write(tmp_path, "m.v", SAFE)
     code = main(["analyze", "--top", "m", src])
     assert code == 0
+
+
+def test_public_names_resolve():
+    missing = [name for name in qflow.__all__ if not hasattr(qflow, name)]
+    assert not missing and len(set(qflow.__all__)) == len(qflow.__all__)

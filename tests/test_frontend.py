@@ -68,21 +68,22 @@ def test_wildcard_sensitivity_is_not_an_attribute():
 
 
 def test_positions_after_multiline_comment_and_attribute():
-    # lines advance inside the comment, but columns still count from the
-    # start of the line the comment or attribute opened on
+    # lines advance inside the comment, and columns count from the start
+    # of the line the comment or attribute closes on
     toks, _ = tokenize("<t>", "wire /* a\n  b */ x;")
     assert [(t.text, t.line, t.col) for t in toks] == [
-        ("wire", 1, 1), ("x", 2, 18), (";", 2, 19), ("", 2, 1)]
+        ("wire", 1, 1), ("x", 2, 8), (";", 2, 9), ("", 2, 1)]
     toks, _ = tokenize("<t>", "(* a,\n b *) input x;")
     assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
-        ("attr", "a,\n b", 1, 1), ("kw", "input", 2, 13), ("id", "x", 2, 19),
-        (";", ";", 2, 20), ("eof", "", 2, 1)]
+        ("attr", "a,\n b", 1, 1), ("kw", "input", 2, 7), ("id", "x", 2, 13),
+        (";", ";", 2, 14), ("eof", "", 2, 1)]
 
 
 @pytest.mark.parametrize("text, line, col, message", [
     ("a /* x", 1, 3, "unterminated block comment"),
     ("b\n  (* y", 2, 3, "unterminated attribute"),
     ("c ` d", 1, 3, "unexpected character '`'"),
+    ("/* c\n */ `", 2, 5, "unexpected character '`'"),
     ("x\n  4'b3;", 2, 3, "invalid digit in literal \"4'b3\""),
 ])
 def test_lexer_error_positions(text, line, col, message):

@@ -14,9 +14,7 @@ from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.qif_engine import (
     LEAK_TOL,
     accumulate_totals,
-    channel_output_probability,
-    channel_pbv,
-    joint_distribution,
+    channel_prob_pbv,
     propagate,
     source_leakage,
 )
@@ -25,7 +23,7 @@ from conftest import analyze_corpus, analyze_source
 
 
 def random_table_channel(rng, k):
-    table = tuple(rng.randint(0, 1) for _ in range(1 << k))
+    table = sum(rng.randint(0, 1) << a for a in range(1 << k))
     inputs = tuple(
         BitRef("x", i, "input-high" if rng.random() < 0.5 else "input-low")
         for i in range(k))
@@ -37,7 +35,7 @@ def enum_prob(ch, probs):
     total = 0.0
     k = len(ch.inputs)
     for a in range(1 << k):
-        if not ch.table[a]:
+        if not (ch.table >> a) & 1:
             continue
         mass = 1.0
         for i in range(k):
@@ -59,7 +57,7 @@ def enum_pbv(ch, probs):
             bit = (a >> i) & 1
             mass *= probs[i] if bit else 1.0 - probs[i]
             (h_part if ch.inputs[i].role == "input-high" else l_part).append(bit)
-        key = (ch.table[a], tuple(l_part))
+        key = ((ch.table >> a) & 1, tuple(l_part))
         cur = best.setdefault(key, {})
         hk = tuple(h_part)
         cur[hk] = cur.get(hk, 0.0) + mass
@@ -124,22 +122,14 @@ endmodule
 
 # -- per-channel exactness -------------------------------------------------
 
-def test_joint_distribution_normalized():
-    rng = random.Random(11)
-    for _ in range(50):
-        ch = random_table_channel(rng, rng.randint(1, 5))
-        probs = [rng.random() for _ in ch.inputs]
-        joint = joint_distribution(ch, probs)
-        assert abs(joint.total() - 1.0) < 1e-12
-
-
 def test_channel_exactness_small_sample():
     rng = random.Random(5)
     for _ in range(100):
         ch = random_table_channel(rng, rng.randint(1, 5))
         probs = [rng.random() for _ in ch.inputs]
-        assert abs(channel_output_probability(ch, probs) - enum_prob(ch, probs)) < 1e-12
-        assert abs(channel_pbv(ch, probs) - enum_pbv(ch, probs)) < 1e-12
+        p1, pbv = channel_prob_pbv(ch, probs)
+        assert abs(p1 - enum_prob(ch, probs)) < 1e-12
+        assert abs(pbv - enum_pbv(ch, probs)) < 1e-12
 
 
 def test_pbv_bounds():
@@ -151,7 +141,7 @@ def test_pbv_bounds():
         for p, ci in zip(probs, ch.inputs):
             if ci.role == "input-high":
                 prior *= max(p, 1.0 - p)
-        pbv = channel_pbv(ch, probs)
+        _p1, pbv = channel_prob_pbv(ch, probs)
         assert prior - 1e-12 <= pbv <= 1.0 + 1e-12
 
 
@@ -209,8 +199,9 @@ def test_compare_macro_closed_forms(w, expr, op):
                   [0.0] * len(ch.inputs),
                   [1.0] * len(ch.inputs)):
         want_p, want_v = enum_macro(ch, probs)
-        assert abs(channel_output_probability(ch, probs) - want_p) < 1e-12
-        assert abs(channel_pbv(ch, probs) - want_v) < 1e-12
+        p1, pbv = channel_prob_pbv(ch, probs)
+        assert abs(p1 - want_p) < 1e-12
+        assert abs(pbv - want_v) < 1e-12
 
 
 @pytest.mark.parametrize("w", [2, 3, 4, 5, 6])
@@ -224,8 +215,8 @@ def test_arith_macro_probability(w, expr):
         for probs in ([0.5] * len(ch.inputs),
                       [rng.random() for _ in ch.inputs]):
             want_p, _ = enum_macro(ch, probs)
-            assert abs(channel_output_probability(ch, probs) - want_p) < 1e-12
-        assert channel_pbv(ch, [0.5] * len(ch.inputs)) == 1.0
+            assert abs(channel_prob_pbv(ch, probs)[0] - want_p) < 1e-12
+        assert channel_prob_pbv(ch, [0.5] * len(ch.inputs))[1] == 1.0
 
 
 # -- registers and totals --------------------------------------------------

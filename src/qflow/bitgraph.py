@@ -12,8 +12,10 @@ the engine can apply closed-form vulnerability expressions to them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CombinationalLoop, UnassignedNet, UnsupportedConstruct
 from .frontend import ast_nodes as A
@@ -25,8 +27,13 @@ _SHIFT_AMOUNT_LIMIT = 16
 _MACRO_OPS = ("EQM", "LTM", "ADDM", "SUBM")
 
 
-@dataclass(frozen=True)
-class BitRef:
+class BitRef(NamedTuple):
+    """One bit of a net, a key of most dicts on the hot path.
+
+    A tuple rather than a frozen dataclass, so hashing and equality run
+    in C instead of in generated Python methods.
+    """
+
     net: str
     bit: int
     role: str  # input-high | input-low | register | top-output
@@ -392,7 +399,7 @@ def _sccs(adj):
     for start in adj:
         if start in index:
             continue
-        work = [(start, iter(sorted(adj[start], key=str)))]
+        work = [(start, _successors(adj[start]))]
         index[start] = low[start] = counter[0]
         counter[0] += 1
         stack.append(start)
@@ -406,7 +413,7 @@ def _sccs(adj):
                     counter[0] += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(sorted(adj[w], key=str))))
+                    work.append((w, _successors(adj[w])))
                     advanced = True
                     break
                 if w in on_stack:
@@ -427,6 +434,11 @@ def _sccs(adj):
                         break
                 out.append(scc)
     return out
+
+
+def _successors(succ):
+    """An iterator over a successor set, in ``str`` order."""
+    return iter(sorted(succ, key=str) if len(succ) > 1 else succ)
 
 
 def eval_node(node: Node, values, ones=1, memo=None) -> int:
@@ -494,10 +506,11 @@ def eval_node(node: Node, values, ones=1, memo=None) -> int:
     return out
 
 
+@functools.cache  # n <= 16 (MAX_TABLE_INPUTS, oracle.LANE_BITS): 17 entries
 def lane_masks(n):
     """Masks of 2^n lanes, one per input i: bit j is set iff bit i of j is."""
     ones = (1 << (1 << n)) - 1
-    return [ones // ((1 << (1 << i)) + 1) << (1 << i) for i in range(n)]
+    return tuple(ones // ((1 << (1 << i)) + 1) << (1 << i) for i in range(n))
 
 
 def dump_forest(forest) -> str:

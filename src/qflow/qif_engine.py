@@ -14,6 +14,8 @@ dependency graph in dependency order, so every input from outside a
 component is final before the component is reached.  A component
 without a cycle is one bind tree: each of its channels is visited once,
 and one 2^k enumeration gives both its output probability and its PBV.
+Table channels with equal truth tables, input probabilities and taints
+share one enumeration per ``propagate`` call.
 Only a sequential cycle iterates: its own channels run the taint and
 probability fixpoints (the kernel with an all-False taint, so P(1) only),
 one kernel call each for the PBV, and then the elementwise-max leakage
@@ -181,6 +183,20 @@ class _Propagator:
             self.blocks.setdefault(ch.root, []).append(ch)
         self.chan_prob, self.chan_pbv, self.chan_leak, self.chan_tainted = {}, {}, {}, {}
         self.reg_prob, self.reg_leak, self.reg_tainted = {}, {}, {}
+        # (table, probs, tainted) -> kernel result, for this propagation only;
+        # len(probs) fixes the arity, so equal keys give equal results
+        self.kernel_memo = {}
+
+    def _kernel(self, ch, probs, tainted):
+        """``channel_prob_pbv``, memoised for table channels (a macro
+        channel's result depends on its macro node, which the key lacks)."""
+        if ch.macro is not None:
+            return channel_prob_pbv(ch, probs, tainted)
+        key = (ch.table, tuple(probs), tuple(tainted))
+        out = self.kernel_memo.get(key)
+        if out is None:
+            out = self.kernel_memo[key] = channel_prob_pbv(ch, probs, tainted)
+        return out
 
     def run(self, deps: DependencyGraph):
         cyclic = {r for scc in deps.cycles for r in scc}
@@ -193,7 +209,7 @@ class _Propagator:
             for ch in chans:
                 probs, tainted = self._probs(ch), self._taints(ch)
                 self.chan_tainted[ch.cid] = any(tainted)
-                self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = channel_prob_pbv(
+                self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = self._kernel(
                     ch, probs, tainted)
                 self.chan_leak[ch.cid] = self._leak(ch)
             for reg in regs:
@@ -260,7 +276,7 @@ class _Propagator:
             self.reg_tainted.update(dict.fromkeys(rising, True))
         for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:
-                self.chan_prob[ch.cid] = channel_prob_pbv(
+                self.chan_prob[ch.cid] = self._kernel(
                     ch, self._probs(ch), [False] * len(ch.inputs))[0]
             delta = 0.0
             for reg, cid in zip(regs, roots):
@@ -269,7 +285,7 @@ class _Propagator:
             if delta < PROB_TOL:
                 break
         for ch in chans:
-            self.chan_pbv[ch.cid] = channel_prob_pbv(ch, self._probs(ch), self._taints(ch))[1]
+            self.chan_pbv[ch.cid] = self._kernel(ch, self._probs(ch), self._taints(ch))[1]
         for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:
                 self.chan_leak[ch.cid] = self._leak(ch)

@@ -1,5 +1,6 @@
 """Bit-blasting, bind trees, and the dependency graph."""
 
+import hashlib
 import itertools
 import random
 
@@ -20,6 +21,7 @@ from qflow.bitgraph import (
 )
 from qflow.errors import CombinationalLoop
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
+from qflow.pipeline import Config, analyze
 
 
 def design_of(src, top):
@@ -241,6 +243,35 @@ def test_eval_node_lanes_match_scalar():
             assert (packed >> lane) & 1 == scalar, (node, lane)
 
 
+def test_bitref_value_semantics():
+    ref = BitRef("k", 3, "input-high", 7)
+    assert repr(ref) == "BitRef(net='k', bit=3, role='input-high', secret_id=7)"
+    assert repr(BitRef("q", 0, "register")) == (
+        "BitRef(net='q', bit=0, role='register', secret_id=None)")
+    assert str(ref) == "k[3]"
+    twin = BitRef("k", 3, "input-high", 7)
+    assert twin == ref and hash(twin) == hash(ref)
+    assert {ref: 1}[twin] == 1
+    for other in (BitRef("k", 3, "input-low", 7), BitRef("k", 3, "input-high"),
+                  BitRef("k", 2, "input-high", 7), BitRef("kk", 3, "input-high", 7)):
+        assert other != ref
+    # channel inputs mix BitRefs and int channel ids in one dict
+    for cid in (0, 3, 7, hash(ref)):
+        assert ref != cid and cid != ref
+    assert len({ref: "bit", hash(ref): "channel"}) == 2
+
+
+def test_lane_masks_formula_and_cache():
+    for n in range(17):
+        masks = lane_masks(n)
+        assert isinstance(masks, tuple) and len(masks) == n
+        assert lane_masks(n) is masks
+        for i, mask in enumerate(masks):
+            # bit j is set iff bit i of j is
+            digits = "".join("1" if (j >> i) & 1 else "0" for j in reversed(range(1 << n)))
+            assert mask == int(digits, 2), (n, i)
+
+
 def test_leaves_visit_shared_nodes_once():
     ref = BitRef("q", 0, "register")
     node = Node("leaf", ref=ref)
@@ -276,6 +307,34 @@ endmodule
     assert len(regs) == 1
     deps = compute_dependencies(forest)
     assert deps.cycles  # self-loop across the sequential cut
+
+
+def test_dependency_order_in_a_cycle():
+    src = """module m(input clk, High input k, input a, output y);
+reg [2:0] s;
+reg t;
+always @(posedge clk) begin
+s <= {s[1] ^ t, s[0] ^ s[2], s[2] ^ k};
+t <= s[0] & s[1] & a;
+end
+assign y = t;
+endmodule
+"""
+    # s[1], s[2] and t[0] each read two registers: successors go in str order
+    deps = compute_dependencies(forest_of(src, "m"))
+    assert [[str(v) for v in scc] for scc in deps.order] == [
+        ["t[0]", "s[1]", "s[2]", "s[0]"], ["y[0]"]]
+
+
+@pytest.mark.parametrize("files,top,digest", [
+    (("toy_spn.v",), "toy_spn",
+     "f14fa7ecd53a962e53ec1688cfd93a120d7037f94bc79e10016815816014e0f3"),
+    (("aes_t2300.v", "aes_t2300_top.v"), "top",
+     "ffa052b210755536e17c0b45087635d48594b7c212ed12b7023623c0fcd2202b"),
+])
+def test_dependency_order_pinned(files, top, digest):
+    a = analyze(Config(files=[corpus.path(f) for f in files], top=top))
+    assert hashlib.sha256(repr(a.deps.order).encode()).hexdigest() == digest
 
 
 def test_t2100_register_chain_dependencies():

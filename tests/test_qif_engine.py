@@ -6,13 +6,15 @@ import random
 
 import pytest
 
-from qflow import corpus
+from qflow import corpus, qif_engine
 from qflow.bitgraph import BitRef, DependencyGraph, bit_blast
 from qflow.channelizer import Channel, merge
 from qflow.errors import NonConvergentFixpoint
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
+from qflow.pipeline import Config, analyze
 from qflow.qif_engine import (
     LEAK_TOL,
+    PROB_TOL,
     accumulate_totals,
     channel_prob_pbv,
     propagate,
@@ -378,3 +380,61 @@ assign y = h;
 endmodule
 """, "m", p_high=1.0)
     assert a.totals[0] == 0.0
+
+
+# -- the per-propagation kernel memo ----------------------------------------
+
+def assert_kernel_memo_transparent(a, p_high):
+    """Each channel's P(1) and PBV equal, by repr, a fresh kernel call on
+    the annotated values of its inputs."""
+    an, graph = a.annotated, a.graph
+    input_probs = ({(n, b): p_high for n, b, _ in a.design.high_bits()}
+                   if p_high is not None else {})
+    cyclic = {r for scc in a.deps.cycles for r in scc}
+    for ch in graph.channels:
+        probs = [an.chan_prob[ci] if isinstance(ci, int)
+                 else an.reg_prob.get(ci, 0.5) if ci.role == "register"
+                 else input_probs.get((ci.net, ci.bit), 0.5) for ci in ch.inputs]
+        tainted = [an.chan_tainted[ci] if isinstance(ci, int)
+                   else an.chan_tainted[graph.root_channel[ci]] if ci.role == "register"
+                   else ci.role == "input-high" for ci in ch.inputs]
+        p1, pbv = channel_prob_pbv(ch, probs, tainted)
+        assert repr(pbv) == repr(an.chan_pbv[ch.cid]), ch
+        if ch.root in cyclic:
+            # the probability fixpoint's last sweep read the sweep before it
+            assert abs(p1 - an.chan_prob[ch.cid]) < PROB_TOL, ch
+        else:
+            assert repr(p1) == repr(an.chan_prob[ch.cid]), ch
+
+
+CORPUS_DESIGNS = (
+    (("example.v",), "example", ()),
+    (("toy_spn.v",), "toy_spn", ()),
+    (("aes_t2100.v",), "TSC", ("key",)),
+    (("aes_t2200.v",), "TSC", ("key",)),
+    (("aes_t2300.v", "aes_t2300_top.v"), "top", ()),
+)
+
+
+@pytest.mark.parametrize("bound", range(1, 7))
+def test_kernel_memo_transparent_on_corpus(bound):
+    for files, top, highs in CORPUS_DESIGNS:
+        for p_high in (None, 0.9):
+            a = analyze(Config(files=[corpus.path(f) for f in files], top=top,
+                               high_overrides=highs, max_channel_inputs=bound,
+                               p_high=p_high))
+            assert_kernel_memo_transparent(a, p_high)
+
+
+@pytest.mark.parametrize("design,p_high,bound", [
+    key for key in sorted(CYCLE_TOTALS, key=str)
+    if CYCLE_TOTALS[key] is not NonConvergentFixpoint])
+def test_kernel_memo_transparent_on_cycles(design, p_high, bound, monkeypatch):
+    a = analyze_source(CYCLE_DESIGNS[design], "m", p_high=p_high, max_channel_inputs=bound)
+    assert_kernel_memo_transparent(a, p_high)
+    # without the memo, every float is the same, cycles included
+    monkeypatch.setattr(qif_engine._Propagator, "_kernel",
+                        lambda _self, ch, probs, tainted: channel_prob_pbv(ch, probs, tainted))
+    b = analyze_source(CYCLE_DESIGNS[design], "m", p_high=p_high, max_channel_inputs=bound)
+    for field_name in ("chan_prob", "chan_pbv", "chan_leak", "reg_prob", "reg_leak"):
+        assert repr(getattr(b.annotated, field_name)) == repr(getattr(a.annotated, field_name))

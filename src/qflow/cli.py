@@ -7,7 +7,7 @@ import sys
 
 from .bitgraph import dump_forest
 from .channelizer import dump_channels
-from .errors import QFlowError
+from .errors import DesignTooDeep, QFlowError
 from .oracle import differential_run
 from .pipeline import Config, analyze, render_report
 from .report import DEFAULT_DETECT, DEFAULT_WARN, Thresholds, calibrate_thresholds
@@ -82,10 +82,13 @@ def _config_from(args, thresholds=None) -> Config:
 
 
 def _maybe_dump(args, analysis):
-    if args.dump_trees:
-        sys.stderr.write(dump_forest(analysis.forest))
-    if args.dump_channels:
-        sys.stderr.write(dump_channels(analysis.graph))
+    try:
+        if args.dump_trees:
+            sys.stderr.write(dump_forest(analysis.forest))
+        if args.dump_channels:
+            sys.stderr.write(dump_channels(analysis.graph))
+    except RecursionError as e:
+        raise DesignTooDeep() from e
 
 
 def cmd_analyze(args) -> int:

@@ -92,3 +92,11 @@ class TooLarge(QFlowError):
         super().__init__(f"exhaustive enumeration over {bits} bits exceeds limit {limit}")
         self.bits = bits
         self.limit = limit
+
+
+class DesignTooDeep(QFlowError):
+    """A design nested deeper than the recursive tree walkers can follow."""
+
+    def __init__(self):
+        super().__init__("design is nested too deeply to analyse "
+                         "(Python's recursion limit was reached)")

@@ -92,12 +92,6 @@ class If(Stmt):
 
 
 @dataclass
-class Case(Stmt):
-    subject: Expr
-    items: list  # (tuple-of-exprs | None for default, Stmt)
-
-
-@dataclass
 class ProcAssign(Stmt):
     target: Expr  # Ident / Select / PartSelect
     rhs: Expr
@@ -132,7 +126,6 @@ class NetDecl:
 class ParamDecl:
     name: str
     value: Expr
-    local: bool = False
 
 
 @dataclass

@@ -118,7 +118,7 @@ class _Elaborator:
     # -- helpers -----------------------------------------------------------
     def _range_width(self, msb, lsb, env, where):
         if msb is None:
-            return 1, 0
+            return 1
         try:
             m = const_eval(msb, env)
             l = const_eval(lsb, env)
@@ -126,45 +126,59 @@ class _Elaborator:
             raise NonConstantGenerateBound(where) from e
         if l != 0:
             raise UnsupportedConstruct(f"non-zero range base [{m}:{l}]", where)
-        return m - l + 1, l
+        return m + 1
 
-    def resolve(self, expr, env, scope):
-        """Substitute parameters/genvars with constants, flatten net names."""
+    def resolve(self, expr, env, scope, benv=None):
+        """Substitute parameters/genvars with constants, flatten net names.
+
+        In a procedural block, ``benv`` maps each blocking-assigned net to
+        its per-bit expressions, and a read of such a net becomes its
+        current value. A bit-select reads one bit's expression when its
+        index is constant; part-select bounds and replication counts never
+        read ``benv``.
+        """
         if isinstance(expr, A.Num):
             return expr
         if isinstance(expr, A.Ident):
             if expr.name in env:
                 return A.Num(env[expr.name])
-            return A.Ident(scope.flat(expr.name))
+            name = scope.flat(expr.name)
+            return self._rebuild(name, benv) if benv and name in benv else A.Ident(name)
         if isinstance(expr, A.Select):
-            base = expr.base
-            if isinstance(base, str):
-                if base in env:  # parameter indexed as value: unsupported
-                    raise UnsupportedConstruct(f"bit-select of parameter {base}")
-                base = scope.flat(base)
-            else:
-                base = self.resolve(base, env, scope)
-            idx = self.resolve(expr.index, env, scope)
-            return A.Select(base, idx)
+            if expr.base in env:  # parameter indexed as value: unsupported
+                raise UnsupportedConstruct(f"bit-select of parameter {expr.base}")
+            base = scope.flat(expr.base)
+            if benv and base in benv:
+                try:
+                    idx = const_eval(expr.index, env)
+                except ValueError:
+                    return A.Select(self._rebuild(base, benv),
+                                    self.resolve(expr.index, env, scope, benv))
+                bits = benv[base]
+                if 0 <= idx < len(bits) and bits[idx] is not None:
+                    return bits[idx]
+                return A.Select(base, A.Num(idx))
+            return A.Select(base, self.resolve(expr.index, env, scope, benv))
         if isinstance(expr, A.PartSelect):
-            base = expr.base
-            base = scope.flat(base) if isinstance(base, str) else self.resolve(base, env, scope)
+            base = scope.flat(expr.base)
+            if benv and base in benv:
+                base = self._rebuild(base, benv)
             return A.PartSelect(base, self.resolve(expr.msb, env, scope),
                                 self.resolve(expr.lsb, env, scope))
         if isinstance(expr, A.Unary):
-            return A.Unary(expr.op, self.resolve(expr.operand, env, scope))
+            return A.Unary(expr.op, self.resolve(expr.operand, env, scope, benv))
         if isinstance(expr, A.Binary):
-            return A.Binary(expr.op, self.resolve(expr.left, env, scope),
-                            self.resolve(expr.right, env, scope))
+            return A.Binary(expr.op, self.resolve(expr.left, env, scope, benv),
+                            self.resolve(expr.right, env, scope, benv))
         if isinstance(expr, A.Ternary):
-            return A.Ternary(self.resolve(expr.cond, env, scope),
-                             self.resolve(expr.then, env, scope),
-                             self.resolve(expr.other, env, scope))
+            return A.Ternary(self.resolve(expr.cond, env, scope, benv),
+                             self.resolve(expr.then, env, scope, benv),
+                             self.resolve(expr.other, env, scope, benv))
         if isinstance(expr, A.Concat):
-            return A.Concat(tuple(self.resolve(p, env, scope) for p in expr.parts))
+            return A.Concat(tuple(self.resolve(p, env, scope, benv) for p in expr.parts))
         if isinstance(expr, A.Repl):
             return A.Repl(self.resolve(expr.count, env, scope),
-                          self.resolve(expr.value, env, scope))
+                          self.resolve(expr.value, env, scope, benv))
         raise UnsupportedConstruct(f"expression {type(expr).__name__}")
 
     def net_width(self, name):
@@ -192,20 +206,15 @@ class _Elaborator:
     def instantiate(self, mod, prefix, param_overrides, stack):
         env = {}
         for name, p in mod.params.items():
-            if name in param_overrides:
-                env[name] = param_overrides[name]
-            else:
-                try:
-                    env[name] = const_eval(p.value, env)
-                except ValueError as e:
-                    raise NonConstantGenerateBound(f"parameter {name}") from e
+            env[name] = (param_overrides[name] if name in param_overrides
+                         else self._param_value(p, env))
 
         # declare ports, then internal nets
         for pname in mod.port_order:
             if pname not in mod.ports:
                 raise UnknownSignal(f"port {pname} of module {mod.name} has no direction")
             p = mod.ports[pname]
-            w, _ = self._range_width(p.msb, p.lsb, env, f"{mod.name}.{pname}")
+            w = self._range_width(p.msb, p.lsb, env, f"{mod.name}.{pname}")
             kind = p.direction if prefix == "" else "wire"
             self.nets[prefix + pname] = FlatNet(prefix + pname, w, kind)
         deferred = []
@@ -213,18 +222,28 @@ class _Elaborator:
         for item, ienv, scope in deferred:
             self._elab_item(item, ienv, scope, stack)
 
+    @staticmethod
+    def _param_value(param, env):
+        try:
+            return const_eval(param.value, env)
+        except ValueError as e:
+            raise NonConstantGenerateBound(f"parameter {param.name}") from e
+
     def _declare_items(self, items, env, scope, deferred):
         """First pass: declare nets so widths are known before lowering.
 
         Each generate-loop iteration is its own scope: the nets and
-        instances its body declares get the iteration's prefix, and every
-        other name still resolves to the enclosing scope.
+        instances its body declares get the iteration's prefix, its
+        parameters go into the iteration's ``env`` for the items after
+        them, and every other name still resolves to the enclosing scope.
         """
         loops = 0
         for item in items:
-            if isinstance(item, A.NetDecl):
+            if isinstance(item, A.ParamDecl):
+                env[item.name] = self._param_value(item, env)
+            elif isinstance(item, A.NetDecl):
                 flat = scope.flat(item.name)
-                w, _ = self._range_width(item.msb, item.lsb, env, flat)
+                w = self._range_width(item.msb, item.lsb, env, flat)
                 if flat in self.nets:
                     # port re-declared as reg: keep the port kind
                     if self.nets[flat].width != w:
@@ -355,42 +374,6 @@ class _Elaborator:
                 if e is not None:
                     self.assigns.append(FlatAssign(net, i, i, e, sequential=seq, clock=clock))
 
-    def _subst(self, expr, benv):
-        """Replace reads of blocking-assigned nets by their current expression."""
-        if isinstance(expr, A.Ident):
-            if expr.name in benv:
-                return self._rebuild(expr.name, benv)
-            return expr
-        if isinstance(expr, A.Select):
-            if isinstance(expr.base, str) and expr.base in benv:
-                bits = benv[expr.base]
-                try:
-                    idx = const_eval(expr.index, {})
-                except ValueError:
-                    return A.Select(self._rebuild(expr.base, benv), self._subst(expr.index, benv))
-                if 0 <= idx < len(bits) and bits[idx] is not None:
-                    return bits[idx]
-                return A.Select(expr.base, A.Num(idx))
-            base = expr.base if isinstance(expr.base, str) else self._subst(expr.base, benv)
-            return A.Select(base, self._subst(expr.index, benv))
-        if isinstance(expr, A.PartSelect):
-            if isinstance(expr.base, str) and expr.base in benv:
-                return A.PartSelect(self._rebuild(expr.base, benv), expr.msb, expr.lsb)
-            base = expr.base if isinstance(expr.base, str) else self._subst(expr.base, benv)
-            return A.PartSelect(base, expr.msb, expr.lsb)
-        if isinstance(expr, A.Unary):
-            return A.Unary(expr.op, self._subst(expr.operand, benv))
-        if isinstance(expr, A.Binary):
-            return A.Binary(expr.op, self._subst(expr.left, benv), self._subst(expr.right, benv))
-        if isinstance(expr, A.Ternary):
-            return A.Ternary(self._subst(expr.cond, benv), self._subst(expr.then, benv),
-                             self._subst(expr.other, benv))
-        if isinstance(expr, A.Concat):
-            return A.Concat(tuple(self._subst(p, benv) for p in expr.parts))
-        if isinstance(expr, A.Repl):
-            return A.Repl(expr.count, self._subst(expr.value, benv))
-        return expr
-
     def _rebuild(self, net, benv):
         """Current value of a net as an expression (MSB-first concat)."""
         bits = benv[net]
@@ -407,7 +390,7 @@ class _Elaborator:
                 self._exec(s, env, scope, benv, nenv)
         elif isinstance(stmt, A.ProcAssign):
             target = self.resolve(stmt.target, env, scope)
-            rhs = self._subst(self.resolve(stmt.rhs, env, scope), benv)
+            rhs = self.resolve(stmt.rhs, env, scope, benv)
             net, msb, lsb = self.target_bits(target)
             if net not in self.nets:
                 raise UnknownSignal(net)
@@ -417,7 +400,7 @@ class _Elaborator:
             for k in range(width):
                 bits[lsb + k] = rhs if width == 1 else A.Select(rhs, A.Num(k))
         elif isinstance(stmt, A.If):
-            cond = self._subst(self.resolve(stmt.cond, env, scope), benv)
+            cond = self.resolve(stmt.cond, env, scope, benv)
             b1 = {n: list(v) for n, v in benv.items()}
             n1 = {n: list(v) for n, v in nenv.items()}
             self._exec(stmt.then, env, scope, b1, n1)
@@ -427,28 +410,8 @@ class _Elaborator:
                 self._exec(stmt.other, env, scope, b2, n2)
             self._merge(cond, benv, b1, b2)
             self._merge(cond, nenv, n1, n2)
-        elif isinstance(stmt, A.Case):
-            self._exec(self._desugar_case(stmt), env, scope, benv, nenv)
         else:
             raise UnsupportedConstruct(type(stmt).__name__)
-
-    @staticmethod
-    def _desugar_case(case):
-        default = None
-        arms = []
-        for labels, body in case.items:
-            if labels is None:
-                default = body
-            else:
-                arms.append((labels, body))
-        node = default if default is not None else A.Block([])
-        for labels, body in reversed(arms):
-            cond = None
-            for lab in labels:
-                eq = A.Binary("==", case.subject, lab)
-                cond = eq if cond is None else A.Binary("||", cond, eq)
-            node = A.If(cond, body, node)
-        return node
 
     def _merge(self, cond, dest, e1, e2):
         for net in set(e1) | set(e2):
@@ -470,8 +433,12 @@ class _Elaborator:
                 out[i] = a if a is b else A.Ternary(cond, a, b)
 
 
-def elaborate(ast: A.Ast, top: str, labels=None) -> ElaboratedDesign:
-    """Flatten the design rooted at ``top`` into bit-range assignments."""
+def elaborate(ast: A.Ast, top: str, labels: dict) -> ElaboratedDesign:
+    """Flatten the design rooted at ``top`` into bit-range assignments.
+
+    ``labels`` maps each input net of ``top`` to 'high' or 'low', as
+    ``extract_labels`` gives them.
+    """
     if top not in ast.modules:
         raise UnknownSignal(f"module {top}")
     elab = _Elaborator(ast)
@@ -489,10 +456,5 @@ def elaborate(ast: A.Ast, top: str, labels=None) -> ElaboratedDesign:
                 raise MultipleDrivers(a.target, b)
             seen[(a.target, b)] = a
 
-    design = ElaboratedDesign(top=top, nets=elab.nets, assigns=elab.assigns)
-    if labels is None:
-        mod = ast.modules[top]
-        labels = {n: ("high" if p.high else "low")
-                  for n, p in mod.ports.items() if p.direction == "input"}
-    design.labels = dict(labels)
-    return design
+    return ElaboratedDesign(top=top, nets=elab.nets, assigns=elab.assigns,
+                            labels=dict(labels))

@@ -14,6 +14,7 @@ from . import ast_nodes as A
 from .lexer import tokenize
 
 _QFLOW_ATTR = "qflow_high"
+_DIRECTIONS = ("input", "output", "inout")
 
 _REJECTED_ITEMS = {
     "casex": "casex statement",
@@ -82,19 +83,15 @@ class _Parser:
         mod = A.ModuleDecl(name=name, port_order=[])
         if self.accept("#"):
             self.expect("(")
-            while not self.at(")"):
-                self.expect("kw", "parameter")
-                pname = self.expect("id").text
-                self.expect("=")
-                mod.params[pname] = A.ParamDecl(pname, self.expression())
-                self.accept(",")
+            if not self.at(")"):
+                mod.params.update((p.name, p) for p in self.param_decl())
             self.expect(")")
         if self.accept("("):
             self.port_list(mod)
             self.expect(")")
         self.expect(";")
         while not self.at("kw", "endmodule"):
-            self.module_item(mod)
+            self.module_item(mod, mod.items)
         self.expect("kw", "endmodule")
         return mod
 
@@ -114,39 +111,45 @@ class _Parser:
         if self.at(")"):
             return
         first = self.peek()
-        ansi = first.kind == "attr" or first.text in ("input", "output", "inout", "High")
+        ansi = first.kind == "attr" or first.text in (*_DIRECTIONS, "High")
         if not ansi:
             while True:
                 mod.port_order.append(self.expect("id").text)
                 if not self.accept(","):
                     return
-        direction = None
-        msb = lsb = None
-        high = False
+        high = self._port_marks()
+        while high is not None:
+            high = self.port_decl(mod, high)
+
+    def port_decl(self, mod, high):
+        """``input|output [wire|reg] [range] a, b`` up to, not including, its end.
+
+        ``high`` holds the marks read before the direction. A mark after a
+        comma marks that name and the names after it. Returns the marks
+        read after a comma when a new direction follows them, as in an
+        ANSI port list, else None.
+        """
+        tok = self.next()
+        if tok.text == "inout":
+            self.reject(tok)
+        if tok.text not in ("input", "output"):
+            self.err("expected port direction", tok)
+        direction = tok.text
+        self.accept("kw", "wire") or self.accept("kw", "reg")
+        msb, lsb = self.range_spec() if self.at("[") else (None, None)
         while True:
-            marked = self._port_marks()
-            if self.at("kw") and self.peek().text in ("input", "output", "inout"):
-                tok = self.next()
-                if tok.text == "inout":
-                    self.reject(tok)
-                direction = tok.text
-                high = marked
-                self.accept("kw", "wire") or self.accept("kw", "reg")
-                msb = lsb = None
-                if self.at("["):
-                    msb, lsb = self.range_spec()
-            elif direction is None:
-                self.err("expected port direction")
-            else:
-                high = high or marked
             nt = self.expect("id")
-            decl_high = high or (nt.line in self.high_lines)
-            mod.port_order.append(nt.text)
+            if nt.text not in mod.port_order:
+                mod.port_order.append(nt.text)
+            decl_high = (high or nt.line in self.high_lines) and direction == "input"
             mod.ports[nt.text] = A.PortDecl(direction, msb, lsb, nt.text,
-                                            high=decl_high and direction == "input",
-                                            line=nt.line)
+                                            high=decl_high, line=nt.line)
             if not self.accept(","):
-                return
+                return None
+            marked = self._port_marks()
+            if self.peek().text in _DIRECTIONS:
+                return marked
+            high = high or marked
 
     def range_spec(self):
         self.expect("[")
@@ -157,28 +160,36 @@ class _Parser:
         return msb, lsb
 
     # -- module items ------------------------------------------------------
-    def module_item(self, mod, in_generate=False):
+    def module_item(self, mod, items):
+        """Parse one item into ``items``; ``mod`` is None in a generate body."""
         high = self._port_marks()
         tok = self.peek()
         if tok.kind == "kw":
             kw = tok.text
             if kw in ("input", "output"):
-                self.direction_decl(mod, high)
-            elif kw == "inout":
-                self.reject(tok)
+                if mod is None:
+                    raise UnsupportedConstruct("port declaration in a generate body",
+                                               f"{self.path}:{tok.line}")
+                self.port_decl(mod, high)
+                self.expect(";")
             elif kw in ("wire", "reg"):
-                self.net_decl(mod)
+                self.net_decl(items)
             elif kw in ("parameter", "localparam"):
-                self.param_decl(mod, local=kw == "localparam")
+                params = self.param_decl()
+                self.expect(";")
+                if mod is None:
+                    items.extend(params)
+                else:
+                    mod.params.update((p.name, p) for p in params)
             elif kw == "assign":
                 self.next()
                 target = self.expression()
                 self.expect("=")
                 rhs = self.expression()
                 self.expect(";")
-                mod.items.append(A.ContAssign(target, rhs, line=tok.line))
+                items.append(A.ContAssign(target, rhs, line=tok.line))
             elif kw == "always":
-                mod.items.append(self.always_block())
+                items.append(self.always_block())
             elif kw == "genvar":
                 self.next()
                 self.expect("id")
@@ -188,62 +199,50 @@ class _Parser:
             elif kw == "generate":
                 self.next()
                 while not self.at("kw", "endgenerate"):
-                    self.module_item(mod, in_generate=True)
+                    self.module_item(mod, items)
                 self.expect("kw", "endgenerate")
             elif kw == "for":
-                mod.items.append(self.generate_for())
+                items.append(self.generate_for())
             elif kw in _REJECTED_ITEMS:
                 self.reject(tok)
             else:
                 self.err(f"unexpected keyword {kw!r}")
         elif tok.kind == "id":
-            mod.items.append(self.instance())
+            items.append(self.instance())
         else:
             self.err(f"unexpected token {tok.text!r}")
 
-    def direction_decl(self, mod, high=False):
-        tok = self.next()
-        direction = tok.text
-        self.accept("kw", "wire") or self.accept("kw", "reg")
-        msb = lsb = None
-        if self.at("["):
-            msb, lsb = self.range_spec()
-        while True:
-            nt = self.expect("id")
-            decl_high = (high or nt.line in self.high_lines) and direction == "input"
-            if nt.text not in mod.port_order:
-                mod.port_order.append(nt.text)
-            mod.ports[nt.text] = A.PortDecl(direction, msb, lsb, nt.text,
-                                            high=decl_high, line=nt.line)
-            if not self.accept(","):
-                break
-        self.expect(";")
-
-    def net_decl(self, mod):
-        tok = self.next()
-        kind = tok.text
-        msb = lsb = None
-        if self.at("["):
-            msb, lsb = self.range_spec()
+    def net_decl(self, items):
+        kind = self.next().text
+        msb, lsb = self.range_spec() if self.at("[") else (None, None)
         while True:
             nt = self.expect("id")
             init = self.expression() if self.accept("=") else None
-            mod.items.append(A.NetDecl(kind, msb, lsb, nt.text, init, line=nt.line))
+            items.append(A.NetDecl(kind, msb, lsb, nt.text, init, line=nt.line))
             if not self.accept(","):
                 break
         self.expect(";")
 
-    def param_decl(self, mod, local):
-        self.next()
-        if self.at("["):
-            self.range_spec()
+    def param_decl(self):
+        """``parameter|localparam [range] A = 1, B = 2`` up to, not including, its end.
+
+        After a comma, ``parameter`` starts a new group with its own range,
+        as a ``#(...)`` header allows.
+        """
+        params = []
+        group = True
         while True:
+            if group:
+                if not self.accept("kw", "localparam"):
+                    self.expect("kw", "parameter")
+                if self.at("["):
+                    self.range_spec()
             name = self.expect("id").text
             self.expect("=")
-            mod.params[name] = A.ParamDecl(name, self.expression(), local=local)
+            params.append(A.ParamDecl(name, self.expression()))
             if not self.accept(","):
-                break
-        self.expect(";")
+                return params
+            group = self.at("kw", "parameter") or self.at("kw", "localparam")
 
     def always_block(self):
         tok = self.expect("kw", "always")
@@ -283,16 +282,14 @@ class _Parser:
         step = self.expression()
         self.expect(")")
         gen = A.GenerateFor(genvar, init, cond, step, [], line=tok.line)
-        sub = A.ModuleDecl(name="<generate>", port_order=[])
         if self.accept("kw", "begin"):
             if self.accept(":"):
                 gen.label = self.expect("id").text
             while not self.at("kw", "end"):
-                self.module_item(sub, in_generate=True)
+                self.module_item(None, gen.items)
             self.expect("kw", "end")
         else:
-            self.module_item(sub, in_generate=True)
-        gen.items = sub.items
+            self.module_item(None, gen.items)
         return gen
 
     def instance(self):
@@ -363,21 +360,28 @@ class _Parser:
         return A.ProcAssign(target, rhs, blocking, line=tok.line)
 
     def case_stmt(self):
+        """A ``case`` as the ``if`` chain it means: arms in order, then ``default``."""
         self.expect("kw", "case")
         self.expect("(")
         subject = self.expression()
         self.expect(")")
-        items = []
+        arms, default = [], A.Block([])
         while not self.at("kw", "endcase"):
             if self.accept("kw", "default"):
                 self.accept(":")
-                items.append((None, self.statement()))
+                default = self.statement()
             else:
                 labels = self.expressions()
                 self.expect(":")
-                items.append((tuple(labels), self.statement()))
+                arms.append((labels, self.statement()))
         self.expect("kw", "endcase")
-        return A.Case(subject, items)
+        node = default
+        for labels, body in reversed(arms):
+            cond = A.Binary("==", subject, labels[0])
+            for lab in labels[1:]:
+                cond = A.Binary("||", cond, A.Binary("==", subject, lab))
+            node = A.If(cond, body, node)
+        return node
 
     def lvalue(self):
         name = self.expect("id").text

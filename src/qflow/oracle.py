@@ -278,20 +278,23 @@ class DiffRecord:
         return self.exact_bits <= self.qmodel_bits + 1e-9
 
 
-def differential_run(seed, count, max_bits=12, max_channel_inputs=2, cap=False):
-    """Compare exact leakage with the approximate total on random circuits.
+# Bound 2 is where the estimate's read-once domination claim holds.  The
+# cap is off: the comparison is against the design's joint exact leakage,
+# which a per-secret-bit cap would understate.
+DIFF_MAX_CHANNEL_INPUTS = 2
+DIFF_CAP = False
 
-    The cap is off by default: the comparison is against the design's
-    joint exact leakage, which a per-secret-bit cap would understate.
-    """
+
+def differential_run(seed, count, max_bits=12):
+    """Compare exact leakage with the approximate total on random circuits."""
     rng = random.Random(seed)
     records = []
     for i in range(count):
         forest, design = random_forest(rng, max_bits)
         deps = compute_dependencies(forest)
-        graph = merge(forest, max_channel_inputs)
+        graph = merge(forest, DIFF_MAX_CHANNEL_INPUTS)
         annotated = propagate(graph, design, {}, deps)
-        totals = accumulate_totals(annotated, design, cap=cap)
+        totals = accumulate_totals(annotated, design, cap=DIFF_CAP)
         qmodel = sum(totals.values())
         f = flatten_forest(forest, design)
         _ratio, exact = exact_multiplicative_leakage(f)

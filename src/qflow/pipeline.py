@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .bitgraph import bit_blast, compute_dependencies
 from .channelizer import MAX_TABLE_INPUTS, merge
-from .errors import UnknownSignal
+from .errors import DesignTooDeep, UnknownSignal
 from .frontend import SourceUnit, elaborate, extract_labels, parse
 from .qif_engine import accumulate_totals, output_contributions, propagate
 from .report import Report, Thresholds, classify, render
@@ -95,20 +95,27 @@ def load_sources(paths):
 
 
 def analyze(config: Config, file_texts=None) -> Analysis:
-    """Run the full pipeline; ``file_texts`` bypasses the filesystem."""
+    """Run the full pipeline; ``file_texts`` bypasses the filesystem.
+
+    Raises ``DesignTooDeep`` where a stage's recursion outgrows the
+    interpreter's stack.
+    """
     start = time.monotonic()
     files = file_texts if file_texts is not None else load_sources(config.files)
-    ast = parse(SourceUnit(files, config.top))
-    labels = extract_labels(ast, config.top,
-                            [(n, "high") for n in config.high_overrides])
-    design = elaborate(ast, config.top, labels)
-    forest = bit_blast(design)
-    deps = compute_dependencies(forest)
-    graph = merge(forest, config.max_channel_inputs)
-    input_probs = build_input_probs(design, config)
-    annotated = propagate(graph, design, input_probs, deps)
-    totals = accumulate_totals(annotated, design, cap=config.cap)
-    contributions = output_contributions(annotated, design)
+    try:
+        ast = parse(SourceUnit(files, config.top))
+        labels = extract_labels(ast, config.top,
+                                [(n, "high") for n in config.high_overrides])
+        design = elaborate(ast, config.top, labels)
+        forest = bit_blast(design)
+        deps = compute_dependencies(forest)
+        graph = merge(forest, config.max_channel_inputs)
+        input_probs = build_input_probs(design, config)
+        annotated = propagate(graph, design, input_probs, deps)
+        totals = accumulate_totals(annotated, design, cap=config.cap)
+        contributions = output_contributions(annotated, design)
+    except RecursionError as e:
+        raise DesignTooDeep() from e
     report = classify(
         totals, config.thresholds, annotated.secrets, contributions,
         design_meta={"top": config.top,

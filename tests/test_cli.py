@@ -2,12 +2,18 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import qflow
-from qflow import corpus
+from qflow import cli, corpus
 from qflow.cli import main
+from qflow.errors import DesignTooDeep
+from qflow.pipeline import Config, analyze
 
 IDENTITY = """module m(High input [1:0] h, output [1:0] y);
 assign y = h;
@@ -138,3 +144,49 @@ def test_main_callable_in_process(tmp_path, capsys):
 def test_public_names_resolve():
     missing = [name for name in qflow.__all__ if not hasattr(qflow, name)]
     assert not missing and len(set(qflow.__all__)) == len(qflow.__all__)
+
+
+def reconvergent_chain(stages, monkeypatch):
+    """The benchmark's reconvergent chain: each stage reads the last twice."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import families
+    return families.reconvergent_chain(random.Random(1), stages).files[0][1]
+
+
+def nested_parentheses(levels):
+    expr = "k[0]"
+    for i in range(1, levels + 1):
+        expr = f"({expr} ^ k[{i % 8}])"
+    return f"module m(High input [7:0] k, output y);\nassign y = {expr};\nendmodule\n"
+
+
+def long_xor(terms):
+    expr = " ^ ".join(f"k[{i}]" for i in range(terms))
+    return (f"module m(High input [{terms - 1}:0] k, output y);\n"
+            f"assign y = {expr};\nendmodule\n")
+
+
+# Each fails in a different recursive walker: bit-blasting, the parser,
+# and elaboration's ``resolve``.
+@pytest.mark.parametrize("top, make", [
+    ("chain", lambda mp: reconvergent_chain(600, mp)),
+    ("m", lambda _mp: nested_parentheses(250)),
+    ("m", lambda _mp: long_xor(1200)),
+], ids=["chain-600", "parentheses-250", "xor-1200"])
+def test_too_deep_design_is_an_error(tmp_path, capsys, monkeypatch, top, make):
+    src = write(tmp_path, "deep.v", make(monkeypatch))
+    assert main(["analyze", "--top", top, "--format", "json", src]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qflow: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    with pytest.raises(DesignTooDeep):
+        analyze(Config(files=[src], top=top))
+
+
+def test_too_deep_dump_is_an_error(tmp_path, capsys, monkeypatch):
+    def too_deep(_forest):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(cli, "dump_forest", too_deep)
+    src = write(tmp_path, "m.v", IDENTITY)
+    assert main(["analyze", "--top", "m", "--dump-trees", src]) == 3
+    assert capsys.readouterr().err.startswith("qflow: error: design is nested too deeply")

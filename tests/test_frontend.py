@@ -1,8 +1,11 @@
 """Lexing, parsing, label extraction, and elaboration."""
 
+import itertools
+
 import pytest
 
 from qflow import corpus
+from qflow.bitgraph import bit_blast, dump_forest, eval_node
 from qflow.errors import (
     LabelOnNonInput,
     MultipleDrivers,
@@ -392,19 +395,51 @@ endmodule
     assert isinstance(assigns[0].expr, A.Ternary)
 
 
+def next_values(src, net):
+    """A function from input (and register) values to ``net``'s value after
+    one evaluation, by walking the bit-blasted trees of ``net``."""
+    trees = [t for t in bit_blast(full(src, "m")) if t.root.net == net]
+
+    def value(**nets):
+        return sum(eval_node(t.node, {ref: nets[ref.net] >> ref.bit & 1 for ref in t.leaves()})
+                   << t.root.bit for t in trees)
+    return value
+
+
 def test_case_statement_lowering():
-    src = """module m(input [1:0] s, input a, input b, input c, output reg y);
+    # the first matching arm wins, and default applies only when no arm
+    # matches, wherever it is written
+    src = """module m(input [1:0] s, input [1:0] a, input [1:0] b, input [1:0] c,
+output reg [1:0] y);
 always @(*) begin
 case (s)
-2'd0: y = a;
-2'd1, 2'd2: y = b;
 default: y = c;
+2'd1: y = a;
+2'd0, 2'd1, 2'd2: y = b;
 endcase
 end
 endmodule
 """
-    d = full(src, "m")
-    assert any(a.target == "y" for a in d.assigns)
+    value = next_values(src, "y")
+    for s_, a, b, c in itertools.product(range(4), repeat=4):
+        want = a if s_ == 1 else b if s_ in (0, 2) else c
+        assert value(s=s_, a=a, b=b, c=c) == want, (s_, a, b, c)
+
+
+def test_clocked_case_without_default_keeps_value():
+    src = """module m(input clk, input [1:0] s, input [1:0] a, output reg [1:0] y);
+always @(posedge clk) begin
+case (s)
+2'd0: y <= a;
+2'd1, 2'd3: y <= a ^ y;
+endcase
+end
+endmodule
+"""
+    value = next_values(src, "y")
+    for s_, a, y in itertools.product(range(4), repeat=3):
+        want = a if s_ == 0 else a ^ y if s_ in (1, 3) else y
+        assert value(s=s_, a=a, y=y) == want, (s_, a, y)
 
 
 def test_blocking_assignment_forward_substitution():
@@ -435,3 +470,92 @@ endmodule
 
     walk(y.expr)
     assert "k" not in names  # substituted, not referenced
+
+
+# Reads of a blocking-assigned net through each kind of select, pinned
+# as ``dump_forest`` text: a dynamic index reads the whole current
+# value, a constant index one bit of it.
+PROC_HEAD = ("module m(input [1:0] i, input [2:0] a, // qflow: high\n"
+             "input [2:0] b, output reg [1:0] y);\nreg [2:0] t;\n"
+             "always @(*) begin\nt = a ^ b;\n")
+
+
+@pytest.mark.parametrize("body, dump", [
+    ("t[0] = a[1] & b[0];\ny[0] = t[i];\ny[1] = t[i + 1];\n",
+     "y[0] = (MUX i[1] (MUX i[0] 0 (XOR a[2] b[2])) (MUX i[0] (XOR a[1] b[1]) (AND a[1] b[0])))\n"
+     "y[1] = (MUX (XOR (XOR i[1] 0) (OR (AND i[0] 1) (AND 0 (XOR i[0] 1)))) "
+     "(MUX %0 0 (XOR a[2] b[2])) (MUX %0 (XOR a[1] b[1]) (AND a[1] b[0])))\n"
+     "  %0 = (XOR (XOR i[0] 1) 0)\n"),
+    ("t[1] = a[0] | b[2];\ny = {t[1] & t[2], t[0 + 1]};\n",
+     "y[0] = (OR a[0] b[2])\ny[1] = (AND (OR a[0] b[2]) (XOR a[2] b[2]))\n"),
+    ("t[2] = ~t[0];\ny = t[2:1];\n",
+     "y[0] = (XOR a[1] b[1])\ny[1] = (NOT (XOR a[0] b[0]))\n"),
+    ("t[0] = a[2];\ny = {2{t[0]}} ^ {2{t[2]}};\n",
+     "y[0] = (XOR a[2] (XOR a[2] b[2]))\ny[1] = (XOR a[2] (XOR a[2] b[2]))\n"),
+], ids=["dynamic-index", "constant-index", "part-select", "replication"])
+def test_blocking_reads_dump(body, dump):
+    src = PROC_HEAD + body + "end\nendmodule\n"
+    assert dump_forest(bit_blast(full(src, "m"))) == dump
+
+
+# -- one grammar for header and body declarations ---------------------------
+
+@pytest.mark.parametrize("header, body", [
+    ("#(parameter A = 1, B = 2)", "parameter A = 1, B = 2;"),
+    ("#(parameter [3:0] W = 4)", "parameter [3:0] W = 4;"),
+    ("#(parameter [3:0] W = 4, parameter V = 1)", "parameter [3:0] W = 4;\nparameter V = 1;"),
+])
+def test_header_parameters_match_body(header, body):
+    tail = "(input a, output y);\n{}\nassign y = a;\nendmodule\n"
+    in_header = parse_text(f"module m {header} " + tail.format("")).modules["m"]
+    in_body = parse_text("module m " + tail.format(body)).modules["m"]
+    assert in_header.params == in_body.params
+    assert in_header.params
+    analyze_source(f"module m {header} " + tail.format(""), "m")
+
+
+@pytest.mark.parametrize("mark, comment", [
+    ("High ", ""), ("(* qflow_high *) ", ""), ("", " // qflow: high")])
+def test_ansi_and_body_ports_match(mark, comment):
+    ansi = parse_text(f"""module m(
+{mark}input [3:0] k, c,{comment}
+input wire [1:0] a,
+output reg y);
+endmodule
+""").modules["m"]
+    body = parse_text(f"""module m(k, c, a, y);
+{mark}input [3:0] k, c;{comment}
+input wire [1:0] a;
+output reg y;
+endmodule
+""").modules["m"]
+
+    def shape(mod):
+        return [(n, p.direction, p.msb, p.lsb, p.high) for n, p in mod.ports.items()]
+    assert ansi.port_order == body.port_order == ["k", "c", "a", "y"]
+    assert shape(ansi) == shape(body)
+    assert [p.high for p in ansi.ports.values()] == [True, True, False, False]
+
+
+GENERATE_READ = """module m(input [3:0] k, // qflow: high
+input [4:0] a, output [3:0] o);
+genvar i;
+generate
+for (i = 0; i < 4; i = i + 1) begin : g
+  {decl}
+  assign o[i] = k[i] ^ a[{index}];
+end
+endgenerate
+endmodule
+"""
+
+
+def test_generate_localparam_is_per_iteration():
+    named = full(GENERATE_READ.format(decl="localparam J = i + 1;", index="J"), "m")
+    inline = full(GENERATE_READ.format(decl="", index="i + 1"), "m")
+    assert dump_forest(bit_blast(named)) == dump_forest(bit_blast(inline))
+
+
+def test_port_in_generate_body_rejected():
+    with pytest.raises(UnsupportedConstruct):
+        parse_text(GENERATE_READ.format(decl="input z;", index="i"))

@@ -37,7 +37,6 @@ class BitRef(NamedTuple):
     net: str
     bit: int
     role: str  # input-high | input-low | register | top-output
-    secret_id: int | None = None
 
     def __str__(self):
         return f"{self.net}[{self.bit}]"
@@ -119,7 +118,6 @@ class _Blaster:
                 self.driver[(a.target, b)] = a
                 if a.sequential:
                     self.seq_bits.add((a.target, b))
-        self.secret_id = {(n, b): sid for n, b, sid in design.high_bits()}
         self._net_memo = {}
         self._expr_memo = {}
         self._in_progress = []
@@ -130,11 +128,8 @@ class _Blaster:
         if (net, bit) in self.seq_bits:
             return Node("leaf", ref=BitRef(net, bit, "register"))
         if kind == "input":
-            label = self.design.labels.get(net, "low")
-            if label == "high":
-                return Node("leaf", ref=BitRef(net, bit, "input-high",
-                                               self.secret_id[(net, bit)]))
-            return Node("leaf", ref=BitRef(net, bit, "input-low"))
+            high = self.design.labels.get(net) == "high"
+            return Node("leaf", ref=BitRef(net, bit, "input-high" if high else "input-low"))
         return None  # combinational: must be inlined
 
     def net_bit(self, net, bit):
@@ -350,16 +345,13 @@ def bit_blast(design: ElaboratedDesign, expand_limit=DEFAULT_EXPAND_LIMIT):
     roots = []
     for (net, bit) in sorted(blaster.seq_bits):
         roots.append((BitRef(net, bit, "register"), blaster.driver[(net, bit)]))
-    for name, fn in sorted(design.nets.items()):
-        if fn.kind != "output":
-            continue
-        for bit in range(fn.width):
-            if (name, bit) in blaster.seq_bits:
-                continue  # already a register root
-            drv = blaster.driver.get((name, bit))
-            if drv is None:
-                raise UnassignedNet(name, bit)
-            roots.append((BitRef(name, bit, "top-output"), drv))
+    for name, bit in design.output_bits():
+        if (name, bit) in blaster.seq_bits:
+            continue  # already a register root
+        drv = blaster.driver.get((name, bit))
+        if drv is None:
+            raise UnassignedNet(name, bit)
+        roots.append((BitRef(name, bit, "top-output"), drv))
     forest = []
     for ref, drv in roots:
         bits = blaster.blast(drv.expr)

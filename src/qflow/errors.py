@@ -81,7 +81,7 @@ class ArityMismatch(QFlowError):
 class NonConvergentFixpoint(QFlowError):
     def __init__(self, registers):
         super().__init__(
-            "leakage fixpoint did not converge over registers: "
+            "sequential fixpoint did not converge over registers: "
             + ", ".join(str(r) for r in registers)
         )
         self.registers = registers

@@ -9,6 +9,7 @@ if/case control flow becomes ternary expressions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -61,6 +62,11 @@ class ElaboratedDesign:
                     sid += 1
         return out
 
+    def output_bits(self):
+        """Top-output bits, nets in name order, each LSB first: [(net, bit)]."""
+        return [(name, b) for name, net in sorted(self.nets.items())
+                if net.kind == "output" for b in range(net.width)]
+
 
 class _Scope(NamedTuple):
     """Where an item's names live.
@@ -82,6 +88,20 @@ class _Scope(NamedTuple):
 # --------------------------------------------------------------------------
 # Constant evaluation over parameter / genvar environments
 
+# Integer semantics of the operators a constant expression may use; only
+# the one an expression names is applied.
+_CONST_UNARY = {"-": operator.neg, "+": operator.pos, "~": operator.invert,
+                "!": operator.not_}
+_CONST_BINARY = {
+    "+": operator.add, "-": operator.sub, "&": operator.and_, "|": operator.or_,
+    "^": operator.xor, "~^": lambda a, b: ~(a ^ b),
+    "<<": operator.lshift, ">>": operator.rshift,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "&&": lambda a, b: bool(a) and bool(b), "||": lambda a, b: bool(a) or bool(b),
+}
+
+
 def const_eval(expr, env):
     if isinstance(expr, A.Num):
         return expr.value
@@ -91,19 +111,12 @@ def const_eval(expr, env):
         raise ValueError(f"not a constant: {expr.name}")
     if isinstance(expr, A.Unary):
         v = const_eval(expr.operand, env)
-        return {"-": -v, "+": v, "~": ~v, "!": int(v == 0)}[expr.op]
+        if expr.op not in _CONST_UNARY:  # a reduction's value depends on a width
+            raise UnsupportedConstruct(f"operator {expr.op} in a constant expression")
+        return int(_CONST_UNARY[expr.op](v))
     if isinstance(expr, A.Binary):
         a = const_eval(expr.left, env)
-        b = const_eval(expr.right, env)
-        ops = {
-            "+": a + b, "-": a - b, "&": a & b, "|": a | b, "^": a ^ b,
-            "<<": a << b, ">>": a >> b,
-            "==": int(a == b), "!=": int(a != b),
-            "<": int(a < b), "<=": int(a <= b),
-            ">": int(a > b), ">=": int(a >= b),
-            "&&": int(bool(a) and bool(b)), "||": int(bool(a) or bool(b)),
-        }
-        return ops[expr.op]
+        return int(_CONST_BINARY[expr.op](a, const_eval(expr.right, env)))
     if isinstance(expr, A.Ternary):
         return const_eval(expr.then if const_eval(expr.cond, env) else expr.other, env)
     raise ValueError(f"not a constant expression: {expr!r}")

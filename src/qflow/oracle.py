@@ -97,13 +97,9 @@ def flatten_forest(forest, design: ElaboratedDesign,
     for r in regs:
         next_state.setdefault((r.net, r.bit), None)
 
-    output_bits = []
-    for name, fn in sorted(design.nets.items()):
-        if fn.kind == "output":
-            output_bits.extend((name, b) for b in range(fn.width))
     comb = {(t.root.net, t.root.bit): t.node for t in forest
             if t.root.role == "top-output"}
-    return FlatFunction(highs, lows, output_bits, regs, next_state, comb,
+    return FlatFunction(highs, lows, design.output_bits(), regs, next_state, comb,
                         cycles if next_state else 1)
 
 
@@ -255,7 +251,7 @@ def random_forest(rng: random.Random, max_bits=12):
     """
     n_high = rng.randint(1, min(4, max_bits - 1))
     n_low = rng.randint(0, min(4, max_bits - n_high))
-    highs = [BitRef("h", i, "input-high", i) for i in range(n_high)]
+    highs = [BitRef("h", i, "input-high") for i in range(n_high)]
     lows = [BitRef("l", i, "input-low") for i in range(n_low)]
     forest = []
     for k in range(rng.randint(1, 4)):

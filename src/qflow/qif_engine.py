@@ -11,15 +11,16 @@ channel PBV.  Registers pass probabilities and leakage through unchanged.
 
 Propagation walks the strongly connected components of the register
 dependency graph in dependency order, so every input from outside a
-component is final before the component is reached.  A component
-without a cycle is one bind tree: each of its channels is visited once,
-and one 2^k enumeration gives both its output probability and its PBV.
-Table channels with equal truth tables, input probabilities and taints
-share one enumeration per ``propagate`` call.
-Only a sequential cycle iterates: its own channels run the taint and
-probability fixpoints (the kernel with an all-False taint, so P(1) only),
-one kernel call each for the PBV, and then the elementwise-max leakage
-fixpoint.
+component is final before the component is reached.  One routine handles
+every component in two loops: sweeps that give each channel its taint,
+output probability and PBV from one kernel call, until the component's
+registers settle, then sweeps of the elementwise-max leakage cascade.
+A component without a sequential cycle settles in one sweep of each, so
+each of its channels costs one kernel call.  A cycle that does not
+settle within ``MAX_FIXPOINT_ITERS`` sweeps raises
+``NonConvergentFixpoint``.  Table channels with equal truth tables,
+input probabilities and taints share one enumeration per ``propagate``
+call.
 """
 
 from __future__ import annotations
@@ -182,7 +183,6 @@ class _Propagator:
         for ch in graph.channels:
             self.blocks.setdefault(ch.root, []).append(ch)
         self.chan_prob, self.chan_pbv, self.chan_leak, self.chan_tainted = {}, {}, {}, {}
-        self.reg_prob, self.reg_leak, self.reg_tainted = {}, {}, {}
         # (table, probs, tainted) -> kernel result, for this propagation only;
         # len(probs) fixes the arity, so equal keys give equal results
         self.kernel_memo = {}
@@ -200,38 +200,74 @@ class _Propagator:
 
     def run(self, deps: DependencyGraph):
         cyclic = {r for scc in deps.cycles for r in scc}
+        regs = [r for scc in deps.order for r in scc if r.role == "register"]
+        # what a cycle's first sweep reads
+        self.reg_tainted = dict.fromkeys(regs, False)
+        self.reg_prob = dict.fromkeys(regs, 0.5)
+        self.reg_leak = {r: {} for r in regs}
         for scc in deps.order:
-            chans = [ch for root in scc for ch in self.blocks.get(root, ())]
-            regs = [r for r in scc if r.role == "register"]
-            if scc[0] in cyclic:
-                self._fixpoints(chans, regs)
-                continue
+            self._component(scc, scc[0] in cyclic)
+        if len(self.chan_prob) != len(self.graph.channels):
+            raise ValueError("the dependency graph does not cover every channel's root")
+
+    def _component(self, scc, cyclic):
+        """Taint, P(1), PBV and leakage of one SCC's channels and registers.
+
+        Each of the two loops sweeps the SCC's channels until its
+        registers settle.  Without a cycle no channel reads the SCC's own
+        registers, so one sweep of each is final.  In a cycle, the first
+        loop stops at a sweep that moves no register and keeps the values
+        that sweep read, so every stored channel value is the kernel of
+        the stored register values.
+        """
+        chans = [ch for root in scc for ch in self.blocks.get(root, ())]
+        regs = [r for r in scc if r.role == "register"]
+        for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:
-                probs, tainted = self._probs(ch), self._taints(ch)
+                probs, tainted = self._inputs(ch)
                 self.chan_tainted[ch.cid] = any(tainted)
                 self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = self._kernel(
                     ch, probs, tainted)
-                self.chan_leak[ch.cid] = self._leak(ch)
+            if cyclic and self._settled(regs):
+                break
             for reg in regs:
                 cid = self.graph.root_channel[reg]
                 self.reg_tainted[reg] = self.chan_tainted[cid]
                 self.reg_prob[reg] = self.chan_prob[cid]
-                self.reg_leak[reg] = {}
-            self._raise_leak(regs)
-        if len(self.chan_prob) != len(self.graph.channels):
-            raise ValueError("the dependency graph does not cover every channel's root")
+            if not cyclic:
+                break
+        else:
+            raise NonConvergentFixpoint(sorted(regs, key=str))
+        for _ in range(MAX_FIXPOINT_ITERS):
+            for ch in chans:
+                self.chan_leak[ch.cid] = self._leak(ch)
+            if self._raise_leak(regs) < LEAK_TOL or not cyclic:
+                return
+        raise NonConvergentFixpoint(sorted(regs, key=str))
 
-    def _probs(self, ch):
-        return [self.chan_prob[ci] if isinstance(ci, int)
-                else self.reg_prob.get(ci, 0.5) if ci.role == "register"
-                else self.input_probs.get((ci.net, ci.bit), 0.5)
-                for ci in ch.inputs]
+    def _settled(self, regs):
+        """No register's root channel has a new taint or a P(1) ``PROB_TOL`` away."""
+        for reg in regs:
+            cid = self.graph.root_channel[reg]
+            if (self.chan_tainted[cid] != self.reg_tainted[reg]
+                    or abs(self.chan_prob[cid] - self.reg_prob[reg]) >= PROB_TOL):
+                return False
+        return True
 
-    def _taints(self, ch):
-        return [self.chan_tainted[ci] if isinstance(ci, int)
-                else self.reg_tainted.get(ci, False) if ci.role == "register"
-                else ci.role == "input-high"
-                for ci in ch.inputs]
+    def _inputs(self, ch):
+        """P(1) and taint of each of ``ch``'s inputs, in input order."""
+        probs, tainted = [], []
+        for ci in ch.inputs:
+            if isinstance(ci, int):
+                probs.append(self.chan_prob[ci])
+                tainted.append(self.chan_tainted[ci])
+            elif ci.role == "register":
+                probs.append(self.reg_prob[ci])
+                tainted.append(self.reg_tainted[ci])
+            else:
+                probs.append(self.input_probs.get((ci.net, ci.bit), 0.5))
+                tainted.append(ci.role == "input-high")
+        return probs, tainted
 
     def _leak(self, ch):
         incoming = {}
@@ -239,7 +275,7 @@ class _Propagator:
             if isinstance(ci, int):
                 vec = self.chan_leak[ci]
             elif ci.role == "register":
-                vec = self.reg_leak.get(ci, {})
+                vec = self.reg_leak[ci]
             elif ci.role == "input-high":
                 vec = self.source.get((ci.net, ci.bit), {})
             else:
@@ -261,38 +297,6 @@ class _Propagator:
                     cur[sid] = val
         return delta
 
-    def _fixpoints(self, chans, regs):
-        """Taint, probability and leakage fixpoints over one sequential cycle."""
-        roots = [self.graph.root_channel[r] for r in regs]
-        for reg in regs:
-            self.reg_tainted[reg], self.reg_prob[reg], self.reg_leak[reg] = False, 0.5, {}
-        for _ in range(len(regs) + 1):
-            for ch in chans:
-                self.chan_tainted[ch.cid] = any(self._taints(ch))
-            rising = [r for r, cid in zip(regs, roots)
-                      if self.chan_tainted[cid] and not self.reg_tainted[r]]
-            if not rising:
-                break
-            self.reg_tainted.update(dict.fromkeys(rising, True))
-        for _ in range(MAX_FIXPOINT_ITERS):
-            for ch in chans:
-                self.chan_prob[ch.cid] = self._kernel(
-                    ch, self._probs(ch), [False] * len(ch.inputs))[0]
-            delta = 0.0
-            for reg, cid in zip(regs, roots):
-                delta = max(delta, abs(self.chan_prob[cid] - self.reg_prob[reg]))
-                self.reg_prob[reg] = self.chan_prob[cid]
-            if delta < PROB_TOL:
-                break
-        for ch in chans:
-            self.chan_pbv[ch.cid] = self._kernel(ch, self._probs(ch), self._taints(ch))[1]
-        for _ in range(MAX_FIXPOINT_ITERS):
-            for ch in chans:
-                self.chan_leak[ch.cid] = self._leak(ch)
-            if self._raise_leak(regs) < LEAK_TOL:
-                return
-        raise NonConvergentFixpoint(sorted(regs, key=str))
-
 
 def propagate(graph: ChannelGraph, design, input_probs,
               deps: DependencyGraph) -> ProbAnnotatedGraph:
@@ -307,19 +311,13 @@ def propagate(graph: ChannelGraph, design, input_probs,
 
 def output_contributions(annotated: ProbAnnotatedGraph, design):
     """Per top-output bit: its leakage vector. [(net, bit, {sid: bits})]"""
-    graph = annotated.graph
     out = []
-    seq = {(r.net, r.bit) for r in annotated.reg_prob}
-    for name, fn in sorted(design.nets.items()):
-        if fn.kind != "output":
-            continue
-        for bit in range(fn.width):
-            if (name, bit) in seq:
-                vec = annotated.reg_leak.get(BitRef(name, bit, "register"), {})
-            else:
-                cid = graph.root_channel.get(BitRef(name, bit, "top-output"))
-                vec = annotated.chan_leak.get(cid, {}) if cid is not None else {}
-            out.append((name, bit, vec))
+    for name, bit in design.output_bits():
+        vec = annotated.reg_leak.get(BitRef(name, bit, "register"))
+        if vec is None:
+            cid = annotated.graph.root_channel.get(BitRef(name, bit, "top-output"))
+            vec = annotated.chan_leak.get(cid, {})
+        out.append((name, bit, vec))
     return out
 
 

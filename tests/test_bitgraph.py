@@ -244,16 +244,15 @@ def test_eval_node_lanes_match_scalar():
 
 
 def test_bitref_value_semantics():
-    ref = BitRef("k", 3, "input-high", 7)
-    assert repr(ref) == "BitRef(net='k', bit=3, role='input-high', secret_id=7)"
-    assert repr(BitRef("q", 0, "register")) == (
-        "BitRef(net='q', bit=0, role='register', secret_id=None)")
+    ref = BitRef("k", 3, "input-high")
+    assert repr(ref) == "BitRef(net='k', bit=3, role='input-high')"
+    assert repr(BitRef("q", 0, "register")) == "BitRef(net='q', bit=0, role='register')"
     assert str(ref) == "k[3]"
-    twin = BitRef("k", 3, "input-high", 7)
+    twin = BitRef("k", 3, "input-high")
     assert twin == ref and hash(twin) == hash(ref)
     assert {ref: 1}[twin] == 1
-    for other in (BitRef("k", 3, "input-low", 7), BitRef("k", 3, "input-high"),
-                  BitRef("k", 2, "input-high", 7), BitRef("kk", 3, "input-high", 7)):
+    for other in (BitRef("k", 3, "input-low"), BitRef("k", 2, "input-high"),
+                  BitRef("kk", 3, "input-high")):
         assert other != ref
     # channel inputs mix BitRefs and int channel ids in one dict
     for cid in (0, 3, 7, hash(ref)):
@@ -328,10 +327,10 @@ endmodule
 
 @pytest.mark.parametrize("files,top,digest", [
     (("toy_spn.v",), "toy_spn",
-     "f14fa7ecd53a962e53ec1688cfd93a120d7037f94bc79e10016815816014e0f3"),
+     "a4d2467b63b966e070682a0d566151aaf57ce75f0d31f2603fff3e7059e89241"),
     (("aes_t2300.v", "aes_t2300_top.v"), "top",
-     "ffa052b210755536e17c0b45087635d48594b7c212ed12b7023623c0fcd2202b"),
-])
+     "308c55a8595562014ba1e58fcb4c5b69b9e8425d93197e82cc970663f483a7a8"),
+], ids=["toy_spn", "aes_t2300"])
 def test_dependency_order_pinned(files, top, digest):
     a = analyze(Config(files=[corpus.path(f) for f in files], top=top))
     assert hashlib.sha256(repr(a.deps.order).encode()).hexdigest() == digest

@@ -122,6 +122,18 @@ def test_calibrate_output(tmp_path):
     assert 0.0 < warn <= detect
 
 
+def test_calibrate_sweep_output():
+    args = ["--top", "toy_spn", corpus.path("toy_spn.v")]
+    sweep = run_cli(["calibrate", "--sweep", *args])
+    plain = run_cli(["calibrate", *args])
+    assert sweep.returncode == plain.returncode == 0
+    _header, *rows = sweep.stdout.decode().strip().splitlines()
+    assert [int(row.split()[0]) for row in rows] == [1, 2, 3, 4, 5]
+    warn, detect = (float(line.split("=")[1]) for line in plain.stdout.decode().split())
+    # the plain command's default bound is 5
+    assert rows[-1].split()[1:] == [f"{warn:.9f}", f"{detect:.9f}"]
+
+
 def test_oracle_diff_cli():
     r = run_cli(["oracle-diff", "--seed", "11", "--count", "10"])
     assert r.returncode == 0
@@ -133,6 +145,31 @@ def test_dump_flags(tmp_path):
     r = run_cli(["analyze", "--top", "m", "--dump-trees", "--dump-channels", src])
     assert b"y[0]" in r.stderr
     assert b"table=" in r.stderr or b"inputs=" in r.stderr
+
+
+STICKY = """module m(input clk, High input k, input a, output y);
+reg r;
+always @(posedge clk) begin
+r <= r | a;
+end
+assign y = r & k;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("source,probs,message", [
+    (STICKY, "a = 0.01\n", b"sequential fixpoint did not converge over registers: r[0]"),
+    (IDENTITY.replace("module m(", "module m #(parameter A = &3) ("), None,
+     b"unsupported construct: operator & in a constant expression"),
+], ids=["unsettled_fixpoint", "reduction_in_parameter"])
+def test_typed_error_exits_without_traceback(tmp_path, source, probs, message):
+    args = ["analyze", "--top", "m", write(tmp_path, "m.v", source)]
+    if probs is not None:
+        args += ["--probs", write(tmp_path, "p.txt", probs)]
+    r = run_cli(args)
+    assert r.returncode == 3
+    assert b"Traceback" not in r.stderr
+    assert message in r.stderr
 
 
 def test_main_callable_in_process(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Lexing, parsing, label extraction, and elaboration."""
 
 import itertools
+import re
+import tracemalloc
 
 import pytest
 
@@ -15,7 +17,7 @@ from qflow.errors import (
     VerilogSyntaxError,
     WidthMismatch,
 )
-from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
+from qflow.frontend import SourceUnit, const_eval, elaborate, extract_labels, parse
 from qflow.frontend import ast_nodes as A
 from qflow.frontend.lexer import tokenize
 
@@ -338,6 +340,37 @@ endmodule
 """
     d = full(src, "top")
     assert d.nets["u.a"].width == 4
+
+
+CONST_PARAM = """module m #(parameter W = {expr}) (input [W:0] a, output [W:0] y);
+assign y = a;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("expr,width", [
+    ("2 + -1", 2),  # a negative operand of +
+    ("(6 ~^ 3) & 7", 3),  # ~(6 ^ 3) & 7 == 2
+])
+def test_constant_operators(expr, width):
+    assert full(CONST_PARAM.format(expr=expr), "m").nets["y"].width == width
+
+
+@pytest.mark.parametrize("op", ["&", "|", "^", "~&", "~|", "~^"])
+def test_reduction_in_constant_rejected(op):
+    # a reduction's value depends on its operand's width, which const_eval lacks
+    with pytest.raises(UnsupportedConstruct, match=re.escape(f"operator {op} ")):
+        full(CONST_PARAM.format(expr=f"{op}3"), "m")
+
+
+def test_const_eval_applies_only_its_operator():
+    tracemalloc.start()
+    try:
+        assert const_eval(A.Binary("+", A.Num(1), A.Num(100_000_000)), {}) == 100_000_001
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # building 1 << 100_000_000 as well would take 12.5 MB
 
 
 def test_hierarchy_flat_names():

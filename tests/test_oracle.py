@@ -210,7 +210,7 @@ def test_posterior_matches_reference_on_sequential_designs(name):
 
 
 def test_too_large_before_any_lane_is_built():
-    highs = [BitRef("h", i, "input-high", i) for i in range(13)]
+    highs = [BitRef("h", i, "input-high") for i in range(13)]
     lows = [BitRef("l", i, "input-low") for i in range(12)]
     node = Node("leaf", ref=highs[0])
     for ref in highs[1:] + lows:

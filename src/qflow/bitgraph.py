@@ -42,7 +42,7 @@ class BitRef(NamedTuple):
         return f"{self.net}[{self.bit}]"
 
 
-@dataclass(frozen=True, eq=False)  # by identity: a shared node is one key
+@dataclass(slots=True, eq=False)  # by identity: a shared node is one key
 class Node:
     op: str  # const0 const1 leaf AND OR XOR NOT MUX EQM LTM ADDM SUBM
     children: tuple = ()
@@ -57,7 +57,7 @@ CONST0 = Node("const0")
 CONST1 = Node("const1")
 
 
-@dataclass
+@dataclass(slots=True)
 class BindTree:
     root: BitRef
     node: Node

@@ -28,7 +28,7 @@ DEFAULT_MAX_CHANNEL_INPUTS = 5
 MAX_TABLE_INPUTS = 16  # 2^16 table entries
 
 
-@dataclass
+@dataclass(slots=True)
 class Channel:
     cid: int
     # distinct, stable order: a leaf BitRef, or the id of a derived channel

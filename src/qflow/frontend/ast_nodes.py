@@ -1,7 +1,8 @@
 """AST node definitions for the supported Verilog subset.
 
-Expressions are plain dataclasses; ``Select``/``PartSelect`` bases are net
-names in parsed code but elaboration is allowed to wrap arbitrary
+Expressions are slotted dataclasses: equal by value, unhashable, and
+without a per-instance ``__dict__``.  ``Select``/``PartSelect`` bases are
+net names in parsed code but elaboration is allowed to wrap arbitrary
 expressions when lowering procedural blocks to per-bit assignments.
 """
 
@@ -17,56 +18,56 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Num(Expr):
     value: int
     width: int | None = None  # None: unsized literal, sized by context
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ident(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Select(Expr):
     base: object  # str (net name) or Expr after lowering
     index: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PartSelect(Expr):
     base: object
     msb: Expr
     lsb: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # ~ ! - + & | ^ ~& ~| ~^
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Binary(Expr):
     op: str  # & | ^ ~^ && || == != < <= > >= << >> + -
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ternary(Expr):
     cond: Expr
     then: Expr
     other: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Concat(Expr):
     parts: tuple  # MSB-first, as written
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Repl(Expr):
     count: Expr
     value: Expr

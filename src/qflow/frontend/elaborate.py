@@ -25,6 +25,8 @@ from ..errors import (
 from . import ast_nodes as A
 
 _GENERATE_UNROLL_LIMIT = 1 << 16
+# Constants are unbounded ints, so ``a << b`` costs b bits of memory.
+_CONST_SHIFT_LIMIT = 1 << 16
 
 
 @dataclass
@@ -34,7 +36,7 @@ class FlatNet:
     kind: str  # input | output | wire | reg
 
 
-@dataclass
+@dataclass(slots=True)
 class FlatAssign:
     target: str
     msb: int
@@ -115,8 +117,11 @@ def const_eval(expr, env):
             raise UnsupportedConstruct(f"operator {expr.op} in a constant expression")
         return int(_CONST_UNARY[expr.op](v))
     if isinstance(expr, A.Binary):
-        a = const_eval(expr.left, env)
-        return int(_CONST_BINARY[expr.op](a, const_eval(expr.right, env)))
+        a, b = const_eval(expr.left, env), const_eval(expr.right, env)
+        if expr.op == "<<" and b > _CONST_SHIFT_LIMIT:
+            raise UnsupportedConstruct(
+                f"constant shift by {b} bits (at most {_CONST_SHIFT_LIMIT})")
+        return int(_CONST_BINARY[expr.op](a, b))
     if isinstance(expr, A.Ternary):
         return const_eval(expr.then if const_eval(expr.cond, env) else expr.other, env)
     raise ValueError(f"not a constant expression: {expr!r}")

@@ -16,7 +16,7 @@ from .bitgraph import BindTree, BitRef, Node, compute_dependencies, eval_node, l
 from .channelizer import merge
 from .errors import TooLarge
 from .frontend.elaborate import ElaboratedDesign, FlatNet
-from .qif_engine import accumulate_totals, propagate
+from .qif_engine import accumulate_totals, ordered_sum, propagate
 
 ENUMERATION_LIMIT = 24
 DEFAULT_UNROLL_CYCLES = 8
@@ -192,7 +192,7 @@ def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
                 mass = start * m
                 if mass > best.get(key, 0.0):
                     best[key] = mass
-        posterior += sum(best.values())
+        posterior += ordered_sum(best.values())
     return posterior
 
 
@@ -291,7 +291,7 @@ def differential_run(seed, count, max_bits=12):
         graph = merge(forest, DIFF_MAX_CHANNEL_INPUTS)
         annotated = propagate(graph, design, {}, deps)
         totals = accumulate_totals(annotated, design, cap=DIFF_CAP)
-        qmodel = sum(totals.values())
+        qmodel = ordered_sum(totals.values())
         f = flatten_forest(forest, design)
         _ratio, exact = exact_multiplicative_leakage(f)
         records.append(DiffRecord(i, exact, qmodel))

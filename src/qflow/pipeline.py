@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import re
 import time
 from dataclasses import dataclass, field
@@ -99,29 +100,47 @@ def analyze(config: Config, file_texts=None) -> Analysis:
 
     Raises ``DesignTooDeep`` where a stage's recursion outgrows the
     interpreter's stack.
+
+    The stages run with the cyclic garbage collector paused, and the
+    caller's ``gc`` state comes back in a ``finally``, also when a stage
+    raises.  An analysis allocates one object per AST expression, DAG
+    node and channel and holds all of them until it ends, so every
+    automatic collection would rescan a graph that cannot be garbage.
+    The pause leaves nothing for a later collection either: the stages
+    build no reference cycles (a node refers only to its children, a
+    channel to its input bits and channel ids), so whatever an analysis
+    drops is freed by reference counting at once.
+    ``tests/test_pipeline.py`` checks that ``gc.collect()`` finds nothing
+    after analyses and renders of the corpus.
     """
     start = time.monotonic()
-    files = file_texts if file_texts is not None else load_sources(config.files)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        ast = parse(SourceUnit(files, config.top))
-        labels = extract_labels(ast, config.top,
-                                [(n, "high") for n in config.high_overrides])
-        design = elaborate(ast, config.top, labels)
-        forest = bit_blast(design)
-        deps = compute_dependencies(forest)
-        graph = merge(forest, config.max_channel_inputs)
-        input_probs = build_input_probs(design, config)
-        annotated = propagate(graph, design, input_probs, deps)
-        totals = accumulate_totals(annotated, design, cap=config.cap)
-        contributions = output_contributions(annotated, design)
-    except RecursionError as e:
-        raise DesignTooDeep() from e
-    report = classify(
-        totals, config.thresholds, annotated.secrets, contributions,
-        design_meta={"top": config.top,
-                     "max_channel_inputs": config.max_channel_inputs,
-                     "cap": config.cap},
-        runtime_seconds=time.monotonic() - start)
+        files = file_texts if file_texts is not None else load_sources(config.files)
+        try:
+            ast = parse(SourceUnit(files, config.top))
+            labels = extract_labels(ast, config.top,
+                                    [(n, "high") for n in config.high_overrides])
+            design = elaborate(ast, config.top, labels)
+            forest = bit_blast(design)
+            deps = compute_dependencies(forest)
+            graph = merge(forest, config.max_channel_inputs)
+            input_probs = build_input_probs(design, config)
+            annotated = propagate(graph, design, input_probs, deps)
+            totals = accumulate_totals(annotated, design, cap=config.cap)
+            contributions = output_contributions(annotated, design)
+        except RecursionError as e:
+            raise DesignTooDeep() from e
+        report = classify(
+            totals, config.thresholds, annotated.secrets, contributions,
+            design_meta={"top": config.top,
+                         "max_channel_inputs": config.max_channel_inputs,
+                         "cap": config.cap},
+            runtime_seconds=time.monotonic() - start)
+    finally:
+        if enabled:
+            gc.enable()
     return Analysis(design, forest, deps, graph, annotated, totals, report)
 
 

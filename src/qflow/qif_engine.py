@@ -25,7 +25,9 @@ call.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .bitgraph import BitRef, DependencyGraph
@@ -35,6 +37,15 @@ from .errors import ArityMismatch, NonConvergentFixpoint
 PROB_TOL = 1e-12
 LEAK_TOL = 1e-9
 MAX_FIXPOINT_ITERS = 100
+
+
+def ordered_sum(values):
+    """``sum`` as Python 3.11 computes it: left to right, rounding each add.
+
+    From 3.12 on the builtin compensates float rounding, which can move
+    the last bit of a result, so a report would differ between versions.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 def source_leakage(p1: float) -> float:
@@ -93,7 +104,7 @@ def channel_prob_pbv(channel: Channel, probs, tainted=None):
             key = (o << k) | (a & low_mask)
             if mass > best.get(key, 0.0):
                 best[key] = mass
-    return p1, sum(best.values()) if secret else 1.0
+    return p1, ordered_sum(best.values()) if secret else 1.0
 
 
 def _operands(channel: Channel, per_input, const):

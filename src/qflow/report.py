@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 # Defaults from the fully-diffusing reference calibration:
 # warning = smallest per-bit leakage, detection = mean per-bit leakage.
@@ -101,32 +102,52 @@ def render(report: Report, fmt: str) -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _json_scalar(value) -> str:
+    """``value`` as ``json.dumps`` writes it, through C where it can."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)  # None, bools, NaN, infinities
+
+
+def _json_array(items, indent: int) -> str:
+    """Indented items as an ``indent=2`` JSON array closed at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
 def _render_json(report: Report) -> bytes:
-    doc = {
-        "schema": 1,
-        "design": {
-            "top": report.design.get("top"),
-            "max_channel_inputs": report.design.get("max_channel_inputs"),
-            "cap": report.design.get("cap"),
-        },
-        "thresholds": {"warn": report.thresholds.warn,
-                       "detect": report.thresholds.detect},
-        "secrets": [
-            {
-                "net": s.net,
-                "bit": s.bit,
-                "leakage_bits": s.leakage_bits,
-                "class": s.cls,
-                "paths": [
-                    {"output_net": n, "output_bit": b, "leakage_bits": v}
-                    for n, b, v in s.paths
-                ],
-            }
-            for s in report.secrets
-        ],
-        "runtime_seconds": report.runtime_seconds,
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode()
+    """Schema 1, byte for byte as ``json.dumps(doc, indent=2)`` lays it out.
+
+    The layout is written here because ``json.dumps`` with ``indent`` runs
+    the pure-Python encoder, whose closures also leave reference cycles
+    behind.  Every value in the document is a scalar.
+    """
+    q = _json_scalar
+    design, t = report.design, report.thresholds
+    secrets = [
+        f'    {{\n      "net": {q(s.net)},\n      "bit": {q(s.bit)},\n'
+        f'      "leakage_bits": {q(s.leakage_bits)},\n      "class": {q(s.cls)},\n'
+        '      "paths": ' + _json_array([
+            f'        {{\n          "output_net": {q(n)},\n'
+            f'          "output_bit": {q(b)},\n'
+            f'          "leakage_bits": {q(v)}\n        }}'
+            for n, b, v in s.paths], 6) + "\n    }"
+        for s in report.secrets]
+    return (
+        '{\n  "schema": 1,\n  "design": {\n'
+        f'    "top": {q(design.get("top"))},\n'
+        f'    "max_channel_inputs": {q(design.get("max_channel_inputs"))},\n'
+        f'    "cap": {q(design.get("cap"))}\n  }},\n'
+        f'  "thresholds": {{\n    "warn": {q(t.warn)},\n'
+        f'    "detect": {q(t.detect)}\n  }},\n'
+        f'  "secrets": {_json_array(secrets, 2)},\n'
+        f'  "runtime_seconds": {q(report.runtime_seconds)}\n}}\n').encode()
 
 
 def _render_csv(report: Report) -> bytes:

@@ -260,6 +260,16 @@ def test_bitref_value_semantics():
     assert len({ref: "bit", hash(ref): "channel"}) == 2
 
 
+def test_node_identity_and_slots():
+    leaf = Node("leaf", ref=BitRef("k", 0, "input-high"))
+    a, b = Node("NOT", (leaf,)), Node("NOT", (leaf,))
+    assert a != b and a == a
+    assert len({a: 1, b: 2}) == 2
+    tree = BindTree(BitRef("y", 0, "top-output"), a)
+    for obj in (leaf, a, CONST0, CONST1, tree):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
 def test_lane_masks_formula_and_cache():
     for n in range(17):
         masks = lane_masks(n)

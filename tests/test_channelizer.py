@@ -51,6 +51,11 @@ def test_example_merge_bound_3():
     assert len(graph.channels) == 2
 
 
+def test_channels_are_slotted():
+    _forest, graph = pipeline_to_graph(EXAMPLE, "example", 3)
+    assert all(not hasattr(ch, "__dict__") for ch in graph.channels)
+
+
 def test_bound_one_splits_every_gate():
     _forest, graph = pipeline_to_graph(EXAMPLE, "example", 1)
     # every multi-input channel is a lone gate at its arity floor

@@ -373,6 +373,34 @@ def test_const_eval_applies_only_its_operator():
     assert peak < 1 << 20  # building 1 << 100_000_000 as well would take 12.5 MB
 
 
+def test_expressions_equal_by_value_and_slotted():
+    src = corpus.read("toy_spn.v")
+    assert parse_text(src, "toy_spn") == parse_text(src, "toy_spn")
+    left = A.Binary("^", A.Select("k", A.Num(3)), A.Ident("l"))
+    assert left == A.Binary("^", A.Select("k", A.Num(3)), A.Ident("l"))
+    assert left != A.Binary("|", A.Select("k", A.Num(3)), A.Ident("l"))
+    with pytest.raises(TypeError):
+        hash(left)
+    one = A.Num(1)
+    for expr in (one, A.Ident("x"), A.Select("x", one), A.PartSelect("x", one, one),
+                 A.Unary("~", one), left, A.Ternary(one, one, one),
+                 A.Concat((one,)), A.Repl(one, one)):
+        assert not hasattr(expr, "__dict__"), type(expr).__name__
+    assert all(not hasattr(a, "__dict__") for a in full(EXAMPLE, "example").assigns)
+
+
+def test_constant_left_shift_limited():
+    assert const_eval(A.Binary("<<", A.Num(1), A.Num(1 << 16)), {}) == 1 << (1 << 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedConstruct, match="constant shift by 10000000000 bits"):
+            full(CONST_PARAM.format(expr="1 << 10000000000"), "m")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the shift itself would take 1.2 GB
+
+
 def test_hierarchy_flat_names():
     cfg_files = [corpus.read("aes_t2300_top.v"), corpus.read("aes_t2300.v")]
     ast = parse(SourceUnit([("a.v", cfg_files[0]), ("b.v", cfg_files[1])], "top"))

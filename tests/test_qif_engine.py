@@ -16,6 +16,7 @@ from qflow.qif_engine import (
     LEAK_TOL,
     accumulate_totals,
     channel_prob_pbv,
+    ordered_sum,
     propagate,
     source_leakage,
 )
@@ -87,6 +88,16 @@ def test_example_annotations():
     assert ann.chan_prob[o1.cid] == 1.0
     assert abs(ann.chan_pbv[o1.cid] - 0.25) < 1e-12
     assert all(abs(v - 0.625) < 1e-9 for v in a.totals.values())
+
+
+def test_sums_round_each_add_on_every_python():
+    # the builtin sum compensates float rounding from Python 3.12 on
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum(iter([0.1] * 10)) == 0.9999999999999999
+    assert ordered_sum([]) == 0
+    # o[0]'s PBV is a sum whose last bit the builtin moves on 3.12
+    a = analyze_corpus("example.v", "example", max_channel_inputs=3, p_high=0.9)
+    assert [repr(s.paths[0][2]) for s in a.report.secrets] == ["0.1299626448955177"] * 2
 
 
 def test_xor_of_two_secrets():

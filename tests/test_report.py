@@ -1,8 +1,11 @@
 """Classification thresholds, calibration, and rendering."""
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qflow.report import (
     DEFAULT_DETECT,
@@ -10,6 +13,7 @@ from qflow.report import (
     Report,
     SecretEntry,
     Thresholds,
+    _render_json,
     calibrate_thresholds,
     classify,
     classify_value,
@@ -114,3 +118,70 @@ def test_text_summary():
 def test_unknown_format():
     with pytest.raises(ValueError):
         render(sample_report(), "yaml")
+
+
+# -- JSON bytes: the hand-written layout against json.dumps ------------------
+
+def json_dumps_reference(report):
+    doc = {
+        "schema": 1,
+        "design": {key: report.design.get(key)
+                   for key in ("top", "max_channel_inputs", "cap")},
+        "thresholds": {"warn": report.thresholds.warn,
+                       "detect": report.thresholds.detect},
+        "secrets": [
+            {"net": s.net, "bit": s.bit, "leakage_bits": s.leakage_bits,
+             "class": s.cls,
+             "paths": [{"output_net": n, "output_bit": b, "leakage_bits": v}
+                       for n, b, v in s.paths]}
+            for s in report.secrets],
+        "runtime_seconds": report.runtime_seconds,
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+# -0.0, subnormals, NaN and the infinities included
+FLOATS = st.floats()
+INTS = st.integers(-(1 << 70), 1 << 70)
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | st.text()
+
+
+@st.composite
+def thresholds(draw):
+    a, b = sorted(draw(st.floats(0.0, math.inf)) for _ in range(2))
+    return Thresholds(warn=a, detect=b)
+
+
+SECRETS = st.builds(
+    SecretEntry, net=st.text(), bit=INTS, leakage_bits=FLOATS,
+    cls=st.sampled_from(["leak", "warn", "ok"]) | st.text(),
+    paths=st.lists(st.tuples(st.text(), INTS, FLOATS), max_size=3))
+REPORTS = st.builds(
+    Report,
+    design=st.dictionaries(
+        st.sampled_from(["top", "max_channel_inputs", "cap", "other"]), SCALARS),
+    thresholds=thresholds(), secrets=st.lists(SECRETS, max_size=4),
+    runtime_seconds=FLOATS | INTS)
+
+EDGE_CASES = Report(
+    design={"top": 'k\u00e9y "\\q"\n\u2603\U0001F600', "max_channel_inputs": 5,
+            "cap": False},
+    thresholds=Thresholds(warn=5e-324, detect=math.inf),
+    secrets=[SecretEntry("k\u00e9", 0, -0.0, "ok", []),
+             SecretEntry('"q"', 1, 2.2250738585072014e-308, "warn",
+                         [("o\\", 2, 1e300), ("\u00f8", 0, float("nan"))])],
+    runtime_seconds=-0.0)
+
+
+@given(REPORTS)
+@example(Report(design={}, thresholds=Thresholds(), secrets=[]))
+@example(Report(design={"top": None, "cap": False}, thresholds=Thresholds(),
+                secrets=[SecretEntry("k", 0, 0.0, "ok", [])]))
+@example(EDGE_CASES)
+def test_render_json_bytes_match_json_dumps(report):
+    assert _render_json(report) == json_dumps_reference(report)
+
+
+def test_render_json_bytes_on_classified_report():
+    report = sample_report()
+    assert render(report, "json") == json_dumps_reference(report)

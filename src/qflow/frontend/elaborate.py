@@ -25,7 +25,8 @@ from ..errors import (
 from . import ast_nodes as A
 
 _GENERATE_UNROLL_LIMIT = 1 << 16
-# Constants are unbounded ints, so ``a << b`` costs b bits of memory.
+# Constants are unbounded ints, so ``a << b`` costs b bits of memory, and
+# ``a * b`` the bits of both (squaring a parameter per line would double them).
 _CONST_SHIFT_LIMIT = 1 << 16
 
 
@@ -94,7 +95,16 @@ class _Scope(NamedTuple):
 # the one an expression names is applied.
 _CONST_UNARY = {"-": operator.neg, "+": operator.pos, "~": operator.invert,
                 "!": operator.not_}
+def _const_div(a, b):
+    """``a / b`` truncated toward zero, as Verilog divides integers."""
+    if b == 0:
+        raise UnsupportedConstruct("division by zero in a constant expression")
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
 _CONST_BINARY = {
+    "*": operator.mul, "/": _const_div, "%": lambda a, b: a - b * _const_div(a, b),
     "+": operator.add, "-": operator.sub, "&": operator.and_, "|": operator.or_,
     "^": operator.xor, "~^": lambda a, b: ~(a ^ b),
     "<<": operator.lshift, ">>": operator.rshift,
@@ -121,6 +131,9 @@ def const_eval(expr, env):
         if expr.op == "<<" and b > _CONST_SHIFT_LIMIT:
             raise UnsupportedConstruct(
                 f"constant shift by {b} bits (at most {_CONST_SHIFT_LIMIT})")
+        if expr.op == "*" and a.bit_length() + b.bit_length() > _CONST_SHIFT_LIMIT:
+            raise UnsupportedConstruct(
+                f"constant product wider than {_CONST_SHIFT_LIMIT} bits")
         return int(_CONST_BINARY[expr.op](a, b))
     if isinstance(expr, A.Ternary):
         return const_eval(expr.then if const_eval(expr.cond, env) else expr.other, env)

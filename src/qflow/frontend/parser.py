@@ -4,7 +4,10 @@ Binary operators are parsed by precedence climbing over one table,
 ``_BIN_LEVEL`` (operator -> binding level, built from ``_BIN_LEVELS``):
 ``binary`` loops over the operators of its level and looser, and
 recurses only for a right operand that binds tighter, so a parenthesis
-costs a fixed handful of frames whatever the number of levels.
+costs a fixed handful of frames whatever the number of levels. The
+token plumbing and the expression ladder index ``self.tokens`` directly,
+and ``unary`` hands an identifier to ``lvalue`` and a number to ``Num``
+without going through ``primary``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,23 @@ _REJECTED_ITEMS = {
 }
 
 
+# Binding level of each binary operator, loosest first, as in the Verilog
+# operator precedence table.
+_BIN_LEVELS = [
+    ("||",), ("&&",), ("|",), ("^", "~^", "^~"), ("&",),
+    ("==", "!=", "===", "!=="), ("<", "<=", ">", ">="), ("<<", ">>", "<<<", ">>>"),
+    ("+", "-"), ("*", "/", "%"),
+]
+_BIN_LEVEL = {op: level for level, ops in enumerate(_BIN_LEVELS) for op in ops}
+
+# Operators that mean another's: exact, because the logic is two-valued
+# (no x or z, so case equality is equality) and no net or literal is
+# signed (so the arithmetic shifts are the logical ones).
+_OP_ALIAS = {"^~": "~^", "===": "==", "!==": "!=", "<<<": "<<", ">>>": ">>"}
+
+_UNARY = frozenset(("~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"))
+
+
 class _Parser:
     def __init__(self, path, text):
         self.path = path
@@ -35,8 +55,9 @@ class _Parser:
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
+    # Each reads ``self.tokens[self.pos]`` itself; none moves past 'eof'.
     def peek(self):
-        return self.tokens[self.pos]  # ``next`` never moves past 'eof'
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -45,18 +66,24 @@ class _Parser:
         return tok
 
     def at(self, kind, text=None):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind, text=None):
         """Consume and return the next token if it matches, else None."""
-        return self.next() if self.at(kind, text) else None
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            return None
+        if kind != "eof":
+            self.pos += 1
+        return tok
 
     def expect(self, kind, text=None):
-        tok = self.next()
+        tok = self.tokens[self.pos]
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            self.err(f"expected {want!r}, found {tok.text!r}", tok)
+            self.err(f"expected {text or kind!r}, found {tok.text!r}", tok)
+        if kind != "eof":
+            self.pos += 1
         return tok
 
     def err(self, msg, tok=None):
@@ -99,13 +126,14 @@ class _Parser:
         """Consume any (* qflow_high *) attribute / literal High prefix."""
         high = False
         while True:
-            attr = self.accept("attr")
-            if attr:
-                high = high or _QFLOW_ATTR in attr.text
-            elif self.accept("id", "High"):
+            tok = self.tokens[self.pos]
+            if tok.kind == "attr":
+                high = high or _QFLOW_ATTR in tok.text
+            elif tok.kind == "id" and tok.text == "High":
                 high = True
             else:
                 return high
+            self.pos += 1
 
     def port_list(self, mod):
         if self.at(")"):
@@ -259,7 +287,7 @@ class _Parser:
             self.reject(tok)
         else:
             # plain sensitivity list: treat as combinational
-            while not self.at(")"):
+            while not self.at(")") and not self.at("eof"):  # 'next' stays on 'eof'
                 self.next()
             sens = ("comb",)
         if paren:
@@ -384,31 +412,31 @@ class _Parser:
         return node
 
     def lvalue(self):
-        name = self.expect("id").text
-        if self.accept("["):
-            first = self.expression()
-            if self.accept(":"):
-                lsb = self.expression()
-                self.expect("]")
-                return A.PartSelect(name, first, lsb)
+        tok = self.tokens[self.pos]
+        if tok.kind != "id":
+            self.err(f"expected 'id', found {tok.text!r}", tok)
+        self.pos += 1
+        if self.tokens[self.pos].kind != "[":
+            return A.Ident(tok.text)
+        self.pos += 1
+        first = self.expression()
+        if self.accept(":"):
+            lsb = self.expression()
             self.expect("]")
-            return A.Select(name, first)
-        return A.Ident(name)
+            return A.PartSelect(tok.text, first, lsb)
+        self.expect("]")
+        return A.Select(tok.text, first)
 
     # -- expressions -------------------------------------------------------
-    _BIN_LEVELS = [
-        ("||",), ("&&",), ("|",), ("^", "~^", "^~"), ("&",),
-        ("==", "!="), ("<", "<=", ">", ">="), ("<<", ">>"), ("+", "-"),
-    ]
-
     def expression(self):
         """A ternary, right-associative, over binary operands."""
         cond = self.binary()
-        if self.accept("?"):
-            then = self.expression()
-            self.expect(":")
-            return A.Ternary(cond, then, self.expression())
-        return cond
+        if self.tokens[self.pos].kind != "?":
+            return cond
+        self.pos += 1
+        then = self.expression()
+        self.expect(":")
+        return A.Ternary(cond, then, self.expression())
 
     def expressions(self):
         """A comma-separated list of expressions."""
@@ -417,34 +445,34 @@ class _Parser:
             parts.append(self.expression())
         return parts
 
-    _BIN_LEVEL = {op: level for level, ops in enumerate(_BIN_LEVELS) for op in ops}
-
     def binary(self, min_level=0):
         """Operators binding at ``min_level`` or tighter, left-associative."""
         left = self.unary()
+        tokens = self.tokens
         while True:
-            level = self._BIN_LEVEL.get(self.peek().kind)
+            op = tokens[self.pos].kind
+            level = _BIN_LEVEL.get(op)
             if level is None or level < min_level:
                 return left
-            op = self.next().text
+            self.pos += 1
             right = self.binary(level + 1)
-            left = A.Binary("~^" if op == "^~" else op, left, right)
-
-    _UNARY = ("~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^")
+            left = A.Binary(_OP_ALIAS.get(op, op), left, right)
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind in self._UNARY:
-            self.next()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "id":
+            return self.lvalue()
+        if kind == "num":
+            self.pos += 1
+            return A.Num(*tok.value)
+        if kind in _UNARY:
+            self.pos += 1
             return A.Unary(tok.text, self.unary())
         return self.primary()
 
     def primary(self):
-        tok = self.peek()
-        if self.accept("num"):
-            return A.Num(*tok.value)
-        if tok.kind == "id":
-            return self.lvalue()
+        """A parenthesised expression, a concatenation or a replication."""
         if self.accept("("):
             e = self.expression()
             self.expect(")")
@@ -458,7 +486,7 @@ class _Parser:
                 return A.Repl(parts[0], A.Concat(tuple(value)) if len(value) > 1 else value[0])
             self.expect("}")
             return A.Concat(tuple(parts))
-        self.err(f"unexpected token {tok.text!r} in expression")
+        self.err(f"unexpected token {self.peek().text!r} in expression")
 
 
 def parse(source: A.SourceUnit) -> A.Ast:

@@ -1,10 +1,13 @@
 """Lexing, parsing, label extraction, and elaboration."""
 
+import hashlib
 import itertools
 import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow import corpus
 from qflow.bitgraph import bit_blast, dump_forest, eval_node
@@ -19,7 +22,7 @@ from qflow.errors import (
 )
 from qflow.frontend import SourceUnit, const_eval, elaborate, extract_labels, parse
 from qflow.frontend import ast_nodes as A
-from qflow.frontend.lexer import tokenize
+from qflow.frontend.lexer import _PUNCT, KEYWORDS, tokenize
 
 from conftest import analyze_source
 
@@ -88,13 +91,83 @@ def test_positions_after_multiline_comment_and_attribute():
     ("a /* x", 1, 3, "unterminated block comment"),
     ("b\n  (* y", 2, 3, "unterminated attribute"),
     ("c ` d", 1, 3, "unexpected character '`'"),
+    ("a   `", 1, 5, "unexpected character '`'"),
     ("/* c\n */ `", 2, 5, "unexpected character '`'"),
     ("x\n  4'b3;", 2, 3, "invalid digit in literal \"4'b3\""),
+    ("x\n \t 4'b3;", 2, 4, "invalid digit in literal \"4'b3\""),
 ])
 def test_lexer_error_positions(text, line, col, message):
     with pytest.raises(VerilogSyntaxError) as e:
         tokenize("<t>", text)
     assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("a \t\r ", [("a", 1, 1), ("", 1, 1)]),  # trailing blanks match nothing
+    ("a\n \t", [("a", 1, 1), ("", 2, 1)]),
+    ("/*/ b", [("b", 1, 5), ("", 1, 1)]),  # '/*/' is a whole comment
+    ("(*)", [("(", 1, 1), ("*", 1, 2), (")", 1, 3), ("", 1, 1)]),
+    ("@(*)", [("@", 1, 1), ("(", 1, 2), ("*", 1, 3), (")", 1, 4), ("", 1, 1)]),
+])
+def test_blank_and_wildcard_positions(text, want):
+    assert [(t.text, t.line, t.col) for t in tokenize("<t>", text)[0]] == want
+
+
+# (source text, its tokens as (kind, text, value)) for the position property
+LEXEMES = [
+    *((w, [("id", w, w)]) for w in ("a", "k_1", "x$y", "High", "_q")),
+    *((w, [("kw", w, w)]) for w in sorted(KEYWORDS)),
+    ("8'hFF", [("num", "8'hFF", (255, 8))]),
+    ("4'b1010", [("num", "4'b1010", (10, 4))]),
+    ("'d9", [("num", "'d9", (9, None))]),
+    ("12'o7_7", [("num", "12'o7_7", (63, 12))]),
+    ("0b0011", [("num", "0b0011", (3, 4))]),
+    ("42", [("num", "42", (42, None))]),
+    *((p, [(p, p, p)]) for p in _PUNCT),
+    ("/* a\n b */", []),
+    ("/*/", []),
+    ("(* qflow_high *)", [("attr", "qflow_high", "qflow_high")]),
+    ("(* a,\n b *)", [("attr", "a,\n b", "a,\n b")]),
+]
+# (comment, whether it marks its line high); a newline always follows one
+LINE_COMMENTS = [("// qflow: high", True), ("//QFLOW :  High", True), ("// plain", False)]
+BLANKS = " \t\r\n"
+
+
+@st.composite
+def lexeme_sources(draw):
+    """(source, expected (kind, text, value) list, expected high lines)."""
+    src = draw(st.text(BLANKS, max_size=3))
+    want, highs = [], set()
+    items = st.one_of(st.sampled_from(LEXEMES), st.sampled_from(LINE_COMMENTS))
+    for item, blanks in draw(st.lists(st.tuples(items, st.text(BLANKS, min_size=1, max_size=4)),
+                                      max_size=30)):
+        text, toks = item
+        if isinstance(toks, bool):
+            if toks:
+                highs.add(src.count("\n") + 1)
+            toks, blanks = [], blanks + "\n"
+        src += text + blanks
+        want += toks
+    return src, want, highs
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexeme_sources())
+def test_token_positions_point_at_their_text(case):
+    src, want, highs = case
+    tokens, high_lines = tokenize("<t>", src)
+    # the same tokens whatever the blanks between them
+    assert [(t.kind, t.text, t.value) for t in tokens[:-1]] == want
+    assert high_lines == highs
+    starts = list(itertools.accumulate((len(l) + 1 for l in src.split("\n")), initial=0))
+    for t in tokens[:-1]:
+        at = src[starts[t.line - 1] + t.col - 1:]
+        if t.kind == "attr":
+            assert at.startswith("(*") and at[2:].lstrip().startswith(t.text)
+        else:
+            assert at.startswith(t.text)
+    assert tokens[-1] == ("eof", "", None, src.count("\n") + 1, 1)
 
 
 # -- parser ----------------------------------------------------------------
@@ -148,8 +221,11 @@ def rhs_of(expr):
 # loosest first, as in the Verilog operator precedence table
 PRECEDENCE = [
     ("||",), ("&&",), ("|",), ("^", "~^", "^~"), ("&",),
-    ("==", "!="), ("<", "<=", ">", ">="), ("<<", ">>"), ("+", "-"),
+    ("==", "!=", "===", "!=="), ("<", "<=", ">", ">="), ("<<", ">>", "<<<", ">>>"),
+    ("+", "-"), ("*", "/", "%"),
 ]
+# two-valued logic and no signed nets: each means the operator it maps to
+ALIASES = {"^~": "~^", "===": "==", "!==": "!=", "<<<": "<<", ">>>": ">>"}
 
 
 def test_binary_operator_table():
@@ -157,7 +233,7 @@ def test_binary_operator_table():
     a, b, c = A.Ident("a"), A.Ident("b"), A.Ident("c")
     for op1 in level:
         for op2 in level:
-            n1, n2 = ("~^" if op == "^~" else op for op in (op1, op2))
+            n1, n2 = (ALIASES.get(op, op) for op in (op1, op2))
             if level[op1] >= level[op2]:  # equal levels associate left
                 want = A.Binary(n2, A.Binary(n1, a, b), c)
             else:
@@ -211,6 +287,16 @@ def test_syntax_error_has_position():
     with pytest.raises(VerilogSyntaxError) as e:
         parse_text("module m(input a output y); endmodule")
     assert e.value.line == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("always @(a or b", "expected ')', found ''"),
+    ("always @ a", "expected 'id', found ''"),
+])
+def test_sensitivity_list_cut_by_end_of_file(text, message):
+    # the skip over a plain sensitivity list stops at the end of the text
+    with pytest.raises(VerilogSyntaxError, match=re.escape(message)):
+        parse_text(f"module m(input a, input b, output reg y);\n{text}")
 
 
 def test_rejected_constructs():
@@ -351,9 +437,49 @@ endmodule
 @pytest.mark.parametrize("expr,width", [
     ("2 + -1", 2),  # a negative operand of +
     ("(6 ~^ 3) & 7", 3),  # ~(6 ^ 3) & 7 == 2
+    ("2 * 3 + 1", 8),  # * binds tighter than +
+    ("1 + 2 * 3", 8),
+    ("7 / 2", 4),
+    ("-7 / 2 + 5", 3),  # division truncates toward zero: -3, not -4
+    ("7 % 4", 4),
+    ("-7 % 4 + 5", 3),  # the remainder takes the dividend's sign: -3
+    ("7 % -4", 4),
+    ("1 <<< 2", 5),
+    ("8 >>> 1", 5),
+    ("(2 === 2) + (2 !== 2)", 2),
 ])
 def test_constant_operators(expr, width):
     assert full(CONST_PARAM.format(expr=expr), "m").nets["y"].width == width
+
+
+def test_constant_range_with_product():
+    src = """module m #(parameter W = 4, parameter N = 2*W) (input [2*W-1:0] k, // qflow: high
+output [N-1:0] y, output z);
+assign y = k;
+assign z = k[N/2 + 7 % 3 - 1] === k[0];
+endmodule
+"""
+    d = full(src, "m")
+    assert (d.nets["k"].width, d.nets["y"].width) == (8, 8)
+    assert len(analyze_source(src, "m").totals) == 8
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("1 / 0", "division by zero in a constant expression"),
+    ("1 % 0", "division by zero in a constant expression"),
+    ("(1 << 40000) * (1 << 40000)", "constant product wider than 65536 bits"),
+])
+def test_constant_arithmetic_rejected(expr, message):
+    with pytest.raises(UnsupportedConstruct, match=re.escape(message)):
+        full(CONST_PARAM.format(expr=expr), "m")
+
+
+@pytest.mark.parametrize("op", ["*", "/", "%"])
+def test_arithmetic_on_nets_is_a_typed_error(op):
+    # parsed at its own level, then rejected by the bit-blaster, not as a syntax error
+    src = f"module m(input [1:0] a, input [1:0] b, output [1:0] y);\nassign y = a {op} b;\nendmodule\n"
+    with pytest.raises(UnsupportedConstruct, match=re.escape(f"operator {op}")):
+        analyze_source(src, "m")
 
 
 @pytest.mark.parametrize("op", ["&", "|", "^", "~&", "~|", "~^"])
@@ -620,3 +746,93 @@ def test_generate_localparam_is_per_iteration():
 def test_port_in_generate_body_rejected():
     with pytest.raises(UnsupportedConstruct):
         parse_text(GENERATE_READ.format(decl="input z;", index="i"))
+
+
+# -- pinned frontend output ------------------------------------------------
+
+def datapath_source(width=64):
+    """One plain assign per bit, in the style of the per-bit datapath benchmark."""
+    forms = ["~k[{i}] ^ (a[{i}] & b[{i}])", "k[{i}]", "a[{i}] ^ b[{i}]",
+             "~k[{i}]", "a[{i}] & b[{i}]", "k[{i}] ^ a[{i}]"]
+    lines = ["module dp(", f"High input [{width - 1}:0] k,", f"input [{width - 1}:0] a,",
+             f"input [{width - 1}:0] b,", f"output [{width - 1}:0] o);"]
+    lines += [f"assign o[{i}] = {forms[i * 7 % 6].format(i=i)};" for i in range(width)]
+    return "\n".join(lines + ["endmodule", ""])
+
+
+def reconvergent_source(stages=10):
+    """``w{i+1}`` reads ``w{i}`` twice, with one key and one low bit per stage."""
+    ops = itertools.cycle(["(w{p} | k[{i}]) & (w{p} ^ l[{i}])",
+                           "(~(w{p} | k[{i}])) | (w{p} | l[{i}])",
+                           "(w{p} ^ k[{i}]) | (w{p} & l[{i}])"])
+    lines = ["module chain(", f"High input [{stages - 1}:0] k,",
+             f"input [{stages - 1}:0] l,", "output y);",
+             "wire " + ", ".join(f"w{i}" for i in range(stages + 1)) + ";",
+             "assign w0 = k[0] ^ l[0];"]
+    lines += [f"assign w{i + 1} = {next(ops).format(p=i, i=i)};" for i in range(stages)]
+    return "\n".join(lines + [f"assign y = w{stages};", "endmodule", ""])
+
+
+def register_pipeline_source(depth=12, width=16):
+    """Per-bit register stages inside a generate loop, as in aes_t2100."""
+    lines = ["module TSC(", "input clk,", f"High input [{width - 1}:0] key,",
+             f"input [{width - 1}:0] in,", f"output reg [{width - 1}:0] load);",
+             "reg [" + f"{width - 1}:0] " + ", ".join(f"s{i}" for i in range(depth)) + ";",
+             "genvar i;", "generate", f"for (i = 0; i < {width}; i = i + 1) begin : g",
+             "always @(posedge clk) begin", " s0[i] <= key[i] ^ in[i];"]
+    stages = ["s{p}[i] ^ in[i]", "~s{p}[i]", "s{p}[i]"]
+    lines += [f" s{i}[i] <= {stages[i % 3].format(p=i - 1)};" for i in range(1, depth)]
+    lines += [f" load[i] <= s{depth - 1}[i];", "end", "end", "endgenerate", "endmodule", ""]
+    return "\n".join(lines)
+
+
+def frontend_digests(files, top):
+    """sha256 of every file's ``repr(tokenize(...))`` and of the design's AST ``repr``."""
+    tokens = "".join(repr(tokenize(path, text)) for path, text in files)
+    ast = repr(parse(SourceUnit(files, top)))
+    return tuple(hashlib.sha256(s.encode()).hexdigest() for s in (tokens, ast))
+
+
+FRONTEND_DESIGNS = {
+    "example": (["example.v"], "example"),
+    "toy_spn": (["toy_spn.v"], "toy_spn"),
+    "aes_t2100": (["aes_t2100.v"], "TSC"),
+    "aes_t2200": (["aes_t2200.v"], "TSC"),
+    "aes_t2300": (["aes_t2300.v", "aes_t2300_top.v"], "top"),
+    "datapath": (datapath_source, "dp"),
+    "reconvergent": (reconvergent_source, "chain"),
+    "register_pipeline": (register_pipeline_source, "TSC"),
+}
+
+
+def design_files(name):
+    """(files, top) of a corpus design or an inline one."""
+    source, top = FRONTEND_DESIGNS[name]
+    if callable(source):
+        return [(f"{name}.v", source())], top
+    return [(f, corpus.read(f)) for f in source], top
+
+
+# digests of the parser at a477602, before the lexer absorbed blanks into its matches
+@pytest.mark.parametrize("name, tokens_digest, ast_digest", [
+    ("example", "485faa8a54210712c62d7de0a62b705067689f112bd0d78d380efc357fb34672",
+     "595866010149e7cfe4ac95ae7838cf9f506696bbecb9b3da41da5384216950f7"),
+    ("toy_spn", "533531ad2a9fdca35823e05e5d21aca5e85e181f25de986df44f8c4019226816",
+     "ed3ea4bc250a29303e95f8742dc5728863431da7b8607623e5acb0a9d17a6ad7"),
+    ("aes_t2100", "048394e0173258262dce79435dd61646b40d692500494585aa4437894b480fc4",
+     "099019c2a3793684fc8cf431be4fddd4aaaf07682abd66b89e8b44be5212e57d"),
+    ("aes_t2200", "92c246522f24594f25a72a5d23e20b81be736084be687b895d5b2fdcf026ab19",
+     "698d4615036f4be7545af6567348a60f5903de185be967ecd1046a2473c401eb"),
+    ("aes_t2300", "a9a6e4b773223350a94e1b0b617bd06bfaff384b95bc0d71339a2dc035b6045c",
+     "3887ff64d6e63f36359042cfe5abfbb6763f93631f4ea113396e9a9425b1d01a"),
+    ("datapath", "efc027ebb80b421e91446cf119b818aebdefe868c918fcbd0fc8e77b4bd54d5f",
+     "eb2944a77137e09194e937b21902a00dfa05d0dd6eb70d6ece68fe5de5ad7d91"),
+    ("reconvergent", "4f3471501f48f6e5085ce23ace3b8d8373724d2e0c011b1c00c4029bce3bbacb",
+     "3da853d35d6285e6e0d26f24c29028994ad4622702a3708e7fb74e5986bbab34"),
+    ("register_pipeline", "0e9db5c06cbb484a6597541d807f8c1ab97e64e448169f30c7623661ea4b6602",
+     "67391ea0ef9dd1218a06b0d640504c5391a1bc336e203c4e4e09f61919cc103c"),
+])
+def test_frontend_output_pinned(name, tokens_digest, ast_digest):
+    # any moved token field (kind, text, value, line, col) or AST node changes a digest
+    files, top = design_files(name)
+    assert frontend_digests(files, top) == (tokens_digest, ast_digest)

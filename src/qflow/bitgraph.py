@@ -5,9 +5,10 @@ DAG whose leaves are primary input bits, register bits, or constants.
 Internal wires are inlined by sharing: every reader of a wire bit gets the
 same ``Node``, so a wire read twice is one node with two parents, and
 walks over a root (``BindTree.leaves``, ``eval_node`` with a memo, the
-channelizer, ``dump_forest``) visit it once.  Wide adders/subtractors and
-comparisons stay as width-tagged macro nodes above the expansion limit so
-the engine can apply closed-form vulnerability expressions to them.
+channelizer, ``dump_forest``) visit it once.  Comparisons always become
+gates.  An adder or subtractor wider than the expansion limit stays as
+one width-tagged macro node per sum bit, which the engine models in
+closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .frontend.elaborate import ElaboratedDesign, const_eval
 DEFAULT_EXPAND_LIMIT = 4
 _SHIFT_AMOUNT_LIMIT = 16
 
-_MACRO_OPS = ("EQM", "LTM", "ADDM", "SUBM")
+_MACRO_OPS = ("ADDM", "SUBM")
 
 
 class BitRef(NamedTuple):
@@ -44,7 +45,7 @@ class BitRef(NamedTuple):
 
 @dataclass(slots=True, eq=False)  # by identity: a shared node is one key
 class Node:
-    op: str  # const0 const1 leaf AND OR XOR NOT MUX EQM LTM ADDM SUBM
+    op: str  # const0 const1 leaf AND OR XOR NOT MUX ADDM SUBM
     children: tuple = ()
     ref: object = None  # leaves: a BitRef, or a channel id inside channels
     meta: tuple | None = None  # macros: (width, out_bit)
@@ -295,13 +296,9 @@ class _Blaster:
                 return [Node("AND" if op == "&&" else "OR", (x, y))]
             if op in ("==", "!=", "<", "<=", ">", ">="):
                 ab, bb = self._operands(expr.left, expr.right)
-                w, eq = len(ab), op in ("==", "!=")
                 if op in (">", "<="):
                     ab, bb = bb, ab  # a>b == b<a ; a<=b == !(b<a) == !(a'<b')
-                if w > self.expand_limit:
-                    node = Node("EQM" if eq else "LTM", tuple(ab + bb), meta=(w, None))
-                else:
-                    node = self._eq(ab, bb) if eq else self._lt(ab, bb)
+                node = self._eq(ab, bb) if op in ("==", "!=") else self._lt(ab, bb)
                 return [node if op in ("==", "<", ">") else _not(node)]
             if op in ("<<", ">>"):
                 bits = self.blast(expr.left)
@@ -477,20 +474,14 @@ def eval_node(node: Node, values, ones=1, memo=None) -> int:
     elif node.is_macro():
         w, out_bit = node.meta
         sub = op == "SUBM"
-        eq, lt, carry = ones, 0, ones if sub else 0
-        # LSB first, as in _Blaster._eq/_lt/_add
-        for i in range(w if out_bit is None else out_bit + 1):
+        carry = ones if sub else 0
+        # LSB first, as in _Blaster._add
+        for i in range(out_bit + 1):
             x = eval_node(kids[i], values, ones, memo)
             y = eval_node(kids[w + i], values, ones, memo)
-            if op == "EQM":
-                eq &= ones ^ x ^ y
-            elif op == "LTM":
-                lt = ((ones ^ x) & y) | ((ones ^ x ^ y) & lt)
-            else:
-                y = ones ^ y if sub else y
-                total = x ^ y ^ carry
-                carry = (x & y) | (carry & (x ^ y))
-        out = eq if op == "EQM" else lt if op == "LTM" else total
+            y = ones ^ y if sub else y
+            out = x ^ y ^ carry
+            carry = (x & y) | (carry & (x ^ y))
     else:
         raise ValueError(f"unknown node op {op}")
     if memo is not None:
@@ -527,7 +518,7 @@ def dump_forest(forest) -> str:
         tag = node.op
         if node.is_macro():
             w, out_bit = node.meta
-            tag = (tag if out_bit is None else f"{tag}:{out_bit}") + f"/{w}"
+            tag = f"{tag}:{out_bit}/{w}"
         text = f"({tag} " + " ".join(render(c) for c in node.children) + ")"
         if node not in shared:
             return text

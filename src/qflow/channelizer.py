@@ -12,9 +12,8 @@ own arity, since a binary gate cannot have fewer than two inputs).
 A table is filled by one bit-parallel ``eval_node`` walk over lane masks
 and kept packed as an int: bit ``a`` is the output under assignment ``a``,
 whose bit ``i`` is the value of ``inputs[i]``.
-ADD/SUB/COMPARE macro nodes become standalone macro channels that keep
-their macro node instead of a table; their high inputs are treated as
-uniformly distributed by the engine.
+ADD/SUB macro nodes become standalone macro channels that keep their
+macro node instead of a table.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ class Channel:
     # distinct, stable order: a leaf BitRef, or the id of a derived channel
     inputs: tuple
     table: int | None  # packed: bit a = output when input i is bit i of a
-    macro: Node | None  # EQM | LTM | ADDM | SUBM; leaves are inputs or constants
+    macro: Node | None  # ADDM | SUBM; leaves are inputs or constants
     output: BitRef | None  # root bit for final channels, None for internal
     root: BitRef  # which tree this channel was cut from
 
@@ -107,7 +106,12 @@ class _Merger:
             if node.is_macro():
                 piece = self.macro_piece(node)
             else:
-                inputs, kids = self.merge([self.build(c) for c in node.children])
+                # a loop, not a comprehension: before 3.12 a comprehension
+                # is one more frame per DAG level, halving the depth reached
+                pieces = []
+                for child in node.children:
+                    pieces.append(self.build(child))
+                inputs, kids = self.merge(pieces)
                 piece = inputs, Node(node.op, tuple(kids))
             self.built[node] = piece
         return piece
@@ -185,9 +189,7 @@ def dump_channels(graph: ChannelGraph) -> str:
             body = f"table=0x{ch.table:x}/{len(ch.inputs)}"
         else:
             width, out_bit = ch.macro.meta
-            body = f"macro={ch.macro.op}/{width}"
-            if out_bit is not None:
-                body += f":{out_bit}"
+            body = f"macro={ch.macro.op}/{width}:{out_bit}"
         out = f" out={ch.output}" if ch.output is not None else ""
         lines.append(f"c{ch.cid} root={ch.root}{out} inputs=[{ins}] {body}")
     return "\n".join(lines) + "\n"

@@ -44,7 +44,6 @@ class FlatAssign:
     lsb: int
     expr: A.Expr
     sequential: bool = False
-    clock: str | None = None
 
 
 @dataclass
@@ -131,6 +130,8 @@ def const_eval(expr, env):
         if expr.op == "<<" and b > _CONST_SHIFT_LIMIT:
             raise UnsupportedConstruct(
                 f"constant shift by {b} bits (at most {_CONST_SHIFT_LIMIT})")
+        if expr.op == ">>" and a < 0:  # logical in Verilog, over a width not tracked here
+            raise UnsupportedConstruct("logical shift of a negative constant")
         if expr.op == "*" and a.bit_length() + b.bit_length() > _CONST_SHIFT_LIMIT:
             raise UnsupportedConstruct(
                 f"constant product wider than {_CONST_SHIFT_LIMIT} bits")
@@ -381,7 +382,6 @@ class _Elaborator:
     # -- procedural lowering ----------------------------------------------
     def _lower_always(self, always, env, scope):
         sequential = always.sens[0] == "posedge"
-        clock = scope.flat(always.sens[1]) if sequential else None
         benv: dict = {}  # net -> list of per-bit exprs (blocking view)
         nenv: dict = {}  # net -> list of per-bit exprs (nonblocking targets)
         self._exec(always.body, env, scope, benv, nenv)
@@ -403,7 +403,7 @@ class _Elaborator:
         for net, bits in emit.items():
             for i, e in enumerate(bits):
                 if e is not None:
-                    self.assigns.append(FlatAssign(net, i, i, e, sequential=seq, clock=clock))
+                    self.assigns.append(FlatAssign(net, i, i, e, sequential=seq))
 
     def _rebuild(self, net, benv):
         """Current value of a net as an expression (MSB-first concat)."""

@@ -146,5 +146,5 @@ def tokenize(path: str, text: str):
                    "open_attr": "unterminated attribute"}.get(
                 kind, f"unexpected character {tok!r}")
             raise VerilogSyntaxError(path, line, col, msg)
-    append(Token("eof", "", None, line, 1))
+    append(Token("eof", "", None, line, len(text) - linestart + 1))
     return tokens, high_lines

@@ -79,13 +79,17 @@ def channel_prob_pbv(channel: Channel, probs, tainted=None):
     of the tainted inputs h; an untainted channel's PBV is 1.  In a table
     channel each (l, h) is one assignment ``a``, so one pass over the 2^k
     assignments gives P(1) and, keyed by (o, a & low_mask), the best
-    guesses.  Masses are added in assignment order.  Macros use closed forms.
+    guesses.  Masses are added in assignment order.
+
+    An ADDM/SUBM macro channel takes P(1) from the carry recursion, and
+    its PBV is 1 at every prior: its channels together expose the whole
+    sum, a bijection of either operand for a fixed other operand.
     """
     if tainted is None:
         tainted = [not isinstance(ci, int) and ci.role == "input-high"
                    for ci in channel.inputs]
     if channel.macro is not None:
-        return _macro_prob(channel, probs), _macro_pbv(channel, probs, tainted)
+        return _macro_prob(channel, probs), 1.0
     k = len(channel.inputs)
     if len(probs) != k:
         raise ArityMismatch(f"channel {channel.cid} takes {k} probabilities")
@@ -107,75 +111,29 @@ def channel_prob_pbv(channel: Channel, probs, tainted=None):
     return p1, ordered_sum(best.values()) if secret else 1.0
 
 
-def _operands(channel: Channel, per_input, const):
-    """Operands (a, b) of a macro channel, LSB first: ``per_input[i]`` for
-    a bit read from input i, ``const(v)`` for a constant bit v."""
+def _operands(channel: Channel, probs):
+    """P(1) of the operand bits (a, b) of a macro channel, LSB first."""
     index = {ci: i for i, ci in enumerate(channel.inputs)}
-    bits = [per_input[index[c.ref]] if c.op == "leaf"
-            else const(int(c.op == "const1")) for c in channel.macro.children]
+    bits = [probs[index[c.ref]] if c.op == "leaf" else float(c.op == "const1")
+            for c in channel.macro.children]
     w = channel.macro.meta[0]
     return bits[:w], bits[w:]
 
 
 def _macro_prob(channel: Channel, probs) -> float:
+    """P(1) of one sum bit of an ADDM/SUBM channel, by the carry recursion."""
     m = channel.macro
-    width, out_bit = m.meta
-    pa, pb = _operands(channel, probs, float)
-    if m.op == "EQM":
-        p = 1.0
-        for x, y in zip(pa, pb):
-            p *= x * y + (1.0 - x) * (1.0 - y)
-        return p
-    if m.op == "LTM":
-        # MSB first: P(a<b) = sum_i P(equal above i) * P(a_i=0, b_i=1)
-        p = 0.0
-        eq_above = 1.0
-        for i in range(width - 1, -1, -1):
-            p += eq_above * (1.0 - pa[i]) * pb[i]
-            eq_above *= pa[i] * pb[i] + (1.0 - pa[i]) * (1.0 - pb[i])
-        return p
-    # ADDM / SUBM: marginal of one sum bit via carry recursion
+    pa, pb = _operands(channel, probs)
     if m.op == "SUBM":
         pb = [1.0 - y for y in pb]
         pc = 1.0
     else:
         pc = 0.0
-    for k in range(out_bit + 1):
+    for k in range(m.meta[1] + 1):
         pxor = pa[k] * (1.0 - pb[k]) + (1.0 - pa[k]) * pb[k]
         psum = pxor * (1.0 - pc) + (1.0 - pxor) * pc
         pc = pa[k] * pb[k] + pxor * pc
     return psum
-
-
-def _macro_pbv(channel: Channel, probs, tainted) -> float:
-    """Closed forms under uniformly distributed secret operands.
-
-    ADD/SUB channels expose the whole sum vector, which is a bijection of
-    the secret operand for every fixed observable value, hence PBV 1.
-    """
-    m = channel.macro
-    w = m.meta[0]
-    a_taint, b_taint = _operands(channel, tainted, lambda _v: False)
-    a_t, b_t = any(a_taint), any(b_taint)
-    if not (a_t or b_t):
-        return 1.0
-    if m.op in ("ADDM", "SUBM"):
-        return 1.0
-    if m.op == "EQM":
-        return 2.0 ** (1 - w)
-    # LTM, a < b: one outcome class is empty at the observable boundary
-    pa, pb = _operands(channel, probs, float)
-    if a_t and not b_t:
-        p_empty = 1.0
-        for y in pb:
-            p_empty *= 1.0 - y  # b == 0: the a<b class vanishes
-        return 2.0 ** (1 - w) - 2.0 ** (-w) * p_empty
-    if b_t and not a_t:
-        p_empty = 1.0
-        for x in pa:
-            p_empty *= x  # a == all-ones: the a<b class vanishes
-        return 2.0 ** (1 - w) - 2.0 ** (-w) * p_empty
-    return 2.0 ** (1 - w)
 
 
 # --------------------------------------------------------------------------

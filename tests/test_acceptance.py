@@ -130,16 +130,15 @@ def test_criterion_7_channel_exactness():
             ok = False
             break
     for w in range(2, 7):
-        for expr in ("a == b", "a < b"):
-            _d, _f, graph = macro_design(expr, w)
-            ch = next(c for c in graph.channels if c.macro is not None)
-            probs = [rng.random() for _ in ch.inputs]
-            want_p, want_v = enum_macro(ch, probs)
-            p1, pbv = channel_prob_pbv(ch, probs)
-            if abs(p1 - want_p) >= 1e-12 or abs(pbv - want_v) >= 1e-12:
-                ok = False
+        for expr in ("a + b", "a - b"):
+            _d, _f, graph = macro_design(expr, w, outw=w)
+            for ch in graph.channels:
+                probs = [rng.random() for _ in ch.inputs]
+                p1, _pbv = channel_prob_pbv(ch, probs)
+                if abs(p1 - enum_macro(ch, probs)) >= 1e-12:
+                    ok = False
     elapsed = time.perf_counter() - t0
-    check(7, "1000 random channels and macro closed forms match enumeration",
+    check(7, "1000 random channels and the add/sub closed forms match enumeration",
           ok and elapsed < 60.0, f"{elapsed:.1f}s")
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from qflow.bitgraph import (
     eval_node,
     lane_masks,
 )
+from qflow.channelizer import merge
 from qflow.errors import CombinationalLoop
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.pipeline import Config, analyze
@@ -180,15 +182,20 @@ endmodule
     exhaustive_equal(src, "m", ref, ["a", "b", "cin"])
 
 
-def test_wide_compare_becomes_macro():
-    src = """module m(input [5:0] a, input [5:0] b, output y);
-assign y = a == b;
-endmodule
-"""
-    forest = forest_of(src, "m")
-    assert forest[0].node.op == "EQM"
-    forest = forest_of(src, "m", expand_limit=8)
-    assert forest[0].node.op != "EQM"
+def test_wide_compare_stays_gates():
+    ops = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+    for (op, cmp), w in itertools.product(ops.items(), range(5, 9)):
+        src = (f"module m(input [{w-1}:0] a, input [{w-1}:0] b, output y);\n"
+               f"assign y = a {op} b;\nendmodule\n")
+        forest = forest_of(src, "m")
+        assert all(ch.macro is None for ch in merge(forest).channels)
+        refs = [BitRef(n, i, "input-low") for n in "ab" for i in range(w)]
+        lanes = eval_node(forest[0].node, dict(zip(refs, lane_masks(2 * w))),
+                          (1 << (1 << 2 * w)) - 1)
+        for lane in range(1 << 2 * w):
+            a, b = lane & ((1 << w) - 1), lane >> w
+            assert (lanes >> lane) & 1 == cmp(a, b), (w, a, b)
 
 
 def test_macro_eval_matches_arith():
@@ -213,12 +220,11 @@ def random_node(rng, refs, depth):
         r = rng.random()
         return (CONST0 if r < 0.1 else CONST1 if r < 0.2
                 else Node("leaf", ref=rng.choice(refs)))
-    op = rng.choice(["AND", "OR", "XOR", "NOT", "MUX", "EQM", "LTM", "ADDM", "SUBM"])
-    if op in ("EQM", "LTM", "ADDM", "SUBM"):
+    op = rng.choice(["AND", "OR", "XOR", "NOT", "MUX", "ADDM", "SUBM"])
+    if op in ("ADDM", "SUBM"):
         w = rng.randint(1, 3)
-        out_bit = None if op in ("EQM", "LTM") else rng.randrange(w)
         kids = tuple(random_node(rng, refs, depth - 2) for _ in range(2 * w))
-        return Node(op, kids, meta=(w, out_bit))
+        return Node(op, kids, meta=(w, rng.randrange(w)))
     arity = {"NOT": 1, "MUX": 3}.get(op, 2)
     return Node(op, tuple(random_node(rng, refs, depth - 1) for _ in range(arity)))
 

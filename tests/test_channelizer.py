@@ -139,13 +139,13 @@ def test_channel_eval_arity_mismatch():
 
 def test_macro_channel_has_override():
     src = """module m(input [5:0] a, input [5:0] b, output y);
-assign y = a < b;
+assign y = a + b;
 endmodule
 """
     _forest, graph = pipeline_to_graph(src, "m", 5)
     macros = [ch for ch in graph.channels if ch.macro is not None]
     assert len(macros) == 1
-    assert macros[0].macro.op == "LTM"
+    assert macros[0].macro.op == "ADDM"
     assert macros[0].table is None
 
 

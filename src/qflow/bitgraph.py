@@ -3,9 +3,10 @@
 Every top-level output bit and every register bit becomes the root of one
 DAG whose leaves are primary input bits, register bits, or constants.
 Internal wires are inlined by sharing: every reader of a wire bit gets the
-same ``Node``, so a wire read twice is one node with two parents, and
-walks over a root (``BindTree.leaves``, ``eval_node`` with a memo, the
-channelizer, ``dump_forest``) visit it once.  Comparisons always become
+same ``Node``, so a wire read twice is one node with two parents.  Every
+consumer of these DAGs (``BindTree.leaves``, ``eval_node``, the
+channelizer, ``dump_forest``, the oracle) walks ``postorder``: each node
+once, after its children, at any depth.  Comparisons always become
 gates.  An adder or subtractor wider than the expansion limit stays as
 one width-tagged macro node per sum bit, which the engine models in
 closed form.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,20 +66,38 @@ class BindTree:
     node: Node
 
     def leaves(self):
-        """Leaf refs, one per distinct leaf node; shared subtrees are visited once."""
-        out = []
-        seen = set()
-        stack = [self.node]
+        """Leaf refs, one per distinct leaf node, in ``postorder``."""
+        return [n.ref for n in postorder((self.node,)) if n.op == "leaf"]
+
+
+def postorder(roots):
+    """Each distinct node reachable from ``roots``, each after its children.
+
+    The order is the one in which a left-to-right recursive walk that
+    skips the nodes it has already met finishes them.  The walk keeps its
+    own stack of (node, iterator over its children), so its depth costs
+    no interpreter frames; a childless node finishes as soon as it is met.
+    """
+    order = []
+    seen = set()
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(root.children))]
         while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            if n.op == "leaf":
-                out.append(n.ref)
+            node, kids = stack[-1]
+            for child in kids:
+                if child not in seen:
+                    seen.add(child)
+                    if child.children:
+                        stack.append((child, iter(child.children)))
+                        break
+                    order.append(child)
             else:
-                stack.extend(n.children)
-        return out
+                stack.pop()
+                order.append(node)
+    return order
 
 
 @dataclass
@@ -364,11 +384,11 @@ def compute_dependencies(forest) -> DependencyGraph:
     adj = {}
     for tree in forest:
         adj.setdefault(tree.root, set())
-        for leaf in tree.leaves():
-            if leaf.role == "register":  # equal to its own tree's root
-                graph.edges.add((tree.root, leaf))
-                adj[tree.root].add(leaf)
-                adj.setdefault(leaf, set())
+        for node in postorder((tree.node,)):
+            if node.op == "leaf" and node.ref.role == "register":  # a tree's root
+                graph.edges.add((tree.root, node.ref))
+                adj[tree.root].add(node.ref)
+                adj.setdefault(node.ref, set())
     graph.order = _sccs(adj)
     for scc in graph.order:
         if len(scc) > 1 or any(v in adj.get(v, ()) for v in scc):
@@ -430,63 +450,54 @@ def _successors(succ):
     return iter(sorted(succ, key=str) if len(succ) > 1 else succ)
 
 
-def eval_node(node: Node, values, ones=1, memo=None) -> int:
+def eval_node(node: Node, values, ones=1) -> int:
     """Evaluate a node's DAG given leaf values keyed by each leaf's ``ref``.
 
     With ``ones = 2**n - 1`` and each leaf bound to an n-bit lane mask (see
     ``lane_masks``), one walk evaluates n assignments at once: bit j of the
     result is the node's value under the assignment of lane j.
-
-    ``memo``, a dict owned by the caller, keeps each gate's value by node,
-    so a node shared by several parents is evaluated once and a
-    reconvergent DAG costs one visit per node.  The caller empties it
-    whenever ``values`` change.
     """
-    op = node.op
-    if op == "leaf":
-        return values[node.ref]
-    if op == "const0":
-        return 0
-    if op == "const1":
-        return ones
-    if memo is not None:
-        out = memo.get(node)
-        if out is not None:
-            return out
-    kids = node.children
-    if op == "AND":
-        out = eval_node(kids[0], values, ones, memo) & eval_node(kids[1], values, ones, memo)
-    elif op == "OR":
-        out = eval_node(kids[0], values, ones, memo) | eval_node(kids[1], values, ones, memo)
-    elif op == "XOR":
-        out = eval_node(kids[0], values, ones, memo) ^ eval_node(kids[1], values, ones, memo)
-    elif op == "NOT":
-        out = ones ^ eval_node(kids[0], values, ones, memo)
-    elif op == "MUX":
-        sel = eval_node(kids[0], values, ones, memo)
-        if sel == ones:
-            out = eval_node(kids[1], values, ones, memo)
-        elif not sel:
-            out = eval_node(kids[2], values, ones, memo)
+    return eval_order(postorder((node,)), values, ones)[node]
+
+
+def eval_order(order, values, ones=1) -> dict:
+    """Each node of a ``postorder`` list mapped to its value, as in
+    ``eval_node``: a node shared by several parents or roots is evaluated once."""
+    val = {}
+    for node in order:
+        op = node.op
+        kids = node.children
+        if op == "leaf":
+            out = values[node.ref]
+        elif op == "AND":
+            out = val[kids[0]] & val[kids[1]]
+        elif op == "XOR":
+            out = val[kids[0]] ^ val[kids[1]]
+        elif op == "NOT":
+            out = ones ^ val[kids[0]]
+        elif op == "OR":
+            out = val[kids[0]] | val[kids[1]]
+        elif op == "MUX":
+            sel = val[kids[0]]
+            out = (sel & val[kids[1]]) | ((ones ^ sel) & val[kids[2]])
+        elif op == "const0":
+            out = 0
+        elif op == "const1":
+            out = ones
+        elif op in _MACRO_OPS:
+            w, out_bit = node.meta
+            sub = op == "SUBM"
+            carry = ones if sub else 0
+            # LSB first, as in _Blaster._add
+            for i in range(out_bit + 1):
+                x = val[kids[i]]
+                y = ones ^ val[kids[w + i]] if sub else val[kids[w + i]]
+                out = x ^ y ^ carry
+                carry = (x & y) | (carry & (x ^ y))
         else:
-            out = ((sel & eval_node(kids[1], values, ones, memo))
-                   | ((ones ^ sel) & eval_node(kids[2], values, ones, memo)))
-    elif node.is_macro():
-        w, out_bit = node.meta
-        sub = op == "SUBM"
-        carry = ones if sub else 0
-        # LSB first, as in _Blaster._add
-        for i in range(out_bit + 1):
-            x = eval_node(kids[i], values, ones, memo)
-            y = eval_node(kids[w + i], values, ones, memo)
-            y = ones ^ y if sub else y
-            out = x ^ y ^ carry
-            carry = (x & y) | (carry & (x ^ y))
-    else:
-        raise ValueError(f"unknown node op {op}")
-    if memo is not None:
-        memo[node] = out
-    return out
+            raise ValueError(f"unknown node op {op}")
+        val[node] = out
+    return val
 
 
 @functools.cache  # n <= 16 (MAX_TABLE_INPUTS, oracle.LANE_BITS): 17 entries
@@ -503,47 +514,29 @@ def dump_forest(forest) -> str:
     binding ``%n = (...)`` indented under that root's line (each binding
     above the ones it reads), and named ``%n`` wherever it is read; names
     count up through the whole dump.  A tree-shaped root is one line, and
-    the dump is linear in DAG size.
+    the dump is one pass over each root's ``postorder``.
     """
     counter = itertools.count()
-    shared, names, bindings = set(), {}, []  # of the root being rendered
-
-    def render(node):
-        if node.op in ("const0", "const1"):
-            return node.op[-1]
-        if node.op == "leaf":
-            return str(node.ref)
-        if node in names:
-            return names[node]
-        tag = node.op
-        if node.is_macro():
-            w, out_bit = node.meta
-            tag = f"{tag}:{out_bit}/{w}"
-        text = f"({tag} " + " ".join(render(c) for c in node.children) + ")"
-        if node not in shared:
-            return text
-        name = names[node] = f"%{next(counter)}"
-        bindings.append(f"  {name} = {text}")
-        return name
-
     lines = []
     for tree in sorted(forest, key=lambda t: (t.root.net, t.root.bit)):
-        shared, names, bindings = _shared_gates(tree.node), {}, []
-        lines.append(f"{tree.root} = {render(tree.node)}")
+        order = postorder((tree.node,))
+        reads = Counter(c for n in order for c in n.children)
+        text, bindings = {}, []  # a text read once is dropped when read
+        for node in order:
+            if not node.children:  # a leaf or a constant
+                text[node] = str(node.ref) if node.op == "leaf" else node.op[-1]
+                continue
+            tag = node.op
+            if node.is_macro():
+                w, out_bit = node.meta
+                tag = f"{tag}:{out_bit}/{w}"
+            body = " ".join(text.pop(c) if reads[c] == 1 else text[c]
+                            for c in node.children)
+            text[node] = f"({tag} {body})"
+            if reads[node] > 1:
+                name = f"%{next(counter)}"
+                bindings.append(f"  {name} = {text[node]}")
+                text[node] = name
+        lines.append(f"{tree.root} = {text[tree.node]}")
         lines += reversed(bindings)
     return "\n".join(lines) + "\n"
-
-
-def _shared_gates(root):
-    """The gates that ``root`` reaches along more than one edge."""
-    seen, shared = set(), set()
-    stack = [root]
-    while stack:
-        for child in stack.pop().children:
-            if child in seen:
-                if child.children:
-                    shared.add(child)
-            else:
-                seen.add(child)
-                stack.append(child)
-    return shared

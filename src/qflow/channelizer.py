@@ -1,16 +1,17 @@
 """Greedy bottom-up merging of bind-DAG nodes into bounded channels.
 
 ``bit_blast`` shares a node among all its readers, so each bind tree is a
-DAG.  The merger visits each of its nodes once per tree: a node read
-twice is built once, and if it is sealed, it is one channel that both
-readers take as the same input.  Sharing never crosses trees, so each
-channel's ``root`` is the one tree it was cut from.
+DAG.  The merger walks each tree's ``postorder`` once, building every
+node's piece from its children's stored pieces: a node read twice is
+built once, and if it is sealed, it is one channel that both readers
+take as the same input.  Sharing never crosses trees, so each channel's
+``root`` is the one tree it was cut from.
 
 A table channel is a Boolean function over at most ``max_channel_inputs``
 distinct input bits (single-node channels may exceed the bound by their
 own arity, since a binary gate cannot have fewer than two inputs).
-A table is filled by one bit-parallel ``eval_node`` walk over lane masks
-and kept packed as an int: bit ``a`` is the output under assignment ``a``,
+A table is filled by one bit-parallel ``eval_node`` over lane masks and
+kept packed as an int: bit ``a`` is the output under assignment ``a``,
 whose bit ``i`` is the value of ``inputs[i]``.
 ADD/SUB macro nodes become standalone macro channels that keep their
 macro node instead of a table.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bitgraph import BitRef, Node, eval_node, lane_masks
+from .bitgraph import BitRef, Node, eval_node, lane_masks, postorder
 from .errors import ArityMismatch
 
 DEFAULT_MAX_CHANNEL_INPUTS = 5
@@ -69,8 +70,6 @@ class _Merger:
         self.root = root
         self.built.clear()
         self.sealed.clear()
-        # a piece can read a node twice only after build() met one twice
-        self.shared = False
 
     def add(self, inputs, table, macro) -> int:
         cid = len(self.graph.channels)
@@ -85,8 +84,7 @@ class _Merger:
         cid = self.sealed.get(node)
         if cid is None:
             table = eval_node(node, dict(zip(inputs, lane_masks(len(inputs)))),
-                              (1 << (1 << len(inputs))) - 1,
-                              memo={} if self.shared else None)
+                              (1 << (1 << len(inputs))) - 1)
             cid = self.add(inputs, table, None)
             self.sealed[node] = cid
         return cid
@@ -94,27 +92,19 @@ class _Merger:
     def derived(self, cid):
         return [cid], Node("leaf", ref=cid)
 
-    def build(self, node: Node):
-        if node.op in ("const0", "const1"):
-            return [], node
-        if node.op == "leaf":
-            return [node.ref], node
-        piece = self.built.get(node)
-        if piece is not None:
-            self.shared = True
-        else:
-            if node.is_macro():
+    def build(self, root: Node):
+        """The piece of ``root``, each node's built from its children's."""
+        built = self.built
+        for node in postorder((root,)):
+            if not node.children:  # a leaf or a constant
+                piece = ([node.ref] if node.op == "leaf" else []), node
+            elif node.is_macro():
                 piece = self.macro_piece(node)
             else:
-                # a loop, not a comprehension: before 3.12 a comprehension
-                # is one more frame per DAG level, halving the depth reached
-                pieces = []
-                for child in node.children:
-                    pieces.append(self.build(child))
-                inputs, kids = self.merge(pieces)
+                inputs, kids = self.merge([built[c] for c in node.children])
                 piece = inputs, Node(node.op, tuple(kids))
-            self.built[node] = piece
-        return piece
+            built[node] = piece
+        return built[root]
 
     def merge(self, pieces):
         """Union child input sets; seal children until the bound is met.
@@ -124,10 +114,8 @@ class _Merger:
         for determinism.  A fully sealed gate always fits (its arity is the
         floor on channel size).
         """
-        def union_size(ps):
-            return len({ci for inputs, _node in ps for ci in inputs})
-
-        while union_size(pieces) > self.bound:
+        inputs = list(dict.fromkeys(ci for p in pieces for ci in p[0]))
+        while len(inputs) > self.bound:
             candidates = [i for i, p in enumerate(pieces) if len(p[0]) > 1]
             if not candidates:
                 break  # all single-input: arity floor, accept over-bound
@@ -135,20 +123,17 @@ class _Merger:
                                            input_label(pieces[i][0][0])))
             i = candidates[0]
             pieces[i] = self.derived(self.seal(pieces[i]))
-
-        inputs = list(dict.fromkeys(ci for p in pieces for ci in p[0]))
+            inputs = list(dict.fromkeys(ci for p in pieces for ci in p[0]))
         return inputs, [node for _inputs, node in pieces]
 
     def macro_piece(self, node: Node):
         """A standalone macro channel; each non-leaf operand bit is sealed first."""
         kids = []
         for child in node.children:
-            if child.op not in ("const0", "const1", "leaf"):
-                piece = self.build(child)
-                if piece[1].op != "leaf":  # a gate; a nested macro is already a leaf
-                    piece = self.derived(self.seal(piece))
-                child = piece[1]
-            kids.append(child)
+            piece = self.built[child]
+            if piece[1].op not in ("const0", "const1", "leaf"):  # a nested macro is a leaf
+                piece = self.derived(self.seal(piece))
+            kids.append(piece[1])
         inputs = dict.fromkeys(c.ref for c in kids if c.op == "leaf")
         macro = Node(node.op, tuple(kids), meta=node.meta)
         return self.derived(self.add(inputs, None, macro))

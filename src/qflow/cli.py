@@ -7,7 +7,7 @@ import sys
 
 from .bitgraph import dump_forest
 from .channelizer import dump_channels
-from .errors import DesignTooDeep, QFlowError
+from .errors import QFlowError
 from .oracle import differential_run
 from .pipeline import Config, analyze, render_report
 from .report import DEFAULT_DETECT, DEFAULT_WARN, Thresholds, calibrate_thresholds
@@ -82,13 +82,10 @@ def _config_from(args, thresholds=None) -> Config:
 
 
 def _maybe_dump(args, analysis):
-    try:
-        if args.dump_trees:
-            sys.stderr.write(dump_forest(analysis.forest))
-        if args.dump_channels:
-            sys.stderr.write(dump_channels(analysis.graph))
-    except RecursionError as e:
-        raise DesignTooDeep() from e
+    if args.dump_trees:
+        sys.stderr.write(dump_forest(analysis.forest))
+    if args.dump_channels:
+        sys.stderr.write(dump_channels(analysis.graph))
 
 
 def cmd_analyze(args) -> int:
@@ -138,7 +135,11 @@ def cmd_oracle_diff(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "oracle-diff" and args.max_bits < 2:
+        # a random circuit has at least one secret bit and one more input
+        parser.error("argument --max-bits: must be at least 2")
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

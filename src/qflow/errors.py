@@ -34,6 +34,12 @@ class LabelOnNonInput(QFlowError):
         self.name = name
 
 
+class ProbabilityOnNonInput(QFlowError):
+    def __init__(self, name):
+        super().__init__(f"input probability given for non-input signal: {name}")
+        self.name = name
+
+
 class RecursiveInstantiation(QFlowError):
     def __init__(self, cycle):
         super().__init__(f"recursive module instantiation: {' -> '.join(cycle)}")

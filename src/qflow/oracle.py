@@ -12,7 +12,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bitgraph import BindTree, BitRef, Node, compute_dependencies, eval_node, lane_masks
+from .bitgraph import (BindTree, BitRef, Node, compute_dependencies, eval_order, lane_masks,
+                       postorder)
 from .channelizer import merge
 from .errors import TooLarge
 from .frontend.elaborate import ElaboratedDesign, FlatNet
@@ -38,30 +39,32 @@ class FlatFunction:
         values.update(zip(self.low_inputs, l_bits))
         return tuple(self.unroll(values))
 
-    def unroll(self, values, ones=1, memo=None):
+    def unroll(self, values, ones=1):
         """Every output bit of every cycle, with the inputs bound in ``values``.
 
         Registers start at 0 and inputs are held constant.  With lane masks
         in ``values`` and ``ones`` the all-lanes mask, each output is a mask
-        over every lane at once.  ``memo`` goes to ``eval_node`` and is
-        emptied whenever the registers change.
+        over every lane at once.  Each cycle evaluates one ``postorder`` of
+        the next-state roots and one of the output roots, so a node shared
+        by several roots is evaluated once per cycle.
         """
+        next_order = postorder(n for n in self.next_state.values() if n is not None)
+        comb_order = postorder(self.comb.values())
+
         def load(state):
             for ref in self.registers:
                 values[ref] = state[(ref.net, ref.bit)]
-            if memo is not None:
-                memo.clear()
 
         state = dict.fromkeys(self.next_state, 0)
         load(state)
         obs = []
         for _ in range(self.cycles):
-            state = {key: state[key] if node is None
-                     else eval_node(node, values, ones, memo)
+            val = eval_order(next_order, values, ones)
+            state = {key: state[key] if node is None else val[node]
                      for key, node in self.next_state.items()}
             load(state)
-            obs += [state[key] if key in state
-                    else eval_node(self.comb[key], values, ones, memo)
+            val = eval_order(comb_order, values, ones)
+            obs += [state[key] if key in state else val[self.comb[key]]
                     for key in self.outputs]
         return obs
 
@@ -184,7 +187,7 @@ def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
                 bit = (a >> i) & 1
                 values[ref] = ones if bit else 0
                 start *= p if bit else 1.0 - p
-            keys = _lane_keys(f.unroll(values, ones, {}) + lane_lows, lanes)
+            keys = _lane_keys(f.unroll(values, ones) + lane_lows, lanes)
             if uniform:  # one lane mass, so it is every key's best
                 best.update(dict.fromkeys(keys, 0.5 ** len(free)))
                 continue

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .bitgraph import bit_blast, compute_dependencies
 from .channelizer import MAX_TABLE_INPUTS, merge
-from .errors import DesignTooDeep, UnknownSignal
+from .errors import DesignTooDeep, ProbabilityOnNonInput, UnknownSignal
 from .frontend import SourceUnit, elaborate, extract_labels, parse
 from .qif_engine import accumulate_totals, output_contributions, propagate
 from .report import Report, Thresholds, classify, render
@@ -76,15 +76,23 @@ def build_input_probs(design, config: Config):
         with open(config.prob_file, encoding="utf-8") as fh:
             per_bit, per_net = parse_probability_file(fh.read())
         for name, p in per_net.items():
-            if name not in design.nets:
-                raise UnknownSignal(name)
-            for b in range(design.nets[name].width):
+            for b in range(_input_width(design, name)):
                 probs[(name, b)] = p
         for (name, b), p in per_bit.items():
-            if name not in design.nets:
-                raise UnknownSignal(name)
+            if b >= _input_width(design, name):
+                raise UnknownSignal(f"{name}[{b}]")
             probs[(name, b)] = p
     return probs
+
+
+def _input_width(design, name):
+    """The width of input net ``name``: only an input bit takes a probability."""
+    net = design.nets.get(name)
+    if net is None:
+        raise UnknownSignal(name)
+    if net.kind != "input":
+        raise ProbabilityOnNonInput(name)
+    return net.width
 
 
 def load_sources(paths):
@@ -98,8 +106,8 @@ def load_sources(paths):
 def analyze(config: Config, file_texts=None) -> Analysis:
     """Run the full pipeline; ``file_texts`` bypasses the filesystem.
 
-    Raises ``DesignTooDeep`` where a stage's recursion outgrows the
-    interpreter's stack.
+    Raises ``DesignTooDeep`` where the parser, elaboration or the
+    bit-blaster recurses deeper than the interpreter's stack allows.
 
     The stages run with the cyclic garbage collector paused, and the
     caller's ``gc`` state comes back in a ``finally``, also when a stage

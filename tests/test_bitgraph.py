@@ -19,11 +19,14 @@ from qflow.bitgraph import (
     dump_forest,
     eval_node,
     lane_masks,
+    postorder,
 )
-from qflow.channelizer import merge
+from qflow.channelizer import dump_channels, merge
 from qflow.errors import CombinationalLoop
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
+from qflow.oracle import exact_multiplicative_leakage, flatten_forest, synthetic_design
 from qflow.pipeline import Config, analyze
+from qflow.qif_engine import accumulate_totals, propagate
 
 
 def design_of(src, top):
@@ -239,10 +242,10 @@ def test_eval_node_lanes_match_scalar():
         values = dict(zip(refs, lane_masks(n)))
         packed = eval_node(node, values, ones)
         assert 0 <= packed <= ones
-        memo = {}
-        assert eval_node(node, values, ones, memo) == packed
-        # ``node`` is shared by both children, so the memo serves the second
-        assert eval_node(Node("XOR", (node, Node("NOT", (node,)))), values, ones, memo) == ones
+        # ``node`` is shared by both children: one walk lists it once
+        shared = Node("XOR", (node, Node("NOT", (node,))))
+        assert len(postorder((shared,))) == len(postorder((node,))) + 2
+        assert eval_node(shared, values, ones) == ones
         for lane in range(1 << n):
             scalar = eval_node(node, {r: (lane >> i) & 1 for i, r in enumerate(refs)})
             assert scalar in (0, 1)
@@ -402,3 +405,109 @@ def test_dump_forest_linear_on_reconvergent_chain():
 
     # a tree rendering doubles per stage; bindings add one line per stage
     assert dump_size(16) < 2.2 * dump_size(8)
+
+
+def recursive_postorder(roots):
+    """The reference for ``postorder``: a recursive walk that skips met nodes."""
+    order, seen = [], set()
+
+    def visit(node):
+        if node in seen:
+            return
+        seen.add(node)
+        for child in node.children:
+            visit(child)
+        order.append(node)
+
+    for root in roots:
+        visit(root)
+    return order
+
+
+def random_dag(rng, refs, size):
+    """``size`` gates, each over earlier nodes, so later gates share earlier ones."""
+    nodes = [CONST0, CONST1] + [Node("leaf", ref=r) for r in refs]
+    for _ in range(size):
+        op = rng.choice(["AND", "OR", "XOR", "NOT", "MUX", "ADDM"])
+        arity = {"NOT": 1, "MUX": 3, "ADDM": 4}.get(op, 2)
+        # mostly recent nodes, for depth; any node, for sharing across levels
+        kids = tuple(rng.choice(nodes[-6:] if rng.random() < 0.7 else nodes)
+                     for _ in range(arity))
+        nodes.append(Node(op, kids, meta=(2, 1) if op == "ADDM" else None))
+    return nodes
+
+
+def test_postorder_matches_recursive_walk():
+    rng = random.Random(15)
+    refs = [BitRef("x", i, "input-low") for i in range(4)]
+    for _ in range(200):
+        nodes = random_dag(rng, refs, rng.randint(1, 40))
+        roots = rng.sample(nodes, rng.randint(1, 4)) + [nodes[-1]]
+        order = postorder(roots)
+        assert order == recursive_postorder(roots)
+        assert len(set(order)) == len(order)
+        ones = (1 << 16) - 1
+        values = dict(zip(refs, lane_masks(4)))
+        leaves = [n for n in nodes if n.op == "leaf"]
+        for root in roots:
+            assert eval_node(root, values, ones) == scalar_lanes(root, leaves)
+
+
+def scalar_lanes(node, refs):
+    """``node``'s lane mask, from one recursive scalar evaluation per lane."""
+    def value(n, env):
+        if n not in env:
+            kids = [value(c, env) for c in n.children]
+            if n.op == "ADDM":  # bit 1 of a 2-bit sum
+                env[n] = ((kids[0] + 2 * kids[1] + kids[2] + 2 * kids[3]) >> 1) & 1
+            elif n.op == "MUX":
+                env[n] = kids[1] if kids[0] else kids[2]
+            elif n.op == "NOT":
+                env[n] = 1 - kids[0]
+            elif n.children:
+                env[n] = {"AND": operator.and_, "OR": operator.or_,
+                          "XOR": operator.xor}[n.op](*kids)
+            else:
+                env[n] = int(n.op == "const1")
+        return env[n]
+
+    lanes = 0
+    for lane in range(1 << len(refs)):
+        env = {leaf: (lane >> i) & 1 for i, leaf in enumerate(refs)}
+        lanes |= value(node, env) << lane
+    return lanes
+
+
+def test_deep_dag_takes_any_depth():
+    """5,000 levels, two DAG levels each, far past the default recursion limit."""
+    highs = [BitRef("h", i, "input-high") for i in range(4)]
+    lows = [BitRef("l", i, "input-low") for i in range(4)]
+    refs = highs + lows
+    leaves = [Node("leaf", ref=r) for r in refs]
+    masks = dict(zip(refs, lane_masks(8)))
+    ones = (1 << 256) - 1
+    node, want = leaves[0], masks[refs[0]]
+    for i in range(1, 5001):
+        # each level reads the last one twice: (w & x) ^ ~w
+        x = leaves[i % 8]
+        node = Node("XOR", (Node("AND", (node, x)), Node("NOT", (node,))))
+        want = (want & masks[x.ref]) ^ (ones ^ want)
+    root = BitRef("o0", 0, "top-output")
+    forest = [BindTree(root, node)]
+    design = synthetic_design(4, 4, 1)
+
+    assert eval_node(node, masks, ones) == want
+    assert sorted(forest[0].leaves()) == sorted(refs)
+    deps = compute_dependencies(forest)
+    assert deps.order == [[root]] and not deps.cycles
+    graph = merge(forest)
+    assert graph.root_channel == {root: len(graph.channels) - 1}
+    assert len(graph.channels) > 1000  # one cut per few levels
+    dump = dump_forest(forest)
+    assert dump.count("\n") == 5000  # the root's line, a binding per inner level
+    assert dump_channels(graph).count("\n") == len(graph.channels)
+    annotated = propagate(graph, design, {}, deps)
+    totals = accumulate_totals(annotated, design, cap=False)
+    assert sorted(totals) == list(range(4))
+    _ratio, exact = exact_multiplicative_leakage(flatten_forest(forest, design))
+    assert 0.0 <= exact <= 1.0  # one output bit

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qflow
-from qflow import cli, corpus
+from qflow import corpus
 from qflow.cli import main
 from qflow.errors import DesignTooDeep
 from qflow.pipeline import Config, analyze
@@ -220,10 +220,35 @@ def test_too_deep_design_is_an_error(tmp_path, capsys, monkeypatch, top, make):
         analyze(Config(files=[src], top=top))
 
 
-def test_too_deep_dump_is_an_error(tmp_path, capsys, monkeypatch):
-    def too_deep(_forest):
-        raise RecursionError("maximum recursion depth exceeded")
-    monkeypatch.setattr(cli, "dump_forest", too_deep)
-    src = write(tmp_path, "m.v", IDENTITY)
-    assert main(["analyze", "--top", "m", "--dump-trees", src]) == 3
-    assert capsys.readouterr().err.startswith("qflow: error: design is nested too deeply")
+@pytest.mark.parametrize("op", ["<", "=="])
+def test_wide_comparator_gets_a_verdict_with_dumps(tmp_path, capsys, op):
+    # ``<`` is two DAG levels per bit: 2,048, past the default recursion limit
+    src = write(tmp_path, "cmp.v", "module cmp(input [1023:0] a, // qflow: high\n"
+                f"input [1023:0] b,\noutput y);\nassign y = a {op} b;\nendmodule\n")
+    code = main(["analyze", "--top", "cmp", "--dump-trees", "--dump-channels",
+                 "--format", "json", src])
+    assert code in (0, 1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("y[0] = ") and "c0 root=y[0]" in err
+
+
+@pytest.mark.parametrize("probs,message", [
+    ("i[7] = 0.9\n", "qflow: error: unknown signal: i[7]\n"),
+    ("o = 0.9\n", "qflow: error: input probability given for non-input signal: o\n"),
+    ("o[1] = 0.9\n", "qflow: error: input probability given for non-input signal: o\n"),
+], ids=["bit_outside_width", "non_input_net", "non_input_bit"])
+def test_probability_entry_must_name_an_input_bit(tmp_path, capsys, probs, message):
+    args = ["analyze", "--top", "example", "--probs", write(tmp_path, "p.txt", probs),
+            corpus.path("example.v")]
+    assert main(args) == 3
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("bits", ["1", "0", "-3"])
+def test_oracle_diff_rejects_max_bits_below_two(capsys, bits):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-diff", "--max-bits", bits, "--count", "1"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qflow")
+    assert err.endswith("qflow: error: argument --max-bits: must be at least 2\n")

@@ -1,11 +1,12 @@
 """Greedy bottom-up merging of bind-DAG nodes into bounded channels.
 
-``bit_blast`` shares a node among all its readers, so each bind tree is a
-DAG.  The merger walks each tree's ``postorder`` once, building every
-node's piece from its children's stored pieces: a node read twice is
-built once, and if it is sealed, it is one channel that both readers
-take as the same input.  Sharing never crosses trees, so each channel's
-``root`` is the one tree it was cut from.
+``bit_blast`` shares a node among all its readers, so the bind trees
+form one DAG.  The merger walks one ``postorder`` of all roots, in
+sorted-root order, building each node's piece from its children's stored
+pieces: a node read twice, by one root or by two, is built once, and if
+it is sealed, it is one channel that all its readers take as the same
+input.  A root's channel is sealed once its node is built, so roots that
+are one node share it; a channel's ``root`` is the root whose walk cut it.
 
 A table channel is a Boolean function over at most ``max_channel_inputs``
 distinct input bits (single-node channels may exceed the bound by their
@@ -35,14 +36,13 @@ class Channel:
     inputs: tuple
     table: int | None  # packed: bit a = output when input i is bit i of a
     macro: Node | None  # ADDM | SUBM; leaves are inputs or constants
-    output: BitRef | None  # root bit for final channels, None for internal
-    root: BitRef  # which tree this channel was cut from
+    root: BitRef  # the root whose walk cut this channel
 
 
 @dataclass
 class ChannelGraph:
     channels: list = field(default_factory=list)
-    root_channel: dict = field(default_factory=dict)  # root BitRef -> cid
+    root_channel: dict = field(default_factory=dict)  # root BitRef -> cid, sorted by root
 
 
 def input_label(ci) -> str:
@@ -57,25 +57,20 @@ def input_label(ci) -> str:
 # ordered by first use, with each derived channel as Node("leaf", ref=cid).
 
 class _Merger:
-    def __init__(self, graph: ChannelGraph, bound: int):
+    def __init__(self, graph: ChannelGraph, bound: int, trees):
         self.graph = graph
         self.bound = bound
-        # per bind tree, by node identity: node -> piece, piece node -> cid
+        # over the whole forest, by node identity: node -> piece, piece node -> cid
         self.built = {}
         self.sealed = {}
-
-    def start(self, root):
-        """Forget the last tree: sharing, and each channel's ``root``, stay
-        within one tree."""
-        self.root = root
-        self.built.clear()
-        self.sealed.clear()
+        self.trees = trees  # sorted by root
+        self.nxt = 0  # the tree whose walk is under way: the first whose node is not built
 
     def add(self, inputs, table, macro) -> int:
         cid = len(self.graph.channels)
         self.graph.channels.append(Channel(
             cid=cid, inputs=tuple(inputs), table=table, macro=macro,
-            output=None, root=self.root))
+            root=self.trees[self.nxt].root))
         return cid
 
     def seal(self, piece) -> int:
@@ -92,10 +87,11 @@ class _Merger:
     def derived(self, cid):
         return [cid], Node("leaf", ref=cid)
 
-    def build(self, root: Node):
-        """The piece of ``root``, each node's built from its children's."""
-        built = self.built
-        for node in postorder((root,)):
+    def build(self):
+        """Each node's piece from its children's, in one walk of every root;
+        each root's piece is sealed, in order, once its node is built."""
+        built, trees, nodes = self.built, self.trees, [t.node for t in self.trees]
+        for node in postorder(nodes):
             if not node.children:  # a leaf or a constant
                 piece = ([node.ref] if node.op == "leaf" else []), node
             elif node.is_macro():
@@ -104,7 +100,11 @@ class _Merger:
                 inputs, kids = self.merge([built[c] for c in node.children])
                 piece = inputs, Node(node.op, tuple(kids))
             built[node] = piece
-        return built[root]
+            if node is not nodes[self.nxt]:
+                continue  # the walk of tree nxt goes on
+            while self.nxt < len(trees) and nodes[self.nxt] in built:
+                self.graph.root_channel[trees[self.nxt].root] = self.seal(built[nodes[self.nxt]])
+                self.nxt += 1
 
     def merge(self, pieces):
         """Union child input sets; seal children until the bound is met.
@@ -140,16 +140,12 @@ class _Merger:
 
 
 def merge(forest, max_channel_inputs=DEFAULT_MAX_CHANNEL_INPUTS) -> ChannelGraph:
-    """Channelize every bind tree; channels are topologically ordered by id."""
+    """Channelize the forest in one walk; channels are topologically ordered by id."""
     if not 1 <= max_channel_inputs <= MAX_TABLE_INPUTS:
         raise ValueError(f"max_channel_inputs must be in [1, {MAX_TABLE_INPUTS}]")
     graph = ChannelGraph()
-    merger = _Merger(graph, max_channel_inputs)
-    for tree in sorted(forest, key=lambda t: (t.root.net, t.root.bit)):
-        merger.start(tree.root)
-        cid = merger.seal(merger.build(tree.node))
-        graph.channels[cid].output = tree.root
-        graph.root_channel[tree.root] = cid
+    trees = sorted(forest, key=lambda t: (t.root.net, t.root.bit))
+    _Merger(graph, max_channel_inputs, trees).build()
     return graph
 
 
@@ -167,6 +163,9 @@ def channel_function_eval(channel: Channel, bits) -> int:
 
 def dump_channels(graph: ChannelGraph) -> str:
     """Stable textual channel list with hex truth tables, for golden tests."""
+    outs = {}  # cid -> " out=" and the roots it outputs, in sorted-root order
+    for root, cid in graph.root_channel.items():
+        outs[cid] = f"{outs[cid]},{root}" if cid in outs else f" out={root}"
     lines = []
     for ch in graph.channels:
         ins = ", ".join(input_label(ci) for ci in ch.inputs)
@@ -175,6 +174,5 @@ def dump_channels(graph: ChannelGraph) -> str:
         else:
             width, out_bit = ch.macro.meta
             body = f"macro={ch.macro.op}/{width}:{out_bit}"
-        out = f" out={ch.output}" if ch.output is not None else ""
-        lines.append(f"c{ch.cid} root={ch.root}{out} inputs=[{ins}] {body}")
+        lines.append(f"c{ch.cid} root={ch.root}{outs.get(ch.cid, '')} inputs=[{ins}] {body}")
     return "\n".join(lines) + "\n"

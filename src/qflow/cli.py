@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .bitgraph import dump_forest
-from .channelizer import dump_channels
+from .channelizer import DEFAULT_MAX_CHANNEL_INPUTS, dump_channels
 from .errors import QFlowError
 from .oracle import differential_run
 from .pipeline import Config, analyze, render_report
@@ -31,7 +31,7 @@ def _add_analysis_args(sub):
                      help="input probability file (net[bit] = p)")
     sub.add_argument("--p-high", type=float, default=None,
                      help="single probability for all secret bits")
-    sub.add_argument("--max-channel-inputs", type=int, default=5)
+    sub.add_argument("--max-channel-inputs", type=int, default=DEFAULT_MAX_CHANNEL_INPUTS)
     sub.add_argument("--no-cap", action="store_true",
                      help="disable the per-bit min-entropy cap on totals")
     sub.add_argument("--dump-trees", action="store_true",

@@ -70,19 +70,10 @@ class FlatFunction:
 
 
 def _leaf_refs(forest):
-    highs, lows, regs = {}, {}, {}
-    for tree in forest:
-        for leaf in tree.leaves():
-            key = (leaf.net, leaf.bit)
-            if leaf.role == "input-high":
-                highs[key] = leaf
-            elif leaf.role == "input-low":
-                lows[key] = leaf
-            elif leaf.role == "register":
-                regs[key] = leaf
-    return (sorted(highs.values(), key=lambda r: (r.net, r.bit)),
-            sorted(lows.values(), key=lambda r: (r.net, r.bit)),
-            sorted(regs.values(), key=lambda r: (r.net, r.bit)))
+    """The high, low and register bits the forest reads, each sorted, from one walk."""
+    leaves = sorted({n.ref for n in postorder(t.node for t in forest) if n.op == "leaf"})
+    return [[r for r in leaves if r.role == role]
+            for role in ("input-high", "input-low", "register")]
 
 
 def flatten_forest(forest, design: ElaboratedDesign,

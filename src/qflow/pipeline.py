@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bitgraph import bit_blast, compute_dependencies
-from .channelizer import MAX_TABLE_INPUTS, merge
+from .channelizer import DEFAULT_MAX_CHANNEL_INPUTS, MAX_TABLE_INPUTS, merge
 from .errors import DesignTooDeep, ProbabilityOnNonInput, UnknownSignal
 from .frontend import SourceUnit, elaborate, extract_labels, parse
 from .qif_engine import accumulate_totals, output_contributions, propagate
@@ -25,7 +25,7 @@ class Config:
     high_overrides: tuple = ()  # net names marked High from the CLI
     prob_file: str | None = None
     p_high: float | None = None  # single global secret-bit probability
-    max_channel_inputs: int = 5
+    max_channel_inputs: int = DEFAULT_MAX_CHANNEL_INPUTS
     thresholds: Thresholds = field(default_factory=Thresholds)
     cap: bool = True
 

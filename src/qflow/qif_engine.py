@@ -11,10 +11,13 @@ channel PBV.  Registers pass probabilities and leakage through unchanged.
 
 Propagation walks the strongly connected components of the register
 dependency graph in dependency order, so every input from outside a
-component is final before the component is reached.  One routine handles
-every component in two loops: sweeps that give each channel its taint,
-output probability and PBV from one kernel call, until the component's
-registers settle, then sweeps of the elementwise-max leakage cascade.
+component is final before the component is reached.  Each channel goes
+to the first component whose roots reach it: a channel that several
+roots share is computed once, and every register it reads is in that
+component or an earlier one.  One routine handles every component in
+two loops: sweeps that give each channel its taint, output probability
+and PBV from one kernel call, until the component's registers settle,
+then sweeps of the elementwise-max leakage cascade.
 A component without a sequential cycle settles in one sweep of each, so
 each of its channels costs one kernel call.  A cycle that does not
 settle within ``MAX_FIXPOINT_ITERS`` sweeps raises
@@ -148,9 +151,6 @@ class _Propagator:
         self.minent = {sid: source_leakage(p) for sid, _n, _b, p in self.secrets}
         self.source = {(net, bit): {sid: self.minent[sid]} if self.minent[sid] > 0.0 else {}
                        for sid, net, bit, _p in self.secrets}
-        self.blocks = {}  # tree root -> its channels, in id order
-        for ch in graph.channels:
-            self.blocks.setdefault(ch.root, []).append(ch)
         self.chan_prob, self.chan_pbv, self.chan_leak, self.chan_tainted = {}, {}, {}, {}
         # (table, probs, tainted) -> kernel result, for this propagation only;
         # len(probs) fixes the arity, so equal keys give equal results
@@ -174,12 +174,24 @@ class _Propagator:
         self.reg_tainted = dict.fromkeys(regs, False)
         self.reg_prob = dict.fromkeys(regs, 0.5)
         self.reg_leak = {r: {} for r in regs}
-        for scc in deps.order:
-            self._component(scc, scc[0] in cyclic)
+        # first[cid]: the index of the first SCC whose roots reach channel cid
+        first, taken = {}, [[] for _ in deps.order]
+        for i, scc in enumerate(deps.order):
+            for root in scc:
+                first.setdefault(self.graph.root_channel[root], i)
+        for ch in reversed(self.graph.channels):  # every reader before its inputs
+            i = first.get(ch.cid)
+            if i is not None:
+                taken[i].append(ch)
+                for ci in ch.inputs:
+                    if isinstance(ci, int) and first.get(ci, i) >= i:
+                        first[ci] = i
+        for scc, chans in zip(deps.order, taken):
+            self._component(scc, chans[::-1], scc[0] in cyclic)
         if len(self.chan_prob) != len(self.graph.channels):
-            raise ValueError("the dependency graph does not cover every channel's root")
+            raise ValueError("the dependency graph's roots do not reach every channel")
 
-    def _component(self, scc, cyclic):
+    def _component(self, scc, chans, cyclic):
         """Taint, P(1), PBV and leakage of one SCC's channels and registers.
 
         Each of the two loops sweeps the SCC's channels until its
@@ -189,7 +201,6 @@ class _Propagator:
         that sweep read, so every stored channel value is the kernel of
         the stored register values.
         """
-        chans = [ch for root in scc for ch in self.blocks.get(root, ())]
         regs = [r for r in scc if r.role == "register"]
         for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:

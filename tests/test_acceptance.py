@@ -29,7 +29,8 @@ def check(num, desc, ok, detail=""):
 def test_criterion_1_worked_example():
     t0 = time.perf_counter()
     a = analyze_corpus("example.v", "example", max_channel_inputs=3)
-    by_out = {str(ch.output): ch for ch in a.graph.channels if ch.output}
+    by_out = {str(root): a.graph.channels[cid]
+              for root, cid in a.graph.root_channel.items()}
     pbv0 = a.annotated.chan_pbv[by_out["o[0]"].cid]
     totals_ok = all(abs(v - 0.625) < 1e-9 for v in a.totals.values())
     flat = flatten_forest(a.forest, a.design)

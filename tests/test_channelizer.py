@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import random
 import time
 
 import pytest
 
 from qflow import corpus
-from qflow.bitgraph import BitRef, bit_blast, eval_node
+from qflow.bitgraph import BindTree, BitRef, Node, bit_blast, eval_node, postorder
 from qflow.channelizer import channel_function_eval, dump_channels, merge
 from qflow.errors import ArityMismatch
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
@@ -15,6 +16,7 @@ from qflow.oracle import exact_multiplicative_leakage, flatten_forest
 from qflow.qif_engine import channel_prob_pbv
 
 from conftest import analyze_source
+from test_bitgraph import random_dag
 
 
 def pipeline_to_graph(src, top, bound):
@@ -43,7 +45,8 @@ EXAMPLE = corpus.read("example.v")
 
 def test_example_merge_bound_3():
     _forest, graph = pipeline_to_graph(EXAMPLE, "example", 3)
-    by_out = {str(ch.output): ch for ch in graph.channels if ch.output}
+    by_out = {str(root): graph.channels[cid]
+              for root, cid in graph.root_channel.items()}
     o0 = by_out["o[0]"]
     assert sorted(str(ci) for ci in o0.inputs) == ["i[0]", "i[1]", "low[0]"]
     o1 = by_out["o[1]"]
@@ -158,7 +161,7 @@ def test_dump_channels_stable():
         "c1 root=o[1] out=o[1] inputs=[H i[0], H i[1]] table=0xf/2\n")
 
 
-# -- shared (reconvergent) nodes: built and sealed once per tree -------------
+# -- shared (reconvergent) nodes: built and sealed once per forest -----------
 
 def chain_source(stages, fresh_bits=True):
     """``w{i+1} = (w{i} op k[i]) op (w{i} op l[i])``: each stage reads w{i} twice.
@@ -209,7 +212,7 @@ def test_shared_wire_sealed_once():
     assert estimate == 0.3789825439453125
 
 
-def test_shared_wire_cut_once_per_output_tree():
+def test_shared_wire_cut_once_per_forest():
     src = """module m(High input [2:0] k, input [2:0] l, output y, output z);
 wire t;
 assign t = k[0] ^ k[1] ^ k[2];
@@ -218,16 +221,95 @@ assign z = t & l[2];
 endmodule
 """
     _forest, graph = pipeline_to_graph(src, "m", 3)
-    t_bits = ["k[0]", "k[1]", "k[2]"]
-    t_channels = [ch for ch in graph.channels
-                  if [str(ci) for ci in ch.inputs] == t_bits]
-    assert sorted(str(ch.root) for ch in t_channels) == ["y[0]", "z[0]"]
+    # t is cut in the walk of y, which sorts first, and z reads that channel
+    assert dump_channels(graph) == (
+        "c0 root=y[0] inputs=[H k[0], H k[1], H k[2]] table=0x96/3\n"
+        "c1 root=y[0] out=y[0] inputs=[D 0, L l[0], L l[1]] table=0x72/3\n"
+        "c2 root=z[0] out=z[0] inputs=[D 0, L l[2]] table=0x8/2\n")
     for out in ("y", "z"):
         root = BitRef(out, 0, "top-output")
-        stack, tree = [graph.root_channel[root]], set()
-        while stack:
-            cid = stack.pop()
-            tree.add(cid)
-            stack += [ci for ci in graph.channels[cid].inputs if isinstance(ci, int)]
-        assert {graph.channels[cid].root for cid in tree} == {root}
-        assert len([cid for cid in tree if graph.channels[cid] in t_channels]) == 1
+        assert 0 in graph.channels[graph.root_channel[root]].inputs
+
+
+# a, b and r are the node of g; c and d are the leaf k[1]
+ONE_NODE_ROOTS = """module m(input clk, High input [1:0] k, input l, output a, output b,
+output c, output d);
+reg r;
+wire g;
+assign g = k[0] ^ l;
+assign a = g;
+assign b = g;
+assign c = k[1];
+assign d = k[1];
+always @(posedge clk) r <= g;
+endmodule
+"""
+
+
+def test_roots_that_are_one_node_share_a_channel():
+    _forest, graph = pipeline_to_graph(ONE_NODE_ROOTS, "m", 5)
+    assert dump_channels(graph) == (
+        "c0 root=a[0] out=a[0],b[0],r[0] inputs=[H k[0], L l[0]] table=0x6/2\n"
+        "c1 root=c[0] out=c[0],d[0] inputs=[H k[1]] table=0x2/1\n")
+    assert {str(root): cid for root, cid in graph.root_channel.items()} == {
+        "a[0]": 0, "b[0]": 0, "c[0]": 1, "d[0]": 1, "r[0]": 0}
+    a = analyze_source(ONE_NODE_ROOTS, "m")
+    assert [(s.net, s.bit, s.cls, s.leakage_bits) for s in a.report.secrets] == [
+        ("k", 0, "leak", 1.0), ("k", 1, "leak", 1.0)]
+
+
+def unshare(forest):
+    """Each tree over its own copy of its DAG: no node is reached from two roots."""
+    out = []
+    for tree in forest:
+        copy = {}
+        for node in postorder((tree.node,)):
+            copy[node] = Node(node.op, tuple(copy[c] for c in node.children),
+                              node.ref, node.meta)
+        out.append(BindTree(tree.root, copy[tree.node]))
+    return out
+
+
+def test_sharing_across_roots_keeps_functions_and_never_adds_channels():
+    rng = random.Random(16)
+    refs = ([BitRef("h", i, "input-high") for i in range(2)]
+            + [BitRef("l", i, "input-low") for i in range(2)])
+    for _ in range(120):
+        nodes = random_dag(rng, refs, rng.randint(1, 40))
+        # recent gates share the most; a root may repeat another's node
+        roots = [rng.choice(nodes[-8:] if rng.random() < 0.7 else nodes)
+                 for _ in range(rng.randint(1, 6))]
+        forest = [BindTree(BitRef("y", i, "top-output"), n) for i, n in enumerate(roots)]
+        rng.shuffle(forest)
+        for bound in range(1, 6):
+            graph = merge(forest, bound)
+            assert len(graph.channels) <= len(merge(unshare(forest), bound).channels)
+            for combo in itertools.product((0, 1), repeat=len(refs)):
+                values = dict(zip(refs, combo))
+                got = channel_values(graph, values)
+                for tree in forest:
+                    assert got[graph.root_channel[tree.root]] == eval_node(tree.node, values)
+
+
+def xor_prefix_chain(n):
+    """``w[i+1] = w[i] ^ k[i]``, every ``w`` bit an output: each root reads the last."""
+    return (f"module m(High input [{n - 1}:0] k, output [{n}:0] w);\n"
+            "assign w[0] = 1'b0;\ngenvar i;\ngenerate\n"
+            f"for (i = 0; i < {n}; i = i + 1) begin\n"
+            "assign w[i+1] = w[i] ^ k[i];\nend\nendgenerate\nendmodule\n")
+
+
+@pytest.mark.parametrize("bound,uncapped", [(2, 64.0), (5, 31.466666666666665)])
+def test_xor_prefix_chain_cuts_one_channel_per_root(bound, uncapped):
+    a = analyze_source(xor_prefix_chain(64), "m", max_channel_inputs=bound, cap=False)
+    assert len(a.graph.channels) == 65
+    assert math.fsum(a.totals.values()) == uncapped
+    _forest, graph = pipeline_to_graph(xor_prefix_chain(512), "m", bound)
+    assert len(graph.channels) == 513
+
+
+def test_toy_spn_cuts_shared_gates_once():
+    src = corpus.read("toy_spn.v")
+    counts = [len(pipeline_to_graph(src, "toy_spn", bound)[1].channels)
+              for bound in (1, 2, 3)]
+    assert counts == [54, 54, 50]

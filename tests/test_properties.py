@@ -18,8 +18,7 @@ def table_channel(bits, kinds):
         BitRef("x", i, "input-high" if k else "input-low")
         for i, k in enumerate(kinds))
     table = sum(b << a for a, b in enumerate(bits))
-    return Channel(cid=0, inputs=inputs, table=table, macro=None,
-                   output=None, root=None)
+    return Channel(cid=0, inputs=inputs, table=table, macro=None, root=None)
 
 
 def channels(max_k=4):

@@ -29,8 +29,7 @@ def random_table_channel(rng, k):
     inputs = tuple(
         BitRef("x", i, "input-high" if rng.random() < 0.5 else "input-low")
         for i in range(k))
-    return Channel(cid=0, inputs=inputs, table=table, macro=None,
-                   output=None, root=None)
+    return Channel(cid=0, inputs=inputs, table=table, macro=None, root=None)
 
 
 def enum_prob(ch, probs):
@@ -81,7 +80,8 @@ def test_source_leakage_values():
 def test_example_annotations():
     a = analyze_corpus("example.v", "example", max_channel_inputs=3)
     ann = a.annotated
-    by_out = {str(ch.output): ch for ch in a.graph.channels if ch.output}
+    by_out = {str(root): a.graph.channels[cid]
+              for root, cid in a.graph.root_channel.items()}
     o0, o1 = by_out["o[0]"], by_out["o[1]"]
     assert abs(ann.chan_prob[o0.cid] - 0.625) < 1e-12
     assert abs(ann.chan_pbv[o0.cid] - 0.375) < 1e-12
@@ -260,6 +260,30 @@ def test_propagate_needs_every_root_scheduled():
     a = analyze_corpus("example.v", "example")
     with pytest.raises(ValueError):
         propagate(a.graph, a.design, {}, DependencyGraph())
+
+
+# g is cut in the walk of a[0], which sorts first; z[0]'s SCC comes first
+# in the dependency order and reads g's channel
+SHARED_ACROSS_SCCS = """module m(input clk, High input [1:0] k, input l, output a);
+reg z;
+wire g;
+assign g = (k[0] ^ l) & k[1];
+assign a = g ^ z;
+always @(posedge clk) z <= g | l;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_channel_scheduled_by_the_first_scc_that_reads_it(bound):
+    a = analyze_source(SHARED_ACROSS_SCCS, "m", max_channel_inputs=bound, cap=False)
+    out, reg = BitRef("a", 0, "top-output"), BitRef("z", 0, "register")
+    assert a.deps.order == [[reg], [out]]
+    g = a.graph.channels[1]
+    assert g.root == out
+    assert g.cid in a.graph.channels[a.graph.root_channel[reg]].inputs
+    assert len(a.graph.channels) == 4
+    assert a.totals == {0: 0.703125, 1: 0.703125}
 
 
 CYCLE_DESIGNS = {

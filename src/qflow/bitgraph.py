@@ -76,7 +76,8 @@ def postorder(roots):
     The order is the one in which a left-to-right recursive walk that
     skips the nodes it has already met finishes them.  The walk keeps its
     own stack of (node, iterator over its children), so its depth costs
-    no interpreter frames; a childless node finishes as soon as it is met.
+    no interpreter frames; a childless node, root or child, finishes as
+    soon as it is met, without a stack.
     """
     order = []
     seen = set()
@@ -84,6 +85,9 @@ def postorder(roots):
         if root in seen:
             continue
         seen.add(root)
+        if not root.children:
+            order.append(root)
+            continue
         stack = [(root, iter(root.children))]
         while stack:
             node, kids = stack[-1]
@@ -154,13 +158,14 @@ class _Blaster:
         return None  # combinational: must be inlined
 
     def net_bit(self, net, bit):
+        key = (net, bit)
+        node = self._net_memo.get(key)
+        if node is not None:
+            return node
         if net not in self.design.nets:
             raise UnassignedNet(net)
         if bit >= self.design.nets[net].width:
             return CONST0
-        key = (net, bit)
-        if key in self._net_memo:
-            return self._net_memo[key]
         leaf = self.leaf(net, bit)
         if leaf is not None:
             self._net_memo[key] = leaf
@@ -381,73 +386,65 @@ def bit_blast(design: ElaboratedDesign, expand_limit=DEFAULT_EXPAND_LIMIT):
 def compute_dependencies(forest) -> DependencyGraph:
     """Root-to-root read edges; sequential cycles flagged for the fixpoint."""
     graph = DependencyGraph()
-    adj = {}
+    adj = {}  # root -> the register roots it reads, in str order
     for tree in forest:
-        adj.setdefault(tree.root, set())
+        reads = adj.setdefault(tree.root, [])
         for node in postorder((tree.node,)):
             if node.op == "leaf" and node.ref.role == "register":  # a tree's root
-                graph.edges.add((tree.root, node.ref))
-                adj[tree.root].add(node.ref)
-                adj.setdefault(node.ref, set())
+                reads.append(node.ref)
+                adj.setdefault(node.ref, [])
+        if len(reads) > 1:
+            reads.sort(key=str)
+    graph.edges = {(root, ref) for root, reads in adj.items() for ref in reads}
     graph.order = _sccs(adj)
     for scc in graph.order:
-        if len(scc) > 1 or any(v in adj.get(v, ()) for v in scc):
+        if len(scc) > 1 or scc[0] in adj[scc[0]]:
             graph.cycles.append(set(scc))
     return graph
 
 
 def _sccs(adj):
-    """Tarjan, iterative; each SCC comes after every SCC it reaches."""
+    """Tarjan, iterative, following each vertex's successors in list order;
+    each SCC comes after every SCC it reaches."""
     index = {}
     low = {}
     on_stack = set()
     stack = []
-    counter = [0]
     out = []
 
     for start in adj:
         if start in index:
             continue
-        work = [(start, _successors(adj[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
+        work = [(start, iter(adj[start]))]
+        index[start] = low[start] = len(index)
         stack.append(start)
         on_stack.add(start)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                if w not in index:  # descend into w
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, _successors(adj[w])))
-                    advanced = True
+                    work.append((w, iter(adj[w])))
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                out.append(scc)
+            else:  # v is finished
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        scc.append(w)
+                        if w == v:
+                            break
+                    out.append(scc)
     return out
-
-
-def _successors(succ):
-    """An iterator over a successor set, in ``str`` order."""
-    return iter(sorted(succ, key=str) if len(succ) > 1 else succ)
 
 
 def eval_node(node: Node, values, ones=1) -> int:
@@ -455,8 +452,13 @@ def eval_node(node: Node, values, ones=1) -> int:
 
     With ``ones = 2**n - 1`` and each leaf bound to an n-bit lane mask (see
     ``lane_masks``), one walk evaluates n assignments at once: bit j of the
-    result is the node's value under the assignment of lane j.
+    result is the node's value under the assignment of lane j.  A leaf or
+    a constant is its own value, with no walk.
     """
+    if node.op == "leaf":
+        return values[node.ref]
+    if node.op in ("const0", "const1"):
+        return ones if node.op == "const1" else 0
     return eval_order(postorder((node,)), values, ones)[node]
 
 

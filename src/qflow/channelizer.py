@@ -55,6 +55,7 @@ def input_label(ci) -> str:
 
 # A piece is (inputs, node): a node whose leaves are exactly ``inputs``,
 # ordered by first use, with each derived channel as Node("leaf", ref=cid).
+# Where nothing below a gate was sealed, the gate itself is its piece's node.
 
 class _Merger:
     def __init__(self, graph: ChannelGraph, bound: int, trees):
@@ -98,7 +99,8 @@ class _Merger:
                 piece = self.macro_piece(node)
             else:
                 inputs, kids = self.merge([built[c] for c in node.children])
-                piece = inputs, Node(node.op, tuple(kids))
+                kids = tuple(kids)
+                piece = inputs, node if kids == node.children else Node(node.op, kids)
             built[node] = piece
             if node is not nodes[self.nxt]:
                 continue  # the walk of tree nxt goes on

@@ -4,7 +4,9 @@ The result is a flat netlist where every assignment targets a bit range of
 a single net and every right-hand side refers only to flat net names and
 constants.  Procedural blocks are lowered here: blocking assignments are
 substituted forward, nonblocking assignments read pre-cycle values, and
-if/case control flow becomes ternary expressions.
+if/case control flow becomes ternary expressions.  A procedural vector
+write stays one ranged assignment of its right-hand side; only the bits
+that control flow or a later write changed become assignments of their own.
 """
 
 from __future__ import annotations
@@ -401,9 +403,30 @@ class _Elaborator:
                         dst[i] = e
             emit, seq = benv, False
         for net, bits in emit.items():
-            for i, e in enumerate(bits):
-                if e is not None:
-                    self.assigns.append(FlatAssign(net, i, i, e, sequential=seq))
+            self._emit(net, bits, seq)
+
+    def _emit(self, net, bits, sequential):
+        """A net's per-bit values as ``FlatAssign``s.
+
+        A vector write leaves ``Select(rhs, Num(k))`` at bit ``lsb + k``.
+        Each maximal run of bits that reads bits 0, 1, ... of one ``rhs``
+        becomes one ranged assign of ``rhs``, which blasts to the same
+        nodes: the blaster takes bit k of a ``Select``'s expression base
+        from the blasted base.  Every other bit (a partial overwrite, a
+        branch merge, a 1-bit write) is an assign of its own.
+        """
+        end = 0  # the bits below end are emitted
+        for i, e in enumerate(bits):
+            if e is None or i < end:
+                continue
+            end = i + 1
+            if _reads_bit(e, 0) and not isinstance(e.base, str):
+                while (end < len(bits) and _reads_bit(bits[end], end - i)
+                       and bits[end].base is e.base):
+                    end += 1
+                self.assigns.append(FlatAssign(net, end - 1, i, e.base, sequential))
+            else:
+                self.assigns.append(FlatAssign(net, i, i, e, sequential))
 
     def _rebuild(self, net, benv):
         """Current value of a net as an expression (MSB-first concat)."""
@@ -425,11 +448,15 @@ class _Elaborator:
             net, msb, lsb = self.target_bits(target)
             if net not in self.nets:
                 raise UnknownSignal(net)
-            width = msb - lsb + 1
+            w = self.nets[net].width
+            if not 0 <= lsb <= msb < w:
+                raise WidthMismatch(net, f"range [{msb}:{lsb}] outside width {w}")
             dest = benv if stmt.blocking else nenv
-            bits = dest.setdefault(net, [None] * self.nets[net].width)
-            for k in range(width):
-                bits[lsb + k] = rhs if width == 1 else A.Select(rhs, A.Num(k))
+            bits = dest.setdefault(net, [None] * w)
+            if msb == lsb:
+                bits[lsb] = rhs
+            else:
+                bits[lsb:msb + 1] = [A.Select(rhs, A.Num(k)) for k in range(msb - lsb + 1)]
         elif isinstance(stmt, A.If):
             cond = self.resolve(stmt.cond, env, scope, benv)
             b1 = {n: list(v) for n, v in benv.items()}
@@ -462,6 +489,11 @@ class _Elaborator:
                 a = a if a is not None else fallback
                 b = b if b is not None else fallback
                 out[i] = a if a is b else A.Ternary(cond, a, b)
+
+
+def _reads_bit(e, k):
+    """Whether ``e`` is ``Select(base, Num(k))``."""
+    return type(e) is A.Select and type(e.index) is A.Num and e.index.value == k
 
 
 def elaborate(ast: A.Ast, top: str, labels: dict) -> ElaboratedDesign:

@@ -136,8 +136,9 @@ def analyze(config: Config, file_texts=None) -> Analysis:
             graph = merge(forest, config.max_channel_inputs)
             input_probs = build_input_probs(design, config)
             annotated = propagate(graph, design, input_probs, deps)
-            totals = accumulate_totals(annotated, design, cap=config.cap)
             contributions = output_contributions(annotated, design)
+            totals = accumulate_totals(annotated, design, cap=config.cap,
+                                       contributions=contributions)
         except RecursionError as e:
             raise DesignTooDeep() from e
         report = classify(

@@ -14,16 +14,22 @@ dependency graph in dependency order, so every input from outside a
 component is final before the component is reached.  Each channel goes
 to the first component whose roots reach it: a channel that several
 roots share is computed once, and every register it reads is in that
-component or an earlier one.  One routine handles every component in
-two loops: sweeps that give each channel its taint, output probability
-and PBV from one kernel call, until the component's registers settle,
-then sweeps of the elementwise-max leakage cascade.
-A component without a sequential cycle settles in one sweep of each, so
-each of its channels costs one kernel call.  A cycle that does not
-settle within ``MAX_FIXPOINT_ITERS`` sweeps raises
-``NonConvergentFixpoint``.  Table channels with equal truth tables,
-input probabilities and taints share one enumeration per ``propagate``
-call.
+component or an earlier one.  Which path runs depends on ``deps.cycles``:
+
+- A component outside every sequential cycle is one root, and none of
+  its channels reads that root's register.  One pass gives each channel
+  its taint, output probability and PBV from one kernel call, then its
+  leakage, and a register root then takes its root channel's values.
+- A sequential cycle runs two loops: sweeps that give each channel its
+  taint, output probability and PBV, until the cycle's registers settle,
+  then sweeps of the elementwise-max leakage cascade.  A cycle that does
+  not settle within ``MAX_FIXPOINT_ITERS`` sweeps raises
+  ``NonConvergentFixpoint``.
+
+Both paths read inputs, call the kernel and cascade leakage through the
+same three methods (``_inputs``, ``_kernel``, ``_leak``); only the loops
+differ.  Table channels with equal truth tables, input probabilities and
+taints share one enumeration per ``propagate`` call.
 """
 
 from __future__ import annotations
@@ -169,11 +175,8 @@ class _Propagator:
 
     def run(self, deps: DependencyGraph):
         cyclic = {r for scc in deps.cycles for r in scc}
-        regs = [r for scc in deps.order for r in scc if r.role == "register"]
-        # what a cycle's first sweep reads
-        self.reg_tainted = dict.fromkeys(regs, False)
-        self.reg_prob = dict.fromkeys(regs, 0.5)
-        self.reg_leak = {r: {} for r in regs}
+        # each register's values, set when its component is reached
+        self.reg_tainted, self.reg_prob, self.reg_leak = {}, {}, {}
         # first[cid]: the index of the first SCC whose roots reach channel cid
         first, taken = {}, [[] for _ in deps.order]
         for i, scc in enumerate(deps.order):
@@ -187,41 +190,63 @@ class _Propagator:
                     if isinstance(ci, int) and first.get(ci, i) >= i:
                         first[ci] = i
         for scc, chans in zip(deps.order, taken):
-            self._component(scc, chans[::-1], scc[0] in cyclic)
+            if scc[0] in cyclic:
+                self._cycle(scc, chans[::-1])
+            else:
+                self._acyclic(scc[0], chans[::-1])
         if len(self.chan_prob) != len(self.graph.channels):
             raise ValueError("the dependency graph's roots do not reach every channel")
 
-    def _component(self, scc, chans, cyclic):
-        """Taint, P(1), PBV and leakage of one SCC's channels and registers.
+    def _acyclic(self, root, chans):
+        """Taint, P(1), PBV and leakage of a root outside every cycle.
+
+        No channel reads the root's own register, so each channel is
+        final after one kernel call and one leakage cascade.  A register
+        then takes its root channel's values, its leakage raised from an
+        empty vector, so capped at each secret's source min-entropy.
+        """
+        for ch in chans:
+            probs, tainted = self._inputs(ch)
+            self.chan_tainted[ch.cid] = any(tainted)
+            self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = self._kernel(ch, probs, tainted)
+            self.chan_leak[ch.cid] = self._leak(ch)
+        if root.role == "register":
+            cid = self.graph.root_channel[root]
+            self.reg_tainted[root] = self.chan_tainted[cid]
+            self.reg_prob[root] = self.chan_prob[cid]
+            self.reg_leak[root] = {}
+            self._raise_leak((root,))
+
+    def _cycle(self, scc, chans):
+        """Taint, P(1), PBV and leakage of a sequential cycle's channels
+        and registers.
 
         Each of the two loops sweeps the SCC's channels until its
-        registers settle.  Without a cycle no channel reads the SCC's own
-        registers, so one sweep of each is final.  In a cycle, the first
-        loop stops at a sweep that moves no register and keeps the values
-        that sweep read, so every stored channel value is the kernel of
-        the stored register values.
+        registers settle.  The first loop stops at a sweep that moves no
+        register and keeps the values that sweep read, so every stored
+        channel value is the kernel of the stored register values.
         """
         regs = [r for r in scc if r.role == "register"]
+        for reg in regs:  # what the first sweep reads
+            self.reg_tainted[reg], self.reg_prob[reg], self.reg_leak[reg] = False, 0.5, {}
         for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:
                 probs, tainted = self._inputs(ch)
                 self.chan_tainted[ch.cid] = any(tainted)
                 self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = self._kernel(
                     ch, probs, tainted)
-            if cyclic and self._settled(regs):
+            if self._settled(regs):
                 break
             for reg in regs:
                 cid = self.graph.root_channel[reg]
                 self.reg_tainted[reg] = self.chan_tainted[cid]
                 self.reg_prob[reg] = self.chan_prob[cid]
-            if not cyclic:
-                break
         else:
             raise NonConvergentFixpoint(sorted(regs, key=str))
         for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:
                 self.chan_leak[ch.cid] = self._leak(ch)
-            if self._raise_leak(regs) < LEAK_TOL or not cyclic:
+            if self._raise_leak(regs) < LEAK_TOL:
                 return
         raise NonConvergentFixpoint(sorted(regs, key=str))
 
@@ -301,10 +326,17 @@ def output_contributions(annotated: ProbAnnotatedGraph, design):
     return out
 
 
-def accumulate_totals(annotated: ProbAnnotatedGraph, design, cap=True) -> dict:
-    """Design totals per secret bit id, optionally capped at source min-entropy."""
+def accumulate_totals(annotated: ProbAnnotatedGraph, design, cap=True,
+                      contributions=None) -> dict:
+    """Design totals per secret bit id, optionally capped at source min-entropy.
+
+    ``contributions`` is ``output_contributions(annotated, design)``, built
+    here when the caller has not built it already.
+    """
+    if contributions is None:
+        contributions = output_contributions(annotated, design)
     totals = {sid: 0.0 for sid, _n, _b, _p in annotated.secrets}
-    for _net, _bit, vec in output_contributions(annotated, design):
+    for _net, _bit, vec in contributions:
         for sid, val in vec.items():
             totals[sid] = totals.get(sid, 0.0) + val
     if cap:

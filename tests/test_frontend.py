@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 import re
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from qflow import corpus
 from qflow.bitgraph import bit_blast, dump_forest, eval_node
+from qflow.channelizer import dump_channels
 from qflow.errors import (
     LabelOnNonInput,
     MultipleDrivers,
@@ -23,6 +25,7 @@ from qflow.errors import (
 from qflow.frontend import SourceUnit, const_eval, elaborate, extract_labels, parse
 from qflow.frontend import ast_nodes as A
 from qflow.frontend.lexer import _PUNCT, KEYWORDS, tokenize
+from qflow.pipeline import render_report
 
 from conftest import analyze_source
 
@@ -590,6 +593,82 @@ endmodule
     assigns = [a for a in d.assigns if a.target == "y"]
     assert len(assigns) == 1
     assert isinstance(assigns[0].expr, A.Ternary)
+
+
+def procedural_assigns(body):
+    """(net, msb, lsb, expr) of each assign that a clocked ``body`` elaborates to."""
+    src = ("module m(input clk, input s, input [7:0] x, input [7:0] y, "
+           "High input [7:0] k, output reg [7:0] o);\nreg [7:0] t;\n"
+           f"always @(posedge clk) begin\n{body}\nend\nendmodule\n")
+    return [(a.target, a.msb, a.lsb, a.expr) for a in full(src, "m").assigns]
+
+
+def test_procedural_vector_write_is_one_ranged_assign():
+    [(net, msb, lsb, expr)] = procedural_assigns("t[7:4] <= k[3:0];")
+    assert (net, msb, lsb) == ("t", 7, 4)
+    assert expr == A.PartSelect("k", A.Num(3), A.Num(0))
+    [(net, msb, lsb, expr)] = procedural_assigns("o <= x ^ k;")
+    assert (net, msb, lsb) == ("o", 7, 0)
+    assert expr == A.Binary("^", A.Ident("x"), A.Ident("k"))
+
+
+def test_procedural_partial_overwrite_keeps_its_bit():
+    # bits 1-7 read bits 1-7 of x: no run from bit 0 of x, so each bit is its own
+    got = procedural_assigns("o <= x;\no[0] <= y[2];")
+    assert [(n, m, l) for n, m, l, _e in got] == [("o", b, b) for b in range(8)]
+    assert got[0][3] == A.Select("y", A.Num(2))
+    assert got[1][3] == A.Select(A.Ident("x"), A.Num(1))
+    # an overwrite inside the run splits it; the part after it stays per bit
+    got = procedural_assigns("o <= x;\no[2] <= y[2];")
+    assert [(n, m, l) for n, m, l, _e in got] == [("o", 1, 0)] + [("o", b, b)
+                                                                 for b in range(2, 8)]
+    assert got[0][3] == A.Ident("x")
+
+
+def test_procedural_if_else_vector_write_stays_per_bit():
+    got = procedural_assigns("if (s) o <= x;\nelse o <= y;")
+    assert [(n, m, l) for n, m, l, _e in got] == [("o", b, b) for b in range(8)]
+    assert all(isinstance(e, A.Ternary) for _n, _m, _l, e in got)
+
+
+@pytest.mark.parametrize("target", ["o[9:6]", "o[8]", "o[0 - 1]", "o[2:5]"])
+def test_procedural_write_outside_its_net_rejected(target):
+    with pytest.raises(WidthMismatch):
+        procedural_assigns(f"{target} <= x;")
+
+
+def register_pipeline_twins(seed, depth=6, width=4):
+    """One seeded register pipeline twice: whole-vector statements, and one
+    nonblocking assignment per bit inside a generate loop."""
+    rng = random.Random(seed)
+    stages = [rng.choice(["{} ^ a{}", "~{}", "{}", "{} & a{}"]) for _ in range(depth)]
+    head = (f"module p(input clk, High input [{width - 1}:0] k, "
+            f"input [{width - 1}:0] a, output reg [{width - 1}:0] y);\n"
+            f"reg [{width - 1}:0] {', '.join(f's{i}' for i in range(depth))};\n")
+
+    def body(bit):
+        lines = [f"s0{bit} <= k{bit} ^ a{bit};"]
+        lines += [f"s{i}{bit} <= " + stages[i].format(f"s{i - 1}{bit}", bit) + ";"
+                  for i in range(1, depth)]
+        return "\n".join(lines + [f"y{bit} <= s{depth - 1}{bit};"])
+    vector = head + f"always @(posedge clk) begin\n{body('')}\nend\nendmodule\n"
+    per_bit = head + (f"genvar i;\ngenerate\nfor (i = 0; i < {width}; i = i + 1) begin\n"
+                      f"always @(posedge clk) begin\n{body('[i]')}\nend\n"
+                      "end\nendgenerate\nendmodule\n")
+    return vector, per_bit
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vector_pipeline_matches_per_bit_twin(seed):
+    vector, per_bit = register_pipeline_twins(seed)
+    got = []
+    for src in (vector, per_bit):
+        a = analyze_source(src, "p", p_high=0.8)
+        a.report.runtime_seconds = 0.0
+        got.append((dump_forest(a.forest), dump_channels(a.graph),
+                    render_report(a, "json")))
+    assert got[0] == got[1]
+    assert len(full(vector, "p").assigns) == 7  # one per vector statement
 
 
 def next_values(src, net):

@@ -256,6 +256,57 @@ endmodule
                         ("key", 2): ("leak", 1.0), ("key", 3): ("ok", 0.0)}
 
 
+# g's channel is the root channel of both r and o; r's SCC takes it, and q
+# reads r one stage later.  At bound 1 the second design's root channel
+# carries 1.125 bits at p = 0.5, so r's leakage is capped at 1 bit.
+HANDOFF = """module m(input clk, High input k, input a, input b, output o, output reg q);
+wire g = {};
+reg r;
+always @(posedge clk) begin
+r <= g;
+q <= r;
+end
+assign o = g;
+endmodule
+"""
+R, Q = BitRef("r", 0, "register"), BitRef("q", 0, "register")
+P9 = 0.15200309344504995  # source min-entropy at p = 0.9
+
+# (expression, bound, p_high) -> (chan_prob, reg_leak, capped, uncapped totals)
+HANDOFF_VALUES = {
+    ("k ^ a", 5, None): ({0: 0.5, 1: 0.5}, {R: {0: 1.0}, Q: {0: 1.0}}, 1.0, 2.0),
+    ("k ^ a", 5, 0.9): ({0: 0.5, 1: 0.5}, {R: {0: P9}, Q: {0: P9}}, P9, 0.3040061868900999),
+    ("(k & a) ^ (k | b)", 1, None): ({0: 0.25, 1: 0.75, 2: 0.625, 3: 0.625},
+                                     {R: {0: 1.0}, Q: {0: 1.0}}, 1.0, 2.125),
+    ("(k & a) ^ (k | b)", 1, 0.9): ({0: 0.45, 1: 0.95, 2: 0.5449999999999999,
+                                     3: 0.5449999999999999},
+                                    {R: {0: P9}, Q: {0: P9}}, P9, 0.4263686771133651),
+}
+
+
+@pytest.mark.parametrize("expr,bound,p_high", sorted(HANDOFF_VALUES, key=str))
+def test_register_handoff_in_acyclic_pass(expr, bound, p_high):
+    chan_prob, reg_leak, capped, uncapped = HANDOFF_VALUES[(expr, bound, p_high)]
+    a = analyze_source(HANDOFF.format(expr), "m", p_high=p_high, max_channel_inputs=bound)
+    assert not a.deps.cycles
+    assert a.deps.order == [[R], [Q], [BitRef("o", 0, "top-output")]]
+    assert a.graph.root_channel[R] == a.graph.root_channel[BitRef("o", 0, "top-output")]
+    assert a.annotated.chan_prob == chan_prob
+    assert a.annotated.reg_leak == reg_leak
+    assert a.annotated.reg_prob == {reg: chan_prob[a.graph.root_channel[reg]]
+                                    for reg in (R, Q)}
+    assert a.totals == {0: capped}
+    assert accumulate_totals(a.annotated, a.design, cap=False) == {0: uncapped}
+
+
+def test_totals_from_given_contributions():
+    a = analyze_corpus("toy_spn.v", "toy_spn", p_high=0.7)
+    contributions = qif_engine.output_contributions(a.annotated, a.design)
+    for cap in (True, False):
+        assert (accumulate_totals(a.annotated, a.design, cap=cap, contributions=contributions)
+                == accumulate_totals(a.annotated, a.design, cap=cap))
+
+
 def test_propagate_needs_every_root_scheduled():
     a = analyze_corpus("example.v", "example")
     with pytest.raises(ValueError):

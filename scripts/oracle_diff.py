@@ -16,6 +16,8 @@ def main():
     parser.add_argument("--seeds", default="42,0,1,7,123,999")
     parser.add_argument("--count", type=int, default=200)
     args = parser.parse_args()
+    if args.count < 1:  # a run that checks no circuit proves nothing
+        parser.error("argument --count: must be at least 1")
 
     grand_total = grand_bad = 0
     for seed in (int(s) for s in args.seeds.split(",")):

@@ -1,6 +1,6 @@
 """Static quantitative information-flow analysis for Verilog designs."""
 
-from .bitgraph import bit_blast, compute_dependencies
+from .bitgraph import bit_blast
 from .channelizer import merge
 from .errors import QFlowError
 from .frontend import SourceUnit, elaborate, extract_labels, parse
@@ -15,6 +15,7 @@ from .pipeline import Analysis, Config, analyze, render_report
 from .qif_engine import (
     accumulate_totals,
     channel_prob_pbv,
+    compute_dependencies,
     output_contributions,
     propagate,
     source_leakage,

@@ -9,7 +9,8 @@ channelizer, ``dump_forest``, the oracle) walks ``postorder``: each node
 once, after its children, at any depth.  Comparisons always become
 gates.  An adder or subtractor wider than the expansion limit stays as
 one width-tagged macro node per sum bit, which the engine models in
-closed form.
+closed form.  Which register reads which is a question for the channel
+graph (``qif_engine.compute_dependencies``), not for these DAGs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CombinationalLoop, UnassignedNet, UnsupportedConstruct
@@ -102,13 +103,6 @@ def postorder(roots):
                 stack.pop()
                 order.append(node)
     return order
-
-
-@dataclass
-class DependencyGraph:
-    edges: set = field(default_factory=set)  # (root, register root it reads)
-    cycles: list = field(default_factory=list)  # SCCs of size>1 and self-loops
-    order: list = field(default_factory=list)  # every SCC, dependencies first
 
 
 def _and(a, b):
@@ -381,70 +375,6 @@ def bit_blast(design: ElaboratedDesign, expand_limit=DEFAULT_EXPAND_LIMIT):
         node = bits[pos] if pos < len(bits) else CONST0
         forest.append(BindTree(ref, node))
     return forest
-
-
-def compute_dependencies(forest) -> DependencyGraph:
-    """Root-to-root read edges; sequential cycles flagged for the fixpoint."""
-    graph = DependencyGraph()
-    adj = {}  # root -> the register roots it reads, in str order
-    for tree in forest:
-        reads = adj.setdefault(tree.root, [])
-        for node in postorder((tree.node,)):
-            if node.op == "leaf" and node.ref.role == "register":  # a tree's root
-                reads.append(node.ref)
-                adj.setdefault(node.ref, [])
-        if len(reads) > 1:
-            reads.sort(key=str)
-    graph.edges = {(root, ref) for root, reads in adj.items() for ref in reads}
-    graph.order = _sccs(adj)
-    for scc in graph.order:
-        if len(scc) > 1 or scc[0] in adj[scc[0]]:
-            graph.cycles.append(set(scc))
-    return graph
-
-
-def _sccs(adj):
-    """Tarjan, iterative, following each vertex's successors in list order;
-    each SCC comes after every SCC it reaches."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    out = []
-
-    for start in adj:
-        if start in index:
-            continue
-        work = [(start, iter(adj[start]))]
-        index[start] = low[start] = len(index)
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if w not in index:  # descend into w
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:  # v is finished
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == index[v]:
-                    scc = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        scc.append(w)
-                        if w == v:
-                            break
-                    out.append(scc)
-    return out
 
 
 def eval_node(node: Node, values, ones=1) -> int:

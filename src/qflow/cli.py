@@ -137,9 +137,12 @@ def cmd_oracle_diff(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "oracle-diff" and args.max_bits < 2:
-        # a random circuit has at least one secret bit and one more input
-        parser.error("argument --max-bits: must be at least 2")
+    if args.command == "oracle-diff":
+        if args.count < 1:  # a run that checks no circuit proves nothing
+            parser.error("argument --count: must be at least 1")
+        if args.max_bits < 2:
+            # a random circuit has at least one secret bit and one more input
+            parser.error("argument --max-bits: must be at least 2")
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

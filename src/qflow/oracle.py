@@ -12,12 +12,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bitgraph import (BindTree, BitRef, Node, compute_dependencies, eval_order, lane_masks,
-                       postorder)
+from .bitgraph import BindTree, BitRef, Node, eval_order, lane_masks, postorder
 from .channelizer import merge
 from .errors import TooLarge
 from .frontend.elaborate import ElaboratedDesign, FlatNet
-from .qif_engine import accumulate_totals, ordered_sum, propagate
+from .qif_engine import accumulate_totals, compute_dependencies, ordered_sum, propagate
 
 ENUMERATION_LIMIT = 24
 DEFAULT_UNROLL_CYCLES = 8
@@ -281,9 +280,8 @@ def differential_run(seed, count, max_bits=12):
     records = []
     for i in range(count):
         forest, design = random_forest(rng, max_bits)
-        deps = compute_dependencies(forest)
         graph = merge(forest, DIFF_MAX_CHANNEL_INPUTS)
-        annotated = propagate(graph, design, {}, deps)
+        annotated = propagate(graph, design, {}, compute_dependencies(graph))
         totals = accumulate_totals(annotated, design, cap=DIFF_CAP)
         qmodel = ordered_sum(totals.values())
         f = flatten_forest(forest, design)

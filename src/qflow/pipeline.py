@@ -7,15 +7,18 @@ import re
 import time
 from dataclasses import dataclass, field
 
-from .bitgraph import bit_blast, compute_dependencies
+from .bitgraph import bit_blast
 from .channelizer import DEFAULT_MAX_CHANNEL_INPUTS, MAX_TABLE_INPUTS, merge
 from .errors import DesignTooDeep, ProbabilityOnNonInput, UnknownSignal
 from .frontend import SourceUnit, elaborate, extract_labels, parse
-from .qif_engine import accumulate_totals, output_contributions, propagate
+from .qif_engine import (accumulate_totals, compute_dependencies, output_contributions,
+                         propagate)
 from .report import Report, Thresholds, classify, render
 
+# the value is a number that ``float`` reads, so `1e` and `.` fail to match
 _PROB_LINE = re.compile(
-    r"^\s*([A-Za-z_][\w.$]*)\s*(?:\[\s*(\d+)\s*\])?\s*=\s*([0-9.eE+-]+)\s*$")
+    r"^\s*([A-Za-z_][\w.$]*)\s*(?:\[\s*(\d+)\s*\])?\s*=\s*"
+    r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*$")
 
 
 @dataclass
@@ -106,6 +109,9 @@ def load_sources(paths):
 def analyze(config: Config, file_texts=None) -> Analysis:
     """Run the full pipeline; ``file_texts`` bypasses the filesystem.
 
+    Stages: parse, labels, elaborate, ``bit_blast``, ``merge``, then
+    ``compute_dependencies`` of the channels, ``propagate`` and totals.
+
     Raises ``DesignTooDeep`` where the parser, elaboration or the
     bit-blaster recurses deeper than the interpreter's stack allows.
 
@@ -132,8 +138,8 @@ def analyze(config: Config, file_texts=None) -> Analysis:
                                     [(n, "high") for n in config.high_overrides])
             design = elaborate(ast, config.top, labels)
             forest = bit_blast(design)
-            deps = compute_dependencies(forest)
             graph = merge(forest, config.max_channel_inputs)
+            deps = compute_dependencies(graph)
             input_probs = build_input_probs(design, config)
             annotated = propagate(graph, design, input_probs, deps)
             contributions = output_contributions(annotated, design)

@@ -9,37 +9,32 @@ truth table; no joint table is built.  Leakage cascades by summing
 incoming per-secret-bit leakage over channel inputs and scaling by the
 channel PBV.  Registers pass probabilities and leakage through unchanged.
 
-Propagation walks the strongly connected components of the register
-dependency graph in dependency order, so every input from outside a
-component is final before the component is reached.  Each channel goes
-to the first component whose roots reach it: a channel that several
-roots share is computed once, and every register it reads is in that
-component or an earlier one.  Which path runs depends on ``deps.cycles``:
-
-- A component outside every sequential cycle is one root, and none of
-  its channels reads that root's register.  One pass gives each channel
-  its taint, output probability and PBV from one kernel call, then its
-  leakage, and a register root then takes its root channel's values.
-- A sequential cycle runs two loops: sweeps that give each channel its
-  taint, output probability and PBV, until the cycle's registers settle,
-  then sweeps of the elementwise-max leakage cascade.  A cycle that does
-  not settle within ``MAX_FIXPOINT_ITERS`` sweeps raises
-  ``NonConvergentFixpoint``.
-
-Both paths read inputs, call the kernel and cascade leakage through the
-same three methods (``_inputs``, ``_kernel``, ``_leak``); only the loops
-differ.  Table channels with equal truth tables, input probabilities and
-taints share one enumeration per ``propagate`` call.
+Propagation is one pass over the strongly connected components of the
+channel graph, dependencies first: a channel reads its derived inputs,
+and a register input is an edge to that register's root channel.  A
+single channel that does not read itself through a register is computed
+once: its taint, output probability and PBV from one kernel call, then
+its leakage.  A sequential cycle runs two loops over its own channels:
+sweeps of taint, probability and PBV until the registers it reads
+settle, then sweeps of the elementwise-max leakage cascade; one that
+does not settle within ``MAX_FIXPOINT_ITERS`` sweeps raises
+``NonConvergentFixpoint``.  Once a component is final, every other
+register whose root channel lies in it takes that channel's values, its
+leakage capped at each secret's source min-entropy.  Both kinds call the
+same ``_inputs``, ``_kernel`` and ``_leak``; only the loops differ.
+Table channels with equal truth tables, input probabilities and taints
+share one enumeration per ``propagate`` call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 
-from .bitgraph import BitRef, DependencyGraph
+from .bitgraph import BitRef
 from .channelizer import Channel, ChannelGraph
 from .errors import ArityMismatch, NonConvergentFixpoint
 
@@ -146,6 +141,75 @@ def _macro_prob(channel: Channel, probs) -> float:
 
 
 # --------------------------------------------------------------------------
+# The channel dependency graph
+
+@dataclass
+class DependencyGraph:
+    edges: set = field(default_factory=set)  # (channel id, register it reads)
+    cycles: list = field(default_factory=list)  # id sets: SCCs of size>1 and self-loops
+    order: list = field(default_factory=list)  # every SCC as a list of ids, dependencies first
+
+
+def compute_dependencies(graph: ChannelGraph) -> DependencyGraph:
+    """Each channel's reads, in input order: its derived inputs, and for a
+    register input, that register's root channel.  Sequential cycles are
+    flagged for the fixpoint."""
+    deps, adj = DependencyGraph(), []
+    for ch in graph.channels:
+        reads = []
+        for ci in ch.inputs:
+            if isinstance(ci, int):
+                reads.append(ci)
+            elif ci.role == "register":
+                reads.append(graph.root_channel[ci])
+                deps.edges.add((ch.cid, ci))
+        adj.append(reads)
+    deps.order = _sccs(adj)
+    deps.cycles = [set(scc) for scc in deps.order if len(scc) > 1 or scc[0] in adj[scc[0]]]
+    return deps
+
+
+def _sccs(adj):
+    """Tarjan, iterative, from vertex 0 up, following each vertex's
+    successors in list order; each SCC comes after every SCC it reaches."""
+    index, low, on_stack = [-1] * len(adj), [0] * len(adj), [False] * len(adj)
+    ids, stack, out = itertools.count(), [], []
+    for start in range(len(adj)):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = next(ids)
+        stack.append(start)
+        on_stack[start] = True
+        work = [(start, iter(adj[start]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:  # descend into w
+                    index[w] = low[w] = next(ids)
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:  # v is finished
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        scc.append(w)
+                        if w == v:
+                            break
+                    out.append(scc)
+    return out
+
+
+# --------------------------------------------------------------------------
 # Design-level propagation
 
 class _Propagator:
@@ -174,71 +238,62 @@ class _Propagator:
         return out
 
     def run(self, deps: DependencyGraph):
-        cyclic = {r for scc in deps.cycles for r in scc}
-        # each register's values, set when its component is reached
+        channels = self.graph.channels
+        # each register's values, set once its root channel is final
         self.reg_tainted, self.reg_prob, self.reg_leak = {}, {}, {}
-        # first[cid]: the index of the first SCC whose roots reach channel cid
-        first, taken = {}, [[] for _ in deps.order]
-        for i, scc in enumerate(deps.order):
-            for root in scc:
-                first.setdefault(self.graph.root_channel[root], i)
-        for ch in reversed(self.graph.channels):  # every reader before its inputs
-            i = first.get(ch.cid)
-            if i is not None:
-                taken[i].append(ch)
-                for ci in ch.inputs:
-                    if isinstance(ci, int) and first.get(ci, i) >= i:
-                        first[ci] = i
-        for scc, chans in zip(deps.order, taken):
-            if scc[0] in cyclic:
-                self._cycle(scc, chans[::-1])
+        held = {}  # cid -> the registers whose root channel it is
+        for root, cid in self.graph.root_channel.items():
+            if root.role == "register":
+                held.setdefault(cid, []).append(root)
+        cycle_of = {cid: cycle for cycle in deps.cycles for cid in cycle}
+        for scc in deps.order:
+            cycle = cycle_of.get(scc[0])
+            if cycle:
+                self._cycle(cycle)
             else:
-                self._acyclic(scc[0], chans[::-1])
-        if len(self.chan_prob) != len(self.graph.channels):
-            raise ValueError("the dependency graph's roots do not reach every channel")
+                ch = channels[scc[0]]
+                probs, tainted = self._inputs(ch)
+                self.chan_tainted[ch.cid] = any(tainted)
+                self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = self._kernel(ch, probs, tainted)
+                self.chan_leak[ch.cid] = self._leak(ch)
+            for cid in scc:
+                if cid in held:
+                    self._hold(cid, held[cid])
+        if len(self.chan_prob) != len(channels):
+            raise ValueError("the dependency order does not reach every channel")
 
-    def _acyclic(self, root, chans):
-        """Taint, P(1), PBV and leakage of a root outside every cycle.
+    def _hold(self, cid, regs):
+        """Registers that no cycle looped take final channel ``cid``'s taint and
+        P(1), and its leakage raised from {}, so capped at source min-entropy."""
+        regs = [reg for reg in regs if reg not in self.reg_leak]
+        for reg in regs:
+            self.reg_tainted[reg] = self.chan_tainted[cid]
+            self.reg_prob[reg] = self.chan_prob[cid]
+            self.reg_leak[reg] = {}
+        self._raise_leak(regs)
 
-        No channel reads the root's own register, so each channel is
-        final after one kernel call and one leakage cascade.  A register
-        then takes its root channel's values, its leakage raised from an
-        empty vector, so capped at each secret's source min-entropy.
-        """
-        for ch in chans:
-            probs, tainted = self._inputs(ch)
-            self.chan_tainted[ch.cid] = any(tainted)
-            self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = self._kernel(ch, probs, tainted)
-            self.chan_leak[ch.cid] = self._leak(ch)
-        if root.role == "register":
-            cid = self.graph.root_channel[root]
-            self.reg_tainted[root] = self.chan_tainted[cid]
-            self.reg_prob[root] = self.chan_prob[cid]
-            self.reg_leak[root] = {}
-            self._raise_leak((root,))
-
-    def _cycle(self, scc, chans):
-        """Taint, P(1), PBV and leakage of a sequential cycle's channels
-        and registers.
-
-        Each of the two loops sweeps the SCC's channels until its
-        registers settle.  The first loop stops at a sweep that moves no
-        register and keeps the values that sweep read, so every stored
-        channel value is the kernel of the stored register values.
-        """
-        regs = [r for r in scc if r.role == "register"]
+    def _cycle(self, cycle):
+        """Taint, P(1), PBV and leakage of a cycle's channels and of the
+        registers they read back.  Each loop sweeps the channels in id order
+        until those registers settle.  The first stops at a sweep that moves
+        no register and keeps the values that sweep read, so every stored
+        channel value is the kernel of the stored register values."""
+        chans = [self.graph.channels[cid] for cid in sorted(cycle)]
+        root_channel = self.graph.root_channel
+        regs = list(dict.fromkeys(
+            ci for ch in chans for ci in ch.inputs
+            if not isinstance(ci, int) and ci.role == "register" and root_channel[ci] in cycle))
         for reg in regs:  # what the first sweep reads
             self.reg_tainted[reg], self.reg_prob[reg], self.reg_leak[reg] = False, 0.5, {}
         for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:
                 probs, tainted = self._inputs(ch)
                 self.chan_tainted[ch.cid] = any(tainted)
-                self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = self._kernel(
-                    ch, probs, tainted)
+                self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = self._kernel(ch, probs, tainted)
             if self._settled(regs):
                 break
             for reg in regs:
-                cid = self.graph.root_channel[reg]
+                cid = root_channel[reg]
                 self.reg_tainted[reg] = self.chan_tainted[cid]
                 self.reg_prob[reg] = self.chan_prob[cid]
         else:
@@ -305,7 +360,8 @@ class _Propagator:
 
 def propagate(graph: ChannelGraph, design, input_probs,
               deps: DependencyGraph) -> ProbAnnotatedGraph:
-    """Probabilities, PBVs and leakage vectors, one SCC of ``deps`` at a time."""
+    """Probabilities, PBVs and leakage vectors, one SCC of ``deps`` at a time;
+    ``deps`` is ``compute_dependencies(graph)``."""
     prop = _Propagator(graph, design, input_probs or {})
     prop.run(deps)
     return ProbAnnotatedGraph(

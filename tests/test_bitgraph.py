@@ -1,4 +1,4 @@
-"""Bit-blasting, bind trees, and the dependency graph."""
+"""Bit-blasting, bind trees, and the channel dependency graph built on them."""
 
 import hashlib
 import itertools
@@ -15,7 +15,6 @@ from qflow.bitgraph import (
     BitRef,
     Node,
     bit_blast,
-    compute_dependencies,
     dump_forest,
     eval_node,
     lane_masks,
@@ -26,7 +25,7 @@ from qflow.errors import CombinationalLoop
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.oracle import exact_multiplicative_leakage, flatten_forest, synthetic_design
 from qflow.pipeline import Config, analyze
-from qflow.qif_engine import accumulate_totals, propagate
+from qflow.qif_engine import accumulate_totals, compute_dependencies, propagate
 
 
 def design_of(src, top):
@@ -297,9 +296,11 @@ def test_leaves_visit_shared_nodes_once():
         node = Node("XOR", (node, node))  # 2^20 root-to-leaf paths
     tree = BindTree(ref, node)
     assert tree.leaves() == [ref]
-    deps = compute_dependencies([tree])
-    assert deps.edges == {(ref, ref)}
-    assert deps.cycles == [{ref}]
+    graph = merge([tree])
+    assert graph.root_channel == {ref: 0}
+    deps = compute_dependencies(graph)
+    assert deps.edges == {(0, ref)}  # q's channel reads q
+    assert deps.cycles == [{0}]
 
 
 def test_combinational_loop_detected():
@@ -323,8 +324,10 @@ endmodule
     forest = forest_of(src, "m")
     regs = [t for t in forest if t.root.role == "register"]
     assert len(regs) == 1
-    deps = compute_dependencies(forest)
-    assert deps.cycles  # self-loop across the sequential cut
+    graph = merge(forest)
+    deps = compute_dependencies(graph)
+    # self-loop across the sequential cut
+    assert deps.cycles == [{graph.root_channel[regs[0].root]}]
 
 
 def test_dependency_order_in_a_cycle():
@@ -338,21 +341,26 @@ end
 assign y = t;
 endmodule
 """
-    # s[1], s[2] and t[0] each read two registers: successors go in str order
-    deps = compute_dependencies(forest_of(src, "m"))
-    assert [[str(v) for v in scc] for scc in deps.order] == [
+    # one channel per root; s[1], s[2] and t[0] each read two registers,
+    # and a channel's successors go in input order
+    graph = merge(forest_of(src, "m"))
+    deps = compute_dependencies(graph)
+    assert [[str(graph.channels[cid].root) for cid in scc] for scc in deps.order] == [
         ["t[0]", "s[1]", "s[2]", "s[0]"], ["y[0]"]]
+    assert deps.cycles == [set(deps.order[0])]
 
 
 @pytest.mark.parametrize("files,top,digest", [
     (("toy_spn.v",), "toy_spn",
-     "a4d2467b63b966e070682a0d566151aaf57ce75f0d31f2603fff3e7059e89241"),
+     "3d23b1efaae6f5a8aee98bd78ecbdab549524e7a06517bd02e1f76d46e4aa461"),
     (("aes_t2300.v", "aes_t2300_top.v"), "top",
-     "308c55a8595562014ba1e58fcb4c5b69b9e8425d93197e82cc970663f483a7a8"),
+     "3ca17ce29e05483d0e61e302cd04f4a384fdf3355e3f31b5e937b9b6d60f26e7"),
 ], ids=["toy_spn", "aes_t2300"])
 def test_dependency_order_pinned(files, top, digest):
-    a = analyze(Config(files=[corpus.path(f) for f in files], top=top))
-    assert hashlib.sha256(repr(a.deps.order).encode()).hexdigest() == digest
+    runs = [analyze(Config(files=[corpus.path(f) for f in files], top=top))
+            for _ in range(2)]
+    assert runs[0].deps.order == runs[1].deps.order  # the same order every run
+    assert hashlib.sha256(repr(runs[0].deps.order).encode()).hexdigest() == digest
 
 
 def test_t2100_register_chain_dependencies():
@@ -360,11 +368,12 @@ def test_t2100_register_chain_dependencies():
     forest = bit_blast(d)
     regs = [t for t in forest if t.root.role == "register"]
     assert len(regs) == 320
-    deps = compute_dependencies(forest)
-    # load[i] depends on tmp3[i], which depends on tmp2[i], and so on
-    edges = {(str(a), str(b)) for a, b in deps.edges}
-    assert ("load[0]", "tmp3[0]") in edges
-    assert ("tmp3[0]", "tmp2[0]") in edges
+    graph = merge(forest)
+    deps = compute_dependencies(graph)
+    # load[i]'s root channel reads tmp3[i], whose root channel reads tmp2[i], and so on
+    load, tmp3, tmp2 = (BitRef(n, 0, "register") for n in ("load", "tmp3", "tmp2"))
+    assert (graph.root_channel[load], tmp3) in deps.edges
+    assert (graph.root_channel[tmp3], tmp2) in deps.edges
     assert not deps.cycles
 
 
@@ -498,10 +507,12 @@ def test_deep_dag_takes_any_depth():
 
     assert eval_node(node, masks, ones) == want
     assert sorted(forest[0].leaves()) == sorted(refs)
-    deps = compute_dependencies(forest)
-    assert deps.order == [[root]] and not deps.cycles
     graph = merge(forest)
     assert graph.root_channel == {root: len(graph.channels) - 1}
+    deps = compute_dependencies(graph)
+    # no register: each channel is its own SCC, in id order
+    assert deps.order == [[cid] for cid in range(len(graph.channels))]
+    assert not deps.cycles and not deps.edges
     assert len(graph.channels) > 1000  # one cut per few levels
     dump = dump_forest(forest)
     assert dump.count("\n") == 5000  # the root's line, a binding per inner level

@@ -252,3 +252,33 @@ def test_oracle_diff_rejects_max_bits_below_two(capsys, bits):
     err = capsys.readouterr().err
     assert err.startswith("usage: qflow")
     assert err.endswith("qflow: error: argument --max-bits: must be at least 2\n")
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_oracle_diff_rejects_count_below_one(capsys, count):
+    # a run over no circuit would print "0 circuits, 0 violations" and pass
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-diff", "--count", count])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qflow")
+    assert err.endswith("qflow: error: argument --count: must be at least 1\n")
+
+
+def test_oracle_diff_script_rejects_count_below_one():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "oracle_diff.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(qflow.__file__).resolve().parent.parent))
+    r = subprocess.run([sys.executable, str(script), "--count", "0"],
+                       capture_output=True, env=env)
+    assert r.returncode == 2  # argparse's usage error
+    assert b"Traceback" not in r.stderr
+    assert r.stderr.endswith(b"error: argument --count: must be at least 1\n")
+
+
+@pytest.mark.parametrize("value", ["1e", ".", "+-", "1e-"])
+def test_probability_file_value_float_rejects(tmp_path, capsys, value):
+    probs = write(tmp_path, "p.txt", f"# per-net\ni = {value}\n")
+    args = ["analyze", "--top", "example", "--probs", probs, corpus.path("example.v")]
+    assert main(args) == 3
+    assert capsys.readouterr().err == (
+        f"qflow: error: probability file line 2: cannot parse 'i = {value}'\n")

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from qflow import oracle
-from qflow.bitgraph import BindTree, BitRef, Node, bit_blast, compute_dependencies
+from qflow.bitgraph import BindTree, BitRef, Node, bit_blast
 from qflow.errors import TooLarge
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.oracle import (

@@ -7,13 +7,14 @@ import random
 import pytest
 
 from qflow import corpus, qif_engine
-from qflow.bitgraph import BitRef, DependencyGraph, bit_blast
+from qflow.bitgraph import BitRef, bit_blast
 from qflow.channelizer import Channel, merge
 from qflow.errors import NonConvergentFixpoint
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.pipeline import Config, analyze
 from qflow.qif_engine import (
     LEAK_TOL,
+    DependencyGraph,
     accumulate_totals,
     channel_prob_pbv,
     ordered_sum,
@@ -256,9 +257,10 @@ endmodule
                         ("key", 2): ("leak", 1.0), ("key", 3): ("ok", 0.0)}
 
 
-# g's channel is the root channel of both r and o; r's SCC takes it, and q
-# reads r one stage later.  At bound 1 the second design's root channel
-# carries 1.125 bits at p = 0.5, so r's leakage is capped at 1 bit.
+# g's channel is the root channel of both r and o; r takes its values once
+# it is final, and q's root channel reads r one stage later.  At bound 1 the
+# second design's root channel carries 1.125 bits at p = 0.5, so r's leakage
+# is capped at 1 bit.
 HANDOFF = """module m(input clk, High input k, input a, input b, output o, output reg q);
 wire g = {};
 reg r;
@@ -288,9 +290,11 @@ HANDOFF_VALUES = {
 def test_register_handoff_in_acyclic_pass(expr, bound, p_high):
     chan_prob, reg_leak, capped, uncapped = HANDOFF_VALUES[(expr, bound, p_high)]
     a = analyze_source(HANDOFF.format(expr), "m", p_high=p_high, max_channel_inputs=bound)
+    root_channel = a.graph.root_channel
     assert not a.deps.cycles
-    assert a.deps.order == [[R], [Q], [BitRef("o", 0, "top-output")]]
-    assert a.graph.root_channel[R] == a.graph.root_channel[BitRef("o", 0, "top-output")]
+    assert a.deps.order == [[cid] for cid in range(len(a.graph.channels))]
+    assert a.deps.edges == {(root_channel[Q], R)}
+    assert root_channel[R] == root_channel[BitRef("o", 0, "top-output")]
     assert a.annotated.chan_prob == chan_prob
     assert a.annotated.reg_leak == reg_leak
     assert a.annotated.reg_prob == {reg: chan_prob[a.graph.root_channel[reg]]
@@ -313,8 +317,8 @@ def test_propagate_needs_every_root_scheduled():
         propagate(a.graph, a.design, {}, DependencyGraph())
 
 
-# g is cut in the walk of a[0], which sorts first; z[0]'s SCC comes first
-# in the dependency order and reads g's channel
+# g is cut in the walk of a[0], which sorts first, and both root channels
+# read it; z[0]'s comes first in the dependency order, since a[0]'s reads z[0]
 SHARED_ACROSS_SCCS = """module m(input clk, High input [1:0] k, input l, output a);
 reg z;
 wire g;
@@ -329,12 +333,62 @@ endmodule
 def test_channel_scheduled_by_the_first_scc_that_reads_it(bound):
     a = analyze_source(SHARED_ACROSS_SCCS, "m", max_channel_inputs=bound, cap=False)
     out, reg = BitRef("a", 0, "top-output"), BitRef("z", 0, "register")
-    assert a.deps.order == [[reg], [out]]
+    root_channel = a.graph.root_channel
+    assert a.deps.order == [[0], [1], [root_channel[reg]], [root_channel[out]]]
+    assert a.deps.edges == {(root_channel[out], reg)}
     g = a.graph.channels[1]
     assert g.root == out
-    assert g.cid in a.graph.channels[a.graph.root_channel[reg]].inputs
+    assert g.cid in a.graph.channels[root_channel[reg]].inputs
+    assert g.cid in a.graph.channels[root_channel[out]].inputs
     assert len(a.graph.channels) == 4
     assert a.totals == {0: 0.703125, 1: 0.703125}
+
+
+# g is the root channel of r1 and r2, and only r1 is read back: r1's cycle
+# loops r1 alone, and stops at a sweep that moves r1 by less than
+# PROB_TOL, keeping the P(1) that sweep read.  r2 then takes g's final
+# P(1), a few ulps away from r1's.
+LOOP_REG = """module m(input clk, High input k, input a, output o, output p);
+wire [1:0] g = (r1 & a) | (k & ~r1);
+reg [1:0] r1, r2;
+always @(posedge clk) begin
+r1 <= g;
+r2 <= g;
+end
+assign o = r1;
+assign p = r2 ^ a;
+endmodule
+"""
+P3 = 0.5145731728297583  # source min-entropy at p = 0.3
+
+# (p_high, bound) -> (P(r1[0]), P(r2[0]), leakage of each, uncapped total)
+LOOP_REG_VALUES = {
+    (None, 1): (0.4384471871903588, 0.4384471871911947, 1.0, 2.0),
+    (None, 2): (0.4384471871903588, 0.4384471871911947, 1.0, 2.0),
+    (None, 5): (0.5, 0.5, 0.9999999990686774, 1.9999999981373549),
+    (0.9, 1): (0.5638087130998113, 0.5638087131004298, P9, 0.3040061868900999),
+    (0.9, 2): (0.5638087130998113, 0.5638087131004298, P9, 0.3040061868900999),
+    (0.9, 5): (0.6428571428575547, 0.6428571428569781, P9, 0.3040061868900999),
+    (0.3, 1): (0.3333333333339206, 0.3333333333334214, P3, 1.0291463456595167),
+    (0.3, 2): (0.3333333333339206, 0.3333333333334214, P3, 1.0291463456595167),
+    (0.3, 5): (0.37500000000081923, 0.3750000000001638, P3, 1.0291463456595167),
+}
+
+
+@pytest.mark.parametrize("p_high,bound", sorted(LOOP_REG_VALUES, key=str))
+def test_cycle_loops_only_the_registers_it_reads(p_high, bound):
+    p1, p2, leak, uncapped = LOOP_REG_VALUES[(p_high, bound)]
+    a = analyze_source(LOOP_REG, "m", p_high=p_high, max_channel_inputs=bound)
+    r1, r2 = BitRef("r1", 0, "register"), BitRef("r2", 0, "register")
+    r1_hi, r2_hi = BitRef("r1", 1, "register"), BitRef("r2", 1, "register")
+    g = a.graph.root_channel[r1]
+    assert a.graph.root_channel[r2] == g
+    assert any(g in cycle for cycle in a.deps.cycles)
+    assert (repr(sorted(a.annotated.reg_prob.items()))
+            == repr(sorted({r1: p1, r2: p2, r1_hi: 0.0, r2_hi: 0.0}.items())))
+    assert (repr(sorted(a.annotated.reg_leak.items()))
+            == repr(sorted({r1: {0: leak}, r2: {0: leak}, r1_hi: {}, r2_hi: {}}.items())))
+    assert repr(accumulate_totals(a.annotated, a.design, cap=False)) == repr({0: uncapped})
 
 
 CYCLE_DESIGNS = {

@@ -100,9 +100,20 @@ class TooLarge(QFlowError):
         self.limit = limit
 
 
+class TooManyObservations(TooLarge):
+    """An exact enumeration whose observations outgrow the oracle's key cap."""
+
+    def __init__(self, keys, cap):
+        QFlowError.__init__(self, f"exhaustive enumeration found {keys} distinct (output, low) "
+                                  f"keys in one group, past the cap of {cap}")
+        self.keys = keys
+        self.cap = cap
+
+
 class DesignTooDeep(QFlowError):
     """A design nested deeper than the recursive tree walkers can follow."""
 
     def __init__(self):
         super().__init__("design is nested too deeply to analyse "
                          "(Python's recursion limit was reached)")
+

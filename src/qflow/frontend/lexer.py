@@ -14,8 +14,8 @@ any other non-blank character into a syntax error; blanks at the end of
 the text match nothing.
 
 Comments are stripped here, except that ``// qflow: high`` trailing
-comments are recorded by line number so the parser can attach security
-labels to the declaration on that line.
+comments are recorded by line number so the parser can mark the last
+input group on that line as secret.
 """
 
 from __future__ import annotations

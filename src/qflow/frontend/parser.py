@@ -153,9 +153,10 @@ class _Parser:
         """``input|output [wire|reg] [range] a, b`` up to, not including, its end.
 
         ``high`` holds the marks read before the direction. A mark after a
-        comma marks that name and the names after it. Returns the marks
-        read after a comma when a new direction follows them, as in an
-        ANSI port list, else None.
+        comma marks that name and the names after it, and a ``// qflow:
+        high`` comment the whole input group it trails (``_trailed``).
+        Returns the marks read after a comma when a new direction follows
+        them, as in an ANSI port list, else None.
         """
         tok = self.next()
         if tok.text == "inout":
@@ -165,19 +166,42 @@ class _Parser:
         direction = tok.text
         self.accept("kw", "wire") or self.accept("kw", "reg")
         msb, lsb = self.range_spec() if self.at("[") else (None, None)
+        names, ends = [], {}  # ends: line -> position of the group's last name on it
         while True:
             nt = self.expect("id")
+            names.append(nt.text)
+            ends[nt.line] = self.pos - 1
             if nt.text not in mod.port_order:
                 mod.port_order.append(nt.text)
-            decl_high = (high or nt.line in self.high_lines) and direction == "input"
             mod.ports[nt.text] = A.PortDecl(direction, msb, lsb, nt.text,
-                                            high=decl_high, line=nt.line)
+                                            high=high and direction == "input",
+                                            line=nt.line)
             if not self.accept(","):
-                return None
+                marked = None
+                break
             marked = self._port_marks()
             if self.peek().text in _DIRECTIONS:
-                return marked
+                break
             high = high or marked
+        if direction == "input" and self._trailed(ends):
+            for name in names:
+                mod.ports[name].high = True
+        return marked
+
+    def _trailed(self, ends):
+        """Whether a ``// qflow: high`` comment ends a line of an input
+        group with no other input group between the group's last name on
+        that line and the comment: the comment marks the last input group
+        on its line."""
+        for line, pos in ends.items():
+            if line in self.high_lines:
+                tok = self.tokens[pos + 1]  # 'eof' ends the list
+                while tok.line == line and tok.kind != "eof" and tok.text != "input":
+                    pos += 1
+                    tok = self.tokens[pos + 1]
+                if tok.line != line or tok.text != "input":
+                    return True
+        return False
 
     def range_spec(self):
         self.expect("[")

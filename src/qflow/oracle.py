@@ -14,13 +14,16 @@ from dataclasses import dataclass
 
 from .bitgraph import BindTree, BitRef, Node, eval_order, lane_masks, postorder
 from .channelizer import merge
-from .errors import TooLarge
+from .errors import TooLarge, TooManyObservations
 from .frontend.elaborate import ElaboratedDesign, FlatNet
 from .qif_engine import accumulate_totals, compute_dependencies, ordered_sum, propagate
 
 ENUMERATION_LIMIT = 24
 DEFAULT_UNROLL_CYCLES = 8
 LANE_BITS = 16  # input bits per lane block: one unroll evaluates 2^16 assignments
+# distinct (observation, low) keys one group of blocks may hold: an injective
+# 20-bit design fits, and the keys held stay below KEY_CAP + 2^LANE_BITS
+KEY_CAP = 1 << 20
 
 
 @dataclass
@@ -114,27 +117,38 @@ def exact_prior_vulnerability(high_probs) -> float:
 _INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by item size
 
 
-def _lane_keys(columns, lanes):
-    """One key per lane, lane 0 first; two lanes share a key iff every column agrees.
+def _pack(columns, lanes, planes, first=0):
+    """OR lane columns into byte planes, one byte per lane, lane 0 lowest.
 
-    The binary digits of eight columns at a time become one byte per lane,
-    and up to eight such bytes are packed into one int per lane.
+    Column ``first + i`` becomes bit ``(first + i) % 8`` of each lane's
+    byte in plane ``(first + i) // 8``; ``planes`` is changed in place and
+    returned.
     """
     digits = f"0{lanes}b"
     low_bit = int.from_bytes(b"\x01" * lanes, "little")
-    packed = []
-    for g in range(0, len(columns) or 1, 8):
-        acc = 0
-        for k, col in enumerate(columns[g:g + 8]):
-            acc |= (int.from_bytes(format(col, digits).encode(), "big") & low_bit) << k
-        packed.append(acc.to_bytes(lanes, "little"))
+    for i, col in enumerate(columns, first):
+        planes[i >> 3] |= (int.from_bytes(format(col, digits).encode(), "big")
+                           & low_bit) << (i & 7)
+    return planes
+
+
+def _lane_keys(planes, lanes):
+    """One key per lane, lane 0 first: its byte of every plane, interleaved.
+
+    Two lanes share a key iff every packed column agrees.  One plane gives
+    byte keys, up to eight give ints of 2, 4 or 8 bytes, and more give
+    tuples of bytes.
+    """
+    packed = [p.to_bytes(lanes, "little") for p in planes]
+    if len(packed) == 1:
+        return packed[0]
     if len(packed) > 8:
         return list(zip(*packed))
     width = 1 << (len(packed) - 1).bit_length()
     buf = bytearray(lanes * width)
     for k, part in enumerate(packed):
         buf[k::width] = part
-    return memoryview(buf).cast(_INT_CODES[width]).tolist()
+    return memoryview(buf).cast(_INT_CODES[width])
 
 
 def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
@@ -145,9 +159,23 @@ def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
     ``unroll`` gives every output over a block of lanes, and the rest are
     bound to constants in an outer loop over blocks.  Lanes thus run in
     the order of the assignment-at-a-time enumeration, and the blocks of
-    one assignment of the outer low bits are adjacent.  A bit of prior 0
-    or 1 has one assignment of nonzero mass; it is bound to that constant
-    instead of enumerated.
+    one assignment of the outer low bits are adjacent and form a group.
+    A bit of prior 0 or 1 has one assignment of nonzero mass; it is bound
+    to that constant instead of enumerated.
+
+    A lane's key packs its outputs and its lane-bound lows, so a group's
+    keys are its (observation, low) pairs.  The low columns are the same
+    lane masks in every block: they are packed once per call, the outputs
+    once per block.  Under non-uniform priors a group keeps each key's
+    best mass, met in lane order, and adds them with ``ordered_sum``.
+    When every free bit has prior 0.5 each lane has the mass
+    ``m = 0.5 ** len(free)``, so a group keeps only a set of keys and adds
+    ``len(keys) * m``.  That is bit-identical to the ordered sum: ``m`` is
+    a power of two, so each partial sum ``k * m`` is exact.
+
+    Raises ``TooManyObservations`` when a group holds more than
+    ``KEY_CAP`` keys after a block, which bounds the memory at
+    ``KEY_CAP`` plus one block of keys.
     """
     nh, nl = len(f.high_inputs), len(f.low_inputs)
     if nh + nl > ENUMERATION_LIMIT:
@@ -161,6 +189,9 @@ def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
     values = {ref: ones if p else 0 for ref, p in priors if p in (0.0, 1.0)}
     values.update(zip((ref for ref, _ in lane), lane_masks(len(lane))))
     lane_lows = [values[ref] for ref, _ in lane if ref.role == "input-low"]
+    columns = len(f.outputs) * f.cycles + len(lane_lows)
+    low_planes = _pack(lane_lows, lanes, [0] * ((columns + 7) // 8 or 1),
+                       first=columns - len(lane_lows))
     # blocks per assignment of the outer low bits
     span = 1 << sum(ref.role == "input-high" for ref, _ in outer)
     uniform = all(p == 0.5 for _, p in free)
@@ -170,22 +201,25 @@ def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
             lane_mass = [m * (1.0 - p) for m in lane_mass] + [m * p for m in lane_mass]
     posterior = 0.0
     for group in range(0, 1 << len(outer), span):
-        best = {}  # lane key -> best mass among the group's lanes
+        best = set() if uniform else {}  # lane keys, or lane key -> best mass
         for a in range(group, group + span):
             start = 1.0
             for i, (ref, p) in enumerate(outer):
                 bit = (a >> i) & 1
                 values[ref] = ones if bit else 0
                 start *= p if bit else 1.0 - p
-            keys = _lane_keys(f.unroll(values, ones) + lane_lows, lanes)
-            if uniform:  # one lane mass, so it is every key's best
-                best.update(dict.fromkeys(keys, 0.5 ** len(free)))
-                continue
-            for key, m in zip(keys, lane_mass):
-                mass = start * m
-                if mass > best.get(key, 0.0):
-                    best[key] = mass
-        posterior += ordered_sum(best.values())
+            keys = _lane_keys(_pack(f.unroll(values, ones), lanes, list(low_planes)),
+                              lanes)
+            if uniform:
+                best.update(keys)
+            else:
+                for key, m in zip(keys, lane_mass):
+                    mass = start * m
+                    if mass > best.get(key, 0.0):
+                        best[key] = mass
+            if len(best) > KEY_CAP:
+                raise TooManyObservations(len(best), KEY_CAP)
+        posterior += len(best) * 0.5 ** len(free) if uniform else ordered_sum(best.values())
     return posterior
 
 

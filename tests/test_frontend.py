@@ -774,6 +774,27 @@ def test_blocking_reads_dump(body, dump):
     assert dump_forest(bit_blast(full(src, "m"))) == dump
 
 
+# -- the port group a ``// qflow: high`` comment trails ---------------------
+
+@pytest.mark.parametrize("src, high", [
+    ("module m(input clk, input [3:0] key, // qflow: high\ninput [1:0] a,\n"
+     "output [1:0] y);\nassign y = a ^ key[1:0];\nendmodule\n", ["key"]),
+    ("module m(input [3:0] a, b, // qflow: high\ninput c,\n"
+     "output y);\nassign y = ^a ^ ^b ^ c;\nendmodule\n", ["a", "b"]),
+    ("module m(a, b, y);\ninput a; input b; // qflow: high\noutput y;\n"
+     "assign y = a ^ b;\nendmodule\n", ["b"]),
+    ("module m(a, b, y);\ninput a, // qflow: high\nb;\noutput y;\n"
+     "assign y = a ^ b;\nendmodule\n", ["a", "b"]),
+    ("module m(input a, output y); // qflow: high\nassign y = a;\nendmodule\n", ["a"]),
+], ids=["ansi-header", "one-group", "body-line", "group-across-lines", "output-last"])
+def test_high_comment_marks_the_group_it_trails(src, high):
+    """The comment marks the last input group on its line, all of it."""
+    mod = parse_text(src).modules["m"]
+    assert [n for n, p in mod.ports.items() if p.high] == high
+    design = analyze_source(src, "m").design
+    assert sorted({net for net, _bit, _sid in design.high_bits()}) == high
+
+
 # -- one grammar for header and body declarations ---------------------------
 
 @pytest.mark.parametrize("header, body", [

@@ -3,12 +3,16 @@
 import math
 import random
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow import oracle
 from qflow.bitgraph import BindTree, BitRef, Node, bit_blast
-from qflow.errors import TooLarge
+from qflow.errors import TooLarge, TooManyObservations
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.oracle import (
     differential_run,
@@ -258,3 +262,97 @@ def test_reconvergent_chain_is_linear():
     assert time.perf_counter() - start < 1.0
     f, _ = flat(reconvergent_chain(6), "m")
     assert exact_posterior_vulnerability(f) == reference_posterior(f)
+
+
+def injective(bits):
+    """``y = h`` over ``bits`` secret bits: every assignment is its own observation."""
+    return flat(f"module m(High input [{bits - 1}:0] h, output [{bits - 1}:0] y);\n"
+                "assign y = h;\nendmodule\n", "m")[0]
+
+
+# bound on the tracemalloc peak of the cap test (65.1 MiB measured on 3.10-3.13)
+KEY_CAP_PEAK = 80 << 20
+
+
+def test_key_cap_bounds_memory():
+    # 2^20 keys in one group fit under the cap
+    assert exact_multiplicative_leakage(injective(20))[1] == 20.0
+    f = injective(22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyObservations) as err:
+            exact_posterior_vulnerability(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cap is checked after each block of 2^LANE_BITS lanes
+    keys = oracle.KEY_CAP + (1 << oracle.LANE_BITS)
+    assert (err.value.keys, err.value.cap) == (keys, oracle.KEY_CAP)
+    assert str(err.value) == (f"exhaustive enumeration found {keys} distinct (output, low) "
+                              f"keys in one group, past the cap of {oracle.KEY_CAP}")
+    assert isinstance(err.value, TooLarge)
+    assert peak < KEY_CAP_PEAK, peak
+
+
+def test_key_cap_holds_under_nonuniform_priors(monkeypatch):
+    monkeypatch.setattr(oracle, "KEY_CAP", 100)
+    f = injective(8)
+    probs = {("h", b): 0.3 for b in range(8)}
+    with pytest.raises(TooManyObservations):
+        exact_posterior_vulnerability(f, probs)
+    # known bits are not enumerated, so they add no keys
+    probs.update({("h", b): 1.0 for b in range(2)})
+    assert exact_posterior_vulnerability(f, probs) == pytest.approx(1.0, abs=1e-12)
+
+
+LFSR_FIXED = {**{("key", b): 0.0 for b in range(4)}, **{("a", b): 1.0 for b in range(4)}}
+
+
+@st.composite
+def circuits(draw):
+    """A flattened ``random_forest`` circuit or ``CYCLE_DESIGNS`` design,
+    with the priors it must keep (half of the LFSR's 16 bits known)."""
+    name = draw(st.sampled_from(["random_forest", *sorted(CYCLE_DESIGNS)]))
+    if name == "random_forest":
+        forest, design = random_forest(random.Random(draw(st.integers(0, 2**32 - 1))))
+        return flatten_forest(forest, design), {}
+    return flat(CYCLE_DESIGNS[name], "m")[0], LFSR_FIXED if name == "lfsr" else {}
+
+
+@st.composite
+def cases(draw):
+    """(circuit, uniform priors, random priors)."""
+    f, fixed = draw(circuits())
+    prior = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
+    probs = {(r.net, r.bit): draw(prior) for r in f.high_inputs + f.low_inputs}
+    return f, fixed, {**probs, **fixed}
+
+
+def posterior(f, probs, lane_bits):
+    with mock.patch.object(oracle, "LANE_BITS", lane_bits):
+        return exact_posterior_vulnerability(f, probs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases(), st.sampled_from((0, 2, 3, 16)))
+def test_posterior_exact_at_any_lane_width(case, lane_bits):
+    """Uniform priors count keys: bit-identical to the assignment-at-a-time
+    reference; other priors add best masses, within 1e-12 of it."""
+    f, fixed, probs = case
+    assert posterior(f, fixed, lane_bits) == reference_posterior(f, fixed)
+    assert posterior(f, probs, lane_bits) == pytest.approx(
+        reference_posterior(f, probs), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), cases(), st.sampled_from(((0, 16), (2, 3), (3, 0), (16, 2))))
+def test_calls_share_no_packed_columns(first, second, lane_bits):
+    """Two calls of other lane layouts, in a row and again, each give what
+    the reference gives for it alone."""
+    runs = [(first, lane_bits[0]), (second, lane_bits[1])] * 2
+    results = [[posterior(f, p, k) for p in (fixed, probs)]
+               for (f, fixed, probs), k in runs]
+    assert results[2:] == results[:2]
+    for (f, fixed, probs), (uniform, other) in zip((first, second), results):
+        assert uniform == reference_posterior(f, fixed)
+        assert other == pytest.approx(reference_posterior(f, probs), abs=1e-12)

@@ -21,9 +21,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import CombinationalLoop, UnassignedNet, UnsupportedConstruct
+from .errors import CombinationalLoop, UnassignedNet, UnsupportedConstruct, WidthMismatch
 from .frontend import ast_nodes as A
 from .frontend.elaborate import ElaboratedDesign, const_eval
+from .frontend.lexer import WIDTH_LIMIT
 
 DEFAULT_EXPAND_LIMIT = 4
 _SHIFT_AMOUNT_LIMIT = 16
@@ -124,6 +125,11 @@ def _not(a):
 def _mux(sel, a, b):
     """sel ? a : b"""
     return Node("MUX", (sel, a, b))
+
+
+def _check_width(width, what):
+    if width > WIDTH_LIMIT:
+        raise UnsupportedConstruct(f"{what} of {width} bits (at most {WIDTH_LIMIT})")
 
 
 class _Blaster:
@@ -271,6 +277,10 @@ class _Blaster:
         if isinstance(expr, A.PartSelect):
             msb = const_eval(expr.msb, {})
             lsb = const_eval(expr.lsb, {})
+            if msb < lsb:
+                raise WidthMismatch(expr.base if isinstance(expr.base, str) else "expression",
+                                    f"reversed range [{msb}:{lsb}]")
+            _check_width(msb - lsb + 1, "part-select")
             if isinstance(expr.base, str):
                 # only the selected bits, as for a constant Select
                 return [self.net_bit(expr.base, i) if i >= 0 else CONST0
@@ -350,7 +360,10 @@ class _Blaster:
             return bits
         if isinstance(expr, A.Repl):
             count = const_eval(expr.count, {})
+            if count < 0:
+                raise UnsupportedConstruct(f"replication count {count}")
             vbits = self.blast(expr.value)
+            _check_width(count * len(vbits), "replication")
             return vbits * count
         raise UnsupportedConstruct(type(expr).__name__)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .bitgraph import dump_forest
 from .channelizer import DEFAULT_MAX_CHANNEL_INPUTS, dump_channels
@@ -151,6 +152,9 @@ def main(argv=None) -> int:
         return cmd_oracle_diff(args)
     except (QFlowError, ValueError, OSError) as e:
         print(f"qflow: error: {e}", file=sys.stderr)
+        return ERROR_EXIT
+    except Exception:  # a crash is an error, never the warnings exit code 1
+        traceback.print_exc()
         return ERROR_EXIT
 
 

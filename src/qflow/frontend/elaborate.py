@@ -4,7 +4,9 @@ The result is a flat netlist where every assignment targets a bit range of
 a single net and every right-hand side refers only to flat net names and
 constants.  Procedural blocks are lowered here: blocking assignments are
 substituted forward, nonblocking assignments read pre-cycle values, and
-if/case control flow becomes ternary expressions.  A procedural vector
+if/case control flow becomes ternary expressions: each branch writes
+into a ``ChainMap`` child of the enclosing view, and only the nets a
+branch wrote are merged, in first-write order.  A procedural vector
 write stays one ranged assignment of its right-hand side; only the bits
 that control flow or a later write changed become assignments of their own.
 """
@@ -12,6 +14,7 @@ that control flow or a later write changed become assignments of their own.
 from __future__ import annotations
 
 import operator
+from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,11 +28,12 @@ from ..errors import (
     WidthMismatch,
 )
 from . import ast_nodes as A
+from .lexer import WIDTH_LIMIT
 
 _GENERATE_UNROLL_LIMIT = 1 << 16
 # Constants are unbounded ints, so ``a << b`` costs b bits of memory, and
-# ``a * b`` the bits of both (squaring a parameter per line would double them).
-_CONST_SHIFT_LIMIT = 1 << 16
+# ``a * b`` the bits of both (squaring a parameter per line would double
+# them): both are held to ``WIDTH_LIMIT`` bits, as nets are.
 
 
 @dataclass
@@ -129,14 +133,14 @@ def const_eval(expr, env):
         return int(_CONST_UNARY[expr.op](v))
     if isinstance(expr, A.Binary):
         a, b = const_eval(expr.left, env), const_eval(expr.right, env)
-        if expr.op == "<<" and b > _CONST_SHIFT_LIMIT:
+        if expr.op == "<<" and b > WIDTH_LIMIT:
             raise UnsupportedConstruct(
-                f"constant shift by {b} bits (at most {_CONST_SHIFT_LIMIT})")
+                f"constant shift by {b} bits (at most {WIDTH_LIMIT})")
         if expr.op == ">>" and a < 0:  # logical in Verilog, over a width not tracked here
             raise UnsupportedConstruct("logical shift of a negative constant")
-        if expr.op == "*" and a.bit_length() + b.bit_length() > _CONST_SHIFT_LIMIT:
+        if expr.op == "*" and a.bit_length() + b.bit_length() > WIDTH_LIMIT:
             raise UnsupportedConstruct(
-                f"constant product wider than {_CONST_SHIFT_LIMIT} bits")
+                f"constant product wider than {WIDTH_LIMIT} bits")
         return int(_CONST_BINARY[expr.op](a, b))
     if isinstance(expr, A.Ternary):
         return const_eval(expr.then if const_eval(expr.cond, env) else expr.other, env)
@@ -160,6 +164,8 @@ class _Elaborator:
             raise NonConstantGenerateBound(where) from e
         if l != 0:
             raise UnsupportedConstruct(f"non-zero range base [{m}:{l}]", where)
+        if m >= WIDTH_LIMIT:
+            raise UnsupportedConstruct(f"net of {m + 1} bits (at most {WIDTH_LIMIT})", where)
         return m + 1
 
     def resolve(self, expr, env, scope, benv=None):
@@ -384,9 +390,10 @@ class _Elaborator:
     # -- procedural lowering ----------------------------------------------
     def _lower_always(self, always, env, scope):
         sequential = always.sens[0] == "posedge"
-        benv: dict = {}  # net -> list of per-bit exprs (blocking view)
-        nenv: dict = {}  # net -> list of per-bit exprs (nonblocking targets)
+        benv = ChainMap()  # net -> list of per-bit exprs (blocking view)
+        nenv = ChainMap()  # net -> list of per-bit exprs (nonblocking targets)
         self._exec(always.body, env, scope, benv, nenv)
+        benv, nenv = benv.maps[0], nenv.maps[0]
         if sequential:
             # blocking targets inside a clocked block infer registers too
             for net, bits in list(benv.items()):
@@ -444,39 +451,39 @@ class _Elaborator:
                 self._exec(s, env, scope, benv, nenv)
         elif isinstance(stmt, A.ProcAssign):
             target = self.resolve(stmt.target, env, scope)
-            rhs = self.resolve(stmt.rhs, env, scope, benv)
+            # ``or None``: an empty view reads nothing, so skip its lookups
+            rhs = self.resolve(stmt.rhs, env, scope, benv or None)
             net, msb, lsb = self.target_bits(target)
             if net not in self.nets:
                 raise UnknownSignal(net)
             w = self.nets[net].width
             if not 0 <= lsb <= msb < w:
                 raise WidthMismatch(net, f"range [{msb}:{lsb}] outside width {w}")
-            dest = benv if stmt.blocking else nenv
-            bits = dest.setdefault(net, [None] * w)
+            bits = _written(benv if stmt.blocking else nenv, net, w)
             if msb == lsb:
                 bits[lsb] = rhs
             else:
                 bits[lsb:msb + 1] = [A.Select(rhs, A.Num(k)) for k in range(msb - lsb + 1)]
         elif isinstance(stmt, A.If):
-            cond = self.resolve(stmt.cond, env, scope, benv)
-            b1 = {n: list(v) for n, v in benv.items()}
-            n1 = {n: list(v) for n, v in nenv.items()}
+            cond = self.resolve(stmt.cond, env, scope, benv or None)
+            b1, n1 = benv.new_child(), nenv.new_child()
             self._exec(stmt.then, env, scope, b1, n1)
-            b2 = {n: list(v) for n, v in benv.items()}
-            n2 = {n: list(v) for n, v in nenv.items()}
+            b2, n2 = benv.new_child(), nenv.new_child()
             if stmt.other is not None:
                 self._exec(stmt.other, env, scope, b2, n2)
-            self._merge(cond, benv, b1, b2)
-            self._merge(cond, nenv, n1, n2)
+            self._merge(cond, benv, b1.maps[0], b2.maps[0])
+            self._merge(cond, nenv, n1.maps[0], n2.maps[0])
         else:
             raise UnsupportedConstruct(type(stmt).__name__)
 
-    def _merge(self, cond, dest, e1, e2):
-        for net in set(e1) | set(e2):
-            v1 = e1.get(net)
-            v2 = e2.get(net)
+    def _merge(self, cond, dest, w1, w2):
+        """Join into ``dest`` the nets either branch wrote (``w1``, ``w2``),
+        in first-write order, the ``then`` branch's first."""
+        for net in dict.fromkeys([*w1, *w2]):
+            v1 = w1.get(net)
+            v2 = w2.get(net)
             width = len(v1 if v1 is not None else v2)
-            out = dest.setdefault(net, [None] * width)
+            out = _written(dest, net, width)
             pre = list(out)
             for i in range(width):
                 a = v1[i] if v1 is not None else None
@@ -489,6 +496,17 @@ class _Elaborator:
                 a = a if a is not None else fallback
                 b = b if b is not None else fallback
                 out[i] = a if a is b else A.Ternary(cond, a, b)
+
+
+def _written(env, net, width):
+    """The bit list of ``net`` that a write to ``env``, a ``ChainMap``, may
+    change: the first write in a branch copies the enclosing list."""
+    own = env.maps[0]
+    bits = own.get(net)
+    if bits is None:
+        outer = env.get(net) if len(env.maps) > 1 else None
+        bits = own[net] = list(outer or [None] * width)
+    return bits
 
 
 def _reads_bit(e, k):

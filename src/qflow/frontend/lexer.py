@@ -33,6 +33,10 @@ KEYWORDS = {
     "initial", "function", "task",
 }
 
+# The widest vector the frontend builds: a net, a sized literal, a
+# replication or a part-select, and the bits of a constant shift or product.
+WIDTH_LIMIT = 1 << 16
+
 _HIGH_COMMENT = re.compile(r"qflow\s*:\s*high", re.IGNORECASE)
 
 # every punctuation token and operator, longest first
@@ -102,6 +106,9 @@ def _sized(m, path, line, col):
     else:
         width = len(digits) * _BASE_BITS[base]
     if width:
+        if width > WIDTH_LIMIT:
+            raise UnsupportedConstruct(
+                f"literal of {width} bits (at most {WIDTH_LIMIT})", f"{path}:{line}")
         value &= (1 << width) - 1
     return value, width
 

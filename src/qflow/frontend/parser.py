@@ -51,7 +51,9 @@ _UNARY = frozenset(("~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"))
 class _Parser:
     def __init__(self, path, text):
         self.path = path
+        self.text = text
         self.tokens, self.high_lines = tokenize(path, text)
+        self.marked_lines = set()  # high lines that trail an input group
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
@@ -96,12 +98,20 @@ class _Parser:
 
     # -- top level ---------------------------------------------------------
     def parse_modules(self):
+        """Every module of the text; a ``// qflow: high`` comment that
+        trails no input group is an error, not a mark that marks nothing."""
         modules = []
         while not self.at("eof"):
             if self.at("kw", "module"):
                 modules.append(self.module())
             else:
                 self.err("expected 'module'")
+        stray = sorted(self.high_lines - self.marked_lines)
+        if stray:
+            line = stray[0]
+            col = self.text.split("\n")[line - 1].find("//") + 1
+            raise VerilogSyntaxError(self.path, line, col,
+                                     "'// qflow: high' trails no input declaration")
         return modules
 
     def module(self):
@@ -192,7 +202,8 @@ class _Parser:
         """Whether a ``// qflow: high`` comment ends a line of an input
         group with no other input group between the group's last name on
         that line and the comment: the comment marks the last input group
-        on its line."""
+        on its line.  Each such line is recorded in ``marked_lines``."""
+        trailed = False
         for line, pos in ends.items():
             if line in self.high_lines:
                 tok = self.tokens[pos + 1]  # 'eof' ends the list
@@ -200,8 +211,9 @@ class _Parser:
                     pos += 1
                     tok = self.tokens[pos + 1]
                 if tok.line != line or tok.text != "input":
-                    return True
-        return False
+                    self.marked_lines.add(line)
+                    trailed = True
+        return trailed
 
     def range_spec(self):
         self.expect("[")

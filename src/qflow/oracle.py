@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bitgraph import BindTree, BitRef, Node, eval_order, lane_masks, postorder
+from .bitgraph import CONST0, BindTree, BitRef, Node, eval_order, lane_masks, postorder
 from .channelizer import merge
 from .errors import TooLarge, TooManyObservations
 from .frontend.elaborate import ElaboratedDesign, FlatNet
@@ -30,11 +30,8 @@ KEY_CAP = 1 << 20
 class FlatFunction:
     high_inputs: list  # BitRef
     low_inputs: list  # BitRef
-    outputs: list  # (net, bit)
-    registers: list  # register BitRefs the forest reads
-    next_state: dict  # (net, bit) of a register -> its driving Node, or None
-    comb: dict  # (net, bit) of a top output -> its Node
-    cycles: int
+    observations: list  # Node per observed bit: every output bit of every cycle
+    order: list  # postorder of the observations
 
     def eval(self, h_bits, l_bits):
         values = dict(zip(self.high_inputs, h_bits))
@@ -42,61 +39,60 @@ class FlatFunction:
         return tuple(self.unroll(values))
 
     def unroll(self, values, ones=1):
-        """Every output bit of every cycle, with the inputs bound in ``values``.
+        """Every observed bit, with the inputs bound in ``values``.
 
-        Registers start at 0 and inputs are held constant.  With lane masks
-        in ``values`` and ``ones`` the all-lanes mask, each output is a mask
-        over every lane at once.  Each cycle evaluates one ``postorder`` of
-        the next-state roots and one of the output roots, so a node shared
-        by several roots is evaluated once per cycle.
+        With lane masks in ``values`` and ``ones`` the all-lanes mask, each
+        observation is a mask over every lane at once.
         """
-        next_order = postorder(n for n in self.next_state.values() if n is not None)
-        comb_order = postorder(self.comb.values())
-
-        def load(state):
-            for ref in self.registers:
-                values[ref] = state[(ref.net, ref.bit)]
-
-        state = dict.fromkeys(self.next_state, 0)
-        load(state)
-        obs = []
-        for _ in range(self.cycles):
-            val = eval_order(next_order, values, ones)
-            state = {key: state[key] if node is None else val[node]
-                     for key, node in self.next_state.items()}
-            load(state)
-            val = eval_order(comb_order, values, ones)
-            obs += [state[key] if key in state else val[self.comb[key]]
-                    for key in self.outputs]
-        return obs
+        val = eval_order(self.order, values, ones)
+        return [val[n] for n in self.observations]
 
 
-def _leaf_refs(forest):
-    """The high, low and register bits the forest reads, each sorted, from one walk."""
-    leaves = sorted({n.ref for n in postorder(t.node for t in forest) if n.op == "leaf"})
-    return [[r for r in leaves if r.role == role]
-            for role in ("input-high", "input-low", "register")]
+def _substitute(order, leaves):
+    """Each node of a ``postorder`` list with the leaves whose refs key
+    ``leaves`` replaced by their nodes; a node that reads none is itself."""
+    new = {}
+    for node in order:
+        kids = tuple(new[c] for c in node.children)  # == compares nodes by identity
+        new[node] = (leaves.get(node.ref, node) if node.op == "leaf" else node
+                     if kids == node.children else Node(node.op, kids, node.ref, node.meta))
+    return new
 
 
 def flatten_forest(forest, design: ElaboratedDesign,
                    cycles=DEFAULT_UNROLL_CYCLES) -> FlatFunction:
-    """Exact multi-cycle semantics of a bind forest.
+    """Exact multi-cycle semantics of a bind forest, as one DAG over its inputs.
 
     Sequential designs are unrolled ``cycles`` steps from the all-zero
-    register state with inputs held constant; the observation is the
-    concatenation of every output bit over every cycle, which
-    upper-bounds a single random-moment observation.
+    register state with inputs held constant: each cycle substitutes the
+    previous cycle's register nodes (``CONST0`` at the start) into the
+    next-state roots, then the new register nodes into the output roots.
+    A node that reads no register stays itself, shared by every cycle.
+    The observation is every output bit of every cycle, in
+    ``design.output_bits()`` order, which upper-bounds a single
+    random-moment observation.  A combinational design observes its
+    output roots once.
     """
-    highs, lows, regs = _leaf_refs(forest)
-    next_state = {(t.root.net, t.root.bit): t.node for t in forest
-                  if t.root.role == "register"}
-    for r in regs:
-        next_state.setdefault((r.net, r.bit), None)
-
-    comb = {(t.root.net, t.root.bit): t.node for t in forest
-            if t.root.role == "top-output"}
-    return FlatFunction(highs, lows, design.output_bits(), regs, next_state, comb,
-                        cycles if next_state else 1)
+    leaves = sorted({n.ref for n in postorder(t.node for t in forest) if n.op == "leaf"})
+    highs, lows = ([r for r in leaves if r.role == role] for role in ("input-high", "input-low"))
+    roots = {(t.root.net, t.root.bit): t for t in forest}
+    outputs = [roots[key] for key in design.output_bits()]
+    steps = [t for t in forest if t.root.role == "register"]
+    if not steps:
+        observations = [t.node for t in outputs]
+        return FlatFunction(highs, lows, observations, postorder(observations))
+    # an output register is observed as its value, a leaf the cycles substitute
+    reads = [t.node if t.root.role == "top-output" else Node("leaf", ref=t.root)
+             for t in outputs]
+    step_order, read_order = postorder(t.node for t in steps), postorder(reads)
+    state = dict.fromkeys((t.root for t in steps), CONST0)
+    observations = []
+    for _ in range(cycles):
+        new = _substitute(step_order, state)
+        state = {t.root: new[t.node] for t in steps}
+        new = _substitute(read_order, state)
+        observations += [new[n] for n in reads]
+    return FlatFunction(highs, lows, observations, postorder(observations))
 
 
 def _bit_probs(refs, probs):
@@ -189,7 +185,7 @@ def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
     values = {ref: ones if p else 0 for ref, p in priors if p in (0.0, 1.0)}
     values.update(zip((ref for ref, _ in lane), lane_masks(len(lane))))
     lane_lows = [values[ref] for ref, _ in lane if ref.role == "input-low"]
-    columns = len(f.outputs) * f.cycles + len(lane_lows)
+    columns = len(f.observations) + len(lane_lows)
     low_planes = _pack(lane_lows, lanes, [0] * ((columns + 7) // 8 or 1),
                        first=columns - len(lane_lows))
     # blocks per assignment of the outer low bits

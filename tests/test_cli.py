@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qflow
+import qflow.cli
 from qflow import corpus
 from qflow.cli import main
 from qflow.errors import DesignTooDeep
@@ -282,3 +284,53 @@ def test_probability_file_value_float_rejects(tmp_path, capsys, value):
     assert main(args) == 3
     assert capsys.readouterr().err == (
         f"qflow: error: probability file line 2: cannot parse 'i = {value}'\n")
+
+
+def test_reversed_part_select_is_an_error(tmp_path):
+    # k[0:3] on the left of an assign is a width mismatch; on the right it
+    # used to blast to no bits, zero-extended, and report "0 leak, 0 warn, 4 ok"
+    src = write(tmp_path, "m.v", "module m(input [3:0] k, // qflow: high\n"
+                "output [3:0] y);\nassign y = k[0:3];\nendmodule\n")
+    r = run_cli(["analyze", "--top", "m", src])
+    assert r.returncode == 3
+    assert r.stderr == b"qflow: error: width mismatch at k: reversed range [0:3]\n"
+
+
+def _limit_memory():
+    # an unchecked width would allocate gigabytes: fail fast instead
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("decl, expr, message", [
+    ("[99999999:0] k", "k[0]", "net of 100000000 bits (at most 65536) at m.k"),
+    ("[3:0] k", "^k[100000000:0]", "part-select of 100000001 bits (at most 65536)"),
+    ("[3:0] k", "^{100000000{k}}", "replication of 400000000 bits (at most 65536)"),
+    ("[3:0] k", "^(k ^ 100000000'd0)", "literal of 100000000 bits (at most 65536) at "),
+    ("[3:0] k", "^{-1{k}}", "replication count -1"),
+], ids=["net", "part_select", "replication", "literal", "negative_count"])
+def test_oversize_width_is_a_typed_error(tmp_path, decl, expr, message):
+    src = write(tmp_path, "m.v", f"module m(input {decl}, // qflow: high\n"
+                f"output y);\nassign y = {expr};\nendmodule\n")
+    r = run_cli(["analyze", "--top", "m", src], preexec_fn=_limit_memory, timeout=60)
+    assert r.returncode == 3
+    assert r.stderr.startswith(b"qflow: error: unsupported construct: " + message.encode())
+    assert r.stderr.count(b"\n") == 1
+
+
+def test_crash_exits_with_the_error_code(tmp_path, capsys, monkeypatch):
+    """An unexpected exception is an error (3) with its traceback, never the
+    warnings code 1 that Python's own exit would give it."""
+    def crash(config):
+        raise RuntimeError("stage crashed")
+    monkeypatch.setattr(qflow.cli, "analyze", crash)
+    assert main(["analyze", "--top", "m", write(tmp_path, "m.v", SAFE)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: stage crashed\n")
+
+
+def test_misplaced_high_comment_exits_with_an_error(tmp_path, capsys):
+    src = write(tmp_path, "m.v", "module m(k, y);\n// qflow: high\ninput [3:0] k;\n"
+                "output y;\nassign y = ^k;\nendmodule\n")
+    assert main(["analyze", "--top", "m", src]) == 3
+    assert capsys.readouterr().err == (f"qflow: error: {src}:2:1: '// qflow: high' trails "
+                                       "no input declaration\n")

@@ -2,8 +2,12 @@
 
 import hashlib
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -631,6 +635,55 @@ def test_procedural_if_else_vector_write_stays_per_bit():
     assert all(isinstance(e, A.Ternary) for _n, _m, _l, e in got)
 
 
+# new nets first written in both branches, blocking and nonblocking, and in
+# a nested if: the merge order is the order of first writes
+BRANCH_WRITES = """module m(input clk, input [1:0] c, input [3:0] a, output [3:0] y);
+reg [3:0] p, q, r, s, t, u, v;
+always @(posedge clk) begin
+if (c[0]) begin t <= a; r = a; if (c[1]) v <= a; end
+else begin s <= a; p <= r; end
+if (c[1]) q <= a ^ t;
+u <= p;
+end
+assign y = p ^ q ^ r ^ s ^ t ^ u ^ v;
+endmodule
+"""
+BRANCH_ORDER = ["t", "v", "s", "p", "q", "u", "r"]
+
+
+def test_if_merge_follows_first_writes_under_any_hash_seed():
+    """The assigns of an ``if`` come out in first-write order: the same
+    under every ``PYTHONHASHSEED``, so one source elaborates one way."""
+    assert list(dict.fromkeys(a.target for a in full(BRANCH_WRITES, "m").assigns)) == [
+        *BRANCH_ORDER, "y"]
+    script = ("import sys\nfrom qflow.frontend import SourceUnit, elaborate, parse\n"
+              "ast = parse(SourceUnit([('<t>', sys.stdin.read())], 'm'))\n"
+              "for a in elaborate(ast, 'm', {}).assigns:\n"
+              "    print(a.target, a.msb, a.lsb, a.sequential, a.expr)\n")
+    runs = {subprocess.run([sys.executable, "-c", script], input=BRANCH_WRITES, text=True,
+                           capture_output=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": str(seed)}).stdout
+            for seed in range(1, 6)}
+    assert len(runs) == 1
+
+
+def test_if_lowering_is_linear_in_the_ifs():
+    # each if writes one net; copying every net per branch made 4,000 ifs
+    # take about 14 s
+    n = 4000
+    src = ("module m(input clk, High input [1:0] k, input [1:0] a, output [1:0] y);\n"
+           "reg [1:0] " + ", ".join(f"s{i}" for i in range(n)) + ";\n"
+           "always @(posedge clk) begin\nif (a[0]) s0 <= k; else s0 <= a;\n"
+           + "".join(f"if (a[{i % 2}]) s{i} <= s{i - 1} ^ a; else s{i} <= s{i - 1};\n"
+                     for i in range(1, n))
+           + f"end\nassign y = s{n - 1};\nendmodule\n")
+    ast = parse_text(src, "m")
+    start = time.perf_counter()
+    design = elaborate(ast, "m", extract_labels(ast, "m"))
+    assert time.perf_counter() - start < 3.0
+    assert len(design.assigns) == 2 * n + 1  # a per-bit assign of each register, and y
+
+
 @pytest.mark.parametrize("target", ["o[9:6]", "o[8]", "o[0 - 1]", "o[2:5]"])
 def test_procedural_write_outside_its_net_rejected(target):
     with pytest.raises(WidthMismatch):
@@ -700,6 +753,24 @@ endmodule
     for s_, a, b, c in itertools.product(range(4), repeat=4):
         want = a if s_ == 1 else b if s_ in (0, 2) else c
         assert value(s=s_, a=a, b=b, c=c) == want, (s_, a, b, c)
+
+
+def test_branch_writes_leave_the_value_before_the_if():
+    # the then branch overwrites y, which the else branch still reads as
+    # written before the if, and a nested if writes y in one arm only
+    src = """module m(input s, input r, input [1:0] a, input [1:0] b,
+output reg [1:0] y, output reg [1:0] z);
+always @(*) begin
+y = a;
+if (s) begin y = b; z = a; end
+else begin z = y ^ b; if (r) y = ~a; end
+end
+endmodule
+"""
+    y, z = next_values(src, "y"), next_values(src, "z")
+    for s_, r, a, b in itertools.product(range(2), range(2), range(4), range(4)):
+        assert y(s=s_, r=r, a=a, b=b) == (b if s_ else 3 - a if r else a), (s_, r, a, b)
+        assert z(s=s_, r=r, a=a, b=b) == (a if s_ else a ^ b), (s_, r, a, b)
 
 
 def test_clocked_case_without_default_keeps_value():
@@ -793,6 +864,29 @@ def test_high_comment_marks_the_group_it_trails(src, high):
     assert [n for n, p in mod.ports.items() if p.high] == high
     design = analyze_source(src, "m").design
     assert sorted({net for net, _bit, _sid in design.high_bits()}) == high
+
+
+@pytest.mark.parametrize("src, line, col", [
+    ("module m(k, y);\n// qflow: high\ninput [3:0] k;\noutput y;\nassign y = ^k;\nendmodule\n",
+     2, 1),
+    ("module m(input [3:0] k, output y);\nassign y = ^k; // qflow: high\nendmodule\n", 2, 16),
+    ("module m(input [3:0] k,\noutput y); // qflow: high\nassign y = ^k;\nendmodule\n", 2, 12),
+    ("module m(input [3:0] k, output y);\nwire w; // qflow: high\nassign w = ^k;\n"
+     "assign y = w;\nendmodule\n", 2, 9),
+], ids=["own_line", "after_assign", "after_output", "after_wire"])
+def test_misplaced_high_comment_is_an_error(src, line, col):
+    """A ``// qflow: high`` that trails no input group marks nothing: an
+    error at the comment, not a design with no secret."""
+    with pytest.raises(VerilogSyntaxError) as err:
+        parse_text(src)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert err.value.message == "'// qflow: high' trails no input declaration"
+
+
+def test_high_comments_on_every_line_of_a_group():
+    src = ("module m(input [3:0] a, // qflow: high\nb, // qflow: high\noutput y);\n"
+           "assign y = ^a ^ ^b;\nendmodule\n")
+    assert [n for n, p in parse_text(src).modules["m"].ports.items() if p.high] == ["a", "b"]
 
 
 # -- one grammar for header and body declarations ---------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflow import oracle
-from qflow.bitgraph import BindTree, BitRef, Node, bit_blast
+from qflow.bitgraph import BindTree, BitRef, Node, bit_blast, eval_order, postorder
 from qflow.errors import TooLarge, TooManyObservations
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.oracle import (
@@ -229,6 +229,54 @@ def test_posterior_matches_reference_on_sequential_designs(name):
     for r in f.high_inputs:
         probs = {**known_other_bits(f, (r.net, r.bit)), **fixed}
         assert exact_posterior_vulnerability(f, probs) == reference_posterior(f, probs)
+
+
+def reference_unroll(forest, design, cycles, values, ones):
+    """The cycle-by-cycle state machine that ``flatten_forest`` unrolls.
+
+    Registers start at 0 and inputs are held constant.  Each cycle
+    evaluates the next-state roots, loads the new state into the register
+    leaves, then evaluates the output roots; an output register reads the
+    new state.  Returns every output bit of every cycle.
+    """
+    values = dict(values)
+    registers = sorted({n.ref for n in postorder(t.node for t in forest)
+                        if n.op == "leaf" and n.ref.role == "register"})
+    next_state = {(t.root.net, t.root.bit): t.node for t in forest
+                  if t.root.role == "register"}
+    comb = {(t.root.net, t.root.bit): t.node for t in forest if t.root.role == "top-output"}
+    next_order, comb_order = postorder(next_state.values()), postorder(comb.values())
+    state = dict.fromkeys(next_state, 0)
+    obs = []
+    for _ in range(cycles if next_state else 1):
+        values.update((ref, state[(ref.net, ref.bit)]) for ref in registers)
+        val = eval_order(next_order, values, ones)
+        state = {key: val[node] for key, node in next_state.items()}
+        values.update((ref, state[(ref.net, ref.bit)]) for ref in registers)
+        val = eval_order(comb_order, values, ones)
+        obs += [state[key] if key in state else val[comb[key]]
+                for key in design.output_bits()]
+    return obs
+
+
+UNROLLED = {**{name: ("<t>", src, "m") for name, src in CYCLE_DESIGNS.items()},
+            "toy_spn": ("toy_spn.v", None, "toy_spn"), "shift": ("<t>", SHIFT, "m")}
+
+
+@pytest.mark.parametrize("cycles", (1, 3, 8))
+@pytest.mark.parametrize("name", sorted(UNROLLED))
+def test_unroll_matches_the_cycle_by_cycle_reference(name, cycles):
+    path, src, top = UNROLLED[name]
+    a = analyze_source(src, top) if src else analyze_corpus(path, top)
+    f = flatten_forest(a.forest, a.design, cycles)
+    assert len(f.observations) == cycles * len(a.design.output_bits())
+    rng = random.Random(f"{name}:{cycles}")
+    lanes = 64
+    ones = (1 << lanes) - 1
+    for _ in range(4):
+        values = {r: rng.getrandbits(lanes) for r in f.high_inputs + f.low_inputs}
+        assert f.unroll(values, ones) == reference_unroll(a.forest, a.design, cycles,
+                                                          values, ones)
 
 
 def test_too_large_before_any_lane_is_built():

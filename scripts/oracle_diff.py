@@ -11,16 +11,26 @@ import argparse
 from qflow.oracle import differential_run
 
 
+def seed_list(text):
+    """The seeds of a comma-separated list, every item an integer."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default="42,0,1,7,123,999")
+    # parsed whole before any seed runs, so a bad item is a usage error
+    parser.add_argument("--seeds", type=seed_list, default="42,0,1,7,123,999")
     parser.add_argument("--count", type=int, default=200)
     args = parser.parse_args()
     if args.count < 1:  # a run that checks no circuit proves nothing
         parser.error("argument --count: must be at least 1")
 
     grand_total = grand_bad = 0
-    for seed in (int(s) for s in args.seeds.split(",")):
+    for seed in args.seeds:
         records = differential_run(seed=seed, count=args.count)
         bad = [r for r in records if not r.dominated]
         margin = min(r.qmodel_bits - r.exact_bits for r in records)

@@ -4,6 +4,13 @@ Ground truth for validating the approximate cascade: prior/posterior Bayes
 vulnerability and multiplicative leakage by full enumeration, plus a
 seeded random-circuit differential harness that tallies how often the
 exact leakage exceeds the approximate per-secret-bit total.
+
+Enumeration is bit-parallel over lanes.  At uniform priors the posterior
+is the number of distinct (observation, low) pairs times one lane's mass;
+with at most ``CLASS_BITS`` observed bits the pairs are counted from one
+lane mask per observation class, which needs no more than 2^CLASS_BITS
+masks and so no cap.  Otherwise each lane gets a packed key, and a group
+of blocks holds at most ``KEY_CAP`` distinct keys.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ LANE_BITS = 16  # input bits per lane block: one unroll evaluates 2^16 assignmen
 # distinct (observation, low) keys one group of blocks may hold: an injective
 # 20-bit design fits, and the keys held stay below KEY_CAP + 2^LANE_BITS
 KEY_CAP = 1 << 20
+# observed bits up to which uniform priors count observation classes as lane
+# masks, at most 2^CLASS_BITS of them, instead of one key per lane
+CLASS_BITS = 6
 
 
 @dataclass
@@ -147,6 +157,53 @@ def _lane_keys(planes, lanes):
     return memoryview(buf).cast(_INT_CODES[width])
 
 
+def _classes(columns, ones):
+    """The lanes of each observation: ``{value: lane mask}``, no mask empty.
+
+    Bit ``i`` of a value is the lane's bit in ``columns[i]``; starting from
+    every lane in value 0, each column splits each class in two.
+    """
+    classes = {0: ones}
+    for i, col in enumerate(columns):
+        split = {}
+        for value, lanes in classes.items():
+            hit = lanes & col
+            if hit:
+                split[value | 1 << i] = hit
+            if hit != lanes:
+                split[value] = lanes ^ hit
+        classes = split
+    return classes
+
+
+def _class_count(blocks, width, ones):
+    """Distinct (observation, low) pairs of one group, by lane masks.
+
+    The lanes fall into blocks of ``width`` that share their lane-bound
+    lows, so a class holds one pair per block it touches.  Folding each
+    block onto its first lane (``log2(width)`` shift-ORs) and counting the
+    set first lanes counts them; when one block spans every lane there is
+    no fold, and each class is one pair.  A group of several unrolls has
+    outer highs, so every lane-bound bit is a high and one block spans
+    every lane: only the values of its unrolls' classes count, not their
+    masks.
+    """
+    classes = {}
+    for _start, columns in blocks:
+        classes.update(_classes(columns, ones))
+    if width == ones.bit_length():
+        return len(classes)
+    firsts = ones // ((1 << width) - 1)  # the first lane of every block
+    count = 0
+    for lanes in classes.values():
+        shift = 1
+        while shift < width:
+            lanes |= lanes >> shift
+            shift <<= 1
+        count += (lanes & firsts).bit_count()
+    return count
+
+
 def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
     """Sum over (outputs, lows) of the best secret guess, full enumeration.
 
@@ -159,16 +216,25 @@ def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
     A bit of prior 0 or 1 has one assignment of nonzero mass; it is bound
     to that constant instead of enumerated.
 
-    A lane's key packs its outputs and its lane-bound lows, so a group's
-    keys are its (observation, low) pairs.  The low columns are the same
-    lane masks in every block: they are packed once per call, the outputs
-    once per block.  Under non-uniform priors a group keeps each key's
-    best mass, met in lane order, and adds them with ``ordered_sum``.
     When every free bit has prior 0.5 each lane has the mass
-    ``m = 0.5 ** len(free)``, so a group keeps only a set of keys and adds
-    ``len(keys) * m``.  That is bit-identical to the ordered sum: ``m`` is
-    a power of two, so each partial sum ``k * m`` is exact.
+    ``m = 0.5 ** len(free)``, so a group adds ``k * m`` for its ``k``
+    distinct (observation, low) pairs.  That is bit-identical to adding
+    each pair's mass in order: ``m`` is a power of two, so each partial
+    sum is exact.  With at most ``CLASS_BITS`` observed bits the pairs are
+    counted from one lane mask per observation value (``_class_count``),
+    split out of the all-lanes mask by each observed column.  Highs take
+    the low lane-index bits, so a pair is a block of
+    ``2 ** (lane-bound highs)`` lanes that a value's mask touches.  At
+    most ``2 ** CLASS_BITS`` masks of one block are live, and a group
+    holds at most ``2 ** LANE_BITS`` pairs (with outer highs a block spans
+    every lane and each value is one pair), so this count needs no cap.
 
+    Otherwise a lane's key packs its outputs and its lane-bound lows, so a
+    group's keys are its (observation, low) pairs.  The low columns are
+    the same lane masks in every block: they are packed once per call, the
+    outputs once per block.  At uniform priors a group keeps a set of keys
+    and adds ``len(keys) * m``; under other priors it keeps each key's
+    best mass, met in lane order, and adds them with ``ordered_sum``.
     Raises ``TooManyObservations`` when a group holds more than
     ``KEY_CAP`` keys after a block, which bounds the memory at
     ``KEY_CAP`` plus one block of keys.
@@ -184,28 +250,41 @@ def exact_posterior_vulnerability(f: FlatFunction, probs=None) -> float:
     ones = (1 << lanes) - 1
     values = {ref: ones if p else 0 for ref, p in priors if p in (0.0, 1.0)}
     values.update(zip((ref for ref, _ in lane), lane_masks(len(lane))))
-    lane_lows = [values[ref] for ref, _ in lane if ref.role == "input-low"]
-    columns = len(f.observations) + len(lane_lows)
-    low_planes = _pack(lane_lows, lanes, [0] * ((columns + 7) // 8 or 1),
-                       first=columns - len(lane_lows))
     # blocks per assignment of the outer low bits
     span = 1 << sum(ref.role == "input-high" for ref, _ in outer)
-    uniform = all(p == 0.5 for _, p in free)
-    if not uniform:
-        lane_mass = [1.0]
-        for _, p in lane:
-            lane_mass = [m * (1.0 - p) for m in lane_mass] + [m * p for m in lane_mass]
-    posterior = 0.0
-    for group in range(0, 1 << len(outer), span):
-        best = set() if uniform else {}  # lane keys, or lane key -> best mass
+
+    def blocks(group):
+        """Each block of a group, in lane order: (the mass of its outer
+        bits, its observed columns)."""
         for a in range(group, group + span):
             start = 1.0
             for i, (ref, p) in enumerate(outer):
                 bit = (a >> i) & 1
                 values[ref] = ones if bit else 0
                 start *= p if bit else 1.0 - p
-            keys = _lane_keys(_pack(f.unroll(values, ones), lanes, list(low_planes)),
-                              lanes)
+            yield start, f.unroll(values, ones)
+
+    groups = (blocks(group) for group in range(0, 1 << len(outer), span))
+    uniform = all(p == 0.5 for _, p in free)
+    if uniform and len(f.observations) <= CLASS_BITS:
+        width = 1 << sum(ref.role == "input-high" for ref, _ in lane)
+        posterior = 0.0
+        for group in groups:
+            posterior += _class_count(group, width, ones) * 0.5 ** len(free)
+        return posterior
+    lane_lows = [values[ref] for ref, _ in lane if ref.role == "input-low"]
+    columns = len(f.observations) + len(lane_lows)
+    low_planes = _pack(lane_lows, lanes, [0] * ((columns + 7) // 8 or 1),
+                       first=columns - len(lane_lows))
+    if not uniform:
+        lane_mass = [1.0]
+        for _, p in lane:
+            lane_mass = [m * (1.0 - p) for m in lane_mass] + [m * p for m in lane_mass]
+    posterior = 0.0
+    for group in groups:
+        best = set() if uniform else {}  # lane keys, or lane key -> best mass
+        for start, observed in group:
+            keys = _lane_keys(_pack(observed, lanes, list(low_planes)), lanes)
             if uniform:
                 best.update(keys)
             else:

@@ -277,6 +277,20 @@ def test_oracle_diff_script_rejects_count_below_one():
     assert r.stderr.endswith(b"error: argument --count: must be at least 1\n")
 
 
+@pytest.mark.parametrize("seeds", ["", "1,,2", "1,x"])
+def test_oracle_diff_script_rejects_a_bad_seed_list(seeds):
+    # the whole list is parsed before seed 1 runs: no output, a usage error
+    script = Path(__file__).resolve().parent.parent / "scripts" / "oracle_diff.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(qflow.__file__).resolve().parent.parent))
+    r = subprocess.run([sys.executable, str(script), "--seeds", seeds, "--count", "1"],
+                       capture_output=True, env=env)
+    assert r.returncode == 2  # argparse's usage error
+    assert r.stdout == b""
+    assert b"Traceback" not in r.stderr
+    assert r.stderr.endswith(b"error: argument --seeds: not a comma-separated list "
+                             b"of integers: " + repr(seeds).encode() + b"\n")
+
+
 @pytest.mark.parametrize("value", ["1e", ".", "+-", "1e-"])
 def test_probability_file_value_float_rejects(tmp_path, capsys, value):
     probs = write(tmp_path, "p.txt", f"# per-net\ni = {value}\n")

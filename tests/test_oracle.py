@@ -376,8 +376,10 @@ def cases(draw):
     return f, fixed, {**probs, **fixed}
 
 
-def posterior(f, probs, lane_bits):
-    with mock.patch.object(oracle, "LANE_BITS", lane_bits):
+def posterior(f, probs, lane_bits, class_bits=oracle.CLASS_BITS):
+    """The posterior with class masks up to ``class_bits`` observed bits, keys past."""
+    with mock.patch.object(oracle, "LANE_BITS", lane_bits), \
+            mock.patch.object(oracle, "CLASS_BITS", class_bits):
         return exact_posterior_vulnerability(f, probs)
 
 
@@ -404,3 +406,110 @@ def test_calls_share_no_packed_columns(first, second, lane_bits):
     for (f, fixed, probs), (uniform, other) in zip((first, second), results):
         assert uniform == reference_posterior(f, fixed)
         assert other == pytest.approx(reference_posterior(f, probs), abs=1e-12)
+
+
+def random_gates(rng, outputs, max_bits=10):
+    """A random combinational circuit with ``outputs`` observed bits.
+
+    Gates of every op read any earlier node, so lows mix in through any
+    gate, outputs share subcircuits, and an input may be read by none.
+    """
+    n_high = rng.randint(1, max_bits - 1)
+    n_low = rng.randint(0, max_bits - n_high)
+    highs = [BitRef("h", i, "input-high") for i in range(n_high)]
+    lows = [BitRef("l", i, "input-low") for i in range(n_low)]
+    nodes = [Node("leaf", ref=r) for r in highs + lows]
+    arity = {"NOT": 1, "MUX": 3}
+    for _ in range(rng.randint(0, 12)):
+        op = rng.choice(("AND", "OR", "XOR", "NOT", "MUX"))
+        nodes.append(Node(op, tuple(rng.choice(nodes) for _ in range(arity.get(op, 2)))))
+    observations = [rng.choice(nodes) for _ in range(outputs)]
+    return oracle.FlatFunction(highs, lows, observations, postorder(observations))
+
+
+@pytest.mark.parametrize("lane_bits", (0, 2, 3, 16))
+@pytest.mark.parametrize("outputs", (6, 7))
+def test_class_masks_match_keys_and_reference(outputs, lane_bits):
+    # lane widths 0-3 bind highs and lows in the outer loop: groups of several unrolls
+    rng = random.Random(f"{outputs}:{lane_bits}")
+    for _ in range(25):
+        f = random_gates(rng, outputs)
+        fixed = {(r.net, r.bit): rng.choice((0.0, 1.0, 0.5))
+                 for r in f.high_inputs + f.low_inputs}
+        for probs in ({}, fixed):
+            want = reference_posterior(f, probs)
+            assert posterior(f, probs, lane_bits, outputs) == want
+            assert posterior(f, probs, lane_bits, 0) == want
+
+
+@pytest.mark.parametrize("lane_bits", (0, 2, 3, 16))
+@pytest.mark.parametrize("name", sorted(CYCLE_DESIGNS))
+def test_class_masks_on_one_cycle_of_a_sequential_design(name, lane_bits):
+    a = analyze_source(CYCLE_DESIGNS[name], "m")
+    f = flatten_forest(a.forest, a.design, cycles=1)
+    probs = LFSR_FIXED if name == "lfsr" else {}
+    want = reference_posterior(f, probs)
+    assert posterior(f, probs, lane_bits, len(f.observations)) == want
+    assert posterior(f, probs, lane_bits, 0) == want
+
+
+@pytest.mark.parametrize("outputs", (1, 6, 7))
+def test_class_masks_only_at_uniform_priors_and_few_observed_bits(outputs):
+    f = random_gates(random.Random(outputs), outputs)
+    nonuniform = {(r.net, r.bit): 0.3 for r in f.high_inputs}
+    for probs, keys in (({}, outputs > oracle.CLASS_BITS), (nonuniform, True)):
+        with mock.patch.object(oracle, "_lane_keys", wraps=oracle._lane_keys) as lane_keys:
+            exact_posterior_vulnerability(f, probs)
+        assert lane_keys.called == keys
+
+
+def read_once_outputs(n_high, n_low, outputs):
+    """``outputs`` read-once trees, each over half of the highs and of the lows."""
+    rng = random.Random(f"{n_high}/{n_low}/{outputs}")
+    highs = [BitRef("h", i, "input-high") for i in range(n_high)]
+    lows = [BitRef("l", i, "input-low") for i in range(n_low)]
+    observations = [oracle._random_tree(rng, rng.sample(highs, n_high // 2),
+                                        rng.sample(lows, n_low // 2))
+                    for _ in range(outputs)]
+    return oracle.FlatFunction(highs, lows, observations, postorder(observations))
+
+
+@pytest.mark.parametrize("shape", ((8, 8, 6), (16, 0, 6), (4, 12, 6), (18, 4, 5), (20, 0, 2)))
+def test_class_masks_no_slower_than_keys(shape):
+    # (highs, lows, outputs) at 16 lane bits: blocks of 256, 2^16 and 16 lanes,
+    # then groups of 4 and 16 unrolls (about 0.4x to 0.02x of the key path's time)
+    f = read_once_outputs(*shape)
+
+    def best(class_bits):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = posterior(f, None, 16, class_bits)
+            times.append(time.perf_counter() - start)
+        return min(times), result
+
+    (masks, by_masks), (keys, by_keys) = best(oracle.CLASS_BITS), best(0)
+    assert by_masks == by_keys
+    assert masks <= 1.1 * keys, (masks, keys)
+
+
+# bound on the tracemalloc peak of the class masks at 16 lane bits and 6
+# outputs (1.3 MiB measured on 3.11; the key path peaks at 4.3 MiB)
+CLASS_MASK_PEAK = 2 << 20
+
+
+def test_class_masks_bound_memory():
+    # every (observation, low) pair distinct: 2^16 of them in 64 classes
+    f, _ = flat("""module m(High input [3:0] h, input [11:0] l, output [5:0] y);
+assign y = {h[1:0] ^ l[5:4], h ^ l[3:0]} ^ {3{l[11:10] & l[7:6]}} ^ l[9:8];
+endmodule
+""", "m")
+    assert (len(f.high_inputs) + len(f.low_inputs), len(f.observations)) == (16, 6)
+    tracemalloc.start()
+    try:
+        by_masks = exact_posterior_vulnerability(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert by_masks == posterior(f, None, oracle.LANE_BITS, 0) == 1.0
+    assert peak < CLASS_MASK_PEAK, peak

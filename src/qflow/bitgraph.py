@@ -47,6 +47,10 @@ class BitRef(NamedTuple):
         return f"{self.net}[{self.bit}]"
 
 
+# BitRef((net, bit, role)) without the NamedTuple's Python-level __new__
+_bitref = functools.partial(tuple.__new__, BitRef)
+
+
 @dataclass(slots=True, eq=False)  # by identity: a shared node is one key
 class Node:
     op: str  # const0 const1 leaf AND OR XOR NOT MUX ADDM SUBM
@@ -136,28 +140,20 @@ class _Blaster:
     def __init__(self, design: ElaboratedDesign, expand_limit=DEFAULT_EXPAND_LIMIT):
         self.design = design
         self.expand_limit = expand_limit
-        self.driver = {}
-        self.seq_bits = set()
-        for a in design.assigns:
-            for b in range(a.lsb, a.msb + 1):
-                self.driver[(a.target, b)] = a
-                if a.sequential:
-                    self.seq_bits.add((a.target, b))
+        self.driver = design.driver  # built by ``elaborate`` for its MultipleDrivers check
+        self.seq_bits = {key for key, a in self.driver.items() if a.sequential}
+        # the leaf role of each input net's bits; a register bit's role is "register"
+        self.input_role = {name: "input-high" if design.labels.get(name) == "high"
+                           else "input-low"
+                           for name, net in design.nets.items() if net.kind == "input"}
         self._net_memo = {}
         self._expr_memo = {}
         self._in_progress = []
 
     # -- nets --------------------------------------------------------------
-    def leaf(self, net, bit):
-        kind = self.design.nets[net].kind
-        if (net, bit) in self.seq_bits:
-            return Node("leaf", ref=BitRef(net, bit, "register"))
-        if kind == "input":
-            high = self.design.labels.get(net) == "high"
-            return Node("leaf", ref=BitRef(net, bit, "input-high" if high else "input-low"))
-        return None  # combinational: must be inlined
-
     def net_bit(self, net, bit):
+        """The node of one net bit: a leaf for a register or input bit, else
+        the node its driver blasts to there."""
         key = (net, bit)
         node = self._net_memo.get(key)
         if node is not None:
@@ -166,10 +162,10 @@ class _Blaster:
             raise UnassignedNet(net)
         if bit >= self.design.nets[net].width:
             return CONST0
-        leaf = self.leaf(net, bit)
-        if leaf is not None:
-            self._net_memo[key] = leaf
-            return leaf
+        role = "register" if key in self.seq_bits else self.input_role.get(net)
+        if role is not None:
+            node = self._net_memo[key] = Node("leaf", (), _bitref((net, bit, role)))
+            return node
         drv = self.driver.get(key)
         if drv is None:
             raise UnassignedNet(net, bit)
@@ -255,10 +251,12 @@ class _Blaster:
             w = expr.width or max(expr.value.bit_length(), 1)
             return [CONST1 if (expr.value >> i) & 1 else CONST0 for i in range(w)]
         if isinstance(expr, A.Ident):
-            w = self.design.nets[expr.name].width if expr.name in self.design.nets else 0
+            name = expr.name
+            w = self.design.nets[name].width if name in self.design.nets else 0
             if w == 0:
-                raise UnassignedNet(expr.name)
-            return [self.net_bit(expr.name, i) for i in range(w)]
+                raise UnassignedNet(name)
+            memo = self._net_memo  # a Node is never falsy
+            return [memo.get((name, i)) or self.net_bit(name, i) for i in range(w)]
         if isinstance(expr, A.Select):
             try:
                 idx = const_eval(expr.index, {})
@@ -371,22 +369,22 @@ class _Blaster:
 def bit_blast(design: ElaboratedDesign, expand_limit=DEFAULT_EXPAND_LIMIT):
     """One BindTree per top-output bit and per register bit, stable order."""
     blaster = _Blaster(design, expand_limit)
-    roots = []
-    for (net, bit) in sorted(blaster.seq_bits):
-        roots.append((BitRef(net, bit, "register"), blaster.driver[(net, bit)]))
-    for name, bit in design.output_bits():
-        if (name, bit) in blaster.seq_bits:
+    driver, seq_bits = blaster.driver, blaster.seq_bits
+    roots = [(net, bit, "register") for net, bit in sorted(seq_bits)]
+    for key in design.output_bits():
+        if key in seq_bits:
             continue  # already a register root
-        drv = blaster.driver.get((name, bit))
-        if drv is None:
-            raise UnassignedNet(name, bit)
-        roots.append((BitRef(name, bit, "top-output"), drv))
+        if key not in driver:
+            raise UnassignedNet(*key)
+        roots.append((*key, "top-output"))
     forest = []
-    for ref, drv in roots:
-        bits = blaster.blast(drv.expr)
-        pos = ref.bit - drv.lsb
-        node = bits[pos] if pos < len(bits) else CONST0
-        forest.append(BindTree(ref, node))
+    last = bits = None  # the driver of the root before, and its bits
+    for root in roots:
+        drv = driver[root[:2]]
+        if drv is not last:  # a vector's bits are adjacent roots
+            last, bits = drv, blaster.blast(drv.expr)
+        pos = root[1] - drv.lsb
+        forest.append(BindTree(_bitref(root), bits[pos] if pos < len(bits) else CONST0))
     return forest
 
 
@@ -396,13 +394,18 @@ def eval_node(node: Node, values, ones=1) -> int:
     With ``ones = 2**n - 1`` and each leaf bound to an n-bit lane mask (see
     ``lane_masks``), one walk evaluates n assignments at once: bit j of the
     result is the node's value under the assignment of lane j.  A leaf or
-    a constant is its own value, with no walk.
+    a constant is its own value, and a gate over leaves and constants
+    needs no walk either: its children, then itself, are an evaluation order.
     """
-    if node.op == "leaf":
-        return values[node.ref]
-    if node.op in ("const0", "const1"):
+    kids = node.children
+    if not kids:
+        if node.op == "leaf":
+            return values[node.ref]
         return ones if node.op == "const1" else 0
-    return eval_order(postorder((node,)), values, ones)[node]
+    for kid in kids:
+        if kid.children:
+            return eval_order(postorder((node,)), values, ones)[node]
+    return eval_order((*kids, node), values, ones)[node]
 
 
 def eval_order(order, values, ones=1) -> dict:

@@ -69,9 +69,9 @@ class _Merger:
 
     def add(self, inputs, table, macro) -> int:
         cid = len(self.graph.channels)
-        self.graph.channels.append(Channel(
-            cid=cid, inputs=tuple(inputs), table=table, macro=macro,
-            root=self.trees[self.nxt].root))
+        # positional: a slotted dataclass takes keywords at twice the cost
+        self.graph.channels.append(Channel(cid, tuple(inputs), table, macro,
+                                           self.trees[self.nxt].root))
         return cid
 
     def seal(self, piece) -> int:
@@ -79,44 +79,58 @@ class _Merger:
         inputs, node = piece
         cid = self.sealed.get(node)
         if cid is None:
-            table = eval_node(node, dict(zip(inputs, lane_masks(len(inputs)))),
-                              (1 << (1 << len(inputs))) - 1)
+            if node.op == "leaf":  # the identity of its one input
+                table = 0b10
+            else:
+                table = eval_node(node, dict(zip(inputs, lane_masks(len(inputs)))),
+                                  (1 << (1 << len(inputs))) - 1)
             cid = self.add(inputs, table, None)
             self.sealed[node] = cid
         return cid
 
     def derived(self, cid):
-        return [cid], Node("leaf", ref=cid)
+        return [cid], Node("leaf", (), cid)
 
     def build(self):
         """Each node's piece from its children's, in one walk of every root;
         each root's piece is sealed, in order, once its node is built."""
         built, trees, nodes = self.built, self.trees, [t.node for t in self.trees]
+        bound, root_channel, seal = self.bound, self.graph.root_channel, self.seal
+        waiting = nodes[0] if nodes else None  # the node of tree nxt
         for node in postorder(nodes):
-            if not node.children:  # a leaf or a constant
-                piece = ([node.ref] if node.op == "leaf" else []), node
+            kids = node.children
+            if not kids:  # a leaf or a constant
+                built[node] = ([node.ref] if node.op == "leaf" else []), node
             elif node.is_macro():
-                piece = self.macro_piece(node)
+                built[node] = self.macro_piece(node)
             else:
-                inputs, kids = self.merge([built[c] for c in node.children])
-                kids = tuple(kids)
-                piece = inputs, node if kids == node.children else Node(node.op, kids)
-            built[node] = piece
-            if node is not nodes[self.nxt]:
+                pieces = [built[c] for c in kids]
+                inputs = []
+                for p in pieces:
+                    inputs += p[0]
+                inputs = list(dict.fromkeys(inputs))
+                if len(inputs) > bound:
+                    inputs = self.cut(pieces, inputs)
+                new = tuple([p[1] for p in pieces])
+                built[node] = inputs, node if new == kids else Node(node.op, new)
+            if node is not waiting:
                 continue  # the walk of tree nxt goes on
-            while self.nxt < len(trees) and nodes[self.nxt] in built:
-                self.graph.root_channel[trees[self.nxt].root] = self.seal(built[nodes[self.nxt]])
+            while waiting in built:
+                root_channel[trees[self.nxt].root] = seal(built[waiting])
                 self.nxt += 1
+                if self.nxt == len(trees):
+                    break
+                waiting = nodes[self.nxt]
 
-    def merge(self, pieces):
-        """Union child input sets; seal children until the bound is met.
+    def cut(self, pieces, inputs):
+        """Seal children of a gate until the union of their inputs, which
+        ``inputs`` holds, meets the bound; return the union.
 
         Sealing goes largest-child-first so cheap leaves stay direct inputs;
         ties break toward the lexicographically smaller first input label
         for determinism.  A fully sealed gate always fits (its arity is the
         floor on channel size).
         """
-        inputs = list(dict.fromkeys(ci for p in pieces for ci in p[0]))
         while len(inputs) > self.bound:
             candidates = [i for i, p in enumerate(pieces) if len(p[0]) > 1]
             if not candidates:
@@ -126,7 +140,7 @@ class _Merger:
             i = candidates[0]
             pieces[i] = self.derived(self.seal(pieces[i]))
             inputs = list(dict.fromkeys(ci for p in pieces for ci in p[0]))
-        return inputs, [node for _inputs, node in pieces]
+        return inputs
 
     def macro_piece(self, node: Node):
         """A standalone macro channel; each non-leaf operand bit is sealed first."""

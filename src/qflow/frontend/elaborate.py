@@ -58,6 +58,7 @@ class ElaboratedDesign:
     nets: dict = field(default_factory=dict)  # name -> FlatNet
     assigns: list = field(default_factory=list)
     labels: dict = field(default_factory=dict)  # input net name -> 'high'|'low'
+    driver: dict = field(default_factory=dict)  # (net, bit) -> the FlatAssign that drives it
 
     def high_bits(self):
         """Secret bit identities in declaration order: [(net, bit, secret_id)]."""
@@ -525,17 +526,17 @@ def elaborate(ast: A.Ast, top: str, labels: dict) -> ElaboratedDesign:
     elab = _Elaborator(ast)
     elab.instantiate(ast.modules[top], "", {}, [top])
 
-    seen = {}
+    driver = {}
     for a in elab.assigns:
-        if a.target not in elab.nets:
-            raise UnknownSignal(a.target)
-        w = elab.nets[a.target].width
+        target = a.target
+        if target not in elab.nets:
+            raise UnknownSignal(target)
+        w = elab.nets[target].width
         if not (0 <= a.lsb <= a.msb < w):
-            raise WidthMismatch(a.target, f"range [{a.msb}:{a.lsb}] outside width {w}")
+            raise WidthMismatch(target, f"range [{a.msb}:{a.lsb}] outside width {w}")
         for b in range(a.lsb, a.msb + 1):
-            if (a.target, b) in seen:
-                raise MultipleDrivers(a.target, b)
-            seen[(a.target, b)] = a
+            if driver.setdefault((target, b), a) is not a:
+                raise MultipleDrivers(target, b)
 
     return ElaboratedDesign(top=top, nets=elab.nets, assigns=elab.assigns,
-                            labels=dict(labels))
+                            labels=dict(labels), driver=driver)

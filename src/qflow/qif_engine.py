@@ -29,7 +29,6 @@ share one enumeration per ``propagate`` call.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -155,14 +154,15 @@ def compute_dependencies(graph: ChannelGraph) -> DependencyGraph:
     register input, that register's root channel.  Sequential cycles are
     flagged for the fixpoint."""
     deps, adj = DependencyGraph(), []
+    root_channel, edges = graph.root_channel, deps.edges
     for ch in graph.channels:
         reads = []
         for ci in ch.inputs:
-            if isinstance(ci, int):
+            if type(ci) is int:
                 reads.append(ci)
             elif ci.role == "register":
-                reads.append(graph.root_channel[ci])
-                deps.edges.add((ch.cid, ci))
+                reads.append(root_channel[ci])
+                edges.add((ch.cid, ci))
         adj.append(reads)
     deps.order = _sccs(adj)
     deps.cycles = [set(scc) for scc in deps.order if len(scc) > 1 or scc[0] in adj[scc[0]]]
@@ -171,13 +171,19 @@ def compute_dependencies(graph: ChannelGraph) -> DependencyGraph:
 
 def _sccs(adj):
     """Tarjan, iterative, from vertex 0 up, following each vertex's
-    successors in list order; each SCC comes after every SCC it reaches."""
-    index, low, on_stack = [-1] * len(adj), [0] * len(adj), [False] * len(adj)
-    ids, stack, out = itertools.count(), [], []
-    for start in range(len(adj)):
+    successors in list order; each SCC comes after every SCC it reaches.
+    A vertex without successors is its own SCC as soon as it is met."""
+    n = len(adj)
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    count, stack, out = 0, [], []
+    for start in range(n):
         if index[start] >= 0:
             continue
-        index[start] = low[start] = next(ids)
+        index[start] = low[start] = count
+        count += 1
+        if not adj[start]:
+            out.append([start])
+            continue
         stack.append(start)
         on_stack[start] = True
         work = [(start, iter(adj[start]))]
@@ -185,26 +191,32 @@ def _sccs(adj):
             v, it = work[-1]
             for w in it:
                 if index[w] < 0:  # descend into w
-                    index[w] = low[w] = next(ids)
+                    index[w] = low[w] = count
+                    count += 1
+                    if not adj[w]:  # w is finished, and low[v] <= index[w]
+                        out.append([w])
+                        continue
                     stack.append(w)
                     on_stack[w] = True
                     work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             else:  # v is finished
                 work.pop()
+                lv = low[v]
                 if work:
                     pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == index[v]:
-                    scc = []
-                    while True:
+                    if lv < low[pv]:
+                        low[pv] = lv
+                if lv == index[v]:  # v roots an SCC: the stack down to v
+                    w = stack.pop()
+                    on_stack[w] = False
+                    scc = [w]
+                    while w != v:
                         w = stack.pop()
                         on_stack[w] = False
                         scc.append(w)
-                        if w == v:
-                            break
                     out.append(scc)
     return out
 
@@ -219,8 +231,8 @@ class _Propagator:
         self.secrets = [(sid, net, bit, input_probs.get((net, bit), 0.5))
                         for net, bit, sid in design.high_bits()]
         self.minent = {sid: source_leakage(p) for sid, _n, _b, p in self.secrets}
-        self.source = {(net, bit): {sid: self.minent[sid]} if self.minent[sid] > 0.0 else {}
-                       for sid, net, bit, _p in self.secrets}
+        self.source = {BitRef(net, bit, "input-high"): {sid: self.minent[sid]}
+                       if self.minent[sid] > 0.0 else {} for sid, net, bit, _p in self.secrets}
         self.chan_prob, self.chan_pbv, self.chan_leak, self.chan_tainted = {}, {}, {}, {}
         # (table, probs, tainted) -> kernel result, for this propagation only;
         # len(probs) fixes the arity, so equal keys give equal results
@@ -238,58 +250,95 @@ class _Propagator:
         return out
 
     def run(self, deps: DependencyGraph):
-        channels = self.graph.channels
+        channels, root_channel = self.graph.channels, self.graph.root_channel
         # each register's values, set once its root channel is final
         self.reg_tainted, self.reg_prob, self.reg_leak = {}, {}, {}
-        held = {}  # cid -> the registers whose root channel it is
-        for root, cid in self.graph.root_channel.items():
-            if root.role == "register":
+        chan_prob, chan_pbv, chan_leak = self.chan_prob, self.chan_pbv, self.chan_leak
+        chan_tainted, reg_tainted = self.chan_tainted, self.reg_tainted
+        reg_prob, reg_leak = self.reg_prob, self.reg_leak
+        input_probs, source, minent, kernel = (
+            self.input_probs, self.source, self.minent, self._kernel)
+        # cid -> its cycle's channels in id order, and the registers the cycle reads back
+        loops, looped = {}, set()
+        for cycle in deps.cycles:
+            chans = [channels[cid] for cid in sorted(cycle)]
+            regs = list(dict.fromkeys(
+                ci for ch in chans for ci in ch.inputs
+                if type(ci) is not int and ci.role == "register"
+                and root_channel[ci] in cycle))
+            loops.update(dict.fromkeys(cycle, (chans, regs)))
+            looped.update(regs)
+        held = {}  # cid -> the registers whose root channel it is and no cycle reads back
+        for root, cid in root_channel.items():
+            if root.role == "register" and root not in looped:
                 held.setdefault(cid, []).append(root)
-        cycle_of = {cid: cycle for cycle in deps.cycles for cid in cycle}
+
+        def step(ch):
+            """Channel ``ch``'s taint, P(1), PBV and leakage from its inputs'
+            values, and the same values for the registers it holds, its
+            leakage capped at each secret's source min-entropy."""
+            cid = ch.cid
+            probs, tainted, incoming = [], [], {}
+            for ci in ch.inputs:
+                if type(ci) is int:
+                    probs.append(chan_prob[ci])
+                    tainted.append(chan_tainted[ci])
+                    vec = chan_leak[ci]
+                elif ci.role == "register":
+                    probs.append(reg_prob[ci])
+                    tainted.append(reg_tainted[ci])
+                    vec = reg_leak[ci]
+                else:
+                    probs.append(input_probs.get(ci[:2], 0.5))
+                    if ci.role != "input-high":
+                        tainted.append(False)
+                        continue
+                    tainted.append(True)
+                    vec = source[ci]
+                for sid, val in vec.items():
+                    incoming[sid] = incoming.get(sid, 0.0) + val
+            p1, pbv = kernel(ch, probs, tainted)
+            chan_tainted[cid] = taint = True in tainted
+            chan_prob[cid], chan_pbv[cid] = p1, pbv
+            chan_leak[cid] = leak = {sid: v * pbv for sid, v in incoming.items()}
+            regs = held.get(cid)
+            if regs:
+                capped = {}
+                for sid, val in leak.items():
+                    cap = minent[sid]
+                    if cap < val:
+                        val = cap
+                    if val > 0.0:
+                        capped[sid] = val
+                for reg in regs:
+                    reg_tainted[reg], reg_prob[reg], reg_leak[reg] = taint, p1, capped
+
         for scc in deps.order:
-            cycle = cycle_of.get(scc[0])
-            if cycle:
-                self._cycle(cycle)
+            loop = loops.get(scc[0])
+            if loop is None:
+                step(channels[scc[0]])
             else:
-                ch = channels[scc[0]]
-                probs, tainted = self._inputs(ch)
-                self.chan_tainted[ch.cid] = any(tainted)
-                self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = self._kernel(ch, probs, tainted)
-                self.chan_leak[ch.cid] = self._leak(ch)
-            for cid in scc:
-                if cid in held:
-                    self._hold(cid, held[cid])
-        if len(self.chan_prob) != len(channels):
+                self._cycle(scc, *loop, held, step)
+        if len(chan_prob) != len(channels):
             raise ValueError("the dependency order does not reach every channel")
 
-    def _hold(self, cid, regs):
-        """Registers that no cycle looped take final channel ``cid``'s taint and
-        P(1), and its leakage raised from {}, so capped at source min-entropy."""
-        regs = [reg for reg in regs if reg not in self.reg_leak]
-        for reg in regs:
-            self.reg_tainted[reg] = self.chan_tainted[cid]
-            self.reg_prob[reg] = self.chan_prob[cid]
-            self.reg_leak[reg] = {}
-        self._raise_leak(regs)
-
-    def _cycle(self, cycle):
+    def _cycle(self, scc, chans, regs, held, step):
         """Taint, P(1), PBV and leakage of a cycle's channels and of the
-        registers they read back.  Each loop sweeps the channels in id order
-        until those registers settle.  The first stops at a sweep that moves
-        no register and keeps the values that sweep read, so every stored
-        channel value is the kernel of the stored register values."""
-        chans = [self.graph.channels[cid] for cid in sorted(cycle)]
+        registers they read back (``regs``).  Each loop sweeps ``chans``, the
+        channels in id order, with ``step`` until those registers settle.
+        The first stops at a sweep that moves no register and keeps the
+        values that sweep read, so every stored channel value is the kernel
+        of the stored register values; the second sweeps the same values
+        again, with the leakage those registers take."""
         root_channel = self.graph.root_channel
-        regs = list(dict.fromkeys(
-            ci for ch in chans for ci in ch.inputs
-            if not isinstance(ci, int) and ci.role == "register" and root_channel[ci] in cycle))
         for reg in regs:  # what the first sweep reads
             self.reg_tainted[reg], self.reg_prob[reg], self.reg_leak[reg] = False, 0.5, {}
+        for cid in scc:  # the other registers it holds come next, in component order
+            for reg in held.get(cid, ()):
+                self.reg_prob[reg] = self.reg_leak[reg] = None
         for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:
-                probs, tainted = self._inputs(ch)
-                self.chan_tainted[ch.cid] = any(tainted)
-                self.chan_prob[ch.cid], self.chan_pbv[ch.cid] = self._kernel(ch, probs, tainted)
+                step(ch)
             if self._settled(regs):
                 break
             for reg in regs:
@@ -300,7 +349,7 @@ class _Propagator:
             raise NonConvergentFixpoint(sorted(regs, key=str))
         for _ in range(MAX_FIXPOINT_ITERS):
             for ch in chans:
-                self.chan_leak[ch.cid] = self._leak(ch)
+                step(ch)
             if self._raise_leak(regs) < LEAK_TOL:
                 return
         raise NonConvergentFixpoint(sorted(regs, key=str))
@@ -313,37 +362,6 @@ class _Propagator:
                     or abs(self.chan_prob[cid] - self.reg_prob[reg]) >= PROB_TOL):
                 return False
         return True
-
-    def _inputs(self, ch):
-        """P(1) and taint of each of ``ch``'s inputs, in input order."""
-        probs, tainted = [], []
-        for ci in ch.inputs:
-            if isinstance(ci, int):
-                probs.append(self.chan_prob[ci])
-                tainted.append(self.chan_tainted[ci])
-            elif ci.role == "register":
-                probs.append(self.reg_prob[ci])
-                tainted.append(self.reg_tainted[ci])
-            else:
-                probs.append(self.input_probs.get((ci.net, ci.bit), 0.5))
-                tainted.append(ci.role == "input-high")
-        return probs, tainted
-
-    def _leak(self, ch):
-        incoming = {}
-        for ci in ch.inputs:
-            if isinstance(ci, int):
-                vec = self.chan_leak[ci]
-            elif ci.role == "register":
-                vec = self.reg_leak[ci]
-            elif ci.role == "input-high":
-                vec = self.source.get((ci.net, ci.bit), {})
-            else:
-                continue
-            for sid, val in vec.items():
-                incoming[sid] = incoming.get(sid, 0.0) + val
-        pbv = self.chan_pbv[ch.cid]
-        return {sid: v * pbv for sid, v in incoming.items()}
 
     def _raise_leak(self, regs):
         """Raise each register's vector to its root channel's; return the largest rise."""

@@ -124,7 +124,8 @@ class Tree:
 
 
 def quartiles(values):
-    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, q2, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                  else values * 3)
     return q1, q2, q3
 
 

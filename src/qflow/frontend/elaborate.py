@@ -13,6 +13,7 @@ that control flow or a later write changed become assignments of their own.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import ChainMap
 from dataclasses import dataclass, field
@@ -197,7 +198,7 @@ class _Elaborator:
                                     self.resolve(expr.index, env, scope, benv))
                 bits = benv[base]
                 if 0 <= idx < len(bits) and bits[idx] is not None:
-                    return bits[idx]
+                    return _expr(bits[idx])
                 return A.Select(base, A.Num(idx))
             return A.Select(base, self.resolve(expr.index, env, scope, benv))
         if isinstance(expr, A.PartSelect):
@@ -416,32 +417,33 @@ class _Elaborator:
     def _emit(self, net, bits, sequential):
         """A net's per-bit values as ``FlatAssign``s.
 
-        A vector write leaves ``Select(rhs, Num(k))`` at bit ``lsb + k``.
+        A vector write leaves ``(rhs, k)`` at bit ``lsb + k`` (see ``_expr``).
         Each maximal run of bits that reads bits 0, 1, ... of one ``rhs``
-        becomes one ranged assign of ``rhs``, which blasts to the same
-        nodes: the blaster takes bit k of a ``Select``'s expression base
-        from the blasted base.  Every other bit (a partial overwrite, a
-        branch merge, a 1-bit write) is an assign of its own.
+        becomes one ranged assign of ``rhs``.  Every other bit (a partial
+        overwrite, a branch merge, a 1-bit write) is an assign of its own,
+        which blasts to the same node: the blaster takes bit k of a
+        ``Select``'s expression base from the blasted base.
         """
         end = 0  # the bits below end are emitted
         for i, e in enumerate(bits):
             if e is None or i < end:
                 continue
             end = i + 1
-            if _reads_bit(e, 0) and not isinstance(e.base, str):
-                while (end < len(bits) and _reads_bit(bits[end], end - i)
-                       and bits[end].base is e.base):
+            if type(e) is tuple and e[1] == 0:
+                rhs = e[0]
+                while (end < len(bits) and type(bits[end]) is tuple
+                       and bits[end][1] == end - i and bits[end][0] is rhs):
                     end += 1
-                self.assigns.append(FlatAssign(net, end - 1, i, e.base, sequential))
+                self.assigns.append(FlatAssign(net, end - 1, i, rhs, sequential))
             else:
-                self.assigns.append(FlatAssign(net, i, i, e, sequential))
+                self.assigns.append(FlatAssign(net, i, i, _expr(e), sequential))
 
     def _rebuild(self, net, benv):
         """Current value of a net as an expression (MSB-first concat)."""
         bits = benv[net]
         parts = []
         for i in range(len(bits) - 1, -1, -1):
-            parts.append(bits[i] if bits[i] is not None else A.Select(net, A.Num(i)))
+            parts.append(_expr(bits[i]) if bits[i] is not None else A.Select(net, A.Num(i)))
         if len(parts) == 1:
             return parts[0]
         return A.Concat(tuple(parts))
@@ -464,7 +466,7 @@ class _Elaborator:
             if msb == lsb:
                 bits[lsb] = rhs
             else:
-                bits[lsb:msb + 1] = [A.Select(rhs, A.Num(k)) for k in range(msb - lsb + 1)]
+                bits[lsb:msb + 1] = zip(itertools.repeat(rhs), range(msb - lsb + 1))
         elif isinstance(stmt, A.If):
             cond = self.resolve(stmt.cond, env, scope, benv or None)
             b1, n1 = benv.new_child(), nenv.new_child()
@@ -496,7 +498,7 @@ class _Elaborator:
                 fallback = pre[i] if pre[i] is not None else A.Select(net, A.Num(i))
                 a = a if a is not None else fallback
                 b = b if b is not None else fallback
-                out[i] = a if a is b else A.Ternary(cond, a, b)
+                out[i] = a if a is b else A.Ternary(cond, _expr(a), _expr(b))
 
 
 def _written(env, net, width):
@@ -510,9 +512,11 @@ def _written(env, net, width):
     return bits
 
 
-def _reads_bit(e, k):
-    """Whether ``e`` is ``Select(base, Num(k))``."""
-    return type(e) is A.Select and type(e.index) is A.Num and e.index.value == k
+def _expr(e):
+    """An entry of a bit list as an expression.  A vector write of ``rhs``
+    leaves the tuple ``(rhs, k)`` at its k-th bit, which is
+    ``Select(rhs, Num(k))`` when the bit is read, merged or emitted alone."""
+    return A.Select(e[0], A.Num(e[1])) if type(e) is tuple else e
 
 
 def elaborate(ast: A.Ast, top: str, labels: dict) -> ElaboratedDesign:

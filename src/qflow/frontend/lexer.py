@@ -101,6 +101,8 @@ def _sized(m, path, line, col):
             path, line, col, f"invalid digit in literal {m.group('sized')!r}") from None
     if m.group("size") is not None:
         width = int(m.group("size"))
+        if width == 0:
+            raise VerilogSyntaxError(path, line, col, f"zero-width literal {m.group('sized')!r}")
     elif base == "d":
         width = None
     else:
@@ -155,3 +157,25 @@ def tokenize(path: str, text: str):
             raise VerilogSyntaxError(path, line, col, msg)
     append(Token("eof", "", None, line, len(text) - linestart + 1))
     return tokens, high_lines
+
+
+def line_comment_column(text: str, line: int):
+    """The column of the ``//`` comment on ``line`` of a text that
+    ``tokenize`` accepts, as it lexes it: a ``//`` inside a block comment
+    or an attribute is not one.  None if the line has no such comment."""
+    lineno, linestart = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            if lineno == line:
+                return None
+            lineno += 1
+            linestart = m.end()
+        elif kind == "comment" and lineno == line:
+            return m.start(kind) - linestart + 1
+        elif kind in ("block", "attr"):
+            tok = m.group(kind)
+            if "\n" in tok:
+                lineno += tok.count("\n")
+                linestart = m.start(kind) + tok.rindex("\n") + 1
+    return None

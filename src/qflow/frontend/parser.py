@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..errors import UnknownSignal, UnsupportedConstruct, VerilogSyntaxError
 from . import ast_nodes as A
-from .lexer import tokenize
+from .lexer import line_comment_column, tokenize
 
 _QFLOW_ATTR = "qflow_high"
 _DIRECTIONS = ("input", "output", "inout")
@@ -109,7 +109,7 @@ class _Parser:
         stray = sorted(self.high_lines - self.marked_lines)
         if stray:
             line = stray[0]
-            col = self.text.split("\n")[line - 1].find("//") + 1
+            col = line_comment_column(self.text, line)
             raise VerilogSyntaxError(self.path, line, col,
                                      "'// qflow: high' trails no input declaration")
         return modules

@@ -11,19 +11,20 @@ channel PBV.  Registers pass probabilities and leakage through unchanged.
 
 Propagation is one pass over the strongly connected components of the
 channel graph, dependencies first: a channel reads its derived inputs,
-and a register input is an edge to that register's root channel.  A
-single channel that does not read itself through a register is computed
-once: its taint, output probability and PBV from one kernel call, then
-its leakage.  A sequential cycle runs two loops over its own channels:
-sweeps of taint, probability and PBV until the registers it reads
-settle, then sweeps of the elementwise-max leakage cascade; one that
-does not settle within ``MAX_FIXPOINT_ITERS`` sweeps raises
-``NonConvergentFixpoint``.  Once a component is final, every other
-register whose root channel lies in it takes that channel's values, its
-leakage capped at each secret's source min-entropy.  Both kinds call the
-same ``_inputs``, ``_kernel`` and ``_leak``; only the loops differ.
-Table channels with equal truth tables, input probabilities and taints
-share one enumeration per ``propagate`` call.
+and a register input is an edge to that register's root channel.  One
+step computes a channel: one loop over its inputs reads each one's
+taint, P(1) and leakage vector, ``_kernel`` gives its P(1) and PBV, the
+summed leakage is scaled by the PBV, and every register whose root
+channel it is takes the same values, its leakage capped at each
+secret's source min-entropy.  A single channel that does not read itself
+through a register is one step.  A sequential cycle runs the step in
+two loops over its own channels: sweeps until the taint and P(1) of the
+registers it reads settle, then sweeps until the elementwise-max leakage
+cascade raises them by less than ``LEAK_TOL``; one that does not settle
+within ``MAX_FIXPOINT_ITERS`` sweeps raises ``NonConvergentFixpoint``.
+Only the registers a cycle reads wait for the end of a sweep.  Table
+channels with equal truth tables, input probabilities and taints share
+one enumeration per ``propagate`` call.
 """
 
 from __future__ import annotations
@@ -300,7 +301,9 @@ class _Propagator:
             p1, pbv = kernel(ch, probs, tainted)
             chan_tainted[cid] = taint = True in tainted
             chan_prob[cid], chan_pbv[cid] = p1, pbv
-            chan_leak[cid] = leak = {sid: v * pbv for sid, v in incoming.items()}
+            # v * 1.0 is v: a PBV of 1 passes the summed vector on as it is
+            chan_leak[cid] = leak = (incoming if pbv == 1.0
+                                     else {sid: v * pbv for sid, v in incoming.items()})
             regs = held.get(cid)
             if regs:
                 capped = {}

@@ -102,6 +102,8 @@ def test_positions_after_multiline_comment_and_attribute():
     ("/* c\n */ `", 2, 5, "unexpected character '`'"),
     ("x\n  4'b3;", 2, 3, "invalid digit in literal \"4'b3\""),
     ("x\n \t 4'b3;", 2, 4, "invalid digit in literal \"4'b3\""),
+    ("x\n  0'b1;", 2, 3, "zero-width literal \"0'b1\""),
+    ("00'd0", 1, 1, "zero-width literal \"00'd0\""),
 ])
 def test_lexer_error_positions(text, line, col, message):
     with pytest.raises(VerilogSyntaxError) as e:
@@ -873,7 +875,13 @@ def test_high_comment_marks_the_group_it_trails(src, high):
     ("module m(input [3:0] k,\noutput y); // qflow: high\nassign y = ^k;\nendmodule\n", 2, 12),
     ("module m(input [3:0] k, output y);\nwire w; // qflow: high\nassign w = ^k;\n"
      "assign y = w;\nendmodule\n", 2, 9),
-], ids=["own_line", "after_assign", "after_output", "after_wire"])
+    # the comment's own column, not that of a '//' inside a block comment before it
+    ("module m(input k, output y);\n\n/* a // b */ assign y = k; // qflow: high\n"
+     "endmodule\n", 3, 28),
+    ("module m(input k, output y); /* a\n// b */ assign y = k; // qflow: high\n"
+     "endmodule\n", 2, 23),
+], ids=["own_line", "after_assign", "after_output", "after_wire", "after_block_comment",
+        "after_multiline_block_comment"])
 def test_misplaced_high_comment_is_an_error(src, line, col):
     """A ``// qflow: high`` that trails no input group marks nothing: an
     error at the comment, not a design with no secret."""

@@ -251,12 +251,10 @@ class _Blaster:
             w = expr.width or max(expr.value.bit_length(), 1)
             return [CONST1 if (expr.value >> i) & 1 else CONST0 for i in range(w)]
         if isinstance(expr, A.Ident):
-            name = expr.name
-            w = self.design.nets[name].width if name in self.design.nets else 0
+            w = self.design.nets[expr.name].width if expr.name in self.design.nets else 0
             if w == 0:
-                raise UnassignedNet(name)
-            memo = self._net_memo  # a Node is never falsy
-            return [memo.get((name, i)) or self.net_bit(name, i) for i in range(w)]
+                raise UnassignedNet(expr.name)
+            return [self.net_bit(expr.name, i) for i in range(w)]
         if isinstance(expr, A.Select):
             try:
                 idx = const_eval(expr.index, {})

@@ -124,9 +124,10 @@ class Tree:
 
 
 def quartiles(values):
-    q1, q2, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
-                  else values * 3)
-    return q1, q2, q3
+    """[q1, median, q3] of ``values``."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def table(a_passes, b_passes):

@@ -252,7 +252,7 @@ class _Propagator:
 
     def run(self, deps: DependencyGraph):
         channels, root_channel = self.graph.channels, self.graph.root_channel
-        # each register's values, set once its root channel is final
+        # each register's values, final once its root channel is
         self.reg_tainted, self.reg_prob, self.reg_leak = {}, {}, {}
         chan_prob, chan_pbv, chan_leak = self.chan_prob, self.chan_pbv, self.chan_leak
         chan_tainted, reg_tainted = self.chan_tainted, self.reg_tainted

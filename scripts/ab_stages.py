@@ -73,9 +73,10 @@ class Tree:
         self.pipeline = importlib.import_module(f"{name}.pipeline")
         self.oracle = importlib.import_module(f"{name}.oracle")
         self.times = {}  # stage -> seconds in the pass under way
-        for module, fn in STAGES:
+        for module, fn in STAGES:  # an older tree may lack a stage
             namespace = getattr(self, module)
-            setattr(namespace, fn, self._timed(fn, getattr(namespace, fn)))
+            if hasattr(namespace, fn):
+                setattr(namespace, fn, self._timed(fn, getattr(namespace, fn)))
 
     def _timed(self, stage, fn):
         times, clock = self.times, time.perf_counter

@@ -26,6 +26,23 @@ from test_pipeline import CORPUS
 from test_qif_engine import CYCLE_DESIGNS
 
 CONFIGS = {"default": {}, "bound2": {"max_channel_inputs": 2}, "p0.9": {"p_high": 0.9}}
+# One channel of the r0/r1 cycle holds c0 and t0, the other c1 and t1, and
+# the cycle reads neither: those registers take their values in the cycle's
+# sweeps, yet enter the annotations in the component's order, c1 first.
+HELD_IN_CYCLE = """module m(input clk, High input k, input a, output y);
+reg r0, r1, c0, c1, t0, t1;
+always @(posedge clk) begin
+t0 = r1 ^ k;
+t1 = r0 & a;
+r0 <= t0;
+r1 <= t1;
+c0 <= t0;
+c1 <= t1;
+end
+assign y = c0 ^ c1;
+endmodule
+"""
+CYCLES = dict(CYCLE_DESIGNS, held_in_cycle=HELD_IN_CYCLE)
 INLINE = {"datapath": (datapath_source, "dp"), "reconvergent": (reconvergent_source, "chain"),
           "register_pipeline": (register_pipeline_source, "TSC")}
 
@@ -49,8 +66,8 @@ def case(name):
         if file[:-2] == design:
             return Config(files=[corpus.path(n) for n in (*extra, file)], top=top,
                           high_overrides=high, **CONFIGS[config]), None
-    if design in CYCLE_DESIGNS:
-        src, top = CYCLE_DESIGNS[design], "m"
+    if design in CYCLES:
+        src, top = CYCLES[design], "m"
     else:
         source, top = INLINE[design]
         src = source()
@@ -102,6 +119,12 @@ PINNED = {
         "4dbb3b473f88f9dc3fae3fcbadffbbbd592d536bafe21f949dc62fc4931f2b1f",
     "example@p0.9":
         "8ba02ab7ab259bbe7e1128d55057edd472f498dd4f2c381b1cfe58d3968a7d37",
+    "held_in_cycle@bound2":
+        "c84e9045a7aabf3ebddbec6effa3e60ddda3b8a99743312337d0f1c2aa5e4b20",
+    "held_in_cycle@default":
+        "0e4758f334284e381072fd9547b01be17df1b3ced3b0bec1b4d5d26a511f3b8e",
+    "held_in_cycle@p0.9":
+        "a14e6a24802f2bb7ebb6fc6f292121c5d039baee17fc49b94574dba09e4857b3",
     "lfsr@bound2":
         "38a9e147484ecc8a09e5b09badc53344fb705332e24a0a382b63e1d76462ca0a",
     "lfsr@default":
@@ -133,7 +156,7 @@ def test_analysis_outputs_pinned(name):
 
 
 def test_every_case_pinned():
-    # every CYCLE_DESIGNS entry converges in all three configurations
+    # every design of CYCLES converges in all three configurations
     assert set(PINNED) == ({f"{design}@{config}" for config in CONFIGS
-                            for design in (*(f[:-2] for f, *_ in CORPUS), *CYCLE_DESIGNS)}
+                            for design in (*(f[:-2] for f, *_ in CORPUS), *CYCLES)}
                            | {f"{design}@default" for design in INLINE})

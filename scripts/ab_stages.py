@@ -10,7 +10,10 @@ the designs of one seeded workload pool (``bench/families.py``, the only
 file read from ``bench/``): ``analyze`` and the JSON report, and for the
 oracle designs the uncapped totals, ``flatten_forest`` and the exact
 leakage.  Before any timing, every design's JSON, text and CSV reports
-(runtime zeroed) and exact leakage must be equal in both trees.
+(runtime zeroed) and exact leakage must be equal in both trees.  Whether
+the trees' token streams (``repr(tokenize(...))`` of every file) and ASTs
+(``repr(parse(...))``) are equal over the pool is printed, not required:
+a change may alter the AST on purpose and keep the reports.
 
 Pass i runs the whole pool once with each tree, A then B when i is even
 and B then A when it is odd, so that a host that speeds up or slows down
@@ -72,6 +75,8 @@ class Tree:
         load_module(name, None, package)
         self.pipeline = importlib.import_module(f"{name}.pipeline")
         self.oracle = importlib.import_module(f"{name}.oracle")
+        self.frontend = importlib.import_module(f"{name}.frontend")
+        self.lexer = importlib.import_module(f"{name}.frontend.lexer")
         self.times = {}  # stage -> seconds in the pass under way
         for module, fn in STAGES:  # an older tree may lack a stage
             namespace = getattr(self, module)
@@ -112,6 +117,12 @@ class Tree:
         analysis.report.runtime_seconds = 0.0
         return ([self.pipeline.render_report(analysis, fmt) for fmt in ("json", "text", "csv")],
                 exact)
+
+    def frontend_outputs(self, design):
+        """The repr of every file's tokens, and of the design's AST."""
+        tokens = [repr(self.lexer.tokenize(path, text)) for path, text in design.files]
+        return tokens, repr(self.frontend.parse(self.frontend.SourceUnit(design.files,
+                                                                         design.top)))
 
     def run_pass(self, pool):
         """Per-stage and total seconds of one pass over the pool."""
@@ -162,16 +173,22 @@ def main(argv=None):
         parser.error(f"argument --workload: one of {', '.join(families.POOLS)}")
     pool = families.workload_pool(args.workload, args.seed)
     a, b = Tree("qflow_a", args.base_src), Tree("qflow_b", args.new_src)
+    same_tokens = same_asts = True
     for design in pool:
         if a.outputs(design) != b.outputs(design):
             sys.exit(f"ab_stages: {design.name}: the two trees' outputs differ")
+        (a_tokens, a_ast), (b_tokens, b_ast) = (a.frontend_outputs(design),
+                                                b.frontend_outputs(design))
+        same_tokens &= a_tokens == b_tokens
+        same_asts &= a_ast == b_ast
     a_passes, b_passes = [], []
     gc.collect()
     for i in range(args.passes):
         for tree, passes in ((a, a_passes), (b, b_passes))[::1 if i % 2 == 0 else -1]:
             passes.append(tree.run_pass(pool))
     print(f"{args.workload} seed {args.seed}: {len(pool)} designs, {args.passes} passes "
-          f"(A = {args.base_src}, B = {args.new_src}); outputs equal")
+          f"(A = {args.base_src}, B = {args.new_src}); outputs equal; token streams "
+          f"{'equal' if same_tokens else 'differ'}; ASTs {'equal' if same_asts else 'differ'}")
     print(table(a_passes, b_passes))
     return 0
 

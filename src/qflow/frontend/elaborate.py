@@ -179,6 +179,11 @@ class _Elaborator:
         index is constant; part-select bounds and replication counts never
         read ``benv``.
         """
+        if not benv and type(expr) is A.Select and type(expr.index) is A.Num:
+            # the commonest read, a constant bit-select outside a block
+            if expr.base in env:  # parameter indexed as value: unsupported
+                raise UnsupportedConstruct(f"bit-select of parameter {expr.base}")
+            return A.Select(scope.flat(expr.base), expr.index)
         if isinstance(expr, A.Num):
             return expr
         if isinstance(expr, A.Ident):

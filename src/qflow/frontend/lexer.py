@@ -1,17 +1,26 @@
 """Tokenizer for the supported Verilog subset.
 
-One compiled alternation of named groups, ``_TOKEN``, is the whole lexer.
-Every match starts with the blanks (spaces, tabs, carriage returns) that
-precede its token, so a blank is never a match of its own and each
-character is read once; a token's column counts from the start of its
-own group. The alternatives are ordered by how often they occur
-(punctuation, words, newlines, then literals, comments and attributes),
-and lookaheads, not the order, keep the precedence where two of them can
+One compiled regular expression, ``_SCAN``, is the whole lexer, and one
+``findall`` per text runs it. Each match is a pair: the blanks (spaces,
+tabs, carriage returns) that precede a token, then the token, so a blank
+is never a match of its own and each character is read once. The token
+is one alternation, ordered by how often its alternatives occur
+(punctuation, words, newlines, then literals, comments and attributes);
+lookaheads, not the order, keep the precedence where two of them can
 start at the same character: ``(`` is punctuation only where no
 attribute starts, ``/`` only where no comment starts, and sized and
-binary literals come before decimals. The catch-all last group turns
-any other non-blank character into a syntax error; blanks at the end of
-the text match nothing.
+binary literals come before decimals. The catch-all last alternative
+turns any other non-blank character into a syntax error; blanks at the
+end of the text match nothing.
+
+A token's kind comes from one table, ``_KIND``: punctuation maps to
+itself and a keyword to ``kw``. A token the table lacks is an ``id`` when
+it starts with an ASCII word character and a decimal ``num`` when
+``str.isdecimal`` holds; only the rare rest (sized, underscored and
+``0b`` literals, comments, attributes, unterminated openers and bad
+characters) is decoded further. Columns are counted from the lengths of
+the blanks and the tokens. ``scan`` fills parallel columns, which the
+parser indexes directly; ``tokenize`` zips them into ``Token`` tuples.
 
 Comments are stripped here, except that ``// qflow: high`` trailing
 comments are recorded by line number so the parser can mark the last
@@ -57,23 +66,25 @@ _PUNCT_PATTERN = "|".join([
     r"\((?!\*(?!\)))", r"/(?![/*])", r"[=&|^~!<>]",
 ])
 
-_TOKEN = re.compile(r"[ \t\r]*(?:" + "|".join(
-    f"(?P<{name}>{pattern})" for name, pattern in (
-        ("punct", _PUNCT_PATTERN),
-        ("word", r"[A-Za-z_][A-Za-z0-9_$]*"),
-        ("newline", r"\n"),
-        ("sized", r"(?P<size>\d+)?'(?P<base>[bodhBODH])(?P<digits>[0-9a-fA-FxXzZ_?]+)"),
-        ("bin", r"0b(?P<bits>[01_]+)"),
-        ("dec", r"\d+"),
-        ("comment", r"//[^\n]*"),
-        # ends at the first '*/' after the '/', so '/*/' is a whole comment
-        ("block", r"/\*(?:/|.*?\*/)"),
-        # '(*)' is a wildcard sensitivity list, not an attribute
-        ("attr", r"\(\*(?!\))(?P<body>.*?)\*\)"),
-        ("open_block", r"/\*"),
-        ("open_attr", r"\(\*(?!\))"),
-        ("bad", r"[^ \t\r]"),
-    )) + ")", re.DOTALL)
+# (blanks, token) per match: the two groups are the only ones
+_SCAN = re.compile(r"([ \t\r]*)(" + "|".join([
+    _PUNCT_PATTERN,
+    r"[A-Za-z_][A-Za-z0-9_$]*",  # word
+    r"\n",
+    r"\d*'[bodhBODH][0-9a-fA-FxXzZ_?]+",  # sized literal
+    r"0b[01_]+",
+    r"\d[\d_]*",  # decimal
+    r"//[^\n]*",  # comment
+    r"/\*(?:/|.*?\*/)",  # block comment, ending at the first '*/' after the '/'
+    r"\(\*(?!\)).*?\*\)",  # attribute; '(*)' is a wildcard sensitivity list
+    r"/\*",  # unterminated block comment
+    r"\(\*(?!\))",  # unterminated attribute
+    r"[^ \t\r]",  # bad character
+]) + ")", re.DOTALL)
+
+# token -> kind, for punctuation, keywords and the newline
+_KIND = {**{p: p for p in _PUNCT}, **dict.fromkeys(KEYWORDS, "kw"), "\n": "\n"}
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 _RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
 _BASE_BITS = {"b": 1, "o": 3, "d": 0, "h": 4}
@@ -87,22 +98,22 @@ class Token(NamedTuple):
     col: int
 
 
-def _sized(m, path, line, col):
+def _sized(tok, path, line, col):
     """(value, width) of a ``[size]'<base><digits>`` literal."""
-    base = m.group("base").lower()
-    digits = m.group("digits").replace("_", "")
+    size, _, rest = tok.partition("'")
+    base = rest[0].lower()
+    digits = rest[1:].replace("_", "")
     if re.search(r"[xXzZ?]", digits):
         raise UnsupportedConstruct(
             "x/z value in literal (two-valued logic only)", f"{path}:{line}")
     try:
         value = int(digits, _RADIX[base])
     except ValueError:
-        raise VerilogSyntaxError(  # the literal's own text, not the blanks before it
-            path, line, col, f"invalid digit in literal {m.group('sized')!r}") from None
-    if m.group("size") is not None:
-        width = int(m.group("size"))
+        raise VerilogSyntaxError(path, line, col, f"invalid digit in literal {tok!r}") from None
+    if size:
+        width = int(size)
         if width == 0:
-            raise VerilogSyntaxError(path, line, col, f"zero-width literal {m.group('sized')!r}")
+            raise VerilogSyntaxError(path, line, col, f"zero-width literal {tok!r}")
     elif base == "d":
         width = None
     else:
@@ -115,67 +126,101 @@ def _sized(m, path, line, col):
     return value, width
 
 
-def tokenize(path: str, text: str):
-    """Return (tokens, high_comment_lines)."""
-    tokens = []
-    append = tokens.append
-    new = tuple.__new__  # Token(...) without the NamedTuple's Python-level __new__
+def _rare(tok, path, line, col):
+    """(kind, text, value) of a token that is neither punctuation, a
+    keyword, a word nor plain digits, or None for a comment. An
+    unterminated block comment or attribute and a bad character raise."""
+    head = tok[:2]
+    if head == "//" or head == "/*" and len(tok) > 2:
+        return None
+    if head == "(*" and len(tok) > 2:
+        body = tok[2:-2].strip()
+        return "attr", body, body
+    if "'" in tok and len(tok) > 1:
+        return "num", tok, _sized(tok, path, line, col)
+    if head == "0b":
+        bits = tok[2:].replace("_", "")
+        if not bits:
+            raise VerilogSyntaxError(path, line, col, f"invalid digit in literal {tok!r}")
+        return "num", tok, (int(bits, 2), len(bits))
+    if tok[0].isdecimal():  # '_' is allowed anywhere but first, which int() rejects
+        return "num", tok, (int(tok.replace("_", "")), None)
+    msg = {"/*": "unterminated block comment",
+           "(*": "unterminated attribute"}.get(tok, f"unexpected character {tok!r}")
+    raise VerilogSyntaxError(path, line, col, msg)
+
+
+def scan(path: str, text: str):
+    """Return (columns, high_comment_lines). The columns are five parallel
+    lists, kinds, texts, values, lines and cols, with one entry per
+    ``Token`` field and per token, 'eof' last."""
+    columns = ([], [], [], [], [])
+    add_kind, add_text, add_value, add_line, add_col = (c.append for c in columns)
     high_lines = set()
-    line, linestart = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        tok = m.group(kind)
-        col = m.start(kind) - linestart + 1
-        if kind == "punct":
-            append(new(Token, (tok, tok, tok, line, col)))
-        elif kind == "word":
-            append(new(Token, ("kw" if tok in KEYWORDS else "id", tok, tok, line, col)))
-        elif kind == "dec":
-            append(new(Token, ("num", tok, (int(tok), None), line, col)))
-        elif kind == "newline":
+    kind_of, word_start = _KIND.get, _WORD_START
+    line = col = 1  # of the next character
+    for blanks, tok in _SCAN.findall(text):
+        col += len(blanks)
+        kind = kind_of(tok)
+        if kind is None:
+            if tok[0] in word_start:
+                kind, value = "id", tok
+            elif tok.isdecimal():  # what '\d' matches; isdigit() would take '²'
+                kind, value = "num", (int(tok), None)
+            else:
+                token = _rare(tok, path, line, col)
+                if token is None:  # a comment; a line comment may mark its line
+                    if tok[1] == "/" and _HIGH_COMMENT.search(tok):
+                        high_lines.add(line)
+                else:
+                    for column, item in zip(columns, (*token, line, col)):
+                        column.append(item)
+                if "\n" in tok:  # the next column counts from its last line
+                    line += tok.count("\n")
+                    col = len(tok) - tok.rindex("\n")
+                else:
+                    col += len(tok)
+                continue
+        elif kind == "\n":
             line += 1
-            linestart = m.end()
-        elif kind == "sized":
-            append(Token("num", tok, _sized(m, path, line, col), line, col))
-        elif kind == "bin":
-            bits = m.group("bits").replace("_", "")
-            append(Token("num", tok, (int(bits, 2), len(bits)), line, col))
-        elif kind == "comment":
-            if _HIGH_COMMENT.search(tok):
-                high_lines.add(line)
-        elif kind in ("block", "attr"):
-            if kind == "attr":
-                body = m.group("body").strip()
-                append(Token("attr", body, body, line, col))
-            if "\n" in tok:  # the next column counts from its last line
-                line += tok.count("\n")
-                linestart = m.start(kind) + tok.rindex("\n") + 1
+            col = 1
+            continue
         else:
-            msg = {"open_block": "unterminated block comment",
-                   "open_attr": "unterminated attribute"}.get(
-                kind, f"unexpected character {tok!r}")
-            raise VerilogSyntaxError(path, line, col, msg)
-    append(Token("eof", "", None, line, len(text) - linestart + 1))
-    return tokens, high_lines
+            value = tok
+        add_kind(kind)
+        add_text(tok)
+        add_value(value)
+        add_line(line)
+        add_col(col)
+        col += len(tok)
+    for column, item in zip(columns, ("eof", "", None, line, len(text) - text.rfind("\n"))):
+        column.append(item)
+    return columns, high_lines
+
+
+def tokenize(path: str, text: str):
+    """Return (tokens, high_comment_lines): ``scan``'s columns as ``Token`` tuples."""
+    columns, high_lines = scan(path, text)
+    return list(map(Token._make, zip(*columns))), high_lines
 
 
 def line_comment_column(text: str, line: int):
     """The column of the ``//`` comment on ``line`` of a text that
-    ``tokenize`` accepts, as it lexes it: a ``//`` inside a block comment
+    ``scan`` accepts, as it lexes it: a ``//`` inside a block comment
     or an attribute is not one.  None if the line has no such comment."""
-    lineno, linestart = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
+    lineno = col = 1
+    for blanks, tok in _SCAN.findall(text):
+        col += len(blanks)
+        if tok == "\n":
             if lineno == line:
                 return None
             lineno += 1
-            linestart = m.end()
-        elif kind == "comment" and lineno == line:
-            return m.start(kind) - linestart + 1
-        elif kind in ("block", "attr"):
-            tok = m.group(kind)
-            if "\n" in tok:
-                lineno += tok.count("\n")
-                linestart = m.start(kind) + tok.rindex("\n") + 1
+            col = 1
+        elif lineno == line and tok.startswith("//"):
+            return col
+        elif "\n" in tok:
+            lineno += tok.count("\n")
+            col = len(tok) - tok.rindex("\n")
+        else:
+            col += len(tok)
     return None

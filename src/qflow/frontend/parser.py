@@ -5,16 +5,19 @@ Binary operators are parsed by precedence climbing over one table,
 ``binary`` loops over the operators of its level and looser, and
 recurses only for a right operand that binds tighter, so a parenthesis
 costs a fixed handful of frames whatever the number of levels. The
-token plumbing and the expression ladder index ``self.tokens`` directly,
-and ``unary`` hands an identifier to ``lvalue`` and a number to ``Num``
-without going through ``primary``.
+parser reads the lexer's token columns (``lexer.scan``) by position:
+``self.kinds[self.pos]`` is the next token's kind, and the plumbing
+returns positions, not tokens. ``unary`` hands an identifier to
+``lvalue`` and a number to ``Num`` without going through ``primary``,
+and ``lvalue`` reads ``name [ number ]`` as a ``Select`` of that number
+without going through the expression ladder at all.
 """
 
 from __future__ import annotations
 
 from ..errors import UnknownSignal, UnsupportedConstruct, VerilogSyntaxError
 from . import ast_nodes as A
-from .lexer import line_comment_column, tokenize
+from .lexer import line_comment_column, scan
 
 _QFLOW_ATTR = "qflow_high"
 _DIRECTIONS = ("input", "output", "inout")
@@ -52,49 +55,55 @@ class _Parser:
     def __init__(self, path, text):
         self.path = path
         self.text = text
-        self.tokens, self.high_lines = tokenize(path, text)
+        columns, self.high_lines = scan(path, text)
+        self.kinds, self.texts, self.values, self.lines, self.cols = columns
         self.marked_lines = set()  # high lines that trail an input group
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
-    # Each reads ``self.tokens[self.pos]`` itself; none moves past 'eof'.
-    def peek(self):
-        return self.tokens[self.pos]
-
+    # Each reads the columns at ``self.pos`` itself; none moves past 'eof'.
     def next(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        """Consume the next token; return its position."""
+        pos = self.pos
+        if self.kinds[pos] != "eof":
+            self.pos = pos + 1
+        return pos
 
     def at(self, kind, text=None):
-        tok = self.tokens[self.pos]
-        return tok.kind == kind and (text is None or tok.text == text)
+        pos = self.pos
+        return self.kinds[pos] == kind and (text is None or self.texts[pos] == text)
 
     def accept(self, kind, text=None):
-        """Consume and return the next token if it matches, else None."""
-        tok = self.tokens[self.pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
-            return None
+        """Consume the next token if it matches; return whether it did."""
+        pos = self.pos
+        if self.kinds[pos] != kind or (text is not None and self.texts[pos] != text):
+            return False
         if kind != "eof":
-            self.pos += 1
-        return tok
+            self.pos = pos + 1
+        return True
 
     def expect(self, kind, text=None):
-        tok = self.tokens[self.pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
-            self.err(f"expected {text or kind!r}, found {tok.text!r}", tok)
+        """Consume the next token, which must match; return its position."""
+        pos = self.pos
+        if self.kinds[pos] != kind or (text is not None and self.texts[pos] != text):
+            self.err(f"expected {text or kind!r}, found {self.texts[pos]!r}")
         if kind != "eof":
-            self.pos += 1
-        return tok
+            self.pos = pos + 1
+        return pos
 
-    def err(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise VerilogSyntaxError(self.path, tok.line, tok.col, msg)
+    def name(self):
+        """Consume an identifier; return its text."""
+        return self.texts[self.expect("id")]
 
-    def reject(self, tok):
+    def err(self, msg, pos=None):
+        if pos is None:
+            pos = self.pos
+        raise VerilogSyntaxError(self.path, self.lines[pos], self.cols[pos], msg)
+
+    def reject(self, pos):
+        text = self.texts[pos]
         raise UnsupportedConstruct(
-            _REJECTED_ITEMS.get(tok.text, tok.text), f"{self.path}:{tok.line}")
+            _REJECTED_ITEMS.get(text, text), f"{self.path}:{self.lines[pos]}")
 
     # -- top level ---------------------------------------------------------
     def parse_modules(self):
@@ -116,7 +125,7 @@ class _Parser:
 
     def module(self):
         self.expect("kw", "module")
-        name = self.expect("id").text
+        name = self.name()
         mod = A.ModuleDecl(name=name, port_order=[])
         if self.accept("#"):
             self.expect("(")
@@ -136,10 +145,10 @@ class _Parser:
         """Consume any (* qflow_high *) attribute / literal High prefix."""
         high = False
         while True:
-            tok = self.tokens[self.pos]
-            if tok.kind == "attr":
-                high = high or _QFLOW_ATTR in tok.text
-            elif tok.kind == "id" and tok.text == "High":
+            kind, text = self.kinds[self.pos], self.texts[self.pos]
+            if kind == "attr":
+                high = high or _QFLOW_ATTR in text
+            elif kind == "id" and text == "High":
                 high = True
             else:
                 return high
@@ -148,11 +157,10 @@ class _Parser:
     def port_list(self, mod):
         if self.at(")"):
             return
-        first = self.peek()
-        ansi = first.kind == "attr" or first.text in (*_DIRECTIONS, "High")
+        ansi = self.kinds[self.pos] == "attr" or self.texts[self.pos] in (*_DIRECTIONS, "High")
         if not ansi:
             while True:
-                mod.port_order.append(self.expect("id").text)
+                mod.port_order.append(self.name())
                 if not self.accept(","):
                     return
         high = self._port_marks()
@@ -168,29 +176,29 @@ class _Parser:
         Returns the marks read after a comma when a new direction follows
         them, as in an ANSI port list, else None.
         """
-        tok = self.next()
-        if tok.text == "inout":
-            self.reject(tok)
-        if tok.text not in ("input", "output"):
-            self.err("expected port direction", tok)
-        direction = tok.text
+        pos = self.next()
+        direction = self.texts[pos]
+        if direction == "inout":
+            self.reject(pos)
+        if direction not in ("input", "output"):
+            self.err("expected port direction", pos)
         self.accept("kw", "wire") or self.accept("kw", "reg")
         msb, lsb = self.range_spec() if self.at("[") else (None, None)
         names, ends = [], {}  # ends: line -> position of the group's last name on it
         while True:
-            nt = self.expect("id")
-            names.append(nt.text)
-            ends[nt.line] = self.pos - 1
-            if nt.text not in mod.port_order:
-                mod.port_order.append(nt.text)
-            mod.ports[nt.text] = A.PortDecl(direction, msb, lsb, nt.text,
-                                            high=high and direction == "input",
-                                            line=nt.line)
+            pos = self.expect("id")
+            name, line = self.texts[pos], self.lines[pos]
+            names.append(name)
+            ends[line] = pos
+            if name not in mod.port_order:
+                mod.port_order.append(name)
+            mod.ports[name] = A.PortDecl(direction, msb, lsb, name,
+                                         high=high and direction == "input", line=line)
             if not self.accept(","):
                 marked = None
                 break
             marked = self._port_marks()
-            if self.peek().text in _DIRECTIONS:
+            if self.texts[self.pos] in _DIRECTIONS:
                 break
             high = high or marked
         if direction == "input" and self._trailed(ends):
@@ -203,14 +211,14 @@ class _Parser:
         group with no other input group between the group's last name on
         that line and the comment: the comment marks the last input group
         on its line.  Each such line is recorded in ``marked_lines``."""
+        kinds, texts, lines = self.kinds, self.texts, self.lines
         trailed = False
         for line, pos in ends.items():
             if line in self.high_lines:
-                tok = self.tokens[pos + 1]  # 'eof' ends the list
-                while tok.line == line and tok.kind != "eof" and tok.text != "input":
+                pos += 1  # 'eof' ends the columns
+                while lines[pos] == line and kinds[pos] != "eof" and texts[pos] != "input":
                     pos += 1
-                    tok = self.tokens[pos + 1]
-                if tok.line != line or tok.text != "input":
+                if lines[pos] != line or texts[pos] != "input":
                     self.marked_lines.add(line)
                     trailed = True
         return trailed
@@ -227,13 +235,14 @@ class _Parser:
     def module_item(self, mod, items):
         """Parse one item into ``items``; ``mod`` is None in a generate body."""
         high = self._port_marks()
-        tok = self.peek()
-        if tok.kind == "kw":
-            kw = tok.text
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "kw":
+            kw = self.texts[pos]
             if kw in ("input", "output"):
                 if mod is None:
                     raise UnsupportedConstruct("port declaration in a generate body",
-                                               f"{self.path}:{tok.line}")
+                                               f"{self.path}:{self.lines[pos]}")
                 self.port_decl(mod, high)
                 self.expect(";")
             elif kw in ("wire", "reg"):
@@ -251,7 +260,7 @@ class _Parser:
                 self.expect("=")
                 rhs = self.expression()
                 self.expect(";")
-                items.append(A.ContAssign(target, rhs, line=tok.line))
+                items.append(A.ContAssign(target, rhs, line=self.lines[pos]))
             elif kw == "always":
                 items.append(self.always_block())
             elif kw == "genvar":
@@ -268,21 +277,21 @@ class _Parser:
             elif kw == "for":
                 items.append(self.generate_for())
             elif kw in _REJECTED_ITEMS:
-                self.reject(tok)
+                self.reject(pos)
             else:
                 self.err(f"unexpected keyword {kw!r}")
-        elif tok.kind == "id":
+        elif kind == "id":
             items.append(self.instance())
         else:
-            self.err(f"unexpected token {tok.text!r}")
+            self.err(f"unexpected token {self.texts[pos]!r}")
 
     def net_decl(self, items):
-        kind = self.next().text
+        kind = self.texts[self.next()]
         msb, lsb = self.range_spec() if self.at("[") else (None, None)
         while True:
-            nt = self.expect("id")
+            pos = self.expect("id")
             init = self.expression() if self.accept("=") else None
-            items.append(A.NetDecl(kind, msb, lsb, nt.text, init, line=nt.line))
+            items.append(A.NetDecl(kind, msb, lsb, self.texts[pos], init, line=self.lines[pos]))
             if not self.accept(","):
                 break
         self.expect(";")
@@ -301,7 +310,7 @@ class _Parser:
                     self.expect("kw", "parameter")
                 if self.at("["):
                     self.range_spec()
-            name = self.expect("id").text
+            name = self.name()
             self.expect("=")
             params.append(A.ParamDecl(name, self.expression()))
             if not self.accept(","):
@@ -309,18 +318,18 @@ class _Parser:
             group = self.at("kw", "parameter") or self.at("kw", "localparam")
 
     def always_block(self):
-        tok = self.expect("kw", "always")
+        pos = self.expect("kw", "always")
         self.expect("@")
         paren = self.accept("(")
         if self.accept("*"):
             sens = ("comb",)
         elif self.accept("kw", "posedge"):
-            sens = ("posedge", self.expect("id").text)
+            sens = ("posedge", self.name())
             if self.at("id", "or") or self.at("kw", "or"):
                 raise UnsupportedConstruct(
-                    "multiple events in sensitivity list", f"{self.path}:{tok.line}")
+                    "multiple events in sensitivity list", f"{self.path}:{self.lines[pos]}")
         elif self.at("kw", "negedge"):
-            self.reject(tok)
+            self.reject(pos)
         else:
             # plain sensitivity list: treat as combinational
             while not self.at(")") and not self.at("eof"):  # 'next' stays on 'eof'
@@ -328,27 +337,27 @@ class _Parser:
             sens = ("comb",)
         if paren:
             self.expect(")")
-        return A.Always(sens, self.statement(), line=tok.line)
+        return A.Always(sens, self.statement(), line=self.lines[pos])
 
     def generate_for(self):
-        tok = self.expect("kw", "for")
+        pos = self.expect("kw", "for")
         self.expect("(")
-        genvar = self.expect("id").text
+        genvar = self.name()
         self.expect("=")
         init = self.expression()
         self.expect(";")
         cond = self.expression()
         self.expect(";")
-        step_var = self.expect("id").text
+        step_var = self.name()
         if step_var != genvar:
             self.err(f"generate step must update {genvar!r}")
         self.expect("=")
         step = self.expression()
         self.expect(")")
-        gen = A.GenerateFor(genvar, init, cond, step, [], line=tok.line)
+        gen = A.GenerateFor(genvar, init, cond, step, [], line=self.lines[pos])
         if self.accept("kw", "begin"):
             if self.accept(":"):
-                gen.label = self.expect("id").text
+                gen.label = self.name()
             while not self.at("kw", "end"):
                 self.module_item(None, gen.items)
             self.expect("kw", "end")
@@ -357,18 +366,18 @@ class _Parser:
         return gen
 
     def instance(self):
-        mtok = self.expect("id")
+        pos = self.expect("id")
         overrides = []
         if self.accept("#"):
             self.expect("(")
             overrides = self.connection_list()
             self.expect(")")
-        name = self.expect("id").text
+        name = self.name()
         self.expect("(")
         conns = self.connection_list()
         self.expect(")")
         self.expect(";")
-        return A.Instance(mtok.text, name, overrides, conns, line=mtok.line)
+        return A.Instance(self.texts[pos], name, overrides, conns, line=self.lines[pos])
 
     def connection_list(self):
         conns = []
@@ -376,7 +385,7 @@ class _Parser:
             return conns
         while True:
             if self.accept("."):
-                pname = self.expect("id").text
+                pname = self.name()
                 self.expect("(")
                 expr = None if self.at(")") else self.expression()
                 self.expect(")")
@@ -388,9 +397,10 @@ class _Parser:
 
     # -- statements --------------------------------------------------------
     def statement(self):
-        tok = self.peek()
-        if tok.kind == "kw":
-            if tok.text == "begin":
+        pos = self.pos
+        if self.kinds[pos] == "kw":
+            kw = self.texts[pos]
+            if kw == "begin":
                 self.next()
                 if self.accept(":"):
                     self.expect("id")
@@ -399,7 +409,7 @@ class _Parser:
                     stmts.append(self.statement())
                 self.expect("kw", "end")
                 return A.Block(stmts)
-            if tok.text == "if":
+            if kw == "if":
                 self.next()
                 self.expect("(")
                 cond = self.expression()
@@ -407,11 +417,11 @@ class _Parser:
                 then = self.statement()
                 other = self.statement() if self.accept("kw", "else") else None
                 return A.If(cond, then, other)
-            if tok.text == "case":
+            if kw == "case":
                 return self.case_stmt()
-            if tok.text in _REJECTED_ITEMS:
-                self.reject(tok)
-            self.err(f"unexpected keyword {tok.text!r} in statement")
+            if kw in _REJECTED_ITEMS:
+                self.reject(pos)
+            self.err(f"unexpected keyword {kw!r} in statement")
         target = self.lvalue()
         if self.accept("="):
             blocking = True
@@ -421,7 +431,7 @@ class _Parser:
             self.err("expected '=' or '<='")
         rhs = self.expression()
         self.expect(";")
-        return A.ProcAssign(target, rhs, blocking, line=tok.line)
+        return A.ProcAssign(target, rhs, blocking, line=self.lines[pos])
 
     def case_stmt(self):
         """A ``case`` as the ``if`` chain it means: arms in order, then ``default``."""
@@ -448,26 +458,32 @@ class _Parser:
         return node
 
     def lvalue(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "id":
-            self.err(f"expected 'id', found {tok.text!r}", tok)
-        self.pos += 1
-        if self.tokens[self.pos].kind != "[":
-            return A.Ident(tok.text)
-        self.pos += 1
+        """``name``, ``name[index]`` or ``name[msb:lsb]``; ``name[number]``
+        is read here, as the expression ladder would read it."""
+        pos, kinds = self.pos, self.kinds
+        if kinds[pos] != "id":
+            self.err(f"expected 'id', found {self.texts[pos]!r}")
+        name = self.texts[pos]
+        if kinds[pos + 1] != "[":  # an 'id' is never last: 'eof' is
+            self.pos = pos + 1
+            return A.Ident(name)
+        if kinds[pos + 2] == "num" and kinds[pos + 3] == "]":  # '[' and 'num' are not 'eof'
+            self.pos = pos + 4
+            return A.Select(name, A.Num(*self.values[pos + 2]))
+        self.pos = pos + 2
         first = self.expression()
         if self.accept(":"):
             lsb = self.expression()
             self.expect("]")
-            return A.PartSelect(tok.text, first, lsb)
+            return A.PartSelect(name, first, lsb)
         self.expect("]")
-        return A.Select(tok.text, first)
+        return A.Select(name, first)
 
     # -- expressions -------------------------------------------------------
     def expression(self):
         """A ternary, right-associative, over binary operands."""
         cond = self.binary()
-        if self.tokens[self.pos].kind != "?":
+        if self.kinds[self.pos] != "?":
             return cond
         self.pos += 1
         then = self.expression()
@@ -484,9 +500,9 @@ class _Parser:
     def binary(self, min_level=0):
         """Operators binding at ``min_level`` or tighter, left-associative."""
         left = self.unary()
-        tokens = self.tokens
+        kinds = self.kinds
         while True:
-            op = tokens[self.pos].kind
+            op = kinds[self.pos]
             level = _BIN_LEVEL.get(op)
             if level is None or level < min_level:
                 return left
@@ -495,16 +511,16 @@ class _Parser:
             left = A.Binary(_OP_ALIAS.get(op, op), left, right)
 
     def unary(self):
-        tok = self.tokens[self.pos]
-        kind = tok.kind
+        pos = self.pos
+        kind = self.kinds[pos]
         if kind == "id":
             return self.lvalue()
         if kind == "num":
-            self.pos += 1
-            return A.Num(*tok.value)
-        if kind in _UNARY:
-            self.pos += 1
-            return A.Unary(tok.text, self.unary())
+            self.pos = pos + 1
+            return A.Num(*self.values[pos])
+        if kind in _UNARY:  # punctuation: its kind is its text
+            self.pos = pos + 1
+            return A.Unary(kind, self.unary())
         return self.primary()
 
     def primary(self):
@@ -522,7 +538,7 @@ class _Parser:
                 return A.Repl(parts[0], A.Concat(tuple(value)) if len(value) > 1 else value[0])
             self.expect("}")
             return A.Concat(tuple(parts))
-        self.err(f"unexpected token {self.peek().text!r} in expression")
+        self.err(f"unexpected token {self.texts[self.pos]!r} in expression")
 
 
 def parse(source: A.SourceUnit) -> A.Ast:

@@ -28,7 +28,7 @@ from qflow.errors import (
 )
 from qflow.frontend import SourceUnit, const_eval, elaborate, extract_labels, parse
 from qflow.frontend import ast_nodes as A
-from qflow.frontend.lexer import _PUNCT, KEYWORDS, tokenize
+from qflow.frontend.lexer import _PUNCT, KEYWORDS, WIDTH_LIMIT, Token, tokenize
 from qflow.pipeline import render_report
 
 from conftest import analyze_source
@@ -104,6 +104,8 @@ def test_positions_after_multiline_comment_and_attribute():
     ("x\n \t 4'b3;", 2, 4, "invalid digit in literal \"4'b3\""),
     ("x\n  0'b1;", 2, 3, "zero-width literal \"0'b1\""),
     ("00'd0", 1, 1, "zero-width literal \"00'd0\""),
+    ("x 0b__ ", 1, 3, "invalid digit in literal '0b__'"),
+    ("x 4'b_ ", 1, 3, "invalid digit in literal \"4'b_\""),
 ])
 def test_lexer_error_positions(text, line, col, message):
     with pytest.raises(VerilogSyntaxError) as e:
@@ -178,6 +180,153 @@ def test_token_positions_point_at_their_text(case):
             assert at.startswith(t.text)
     assert tokens[-1] == ("eof", "", None, src.count("\n") + 1,
                           len(src.rsplit("\n", 1)[-1]) + 1)
+
+
+
+@pytest.mark.parametrize("text", ["1_0", "10_", "1__0"])
+def test_underscores_in_unsized_decimals(text):
+    # '_' may stand anywhere in a number but first; Python's int() rejects '10_'
+    assert tokenize("<t>", text)[0][0] == ("num", text, (10, None), 1, 1)
+
+    def report(lit):
+        src = (f"module m(input [15:0] k, // qflow: high\ninput [15:0] a,\n"
+               f"output [15:0] y, output [15:0] z);\nlocalparam W = {lit};\n"
+               f"assign y[W-1:0] = k[W-1:0];\nassign y[15:W] = a[15:W];\n"
+               f"assign z = (k & {lit}) ^ a;\nendmodule\n")
+        analysis = analyze_source(src, "m")
+        analysis.report.runtime_seconds = 0.0
+        return render_report(analysis, "json")
+
+    assert report(text) == report("10") != report("11")
+
+
+def test_leading_underscore_is_an_identifier():
+    assert [t[:3] for t in tokenize("<t>", "_0 _")[0]] == [
+        ("id", "_0", "_0"), ("id", "_", "_"), ("eof", "", None)]
+
+
+# The named-group ``finditer`` lexer that ``scan`` replaced, kept as the
+# reference for it, with two changes: a decimal is ``\d[\d_]*``, its value
+# read with every '_' removed, and '0b_' is a syntax error, not a ValueError.
+_REFERENCE_TOKEN = re.compile(r"[ \t\r]*(?:" + "|".join(
+    f"(?P<{name}>{pattern})" for name, pattern in (
+        ("punct", "|".join([r"[)\[\]{};:,.?#@+\-*%]",
+                            *(re.escape(p) for p in _PUNCT if len(p) > 1),
+                            r"\((?!\*(?!\)))", r"/(?![/*])", r"[=&|^~!<>]"])),
+        ("word", r"[A-Za-z_][A-Za-z0-9_$]*"),
+        ("newline", r"\n"),
+        ("sized", r"(?P<size>\d+)?'(?P<base>[bodhBODH])(?P<digits>[0-9a-fA-FxXzZ_?]+)"),
+        ("bin", r"0b(?P<bits>[01_]+)"),
+        ("dec", r"\d[\d_]*"),
+        ("comment", r"//[^\n]*"),
+        ("block", r"/\*(?:/|.*?\*/)"),
+        ("attr", r"\(\*(?!\))(?P<body>.*?)\*\)"),
+        ("open_block", r"/\*"),
+        ("open_attr", r"\(\*(?!\))"),
+        ("bad", r"[^ \t\r]"),
+    )) + ")", re.DOTALL)
+
+
+def _reference_sized(m, path, line, col):
+    base = m.group("base").lower()
+    digits = m.group("digits").replace("_", "")
+    if re.search(r"[xXzZ?]", digits):
+        raise UnsupportedConstruct(
+            "x/z value in literal (two-valued logic only)", f"{path}:{line}")
+    try:
+        value = int(digits, {"b": 2, "o": 8, "d": 10, "h": 16}[base])
+    except ValueError:
+        raise VerilogSyntaxError(
+            path, line, col, f"invalid digit in literal {m.group('sized')!r}") from None
+    if m.group("size") is not None:
+        width = int(m.group("size"))
+        if width == 0:
+            raise VerilogSyntaxError(path, line, col, f"zero-width literal {m.group('sized')!r}")
+    elif base == "d":
+        width = None
+    else:
+        width = len(digits) * {"b": 1, "o": 3, "h": 4}[base]
+    if width:
+        if width > WIDTH_LIMIT:
+            raise UnsupportedConstruct(
+                f"literal of {width} bits (at most {WIDTH_LIMIT})", f"{path}:{line}")
+        value &= (1 << width) - 1
+    return value, width
+
+
+def reference_tokenize(path, text):
+    tokens, high_lines = [], set()
+    line, linestart = 1, 0
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok = m.group(kind)
+        col = m.start(kind) - linestart + 1
+        if kind == "punct":
+            tokens.append(Token(tok, tok, tok, line, col))
+        elif kind == "word":
+            tokens.append(Token("kw" if tok in KEYWORDS else "id", tok, tok, line, col))
+        elif kind == "dec":
+            tokens.append(Token("num", tok, (int(tok.replace("_", "")), None), line, col))
+        elif kind == "newline":
+            line += 1
+            linestart = m.end()
+        elif kind == "sized":
+            tokens.append(Token("num", tok, _reference_sized(m, path, line, col), line, col))
+        elif kind == "bin":
+            bits = m.group("bits").replace("_", "")
+            if not bits:
+                raise VerilogSyntaxError(path, line, col, f"invalid digit in literal {tok!r}")
+            tokens.append(Token("num", tok, (int(bits, 2), len(bits)), line, col))
+        elif kind == "comment":
+            if re.search(r"qflow\s*:\s*high", tok, re.IGNORECASE):
+                high_lines.add(line)
+        elif kind in ("block", "attr"):
+            if kind == "attr":
+                body = m.group("body").strip()
+                tokens.append(Token("attr", body, body, line, col))
+            if "\n" in tok:
+                line += tok.count("\n")
+                linestart = m.start(kind) + tok.rindex("\n") + 1
+        else:
+            msg = {"open_block": "unterminated block comment",
+                   "open_attr": "unterminated attribute"}.get(
+                kind, f"unexpected character {tok!r}")
+            raise VerilogSyntaxError(path, line, col, msg)
+    tokens.append(Token("eof", "", None, line, len(text) - linestart + 1))
+    return tokens, high_lines
+
+
+def lexed(lex, text):
+    """(tokens, high lines), or the error's type and text: its path, line,
+    column and message."""
+    try:
+        return lex("<t>", text)
+    except (VerilogSyntaxError, UnsupportedConstruct) as e:
+        return type(e), str(e)
+
+
+# Pieces of text, whole tokens and parts of them: the first list rarely
+# makes an error, the second often does. '²' is a digit to str.isdigit but
+# not to '\d' or int(); 'é' is a letter to str.isalpha but not to the word
+# pattern; '٣' is a decimal digit to both.
+LEX_PIECES = [
+    *_PUNCT, "a", "k_1", "x$y", "High", "_", "_0", "module", "input", "endmodule",
+    "0", "7", "42", "10_", "1_0", "1__0", "٣", "0b", "0b0011", "0b1_0", "8'hFF", "4'b1010",
+    "'d9", "12'o7_7", "x", "z", "//", "// qflow: high", "//QFLOW :  High", "*/", "/*/",
+    "*)", "(*)", "(* qflow_high *)", "/* c */", " ", "\t", "\r", "\n", "\r\n",
+]
+LEX_TRAPS = ["$", "0b_", "00'd0", "4'b3", "4'bx1", "99999'd1", "'", "'h", "'b", "/*", "(*",
+             "é", "²", "`"]
+
+
+def lex_texts(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=40).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(lex_texts(LEX_PIECES), lex_texts(LEX_PIECES + LEX_TRAPS)))
+def test_scanner_matches_reference_lexer(text):
+    assert lexed(tokenize, text) == lexed(reference_tokenize, text)
 
 
 # -- parser ----------------------------------------------------------------
@@ -274,6 +423,29 @@ def test_binary_operator_table():
 def test_unary_and_ternary_shapes(expr, want):
     assert repr(rhs_of(expr)) == want
 
+
+
+@pytest.mark.parametrize("expr, ladder, want", [
+    ("k[3]", "k[(3)]", A.Select("k", A.Num(3))),
+    ("k[ 3 ]", "k[ (3) ]", A.Select("k", A.Num(3))),
+    ("k[4'd3]", "k[(4'd3)]", A.Select("k", A.Num(3, 4))),
+    ("k[3 + 1]", "k[(3) + 1]", A.Select("k", A.Binary("+", A.Num(3), A.Num(1)))),
+    ("k[3:0]", "k[(3):0]", A.PartSelect("k", A.Num(3), A.Num(0))),
+    ("k[k[1]]", "k[(k[(1)])]", A.Select("k", A.Select("k", A.Num(1)))),
+])
+def test_constant_bit_select_read(expr, ladder, want):
+    # 'name[number]' is read without the expression ladder; a parenthesis
+    # sends the index through it
+    assert rhs_of(expr) == rhs_of(ladder) == want
+
+
+@pytest.mark.parametrize("tail, col, found", [("k[3", 15, ""), ("k[3;\nendmodule\n", 15, ";")])
+def test_cut_constant_bit_select(tail, col, found):
+    # the read never looks past 'eof'
+    with pytest.raises(VerilogSyntaxError) as e:
+        parse_text(f"module m(input [3:0] k, output y);\nassign y = {tail}")
+    assert (e.value.line, e.value.col, e.value.message) == (
+        2, col, f"expected ']', found {found!r}")
 
 def test_deep_parentheses_parse_and_analyse():
     # 150 levels of parentheses that spell out the left-associative

@@ -332,6 +332,8 @@ class _Blaster:
                 except ValueError:
                     return self._shift_dynamic(bits, self.blast(expr.right),
                                                left=op == "<<")
+                if amt < 0:  # the amount is unsigned: every bit is shifted out
+                    return [CONST0] * len(bits)
                 if op == "<<":
                     return [bits[i - amt] if i - amt >= 0 else CONST0
                             for i in range(len(bits))]

@@ -84,15 +84,6 @@ class ArityMismatch(QFlowError):
         super().__init__(f"channel arity mismatch: {detail}")
 
 
-class NonConvergentFixpoint(QFlowError):
-    def __init__(self, registers):
-        super().__init__(
-            "sequential fixpoint did not converge over registers: "
-            + ", ".join(str(r) for r in registers)
-        )
-        self.registers = registers
-
-
 class TooLarge(QFlowError):
     def __init__(self, bits, limit):
         super().__init__(f"exhaustive enumeration over {bits} bits exceeds limit {limit}")

@@ -135,6 +135,8 @@ def const_eval(expr, env):
         return int(_CONST_UNARY[expr.op](v))
     if isinstance(expr, A.Binary):
         a, b = const_eval(expr.left, env), const_eval(expr.right, env)
+        if expr.op in ("<<", ">>") and b < 0:  # the amount is unsigned: every bit is shifted out
+            return 0
         if expr.op == "<<" and b > WIDTH_LIMIT:
             raise UnsupportedConstruct(
                 f"constant shift by {b} bits (at most {WIDTH_LIMIT})")

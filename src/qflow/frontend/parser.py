@@ -325,11 +325,11 @@ class _Parser:
             sens = ("comb",)
         elif self.accept("kw", "posedge"):
             sens = ("posedge", self.name())
-            if self.at("id", "or") or self.at("kw", "or"):
+            if self.at(",") or self.at("id", "or") or self.at("kw", "or"):
                 raise UnsupportedConstruct(
                     "multiple events in sensitivity list", f"{self.path}:{self.lines[pos]}")
         elif self.at("kw", "negedge"):
-            self.reject(pos)
+            self.reject(self.pos)
         else:
             # plain sensitivity list: treat as combinational
             while not self.at(")") and not self.at("eof"):  # 'next' stays on 'eof'

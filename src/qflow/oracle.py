@@ -23,10 +23,10 @@ from .bitgraph import CONST0, BindTree, BitRef, Node, eval_order, lane_masks, po
 from .channelizer import merge
 from .errors import TooLarge, TooManyObservations
 from .frontend.elaborate import ElaboratedDesign, FlatNet
-from .qif_engine import accumulate_totals, compute_dependencies, ordered_sum, propagate
+from .qif_engine import (DEFAULT_UNROLL_CYCLES, accumulate_totals, compute_dependencies,
+                         ordered_sum, propagate)
 
 ENUMERATION_LIMIT = 24
-DEFAULT_UNROLL_CYCLES = 8
 LANE_BITS = 16  # input bits per lane block: one unroll evaluates 2^16 assignments
 # distinct (observation, low) keys one group of blocks may hold: an injective
 # 20-bit design fits, and the keys held stay below KEY_CAP + 2^LANE_BITS

@@ -17,14 +17,14 @@ taint, P(1) and leakage vector, ``_kernel`` gives its P(1) and PBV, the
 summed leakage is scaled by the PBV, and every register whose root
 channel it is takes the same values, its leakage capped at each
 secret's source min-entropy.  A single channel that does not read itself
-through a register is one step.  A sequential cycle runs the step in
-two loops over its own channels: sweeps until the taint and P(1) of the
-registers it reads settle, then sweeps until the elementwise-max leakage
-cascade raises them by less than ``LEAK_TOL``; one that does not settle
-within ``MAX_FIXPOINT_ITERS`` sweeps raises ``NonConvergentFixpoint``.
-Only the registers a cycle reads wait for the end of a sweep.  Table
-channels with equal truth tables, input probabilities and taints share
-one enumeration per ``propagate`` call.
+through a register is one step.  A sequential cycle covers the oracle's
+horizon, ``DEFAULT_UNROLL_CYCLES`` cycles from reset: the registers it
+reads back start at P(1) = 0, tainted iff a tainted input enters the
+cycle, with every entering secret at its cap, and the step sweeps the
+cycle's channels that many times; before each sweep after the first,
+those registers take their root channel's P(1).  Table channels with
+equal truth tables, input probabilities and taints share one
+enumeration per ``propagate`` call.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from dataclasses import dataclass, field
 
 from .bitgraph import BitRef
 from .channelizer import Channel, ChannelGraph
-from .errors import ArityMismatch, NonConvergentFixpoint
+from .errors import ArityMismatch
 
-PROB_TOL = 1e-12
-LEAK_TOL = 1e-9
-MAX_FIXPOINT_ITERS = 100
+# cycles from reset that a register cycle and the oracle's unroll both cover
+DEFAULT_UNROLL_CYCLES = 8
 
 
 def ordered_sum(values):
@@ -153,7 +152,7 @@ class DependencyGraph:
 def compute_dependencies(graph: ChannelGraph) -> DependencyGraph:
     """Each channel's reads, in input order: its derived inputs, and for a
     register input, that register's root channel.  Sequential cycles are
-    flagged for the fixpoint."""
+    flagged for the 8-cycle sweeps."""
     deps, adj = DependencyGraph(), []
     root_channel, edges = graph.root_channel, deps.edges
     for ch in graph.channels:
@@ -267,7 +266,7 @@ class _Propagator:
                 ci for ch in chans for ci in ch.inputs
                 if type(ci) is not int and ci.role == "register"
                 and root_channel[ci] in cycle))
-            loops.update(dict.fromkeys(cycle, (chans, regs)))
+            loops.update(dict.fromkeys(cycle, (cycle, chans, regs)))
             looped.update(regs)
         held = {}  # cid -> the registers whose root channel it is and no cycle reads back
         for root, cid in root_channel.items():
@@ -325,58 +324,46 @@ class _Propagator:
         if len(chan_prob) != len(channels):
             raise ValueError("the dependency order does not reach every channel")
 
-    def _cycle(self, scc, chans, regs, held, step):
+    def _cycle(self, scc, cycle, chans, regs, held, step):
         """Taint, P(1), PBV and leakage of a cycle's channels and of the
-        registers they read back (``regs``).  Each loop sweeps ``chans``, the
-        channels in id order, with ``step`` until those registers settle.
-        The first stops at a sweep that moves no register and keeps the
-        values that sweep read, so every stored channel value is the kernel
-        of the stored register values; the second sweeps the same values
-        again, with the leakage those registers take."""
-        root_channel = self.graph.root_channel
+        registers they read back (``regs``), over the oracle's horizon.
+        Those registers start from reset, P(1) = 0; each is tainted iff a
+        tainted input enters the cycle from outside, and its leakage is
+        each entering secret's source min-entropy, the cap.  Then
+        ``DEFAULT_UNROLL_CYCLES`` sweeps run ``step`` over ``chans``, the
+        channels in id order; before each sweep after the first, the
+        registers take their root channel's P(1).  Every stored channel
+        value is the kernel of the stored register values."""
+        root_channel, chan_prob = self.graph.root_channel, self.chan_prob
+        tainted, sids = False, set()
+        for ch in chans:
+            for ci in ch.inputs:
+                if type(ci) is int:
+                    if ci in cycle:
+                        continue
+                    taint, vec = self.chan_tainted[ci], self.chan_leak[ci]
+                elif ci.role == "register":
+                    if root_channel[ci] in cycle:
+                        continue
+                    taint, vec = self.reg_tainted[ci], self.reg_leak[ci]
+                elif ci.role == "input-high":
+                    taint, vec = True, self.source[ci]
+                else:
+                    continue
+                tainted = tainted or taint
+                sids.update(vec)
+        top = {sid: self.minent[sid] for sid in sorted(sids)}
         for reg in regs:  # what the first sweep reads
-            self.reg_tainted[reg], self.reg_prob[reg], self.reg_leak[reg] = False, 0.5, {}
+            self.reg_tainted[reg], self.reg_prob[reg], self.reg_leak[reg] = tainted, 0.0, top
         for cid in scc:  # the other registers it holds come next, in component order
             for reg in held.get(cid, ()):
                 self.reg_prob[reg] = self.reg_leak[reg] = None
-        for _ in range(MAX_FIXPOINT_ITERS):
+        for sweep in range(DEFAULT_UNROLL_CYCLES):
+            if sweep:
+                for reg in regs:
+                    self.reg_prob[reg] = chan_prob[root_channel[reg]]
             for ch in chans:
                 step(ch)
-            if self._settled(regs):
-                break
-            for reg in regs:
-                cid = root_channel[reg]
-                self.reg_tainted[reg] = self.chan_tainted[cid]
-                self.reg_prob[reg] = self.chan_prob[cid]
-        else:
-            raise NonConvergentFixpoint(sorted(regs, key=str))
-        for _ in range(MAX_FIXPOINT_ITERS):
-            for ch in chans:
-                step(ch)
-            if self._raise_leak(regs) < LEAK_TOL:
-                return
-        raise NonConvergentFixpoint(sorted(regs, key=str))
-
-    def _settled(self, regs):
-        """No register's root channel has a new taint or a P(1) ``PROB_TOL`` away."""
-        for reg in regs:
-            cid = self.graph.root_channel[reg]
-            if (self.chan_tainted[cid] != self.reg_tainted[reg]
-                    or abs(self.chan_prob[cid] - self.reg_prob[reg]) >= PROB_TOL):
-                return False
-        return True
-
-    def _raise_leak(self, regs):
-        """Raise each register's vector to its root channel's; return the largest rise."""
-        delta = 0.0
-        for reg in regs:
-            cur = self.reg_leak[reg]
-            for sid, val in self.chan_leak[self.graph.root_channel[reg]].items():
-                val = min(val, self.minent[sid])  # bounded: guarantees convergence
-                if val > cur.get(sid, 0.0):
-                    delta = max(delta, val - cur.get(sid, 0.0))
-                    cur[sid] = val
-        return delta
 
 
 def propagate(graph: ChannelGraph, design, input_probs,

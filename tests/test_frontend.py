@@ -484,12 +484,17 @@ def test_sensitivity_list_cut_by_end_of_file(text, message):
 
 
 def test_rejected_constructs():
-    for snippet in (
-        "module m(inout a); endmodule",
-        "module m(input a); initial begin end endmodule",
-        "module m(input clk); always @(negedge clk) begin end endmodule",
+    for snippet, message in (
+        ("module m(inout a); endmodule", "inout port"),
+        ("module m(input a); initial begin end endmodule", "initial block"),
+        ("module m(input clk); always @(negedge clk) begin end endmodule",
+         "negedge-triggered logic"),
+        ("module m(input clk, input rst); always @(posedge clk, posedge rst) begin end endmodule",
+         "multiple events in sensitivity list"),
+        ("module m(input clk, input rst); always @(posedge clk or posedge rst) begin end endmodule",
+         "multiple events in sensitivity list"),
     ):
-        with pytest.raises(UnsupportedConstruct):
+        with pytest.raises(UnsupportedConstruct, match=f"unsupported construct: {message} at"):
             parse_text(snippet)
 
 
@@ -716,6 +721,23 @@ def test_right_shift_of_negative_constant_rejected():
     for expr in ("(-4 >> 1) + 3", "-4 >>> 1"):
         with pytest.raises(UnsupportedConstruct, match="logical shift of a negative constant"):
             full(CONST_PARAM.format(expr=expr), "m")
+
+
+@pytest.mark.parametrize("body", [
+    "assign y = k << -1;", "assign y = k >> -1;", "assign y = k <<< -1;",
+    "assign y = k >>> (1 - 3);", "localparam P = 1 << -1;\nassign y = P;",
+    "localparam P = 15 >> -1;\nassign y = P;",
+])
+def test_negative_shift_amount_shifts_every_bit_out(body):
+    # Verilog reads a shift amount as unsigned, so a negative one is huge
+    def report(text):
+        analysis = analyze_source("module m(input [3:0] k, // qflow: high\n"
+                                  f"output [3:0] y);\n{text}\nendmodule\n", "m")
+        analysis.report.runtime_seconds = 0.0
+        return render_report(analysis, "json")
+
+    assert report(body) == report("assign y = 4'b0;")
+    assert const_eval(A.Binary("<<", A.Num(1), A.Num(-1)), {}) == 0
 
 
 def test_hierarchy_flat_names():

@@ -25,7 +25,8 @@ from qflow.oracle import (
 )
 
 from conftest import analyze_corpus, analyze_source
-from test_qif_engine import CYCLE_DESIGNS
+from test_pinned_outputs import HELD_IN_CYCLE
+from test_qif_engine import CYCLE_DESIGNS, LOOP_REG, STICKY
 
 
 def flat(src, top):
@@ -440,6 +441,39 @@ def test_class_masks_match_keys_and_reference(outputs, lane_bits):
             want = reference_posterior(f, probs)
             assert posterior(f, probs, lane_bits, outputs) == want
             assert posterior(f, probs, lane_bits, 0) == want
+
+
+def feedback_ring(n):
+    """``s0 <= s{n-1} ^ key; s{i} <= s{i-1} ^ a``: one register cycle of n."""
+    body = f"s0 <= s{n - 1} ^ key;\n" + "".join(f"s{i} <= s{i - 1} ^ a;\n" for i in range(1, n))
+    return (f"module m(input clk, High input key, input a, output y);\n"
+            f"reg {', '.join(f's{i}' for i in range(n))};\n"
+            f"always @(posedge clk) begin\n{body}end\nassign y = s{n - 1};\nendmodule\n")
+
+
+def assert_at_or_above_exact(src, p_high=None, bound=5):
+    a = analyze_source(src, "m", p_high=p_high, max_channel_inputs=bound, cap=False)
+    probs = {(n, b): p_high for n, b, _sid in a.design.high_bits()} if p_high is not None else {}
+    _, exact = exact_multiplicative_leakage(flatten_forest(a.forest, a.design), probs)
+    assert sum(a.totals.values()) >= exact - 1e-9
+
+
+FEEDBACK = dict(CYCLE_DESIGNS, loop_reg=LOOP_REG, held_in_cycle=HELD_IN_CYCLE, sticky=STICKY)
+
+
+@pytest.mark.parametrize("bound", (1, 2, 5))
+@pytest.mark.parametrize("p_high", (None, 0.9, 0.3))
+@pytest.mark.parametrize("name", sorted(FEEDBACK))
+def test_register_cycles_at_or_above_exact(name, p_high, bound):
+    """Each register a cycle reads back enters it at every entering
+    secret's cap, so no uncapped total falls below the oracle's 8 cycles."""
+    assert_at_or_above_exact(FEEDBACK[name], p_high, bound)
+
+
+def test_feedback_rings_at_or_above_exact():
+    # past 8 registers the key reaches y only after the horizon, and the exact value is 0
+    for n in range(1, 51):
+        assert_at_or_above_exact(feedback_ring(n))
 
 
 @pytest.mark.parametrize("lane_bits", (0, 2, 3, 16))

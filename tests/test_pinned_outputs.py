@@ -79,12 +79,13 @@ def digest(name):
     return hashlib.sha256(outputs_text(analyze(config, file_texts=files)).encode()).hexdigest()
 
 
-# recorded at 8dd75c9
+# recorded at 8dd75c9; the register-cycle designs (accumulator, downstream,
+# held_in_cycle, lfsr, ring) re-recorded when cycles moved to the 8-cycle horizon
 PINNED = {
     "accumulator@bound2":
-        "cb42d257a256b52c9d6a47880cec59f0fc4016f1062a573c4105a20d6909dcb9",
+        "e81689fd49b8b6af3dda669d4b10c43267435a055d3ff986f70246f30763f90d",
     "accumulator@default":
-        "9e9d4d24c0f8ac9d3fe7e959aaec259fee1dcb7bf696004fcb94eb03634c2332",
+        "42fe4442f1fdce5d17c8d4ea15b1c3aefcd566ff293cf0d7ffd93d4f869a3ba8",
     "accumulator@p0.9":
         "346e82395a8b69425d61c3fea47ff64b698a9c11e030b42b31d0f2e082318b04",
     "aes_t2100@bound2":
@@ -108,11 +109,11 @@ PINNED = {
     "datapath@default":
         "75c3ebe9429d4af97152c2b41b0bc4521089475eeb4706683bb65e6b749ba3d7",
     "downstream@bound2":
-        "b17ac339db6cea4a918ce6d27c7eec9370f6dcda25a00936974a02a41ce222a8",
+        "3eb167610f495686b484439ae211663de5cac41bd5058641bc591b6ac81a4d92",
     "downstream@default":
-        "f38c4692e1af76ffdc91ba444e2812ef6d3323dbe4b58021a78ce906e97e01f1",
+        "4af03caba92d332c8898329bc72c7f0dbc5215cc9e1021333c5eaedf05bc4c3b",
     "downstream@p0.9":
-        "1d0861b983068d925fbe3b0daa10cc12ca36d36f4c8c409bba220ba641ac39ca",
+        "142d76fb895a2ef8ac4efbf66c1f05200f3cb994133f3f67a731bb008f9e85db",
     "example@bound2":
         "1309b341db980ce159e2ee63492b3067354fe1c265656eef86fe36b3db9cddc4",
     "example@default":
@@ -120,27 +121,27 @@ PINNED = {
     "example@p0.9":
         "8ba02ab7ab259bbe7e1128d55057edd472f498dd4f2c381b1cfe58d3968a7d37",
     "held_in_cycle@bound2":
-        "c84e9045a7aabf3ebddbec6effa3e60ddda3b8a99743312337d0f1c2aa5e4b20",
+        "3d7a7bd28f8357fa544c36f309dc6c36a6bd6cda0ad40a6ff5a24c75681a2b60",
     "held_in_cycle@default":
-        "0e4758f334284e381072fd9547b01be17df1b3ced3b0bec1b4d5d26a511f3b8e",
+        "5ee7d800bfcb0302812ecffb1d47f3202f0bdf6beeff0ea6cd99bc14f82ba390",
     "held_in_cycle@p0.9":
-        "a14e6a24802f2bb7ebb6fc6f292121c5d039baee17fc49b94574dba09e4857b3",
+        "74ff38fd90daef6642a9f2948a08aae3b4c687854d4d088d047b406c2ded2bb8",
     "lfsr@bound2":
-        "38a9e147484ecc8a09e5b09badc53344fb705332e24a0a382b63e1d76462ca0a",
+        "7cd234594cd3baf55c7ddb99883afa06a7a1fde9bff6621b048494d537af31b8",
     "lfsr@default":
-        "9b55528b83ceaaeef3c387f2991398424c314b4bb3f2c32a2f45bc81ddf48b2d",
+        "d758cf1dd61ca678ec064d44d1e5d90cafb53145f9c9ff7a04dfc57ecda68441",
     "lfsr@p0.9":
-        "409ded3f74bd67e0b964e349153ec985578f103048e46e8ed88eb74ce597e0a6",
+        "d4efa39275f7aee294fd83e15883024e02d88c61c6d75eb8e7be4aee75630d35",
     "reconvergent@default":
         "bea56e1aa2c15a8de8eea4018c116d01226aac992d1bb2c938464bbf1f624098",
     "register_pipeline@default":
         "04a9b5a47ca9757efdc448b3217b0d1f1673ac0c35be99aed102d21548e977fc",
     "ring@bound2":
-        "f9b311c490f5997e8068ae07d135cda8a9bdd279bfbde0b4b860fb2db44185a1",
+        "ca52130c0c9ab81ea29ca0e67c7147812d747cceb03b00c24b5c4d6a4e94488b",
     "ring@default":
-        "7695e41fb8a24a6974596f638cc9145e30933754939ab392e88494806e2c0982",
+        "16b4b11bd8a08e1258a5f9cf1eb18a9da90984047f998043d1e2aa7ed60f3c1b",
     "ring@p0.9":
-        "82e7d289af3e979bd13eb4a50bdc4ec6f16115442171f2c5befa9a958fb2865e",
+        "a2a3993938478d21b21506385694d4bd116004545efebb7df823de38d23ed055",
     "toy_spn@bound2":
         "956dd03ca0fd50c547871d2e97757c0e17222f5a9be0174972bf8a753c0cc256",
     "toy_spn@default":
@@ -156,7 +157,7 @@ def test_analysis_outputs_pinned(name):
 
 
 def test_every_case_pinned():
-    # every design of CYCLES converges in all three configurations
+    # every design of CYCLES gets a report in all three configurations
     assert set(PINNED) == ({f"{design}@{config}" for config in CONFIGS
                             for design in (*(f[:-2] for f, *_ in CORPUS), *CYCLES)}
                            | {f"{design}@default" for design in INLINE})

@@ -7,10 +7,13 @@ same ``Node``, so a wire read twice is one node with two parents.  Every
 consumer of these DAGs (``BindTree.leaves``, ``eval_node``, the
 channelizer, ``dump_forest``, the oracle) walks ``postorder``: each node
 once, after its children, at any depth.  Comparisons always become
-gates.  An adder or subtractor wider than the expansion limit stays as
-one width-tagged macro node per sum bit, which the engine models in
-closed form.  Which register reads which is a question for the channel
-graph (``qif_engine.compute_dependencies``), not for these DAGs.
+gates.  One method, ``_add``, lowers ``+``, binary ``-`` and unary
+``-``: up to ``EXPAND_LIMIT`` bits to gates, wider to one width-tagged
+macro node per sum bit, which the engine models in closed form.  One
+method, ``_pick``, lowers constant bit- and part-selects, of a net or
+of a rebuilt value alike.  Which register reads which is a question for
+the channel graph (``qif_engine.compute_dependencies``), not for these
+DAGs.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .frontend import ast_nodes as A
 from .frontend.elaborate import ElaboratedDesign, const_eval
 from .frontend.lexer import WIDTH_LIMIT
 
-DEFAULT_EXPAND_LIMIT = 4
+EXPAND_LIMIT = 4  # the widest adder or subtractor lowered to gates
 _SHIFT_AMOUNT_LIMIT = 16
 
 _MACRO_OPS = ("ADDM", "SUBM")
@@ -137,9 +140,8 @@ def _check_width(width, what):
 
 
 class _Blaster:
-    def __init__(self, design: ElaboratedDesign, expand_limit=DEFAULT_EXPAND_LIMIT):
+    def __init__(self, design: ElaboratedDesign):
         self.design = design
-        self.expand_limit = expand_limit
         self.driver = design.driver  # built by ``elaborate`` for its MultipleDrivers check
         self.seq_bits = {key for key, a in self.driver.items() if a.sequential}
         # the leaf role of each input net's bits; a register bit's role is "register"
@@ -236,6 +238,14 @@ class _Blaster:
         return lt
 
     def _add(self, abits, bbits, subtract):
+        """The bits of a + b, or of a - b, over operands of one width: a
+        ripple-carry chain of gates up to ``EXPAND_LIMIT`` bits, and past
+        it one ADDM or SUBM macro node per sum bit."""
+        w = len(abits)
+        if w > EXPAND_LIMIT:
+            op = "SUBM" if subtract else "ADDM"
+            kids = tuple(abits + bbits)
+            return [Node(op, kids, meta=(w, k)) for k in range(w)]
         out = []
         carry = CONST1 if subtract else CONST0
         for x, y in zip(abits, bbits):
@@ -245,6 +255,16 @@ class _Blaster:
             carry = _or(_and(x, y), _and(carry, _xor(x, y)))
             out.append(s)
         return out
+
+    def _pick(self, base, indices):
+        """The bits of ``base``, a net name or an expression, at constant
+        ``indices``; an index out of range gives CONST0.  A net gives only
+        the picked bits: blasting the whole vector would follow c[i] into
+        c[i+1] on carry chains."""
+        if isinstance(base, str):
+            return [self.net_bit(base, i) if i >= 0 else CONST0 for i in indices]
+        bits = self.blast(base)
+        return [bits[i] if 0 <= i < len(bits) else CONST0 for i in indices]
 
     def _blast(self, expr):
         if isinstance(expr, A.Num):
@@ -259,17 +279,10 @@ class _Blaster:
             try:
                 idx = const_eval(expr.index, {})
             except ValueError:
-                idx = None
-            if idx is not None and isinstance(expr.base, str):
-                # only the selected bit: blasting the whole base vector would
-                # follow c[i] into c[i+1] on carry chains
-                return [self.net_bit(expr.base, idx) if idx >= 0 else CONST0]
-            base_bits = (self.blast(A.Ident(expr.base)) if isinstance(expr.base, str)
-                         else self.blast(expr.base))
-            if idx is None:
-                amt = self.blast(expr.index)
-                return [self._shift_dynamic(base_bits, amt, left=False)[0]]
-            return [base_bits[idx] if 0 <= idx < len(base_bits) else CONST0]
+                base = expr.base
+                bits = self.blast(A.Ident(base) if isinstance(base, str) else base)
+                return [self._shift_dynamic(bits, self.blast(expr.index), left=False)[0]]
+            return self._pick(expr.base, (idx,))
         if isinstance(expr, A.PartSelect):
             msb = const_eval(expr.msb, {})
             lsb = const_eval(expr.lsb, {})
@@ -277,13 +290,7 @@ class _Blaster:
                 raise WidthMismatch(expr.base if isinstance(expr.base, str) else "expression",
                                     f"reversed range [{msb}:{lsb}]")
             _check_width(msb - lsb + 1, "part-select")
-            if isinstance(expr.base, str):
-                # only the selected bits, as for a constant Select
-                return [self.net_bit(expr.base, i) if i >= 0 else CONST0
-                        for i in range(lsb, msb + 1)]
-            base_bits = self.blast(expr.base)
-            return [base_bits[i] if 0 <= i < len(base_bits) else CONST0
-                    for i in range(lsb, msb + 1)]
+            return self._pick(expr.base, range(lsb, msb + 1))
         if isinstance(expr, A.Unary):
             op = expr.op
             if op == "~":
@@ -292,12 +299,7 @@ class _Blaster:
                 return self.blast(expr.operand)
             if op == "-":
                 bits = self.blast(expr.operand)
-                zeros = [CONST0] * len(bits)
-                if len(bits) > self.expand_limit:
-                    w = len(bits)
-                    return [Node("SUBM", tuple(zeros + bits), meta=(w, k))
-                            for k in range(w)]
-                return self._add(zeros, bits, subtract=True)
+                return self._add([CONST0] * len(bits), bits, subtract=True)
             if op == "!":
                 return [_not(self._bool(expr.operand))]
             bits = self.blast(expr.operand)
@@ -341,10 +343,6 @@ class _Blaster:
                         for i in range(len(bits))]
             if op in ("+", "-"):
                 ab, bb = self._operands(expr.left, expr.right)
-                w = len(ab)
-                if w > self.expand_limit:
-                    mop = "ADDM" if op == "+" else "SUBM"
-                    return [Node(mop, tuple(ab + bb), meta=(w, k)) for k in range(w)]
                 return self._add(ab, bb, subtract=op == "-")
             raise UnsupportedConstruct(f"operator {op}")
         if isinstance(expr, A.Ternary):
@@ -366,9 +364,9 @@ class _Blaster:
         raise UnsupportedConstruct(type(expr).__name__)
 
 
-def bit_blast(design: ElaboratedDesign, expand_limit=DEFAULT_EXPAND_LIMIT):
+def bit_blast(design: ElaboratedDesign):
     """One BindTree per top-output bit and per register bit, stable order."""
-    blaster = _Blaster(design, expand_limit)
+    blaster = _Blaster(design)
     driver, seq_bits = blaster.driver, blaster.seq_bits
     roots = [(net, bit, "register") for net, bit in sorted(seq_bits)]
     for key in design.output_bits():

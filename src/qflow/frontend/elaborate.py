@@ -31,7 +31,6 @@ from ..errors import (
 from . import ast_nodes as A
 from .lexer import WIDTH_LIMIT
 
-_GENERATE_UNROLL_LIMIT = 1 << 16
 # Constants are unbounded ints, so ``a << b`` costs b bits of memory, and
 # ``a * b`` the bits of both (squaring a parameter per line would double
 # them): both are held to ``WIDTH_LIMIT`` bits, as nets are.
@@ -321,7 +320,7 @@ class _Elaborator:
         except ValueError as e:
             raise NonConstantGenerateBound(f"genvar {gen.genvar}") from e
         envs = []
-        for _ in range(_GENERATE_UNROLL_LIMIT):
+        for _ in range(WIDTH_LIMIT + 1):  # one more, to tell a loop past the limit
             ienv = dict(env)
             ienv[gen.genvar] = val
             try:
@@ -331,7 +330,8 @@ class _Elaborator:
                 val = const_eval(gen.step, ienv)
             except ValueError as e:
                 raise NonConstantGenerateBound(f"genvar {gen.genvar}") from e
-        raise NonConstantGenerateBound(f"genvar {gen.genvar}: unroll limit exceeded")
+        raise UnsupportedConstruct(
+            f"generate loop of more than {WIDTH_LIMIT} iterations (genvar {gen.genvar})")
 
     def _elab_item(self, item, env, scope, stack):
         if isinstance(item, A.ContAssign):
@@ -545,6 +545,8 @@ def elaborate(ast: A.Ast, top: str, labels: dict) -> ElaboratedDesign:
         w = elab.nets[target].width
         if not (0 <= a.lsb <= a.msb < w):
             raise WidthMismatch(target, f"range [{a.msb}:{a.lsb}] outside width {w}")
+        if elab.nets[target].kind == "input":  # the top's inputs are driven from outside
+            raise MultipleDrivers(target, a.lsb)
         for b in range(a.lsb, a.msb + 1):
             if driver.setdefault((target, b), a) is not a:
                 raise MultipleDrivers(target, b)

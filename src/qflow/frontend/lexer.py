@@ -22,9 +22,10 @@ characters) is decoded further. Columns are counted from the lengths of
 the blanks and the tokens. ``scan`` fills parallel columns, which the
 parser indexes directly; ``tokenize`` zips them into ``Token`` tuples.
 
-Comments are stripped here, except that ``// qflow: high`` trailing
-comments are recorded by line number so the parser can mark the last
-input group on that line as secret.
+Comments are stripped here, except that each ``// qflow: high`` line
+comment is recorded, as ``{line: column}``, where the scan meets it: the
+parser marks the last input group on that line as secret and reports a
+comment that marks none at its column.
 """
 
 from __future__ import annotations
@@ -151,12 +152,13 @@ def _rare(tok, path, line, col):
 
 
 def scan(path: str, text: str):
-    """Return (columns, high_comment_lines). The columns are five parallel
+    """Return (columns, high_comments). The columns are five parallel
     lists, kinds, texts, values, lines and cols, with one entry per
-    ``Token`` field and per token, 'eof' last."""
+    ``Token`` field and per token, 'eof' last; ``high_comments`` maps
+    the line of each ``// qflow: high`` comment to its column."""
     columns = ([], [], [], [], [])
     add_kind, add_text, add_value, add_line, add_col = (c.append for c in columns)
-    high_lines = set()
+    high_comments = {}
     kind_of, word_start = _KIND.get, _WORD_START
     line = col = 1  # of the next character
     for blanks, tok in _SCAN.findall(text):
@@ -171,7 +173,7 @@ def scan(path: str, text: str):
                 token = _rare(tok, path, line, col)
                 if token is None:  # a comment; a line comment may mark its line
                     if tok[1] == "/" and _HIGH_COMMENT.search(tok):
-                        high_lines.add(line)
+                        high_comments[line] = col
                 else:
                     for column, item in zip(columns, (*token, line, col)):
                         column.append(item)
@@ -195,32 +197,11 @@ def scan(path: str, text: str):
         col += len(tok)
     for column, item in zip(columns, ("eof", "", None, line, len(text) - text.rfind("\n"))):
         column.append(item)
-    return columns, high_lines
+    return columns, high_comments
 
 
 def tokenize(path: str, text: str):
     """Return (tokens, high_comment_lines): ``scan``'s columns as ``Token`` tuples."""
-    columns, high_lines = scan(path, text)
-    return list(map(Token._make, zip(*columns))), high_lines
+    columns, high_comments = scan(path, text)
+    return list(map(Token._make, zip(*columns))), set(high_comments)
 
-
-def line_comment_column(text: str, line: int):
-    """The column of the ``//`` comment on ``line`` of a text that
-    ``scan`` accepts, as it lexes it: a ``//`` inside a block comment
-    or an attribute is not one.  None if the line has no such comment."""
-    lineno = col = 1
-    for blanks, tok in _SCAN.findall(text):
-        col += len(blanks)
-        if tok == "\n":
-            if lineno == line:
-                return None
-            lineno += 1
-            col = 1
-        elif lineno == line and tok.startswith("//"):
-            return col
-        elif "\n" in tok:
-            lineno += tok.count("\n")
-            col = len(tok) - tok.rindex("\n")
-        else:
-            col += len(tok)
-    return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..errors import UnknownSignal, UnsupportedConstruct, VerilogSyntaxError
 from . import ast_nodes as A
-from .lexer import line_comment_column, scan
+from .lexer import scan
 
 _QFLOW_ATTR = "qflow_high"
 _DIRECTIONS = ("input", "output", "inout")
@@ -54,10 +54,9 @@ _UNARY = frozenset(("~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"))
 class _Parser:
     def __init__(self, path, text):
         self.path = path
-        self.text = text
-        columns, self.high_lines = scan(path, text)
+        # the line -> column of each '// qflow: high' comment no input group has used yet
+        columns, self.high_comments = scan(path, text)
         self.kinds, self.texts, self.values, self.lines, self.cols = columns
-        self.marked_lines = set()  # high lines that trail an input group
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
@@ -115,11 +114,9 @@ class _Parser:
                 modules.append(self.module())
             else:
                 self.err("expected 'module'")
-        stray = sorted(self.high_lines - self.marked_lines)
-        if stray:
-            line = stray[0]
-            col = line_comment_column(self.text, line)
-            raise VerilogSyntaxError(self.path, line, col,
+        if self.high_comments:
+            line = min(self.high_comments)
+            raise VerilogSyntaxError(self.path, line, self.high_comments[line],
                                      "'// qflow: high' trails no input declaration")
         return modules
 
@@ -210,16 +207,16 @@ class _Parser:
         """Whether a ``// qflow: high`` comment ends a line of an input
         group with no other input group between the group's last name on
         that line and the comment: the comment marks the last input group
-        on its line.  Each such line is recorded in ``marked_lines``."""
+        on its line.  Each such comment is deleted from ``high_comments``."""
         kinds, texts, lines = self.kinds, self.texts, self.lines
         trailed = False
         for line, pos in ends.items():
-            if line in self.high_lines:
+            if line in self.high_comments:
                 pos += 1  # 'eof' ends the columns
                 while lines[pos] == line and kinds[pos] != "eof" and texts[pos] != "input":
                     pos += 1
                 if lines[pos] != line or texts[pos] != "input":
-                    self.marked_lines.add(line)
+                    del self.high_comments[line]
                     trailed = True
         return trailed
 

@@ -9,22 +9,24 @@ truth table; no joint table is built.  Leakage cascades by summing
 incoming per-secret-bit leakage over channel inputs and scaling by the
 channel PBV.  Registers pass probabilities and leakage through unchanged.
 
-Propagation is one pass over the strongly connected components of the
-channel graph, dependencies first: a channel reads its derived inputs,
-and a register input is an edge to that register's root channel.  One
-step computes a channel: one loop over its inputs reads each one's
-taint, P(1) and leakage vector, ``_kernel`` gives its P(1) and PBV, the
-summed leakage is scaled by the PBV, and every register whose root
-channel it is takes the same values, its leakage capped at each
-secret's source min-entropy.  A single channel that does not read itself
-through a register is one step.  A sequential cycle covers the oracle's
-horizon, ``DEFAULT_UNROLL_CYCLES`` cycles from reset: the registers it
-reads back start at P(1) = 0, tainted iff a tainted input enters the
-cycle, with every entering secret at its cap, and the step sweeps the
-cycle's channels that many times; before each sweep after the first,
-those registers take their root channel's P(1).  Table channels with
-equal truth tables, input probabilities and taints share one
-enumeration per ``propagate`` call.
+Propagation, ``propagate``, is one pass over the strongly connected
+components of the channel graph, dependencies first: a channel reads its
+derived inputs, and a register input is an edge to that register's root
+channel.  ``propagate`` creates the ``ProbAnnotatedGraph`` it returns and
+fills its dicts as it goes.  One step, a local function, computes a
+channel: one loop over its inputs reads each one's taint, P(1) and
+leakage vector, ``_kernel`` gives its P(1) and PBV, the summed leakage is
+scaled by the PBV, and every register whose root channel it is takes the
+same values, its leakage capped at each secret's source min-entropy.
+A single channel that does not read itself through a register is one
+step.  A sequential cycle covers the oracle's horizon,
+``DEFAULT_UNROLL_CYCLES`` cycles from reset: the registers it reads back
+start at P(1) = 0, tainted iff a tainted input enters the cycle, with
+every entering secret at its cap, and the step sweeps the cycle's
+channels that many times; before each sweep after the first, those
+registers take their root channel's P(1).  Table channels with equal
+truth tables, input probabilities and taints share one enumeration per
+``propagate`` call, through the memo that ``propagate`` hands ``_kernel``.
 """
 
 from __future__ import annotations
@@ -224,107 +226,95 @@ def _sccs(adj):
 # --------------------------------------------------------------------------
 # Design-level propagation
 
-class _Propagator:
-    def __init__(self, graph: ChannelGraph, design, input_probs):
-        self.graph = graph
-        self.input_probs = input_probs
-        self.secrets = [(sid, net, bit, input_probs.get((net, bit), 0.5))
-                        for net, bit, sid in design.high_bits()]
-        self.minent = {sid: source_leakage(p) for sid, _n, _b, p in self.secrets}
-        self.source = {BitRef(net, bit, "input-high"): {sid: self.minent[sid]}
-                       if self.minent[sid] > 0.0 else {} for sid, net, bit, _p in self.secrets}
-        self.chan_prob, self.chan_pbv, self.chan_leak, self.chan_tainted = {}, {}, {}, {}
-        # (table, probs, tainted) -> kernel result, for this propagation only;
-        # len(probs) fixes the arity, so equal keys give equal results
-        self.kernel_memo = {}
+def _kernel(memo, ch, probs, tainted):
+    """``channel_prob_pbv``, memoised in ``memo`` for table channels (a
+    macro channel's result depends on its macro node, which the key lacks).
+    ``len(probs)`` fixes the arity, so equal keys give equal results."""
+    if ch.macro is not None:
+        return channel_prob_pbv(ch, probs, tainted)
+    key = (ch.table, tuple(probs), tuple(tainted))
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = channel_prob_pbv(ch, probs, tainted)
+    return out
 
-    def _kernel(self, ch, probs, tainted):
-        """``channel_prob_pbv``, memoised for table channels (a macro
-        channel's result depends on its macro node, which the key lacks)."""
-        if ch.macro is not None:
-            return channel_prob_pbv(ch, probs, tainted)
-        key = (ch.table, tuple(probs), tuple(tainted))
-        out = self.kernel_memo.get(key)
-        if out is None:
-            out = self.kernel_memo[key] = channel_prob_pbv(ch, probs, tainted)
-        return out
 
-    def run(self, deps: DependencyGraph):
-        channels, root_channel = self.graph.channels, self.graph.root_channel
-        # each register's values, final once its root channel is
-        self.reg_tainted, self.reg_prob, self.reg_leak = {}, {}, {}
-        chan_prob, chan_pbv, chan_leak = self.chan_prob, self.chan_pbv, self.chan_leak
-        chan_tainted, reg_tainted = self.chan_tainted, self.reg_tainted
-        reg_prob, reg_leak = self.reg_prob, self.reg_leak
-        input_probs, source, minent, kernel = (
-            self.input_probs, self.source, self.minent, self._kernel)
-        # cid -> its cycle's channels in id order, and the registers the cycle reads back
-        loops, looped = {}, set()
-        for cycle in deps.cycles:
-            chans = [channels[cid] for cid in sorted(cycle)]
-            regs = list(dict.fromkeys(
-                ci for ch in chans for ci in ch.inputs
-                if type(ci) is not int and ci.role == "register"
-                and root_channel[ci] in cycle))
-            loops.update(dict.fromkeys(cycle, (cycle, chans, regs)))
-            looped.update(regs)
-        held = {}  # cid -> the registers whose root channel it is and no cycle reads back
-        for root, cid in root_channel.items():
-            if root.role == "register" and root not in looped:
-                held.setdefault(cid, []).append(root)
+def propagate(graph: ChannelGraph, design, input_probs,
+              deps: DependencyGraph) -> ProbAnnotatedGraph:
+    """Probabilities, PBVs and leakage vectors, one SCC of ``deps`` at a time;
+    ``deps`` is ``compute_dependencies(graph)``."""
+    input_probs = input_probs or {}
+    secrets = [(sid, net, bit, input_probs.get((net, bit), 0.5))
+               for net, bit, sid in design.high_bits()]
+    out = ProbAnnotatedGraph(graph=graph, secrets=secrets)
+    minent = {sid: source_leakage(p) for sid, _n, _b, p in secrets}
+    source = {BitRef(net, bit, "input-high"): {sid: minent[sid]} if minent[sid] > 0.0 else {}
+              for sid, net, bit, _p in secrets}
+    channels, root_channel = graph.channels, graph.root_channel
+    chan_prob, chan_pbv, chan_leak, chan_tainted = (
+        out.chan_prob, out.chan_pbv, out.chan_leak, out.chan_tainted)
+    # each register's values, final once its root channel is
+    reg_prob, reg_leak, reg_tainted = out.reg_prob, out.reg_leak, {}
+    # (table, probs, tainted) -> kernel result, for this propagation only
+    kernel = functools.partial(_kernel, {})
+    # cid -> its cycle's channels in id order, and the registers the cycle reads back
+    loops, looped = {}, set()
+    for cycle in deps.cycles:
+        chans = [channels[cid] for cid in sorted(cycle)]
+        regs = list(dict.fromkeys(
+            ci for ch in chans for ci in ch.inputs
+            if type(ci) is not int and ci.role == "register"
+            and root_channel[ci] in cycle))
+        loops.update(dict.fromkeys(cycle, (cycle, chans, regs)))
+        looped.update(regs)
+    held = {}  # cid -> the registers whose root channel it is and no cycle reads back
+    for root, cid in root_channel.items():
+        if root.role == "register" and root not in looped:
+            held.setdefault(cid, []).append(root)
 
-        def step(ch):
-            """Channel ``ch``'s taint, P(1), PBV and leakage from its inputs'
-            values, and the same values for the registers it holds, its
-            leakage capped at each secret's source min-entropy."""
-            cid = ch.cid
-            probs, tainted, incoming = [], [], {}
-            for ci in ch.inputs:
-                if type(ci) is int:
-                    probs.append(chan_prob[ci])
-                    tainted.append(chan_tainted[ci])
-                    vec = chan_leak[ci]
-                elif ci.role == "register":
-                    probs.append(reg_prob[ci])
-                    tainted.append(reg_tainted[ci])
-                    vec = reg_leak[ci]
-                else:
-                    probs.append(input_probs.get(ci[:2], 0.5))
-                    if ci.role != "input-high":
-                        tainted.append(False)
-                        continue
-                    tainted.append(True)
-                    vec = source[ci]
-                for sid, val in vec.items():
-                    incoming[sid] = incoming.get(sid, 0.0) + val
-            p1, pbv = kernel(ch, probs, tainted)
-            chan_tainted[cid] = taint = True in tainted
-            chan_prob[cid], chan_pbv[cid] = p1, pbv
-            # v * 1.0 is v: a PBV of 1 passes the summed vector on as it is
-            chan_leak[cid] = leak = (incoming if pbv == 1.0
-                                     else {sid: v * pbv for sid, v in incoming.items()})
-            regs = held.get(cid)
-            if regs:
-                capped = {}
-                for sid, val in leak.items():
-                    cap = minent[sid]
-                    if cap < val:
-                        val = cap
-                    if val > 0.0:
-                        capped[sid] = val
-                for reg in regs:
-                    reg_tainted[reg], reg_prob[reg], reg_leak[reg] = taint, p1, capped
-
-        for scc in deps.order:
-            loop = loops.get(scc[0])
-            if loop is None:
-                step(channels[scc[0]])
+    def step(ch):
+        """Channel ``ch``'s taint, P(1), PBV and leakage from its inputs'
+        values, and the same values for the registers it holds, its
+        leakage capped at each secret's source min-entropy."""
+        cid = ch.cid
+        probs, tainted, incoming = [], [], {}
+        for ci in ch.inputs:
+            if type(ci) is int:
+                probs.append(chan_prob[ci])
+                tainted.append(chan_tainted[ci])
+                vec = chan_leak[ci]
+            elif ci.role == "register":
+                probs.append(reg_prob[ci])
+                tainted.append(reg_tainted[ci])
+                vec = reg_leak[ci]
             else:
-                self._cycle(scc, *loop, held, step)
-        if len(chan_prob) != len(channels):
-            raise ValueError("the dependency order does not reach every channel")
+                probs.append(input_probs.get(ci[:2], 0.5))
+                if ci.role != "input-high":
+                    tainted.append(False)
+                    continue
+                tainted.append(True)
+                vec = source[ci]
+            for sid, val in vec.items():
+                incoming[sid] = incoming.get(sid, 0.0) + val
+        p1, pbv = kernel(ch, probs, tainted)
+        chan_tainted[cid] = taint = True in tainted
+        chan_prob[cid], chan_pbv[cid] = p1, pbv
+        # v * 1.0 is v: a PBV of 1 passes the summed vector on as it is
+        chan_leak[cid] = leak = (incoming if pbv == 1.0
+                                 else {sid: v * pbv for sid, v in incoming.items()})
+        regs = held.get(cid)
+        if regs:
+            capped = {}
+            for sid, val in leak.items():
+                cap = minent[sid]
+                if cap < val:
+                    val = cap
+                if val > 0.0:
+                    capped[sid] = val
+            for reg in regs:
+                reg_tainted[reg], reg_prob[reg], reg_leak[reg] = taint, p1, capped
 
-    def _cycle(self, scc, cycle, chans, regs, held, step):
+    def sweep_cycle(scc, cycle, chans, regs):
         """Taint, P(1), PBV and leakage of a cycle's channels and of the
         registers they read back (``regs``), over the oracle's horizon.
         Those registers start from reset, P(1) = 0; each is tainted iff a
@@ -334,48 +324,45 @@ class _Propagator:
         channels in id order; before each sweep after the first, the
         registers take their root channel's P(1).  Every stored channel
         value is the kernel of the stored register values."""
-        root_channel, chan_prob = self.graph.root_channel, self.chan_prob
         tainted, sids = False, set()
         for ch in chans:
             for ci in ch.inputs:
                 if type(ci) is int:
                     if ci in cycle:
                         continue
-                    taint, vec = self.chan_tainted[ci], self.chan_leak[ci]
+                    taint, vec = chan_tainted[ci], chan_leak[ci]
                 elif ci.role == "register":
                     if root_channel[ci] in cycle:
                         continue
-                    taint, vec = self.reg_tainted[ci], self.reg_leak[ci]
+                    taint, vec = reg_tainted[ci], reg_leak[ci]
                 elif ci.role == "input-high":
-                    taint, vec = True, self.source[ci]
+                    taint, vec = True, source[ci]
                 else:
                     continue
                 tainted = tainted or taint
                 sids.update(vec)
-        top = {sid: self.minent[sid] for sid in sorted(sids)}
+        top = {sid: minent[sid] for sid in sorted(sids)}
         for reg in regs:  # what the first sweep reads
-            self.reg_tainted[reg], self.reg_prob[reg], self.reg_leak[reg] = tainted, 0.0, top
+            reg_tainted[reg], reg_prob[reg], reg_leak[reg] = tainted, 0.0, top
         for cid in scc:  # the other registers it holds come next, in component order
             for reg in held.get(cid, ()):
-                self.reg_prob[reg] = self.reg_leak[reg] = None
+                reg_prob[reg] = reg_leak[reg] = None
         for sweep in range(DEFAULT_UNROLL_CYCLES):
             if sweep:
                 for reg in regs:
-                    self.reg_prob[reg] = chan_prob[root_channel[reg]]
+                    reg_prob[reg] = chan_prob[root_channel[reg]]
             for ch in chans:
                 step(ch)
 
-
-def propagate(graph: ChannelGraph, design, input_probs,
-              deps: DependencyGraph) -> ProbAnnotatedGraph:
-    """Probabilities, PBVs and leakage vectors, one SCC of ``deps`` at a time;
-    ``deps`` is ``compute_dependencies(graph)``."""
-    prop = _Propagator(graph, design, input_probs or {})
-    prop.run(deps)
-    return ProbAnnotatedGraph(
-        graph=graph, chan_prob=prop.chan_prob, chan_pbv=prop.chan_pbv,
-        chan_leak=prop.chan_leak, chan_tainted=prop.chan_tainted,
-        reg_prob=prop.reg_prob, reg_leak=prop.reg_leak, secrets=prop.secrets)
+    for scc in deps.order:
+        loop = loops.get(scc[0])
+        if loop is None:
+            step(channels[scc[0]])
+        else:
+            sweep_cycle(scc, *loop)
+    if len(chan_prob) != len(channels):
+        raise ValueError("the dependency order does not reach every channel")
+    return out
 
 
 def output_contributions(annotated: ProbAnnotatedGraph, design):

@@ -132,7 +132,7 @@ def test_criterion_7_channel_exactness():
             break
     for w in range(2, 7):
         for expr in ("a + b", "a - b"):
-            _d, _f, graph = macro_design(expr, w, outw=w)
+            _forest, graph = macro_design(expr, w)
             for ch in graph.channels:
                 probs = [rng.random() for _ in ch.inputs]
                 p1, _pbv = channel_prob_pbv(ch, probs)

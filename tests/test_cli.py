@@ -19,6 +19,7 @@ from qflow.oracle import exact_multiplicative_leakage, flatten_forest
 from qflow.pipeline import Config, analyze
 
 from conftest import analyze_source
+from test_frontend import INPUT_WRITES, input_write_source
 from test_qif_engine import STICKY
 
 IDENTITY = """module m(High input [1:0] h, output [1:0] y);
@@ -162,6 +163,15 @@ def test_typed_error_exits_without_traceback(tmp_path, source, message):
     assert r.returncode == 3
     assert b"Traceback" not in r.stderr
     assert message in r.stderr
+
+
+@pytest.mark.parametrize("name", INPUT_WRITES)
+def test_write_to_top_input_exits_3(tmp_path, name):
+    r = run_cli(["analyze", "--top", "m",
+                 write(tmp_path, "m.v", input_write_source(INPUT_WRITES[name]))])
+    assert r.returncode == 3
+    assert b"Traceback" not in r.stderr
+    assert b"multiple drivers for k[0]" in r.stderr
 
 
 def test_slow_register_cycle_gets_a_verdict_at_or_above_exact(tmp_path):

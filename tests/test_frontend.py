@@ -587,6 +587,18 @@ endmodule
 """
 
 
+def test_generate_loop_size_limit():
+    """A generate loop of ``WIDTH_LIMIT`` iterations unrolls; one of more,
+    or one that never ends, is an unsupported size that names the limit."""
+    src = ("module m(input [3:0] k, // qflow: high\noutput y);\ngenvar i;\n"
+           "generate\nfor (i = 0; {cond}; i = i + 1) begin\nend\nendgenerate\n"
+           "assign y = k[0];\nendmodule\n")
+    full(src.format(cond=f"i < {WIDTH_LIMIT}"), "m")
+    for cond in (f"i < {WIDTH_LIMIT + 1}", "i < 100000", "i >= 0"):
+        with pytest.raises(UnsupportedConstruct, match=f"more than {WIDTH_LIMIT} iterations"):
+            full(src.format(cond=cond), "m")
+
+
 def test_instances_in_generate_loop_are_per_iteration():
     d = full(INV_IN_LOOP, "top")
     assert {f"g[{i}].u.y" for i in range(4)} <= set(d.nets)
@@ -779,6 +791,27 @@ endmodule
 """
     with pytest.raises(MultipleDrivers):
         full(src, "m")
+
+
+# A write to a top-level input, which the design's environment drives
+INPUT_WRITES = {
+    "assign": "assign k = 4'b0;\nassign y = k;",
+    "clocked": "always @(posedge clk) k <= 4'b0;\nassign y = k;",
+    "combinational": "always @* k = 4'b0;\nassign y = k;",
+}
+
+
+def input_write_source(body):
+    return (f"module m(input clk, input [3:0] k, // qflow: high\noutput [3:0] y);\n"
+            f"{body}\nendmodule\n")
+
+
+@pytest.mark.parametrize("name", INPUT_WRITES)
+def test_write_to_top_input_rejected(name):
+    """A write to a top-level input is a second driver: the design cannot
+    turn the secret into a constant, a register or a wire."""
+    with pytest.raises(MultipleDrivers):
+        full(input_write_source(INPUT_WRITES[name]), "m")
 
 
 def test_if_else_lowered_to_ternary():
@@ -1039,6 +1072,26 @@ PROC_HEAD = ("module m(input [1:0] i, input [2:0] a, // qflow: high\n"
 def test_blocking_reads_dump(body, dump):
     src = PROC_HEAD + body + "end\nendmodule\n"
     assert dump_forest(bit_blast(full(src, "m"))) == dump
+
+
+@pytest.mark.parametrize("select, dump", [
+    ("t[4:2]", "[0] = (XOR a[2] b[2])\n[1] = 0\n[2] = 0\n"),
+    ("t[1:-1]", "[0] = 0\n[1] = (XOR a[0] b[0])\n[2] = (XOR a[1] b[1])\n"),
+    ("t[5:3]", "[0] = 0\n[1] = 0\n[2] = 0\n"),
+], ids=["past-the-top", "below-bit-0", "all-past-the-top"])
+def test_blocking_reads_past_the_value(select, dump):
+    """A part-select of a blocking-assigned net past its top bit or below
+    bit 0 reads 0 there, as the same select of the net outside the block."""
+    src = ("module m(input [2:0] a, // qflow: high\ninput [2:0] b,\n"
+           "output reg [2:0] y, output [2:0] z);\nreg [2:0] t;\n"
+           f"always @(*) begin\nt = a ^ b;\ny = {select};\nend\n"
+           f"assign z = {select};\nendmodule\n")
+    d = full(src, "m")
+    inside = next(a for a in d.assigns if a.target == "y")
+    assert not isinstance(inside.expr.base, str)  # the rebuilt value, not the net
+    lines = dump_forest(bit_blast(d)).splitlines(keepends=True)
+    assert "".join(line[1:] for line in lines if line[0] == "y") == dump
+    assert "".join(line[1:] for line in lines if line[0] == "z") == dump
 
 
 # -- the port group a ``// qflow: high`` comment trails ---------------------

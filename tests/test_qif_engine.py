@@ -7,7 +7,7 @@ import random
 import pytest
 
 from qflow import corpus, qif_engine
-from qflow.bitgraph import BitRef, bit_blast
+from qflow.bitgraph import EXPAND_LIMIT, BindTree, BitRef, Node, bit_blast, dump_forest
 from qflow.channelizer import Channel, merge
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.oracle import exact_multiplicative_leakage, flatten_forest
@@ -159,15 +159,18 @@ def test_pbv_bounds():
 
 # -- add/sub macro closed forms -------------------------------------------
 
-def macro_design(expr, w, outw=1):
-    src = (f"module m(\nHigh input [{w-1}:0] a,\ninput [{w-1}:0] b,\n"
-           f"output [{outw-1}:0] o);\nassign o = {expr};\nendmodule\n")
-    ast = parse(SourceUnit([("<t>", src)], "m"))
-    design = elaborate(ast, "m", extract_labels(ast, "m"))
-    # force macro lowering at every width under test
-    forest = bit_blast(design, expand_limit=1)
-    graph = merge(forest, 5)
-    return design, forest, graph
+def macro_design(expr, w):
+    """The forest and channels of ``o = expr`` over a secret ``a`` and a
+    public ``b`` of w bits, with each sum bit one ADDM or SUBM node, as
+    ``bit_blast`` lowers an adder or subtractor wider than
+    ``EXPAND_LIMIT``; built here, so narrower widths are covered too."""
+    op = {"a + b": "ADDM", "a - b": "SUBM"}[expr]
+    kids = tuple(Node("leaf", ref=BitRef(net, i, role))
+                 for net, role in (("a", "input-high"), ("b", "input-low"))
+                 for i in range(w))
+    forest = [BindTree(BitRef("o", k, "top-output"), Node(op, kids, meta=(w, k)))
+              for k in range(w)]
+    return forest, merge(forest, 5)
 
 
 def enum_macro(ch, probs):
@@ -188,7 +191,13 @@ def enum_macro(ch, probs):
 @pytest.mark.parametrize("expr", ["a + b", "a - b"])
 def test_arith_macro_probability(w, expr):
     rng = random.Random(w + 10)
-    _design, _forest, graph = macro_design(expr, w, outw=w)
+    forest, graph = macro_design(expr, w)
+    if w > EXPAND_LIMIT:  # the nodes bit_blast makes of the same source
+        src = (f"module m(\nHigh input [{w-1}:0] a,\ninput [{w-1}:0] b,\n"
+               f"output [{w-1}:0] o);\nassign o = {expr};\nendmodule\n")
+        ast = parse(SourceUnit([("<t>", src)], "m"))
+        design = elaborate(ast, "m", extract_labels(ast, "m"))
+        assert dump_forest(bit_blast(design)) == dump_forest(forest)
     macros = [c for c in graph.channels if c.macro is not None]
     assert len(macros) == w
     for ch in macros:
@@ -579,8 +588,8 @@ def test_kernel_memo_transparent_on_cycles(design, p_high, bound, monkeypatch):
     a = analyze_source(CYCLE_DESIGNS[design], "m", p_high=p_high, max_channel_inputs=bound)
     assert_kernel_memo_transparent(a, p_high)
     # without the memo, every float is the same, cycles included
-    monkeypatch.setattr(qif_engine._Propagator, "_kernel",
-                        lambda _self, ch, probs, tainted: channel_prob_pbv(ch, probs, tainted))
+    monkeypatch.setattr(qif_engine, "_kernel",
+                        lambda _memo, ch, probs, tainted: channel_prob_pbv(ch, probs, tainted))
     b = analyze_source(CYCLE_DESIGNS[design], "m", p_high=p_high, max_channel_inputs=bound)
     for field_name in ("chan_prob", "chan_pbv", "chan_leak", "reg_prob", "reg_leak"):
         assert repr(getattr(b.annotated, field_name)) == repr(getattr(a.annotated, field_name))

@@ -9,11 +9,11 @@ channelizer, ``dump_forest``, the oracle) walks ``postorder``: each node
 once, after its children, at any depth.  Comparisons always become
 gates.  One method, ``_add``, lowers ``+``, binary ``-`` and unary
 ``-``: up to ``EXPAND_LIMIT`` bits to gates, wider to one width-tagged
-macro node per sum bit, which the engine models in closed form.  One
-method, ``_pick``, lowers constant bit- and part-selects, of a net or
-of a rebuilt value alike.  Which register reads which is a question for
-the channel graph (``qif_engine.compute_dependencies``), not for these
-DAGs.
+macro node per sum bit, which the engine models in closed form.
+``blast`` recurses once per expression level: it blasts each operand
+itself and hands bits, never an expression, to the helpers that build
+gates.  Which register reads which is a question for the channel graph
+(``qif_engine.compute_dependencies``), not for these DAGs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ EXPAND_LIMIT = 4  # the widest adder or subtractor lowered to gates
 _SHIFT_AMOUNT_LIMIT = 16
 
 _MACRO_OPS = ("ADDM", "SUBM")
+_GATE = {"&": "AND", "|": "OR", "^": "XOR"}  # a bitwise operator's, or a reduction's, gate
+_BINARY_OPS = frozenset(("&", "|", "^", "~^", "&&", "||", "==", "!=", "<", "<=", ">", ">=",
+                         "<<", ">>", "+", "-"))
 
 
 class BitRef(NamedTuple):
@@ -186,29 +189,127 @@ class _Blaster:
 
     # -- expressions -------------------------------------------------------
     def blast(self, expr):
+        """The bits of ``expr``, LSB first, memoised by identity; one frame per level."""
         key = id(expr)
         hit = self._expr_memo.get(key)
         if hit is not None and hit[0] is expr:
             return hit[1]
-        bits = self._blast(expr)
+        kind = type(expr)
+        if kind is A.Num:
+            w = expr.width or max(expr.value.bit_length(), 1)
+            bits = [CONST1 if (expr.value >> i) & 1 else CONST0 for i in range(w)]
+        elif kind is A.Ident:
+            name = expr.name
+            w = self.design.nets[name].width if name in self.design.nets else 0
+            if w == 0:
+                raise UnassignedNet(name)
+            bits = list(map(self.net_bit, itertools.repeat(name, w), range(w)))
+        elif kind is A.Select or kind is A.PartSelect:
+            base = expr.base
+            if kind is A.PartSelect:
+                msb = const_eval(expr.msb, {})
+                lsb = const_eval(expr.lsb, {})
+                if msb < lsb:
+                    raise WidthMismatch(base if type(base) is str else "expression",
+                                        f"reversed range [{msb}:{lsb}]")
+                _check_width(msb - lsb + 1, "part-select")
+                indices = range(lsb, msb + 1)
+            else:
+                try:
+                    indices = (const_eval(expr.index, {}),)
+                except ValueError:
+                    indices = None
+            if indices is None:  # a bit-select by a value: the base shifted down
+                bits = self.blast(A.Ident(base) if type(base) is str else base)
+                bits = [self._shift_dynamic(bits, self.blast(expr.index), left=False)[0]]
+            elif type(base) is str:
+                # only the picked bits: the whole vector would follow c[i]
+                # into c[i+1] on carry chains
+                bits = []
+                for i in indices:
+                    bits.append(self.net_bit(base, i) if i >= 0 else CONST0)
+            else:
+                whole = self.blast(base)
+                bits = [whole[i] if 0 <= i < len(whole) else CONST0 for i in indices]
+        elif kind is A.Unary:
+            op = expr.op
+            bits = self.blast(expr.operand)
+            if op == "~":
+                bits = [_not(b) for b in bits]
+            elif op == "-":
+                bits = self._add([CONST0] * len(bits), bits, subtract=True)
+            elif op == "!":
+                bits = [_not(self._reduce(bits, "OR"))]
+            elif op != "+":  # a reduction; unary + is its operand
+                node = self._reduce(bits, _GATE[op.lstrip("~")])
+                bits = [_not(node) if op[0] == "~" else node]
+        elif kind is A.Binary:
+            op = expr.op
+            if op not in _BINARY_OPS:
+                raise UnsupportedConstruct(f"operator {op}")
+            ab = self.blast(expr.left)
+            if op == "&&" or op == "||":
+                x = self._reduce(ab, "OR")
+                y = self._reduce(self.blast(expr.right), "OR")
+                bits = [Node("AND" if op == "&&" else "OR", (x, y))]
+            elif op == "<<" or op == ">>":
+                try:
+                    amt = const_eval(expr.right, {})
+                except ValueError:
+                    bits = self._shift_dynamic(ab, self.blast(expr.right), left=op == "<<")
+                else:
+                    w = len(ab)
+                    if amt < 0:  # the amount is unsigned: every bit is shifted out
+                        bits = [CONST0] * w
+                    elif op == "<<":
+                        bits = [ab[i - amt] if i - amt >= 0 else CONST0 for i in range(w)]
+                    else:
+                        bits = [ab[i + amt] if i + amt < w else CONST0 for i in range(w)]
+            else:
+                ab, bb = self._widen(ab, self.blast(expr.right))
+                if op in _GATE:
+                    bits = [Node(_GATE[op], (x, y)) for x, y in zip(ab, bb)]
+                elif op == "~^":
+                    bits = [_not(_xor(x, y)) for x, y in zip(ab, bb)]
+                elif op == "+" or op == "-":
+                    bits = self._add(ab, bb, subtract=op == "-")
+                else:
+                    if op == ">" or op == "<=":
+                        ab, bb = bb, ab  # a>b == b<a ; a<=b == !(b<a) == !(a'<b')
+                    node = self._eq(ab, bb) if op in ("==", "!=") else self._lt(ab, bb)
+                    bits = [node if op in ("==", "<", ">") else _not(node)]
+        elif kind is A.Ternary:
+            sel = self._reduce(self.blast(expr.cond), "OR")
+            tb, ob = self._widen(self.blast(expr.then), self.blast(expr.other))
+            bits = [_mux(sel, t, o) for t, o in zip(tb, ob)]
+        elif kind is A.Concat:
+            bits = []
+            for part in reversed(expr.parts):  # written MSB-first
+                bits.extend(self.blast(part))
+        elif kind is A.Repl:
+            count = const_eval(expr.count, {})
+            if count < 0:
+                raise UnsupportedConstruct(f"replication count {count}")
+            vbits = self.blast(expr.value)
+            _check_width(count * len(vbits), "replication")
+            bits = vbits * count
+        else:
+            raise UnsupportedConstruct(kind.__name__)
         self._expr_memo[key] = (expr, bits)
         return bits
 
-    def _operands(self, left, right):
+    def _widen(self, ab, bb):
         """Both operands' bits, the narrower one zero-extended to the wider."""
-        ab, bb = self.blast(left), self.blast(right)
         w = max(len(ab), len(bb))
         return ab + [CONST0] * (w - len(ab)), bb + [CONST0] * (w - len(bb))
 
     def _reduce(self, bits, op):
+        if not bits:  # IEEE 1364 allows a zero width only inside a wider concatenation
+            raise UnsupportedConstruct("zero-width operand")
         acc = bits[0]
         for b in bits[1:]:
             acc = Node(op, (acc, b))
         return acc
-
-    def _bool(self, expr):
-        bits = self.blast(expr)
-        return self._reduce(bits, "OR") if len(bits) > 1 else bits[0]
 
     def _shift_dynamic(self, bits, amt_bits, left):
         if len(amt_bits) > _SHIFT_AMOUNT_LIMIT:
@@ -255,113 +356,6 @@ class _Blaster:
             carry = _or(_and(x, y), _and(carry, _xor(x, y)))
             out.append(s)
         return out
-
-    def _pick(self, base, indices):
-        """The bits of ``base``, a net name or an expression, at constant
-        ``indices``; an index out of range gives CONST0.  A net gives only
-        the picked bits: blasting the whole vector would follow c[i] into
-        c[i+1] on carry chains."""
-        if isinstance(base, str):
-            return [self.net_bit(base, i) if i >= 0 else CONST0 for i in indices]
-        bits = self.blast(base)
-        return [bits[i] if 0 <= i < len(bits) else CONST0 for i in indices]
-
-    def _blast(self, expr):
-        if isinstance(expr, A.Num):
-            w = expr.width or max(expr.value.bit_length(), 1)
-            return [CONST1 if (expr.value >> i) & 1 else CONST0 for i in range(w)]
-        if isinstance(expr, A.Ident):
-            w = self.design.nets[expr.name].width if expr.name in self.design.nets else 0
-            if w == 0:
-                raise UnassignedNet(expr.name)
-            return [self.net_bit(expr.name, i) for i in range(w)]
-        if isinstance(expr, A.Select):
-            try:
-                idx = const_eval(expr.index, {})
-            except ValueError:
-                base = expr.base
-                bits = self.blast(A.Ident(base) if isinstance(base, str) else base)
-                return [self._shift_dynamic(bits, self.blast(expr.index), left=False)[0]]
-            return self._pick(expr.base, (idx,))
-        if isinstance(expr, A.PartSelect):
-            msb = const_eval(expr.msb, {})
-            lsb = const_eval(expr.lsb, {})
-            if msb < lsb:
-                raise WidthMismatch(expr.base if isinstance(expr.base, str) else "expression",
-                                    f"reversed range [{msb}:{lsb}]")
-            _check_width(msb - lsb + 1, "part-select")
-            return self._pick(expr.base, range(lsb, msb + 1))
-        if isinstance(expr, A.Unary):
-            op = expr.op
-            if op == "~":
-                return [_not(b) for b in self.blast(expr.operand)]
-            if op == "+":
-                return self.blast(expr.operand)
-            if op == "-":
-                bits = self.blast(expr.operand)
-                return self._add([CONST0] * len(bits), bits, subtract=True)
-            if op == "!":
-                return [_not(self._bool(expr.operand))]
-            bits = self.blast(expr.operand)
-            base = {"&": "AND", "|": "OR", "^": "XOR",
-                    "~&": "AND", "~|": "OR", "~^": "XOR"}[op]
-            node = self._reduce(bits, base)
-            if op.startswith("~"):
-                node = _not(node)
-            return [node]
-        if isinstance(expr, A.Binary):
-            op = expr.op
-            if op in ("&", "|", "^", "~^"):
-                ab, bb = self._operands(expr.left, expr.right)
-                if op == "~^":
-                    return [_not(_xor(x, y)) for x, y in zip(ab, bb)]
-                name = {"&": "AND", "|": "OR", "^": "XOR"}[op]
-                return [Node(name, (x, y)) for x, y in zip(ab, bb)]
-            if op in ("&&", "||"):
-                x = self._bool(expr.left)
-                y = self._bool(expr.right)
-                return [Node("AND" if op == "&&" else "OR", (x, y))]
-            if op in ("==", "!=", "<", "<=", ">", ">="):
-                ab, bb = self._operands(expr.left, expr.right)
-                if op in (">", "<="):
-                    ab, bb = bb, ab  # a>b == b<a ; a<=b == !(b<a) == !(a'<b')
-                node = self._eq(ab, bb) if op in ("==", "!=") else self._lt(ab, bb)
-                return [node if op in ("==", "<", ">") else _not(node)]
-            if op in ("<<", ">>"):
-                bits = self.blast(expr.left)
-                try:
-                    amt = const_eval(expr.right, {})
-                except ValueError:
-                    return self._shift_dynamic(bits, self.blast(expr.right),
-                                               left=op == "<<")
-                if amt < 0:  # the amount is unsigned: every bit is shifted out
-                    return [CONST0] * len(bits)
-                if op == "<<":
-                    return [bits[i - amt] if i - amt >= 0 else CONST0
-                            for i in range(len(bits))]
-                return [bits[i + amt] if i + amt < len(bits) else CONST0
-                        for i in range(len(bits))]
-            if op in ("+", "-"):
-                ab, bb = self._operands(expr.left, expr.right)
-                return self._add(ab, bb, subtract=op == "-")
-            raise UnsupportedConstruct(f"operator {op}")
-        if isinstance(expr, A.Ternary):
-            sel = self._bool(expr.cond)
-            tb, ob = self._operands(expr.then, expr.other)
-            return [_mux(sel, t, o) for t, o in zip(tb, ob)]
-        if isinstance(expr, A.Concat):
-            bits = []
-            for part in reversed(expr.parts):  # written MSB-first
-                bits.extend(self.blast(part))
-            return bits
-        if isinstance(expr, A.Repl):
-            count = const_eval(expr.count, {})
-            if count < 0:
-                raise UnsupportedConstruct(f"replication count {count}")
-            vbits = self.blast(expr.value)
-            _check_width(count * len(vbits), "replication")
-            return vbits * count
-        raise UnsupportedConstruct(type(expr).__name__)
 
 
 def bit_blast(design: ElaboratedDesign):

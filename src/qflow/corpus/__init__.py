@@ -3,12 +3,6 @@
 from importlib import resources
 
 
-def names():
-    """Sorted names of the bundled .v files."""
-    root = resources.files(__package__)
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".v"))
-
-
 def read(name: str) -> str:
     """Text of a bundled design, e.g. read('example.v')."""
     return resources.files(__package__).joinpath(name).read_text(encoding="utf-8")

@@ -1,16 +1,15 @@
 """Recursive-descent parser for the supported Verilog subset.
 
-Binary operators are parsed by precedence climbing over one table,
-``_BIN_LEVEL`` (operator -> binding level, built from ``_BIN_LEVELS``):
-``binary`` loops over the operators of its level and looser, and
-recurses only for a right operand that binds tighter, so a parenthesis
-costs a fixed handful of frames whatever the number of levels. The
-parser reads the lexer's token columns (``lexer.scan``) by position:
+An expression costs one frame per nesting level in each of two methods.
+``expression`` parses binary operators by precedence climbing over one
+table, ``_BIN_LEVEL`` (operator -> binding level, built from
+``_BIN_LEVELS``), recursing only for a right operand that binds tighter,
+and at level 0 a ternary. ``unary`` reads every operand, parenthesised,
+concatenated and replicated ones included, and ``lvalue`` reads
+``name [ number ]`` as a ``Select`` without going through ``expression``.
+The parser reads the lexer's token columns (``lexer.scan``) by position:
 ``self.kinds[self.pos]`` is the next token's kind, and the plumbing
-returns positions, not tokens. ``unary`` hands an identifier to
-``lvalue`` and a number to ``Num`` without going through ``primary``,
-and ``lvalue`` reads ``name [ number ]`` as a ``Select`` of that number
-without going through the expression ladder at all.
+returns positions, not tokens.
 """
 
 from __future__ import annotations
@@ -456,7 +455,7 @@ class _Parser:
 
     def lvalue(self):
         """``name``, ``name[index]`` or ``name[msb:lsb]``; ``name[number]``
-        is read here, as the expression ladder would read it."""
+        is read here, as ``expression`` would read it."""
         pos, kinds = self.pos, self.kinds
         if kinds[pos] != "id":
             self.err(f"expected 'id', found {self.texts[pos]!r}")
@@ -477,15 +476,24 @@ class _Parser:
         return A.Select(name, first)
 
     # -- expressions -------------------------------------------------------
-    def expression(self):
-        """A ternary, right-associative, over binary operands."""
-        cond = self.binary()
-        if self.kinds[self.pos] != "?":
-            return cond
+    def expression(self, min_level=0):
+        """Binary operators binding at ``min_level`` or tighter, left-associative,
+        by precedence climbing; at level 0, then a ternary, right-associative."""
+        left = self.unary()
+        kinds = self.kinds
+        while True:
+            op = kinds[self.pos]
+            level = _BIN_LEVEL.get(op)
+            if level is None or level < min_level:
+                break
+            self.pos += 1
+            left = A.Binary(_OP_ALIAS.get(op, op), left, self.expression(level + 1))
+        if min_level or kinds[self.pos] != "?":
+            return left
         self.pos += 1
         then = self.expression()
         self.expect(":")
-        return A.Ternary(cond, then, self.expression())
+        return A.Ternary(left, then, self.expression())
 
     def expressions(self):
         """A comma-separated list of expressions."""
@@ -494,20 +502,8 @@ class _Parser:
             parts.append(self.expression())
         return parts
 
-    def binary(self, min_level=0):
-        """Operators binding at ``min_level`` or tighter, left-associative."""
-        left = self.unary()
-        kinds = self.kinds
-        while True:
-            op = kinds[self.pos]
-            level = _BIN_LEVEL.get(op)
-            if level is None or level < min_level:
-                return left
-            self.pos += 1
-            right = self.binary(level + 1)
-            left = A.Binary(_OP_ALIAS.get(op, op), left, right)
-
     def unary(self):
+        """A unary operator's operand, a name, a number, ``(..)``, ``{..}`` or ``{n{..}}``."""
         pos = self.pos
         kind = self.kinds[pos]
         if kind == "id":
@@ -518,15 +514,13 @@ class _Parser:
         if kind in _UNARY:  # punctuation: its kind is its text
             self.pos = pos + 1
             return A.Unary(kind, self.unary())
-        return self.primary()
-
-    def primary(self):
-        """A parenthesised expression, a concatenation or a replication."""
-        if self.accept("("):
+        if kind == "(":
+            self.pos = pos + 1
             e = self.expression()
             self.expect(")")
             return e
-        if self.accept("{"):
+        if kind == "{":
+            self.pos = pos + 1
             parts = self.expressions()
             if len(parts) == 1 and self.accept("{"):
                 value = self.expressions()
@@ -535,7 +529,7 @@ class _Parser:
                 return A.Repl(parts[0], A.Concat(tuple(value)) if len(value) > 1 else value[0])
             self.expect("}")
             return A.Concat(tuple(parts))
-        self.err(f"unexpected token {self.texts[self.pos]!r} in expression")
+        self.err(f"unexpected token {self.texts[pos]!r} in expression")
 
 
 def parse(source: A.SourceUnit) -> A.Ast:

@@ -25,7 +25,8 @@ from qflow.errors import CombinationalLoop
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.oracle import exact_multiplicative_leakage, flatten_forest, synthetic_design
 from qflow.pipeline import Config, analyze
-from qflow.qif_engine import accumulate_totals, compute_dependencies, propagate
+from qflow.qif_engine import (accumulate_totals, channel_prob_pbv, compute_dependencies,
+                               propagate)
 
 
 def design_of(src, top):
@@ -99,7 +100,10 @@ def test_identity_wire_is_leaf():
 def test_operator_semantics_exhaustive():
     src = """module m(input [2:0] a, input [2:0] b, output [2:0] add,
 output [2:0] sub, output eq, output lt, output ge, output red,
-output [2:0] mux, output [2:0] sh);
+output [2:0] mux, output [2:0] sh, output [2:0] pos, output [2:0] neg,
+output lnot, output [2:0] xnor, output [2:0] shl1, output [2:0] shr2,
+output [2:0] shl4, output land, output lor, output ne, output le, output gt,
+output nand, output rxnor, output dsel);
 assign add = a + b;
 assign sub = a - b;
 assign eq = a == b;
@@ -108,21 +112,70 @@ assign ge = a >= b;
 assign red = ^a | &b | ~|a;
 assign mux = a[0] ? a : b;
 assign sh = a << b[0];
+assign pos = +a;
+assign neg = -a;
+assign lnot = !a;
+assign xnor = a ~^ b;
+assign shl1 = a << 1;
+assign shr2 = a >> 2;
+assign shl4 = a << 4;
+assign land = a && b;
+assign lor = a || b;
+assign ne = a != b;
+assign le = a <= b;
+assign gt = a > b;
+assign nand = ~&a;
+assign rxnor = ~^a;
+assign dsel = a[b[1:0]];
 endmodule
 """
     def ref(w):
         a, b = w["a"], w["b"]
+        parity = (a ^ (a >> 1) ^ (a >> 2)) & 1
         return {
             "add": (a + b) & 7,
             "sub": (a - b) & 7,
             "eq": int(a == b),
             "lt": int(a < b),
             "ge": int(a >= b),
-            "red": ((a ^ (a >> 1) ^ (a >> 2)) & 1) | int(b == 7) | int(a == 0),
+            "red": parity | int(b == 7) | int(a == 0),
             "mux": a if a & 1 else b,
             "sh": (a << (b & 1)) & 7,
+            "pos": a,
+            "neg": -a & 7,
+            "lnot": int(a == 0),
+            "xnor": ~(a ^ b) & 7,
+            "shl1": (a << 1) & 7,
+            "shr2": a >> 2,
+            "shl4": 0,
+            "land": int(bool(a) and bool(b)),
+            "lor": int(bool(a) or bool(b)),
+            "ne": int(a != b),
+            "le": int(a <= b),
+            "gt": int(a > b),
+            "nand": int(a != 7),
+            "rxnor": 1 - parity,
+            "dsel": (a >> (b & 3)) & 1,  # a[3] is past the MSB: 0
         }
     exhaustive_equal(src, "m", ref, ["a", "b"])
+
+
+@pytest.mark.parametrize("op", ["+", "-"])
+@pytest.mark.parametrize("width", [5, 6])
+def test_macro_channels_take_the_closed_form_in_propagate(op, width):
+    # past EXPAND_LIMIT each sum bit is one ADDM/SUBM channel, which
+    # ``propagate`` hands to the closed form of ``channel_prob_pbv``
+    hi = width - 1
+    a = analyze(Config(files=["m.v"], top="m", p_high=0.3), file_texts=[("m.v", (
+        f"module m(input [{hi}:0] a, // qflow: high\ninput [{hi}:0] b,\n"
+        f"output [{hi}:0] y);\nassign y = a {op} b;\nendmodule\n"))])
+    macros = [ch for ch in a.graph.channels if ch.macro is not None]
+    assert [ch.macro.op for ch in macros] == ["ADDM" if op == "+" else "SUBM"] * width
+    for ch in macros:
+        probs = [a.annotated.chan_prob[ci] if isinstance(ci, int)
+                 else 0.3 if ci.role == "input-high" else 0.5 for ci in ch.inputs]
+        assert a.annotated.chan_prob[ch.cid] == channel_prob_pbv(ch, probs)[0]
+        assert a.annotated.chan_pbv[ch.cid] == 1.0
 
 
 def test_concat_repl_partselect():

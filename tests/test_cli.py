@@ -219,13 +219,53 @@ def long_xor(terms):
             f"assign y = {expr};\nendmodule\n")
 
 
+def last_bit_chain(n):
+    """``w[i+1] = w[i] ^ k[i]`` with only ``w[n]`` observed: one chain n deep."""
+    return (f"module m(High input [{n - 1}:0] k, output y);\nwire [{n}:0] w;\n"
+            "assign w[0] = 1'b0;\ngenvar i;\ngenerate\n"
+            f"for (i = 0; i < {n}; i = i + 1) begin\nassign w[i+1] = w[i] ^ k[i];\nend\n"
+            f"endgenerate\nassign y = w[{n}];\nendmodule\n")
+
+
+def case_arms(n):
+    """A ``case`` of n arms: its value is a ternary chain n deep."""
+    arms = "".join(f"{i}: y = k ^ 8'd{i % 256};\n" for i in range(n))
+    return ("module m(High input [7:0] k, input [11:0] sel, output reg [7:0] y);\n"
+            f"always @* begin\ncase (sel)\n{arms}default: y = 8'd0;\nendcase\nend\n"
+            "endmodule\n")
+
+
+def nested_selects(n):
+    """``k[k[...k[0]...]]``, n selects deep."""
+    return ("module m(High input [3:0] k, output y);\nassign y = "
+            + "k[" * n + "0" + "]" * n + ";\nendmodule\n")
+
+
+# The bit-blaster takes one frame per expression level, and the parser two
+# per parenthesis and three per nested select, alike on every supported
+# Python version, so these sizes get a verdict on each.
+@pytest.mark.parametrize("top, make", [
+    ("m", lambda _mp: last_bit_chain(250)),
+    ("chain", lambda mp: reconvergent_chain(180, mp)),
+    ("m", lambda _mp: case_arms(700)),
+    ("m", lambda _mp: long_xor(700)),
+    ("m", lambda _mp: nested_parentheses(350)),
+    ("m", lambda _mp: nested_selects(280)),
+], ids=["last-bit-chain-250", "chain-180", "case-700", "xor-700", "parentheses-350",
+        "selects-280"])
+def test_deep_designs_get_a_verdict(tmp_path, capsys, monkeypatch, top, make):
+    src = write(tmp_path, "deep.v", make(monkeypatch))
+    assert main(["analyze", "--top", top, "--format", "json", src]) in (0, 1, 2)
+    assert json.loads(capsys.readouterr().out)["design"]["top"] == top
+
+
 # Each fails in a different recursive walker: bit-blasting, the parser,
 # and elaboration's ``resolve``.
 @pytest.mark.parametrize("top, make", [
     ("chain", lambda mp: reconvergent_chain(600, mp)),
-    ("m", lambda _mp: nested_parentheses(250)),
+    ("m", lambda _mp: nested_parentheses(600)),
     ("m", lambda _mp: long_xor(1200)),
-], ids=["chain-600", "parentheses-250", "xor-1200"])
+], ids=["chain-600", "parentheses-600", "xor-1200"])
 def test_too_deep_design_is_an_error(tmp_path, capsys, monkeypatch, top, make):
     src = write(tmp_path, "deep.v", make(monkeypatch))
     assert main(["analyze", "--top", top, "--format", "json", src]) == 3
@@ -322,6 +362,25 @@ def test_reversed_part_select_is_an_error(tmp_path):
     r = run_cli(["analyze", "--top", "m", src])
     assert r.returncode == 3
     assert r.stderr == b"qflow: error: width mismatch at k: reversed range [0:3]\n"
+
+
+ZERO_WIDTH = "module m(input [3:0] k, // qflow: high\ninput [3:0] a,\noutput [3:0] y);\n"
+
+
+@pytest.mark.parametrize("expr", ["|{0{k}}", "^{0{k}}", "!{0{k}}", "{0{k}} && k",
+                                  "{0{k}} == {0{a}}", "{0{k}} ? k : 4'd0"])
+def test_zero_width_condition_or_reduction_is_an_error(tmp_path, capsys, expr):
+    # IEEE 1364-2005 allows a zero replication only inside a wider concatenation
+    src = write(tmp_path, "m.v", f"{ZERO_WIDTH}assign y = {expr};\nendmodule\n")
+    assert main(["analyze", "--top", "m", src]) == 3
+    assert capsys.readouterr().err == "qflow: error: unsupported construct: zero-width operand\n"
+
+
+@pytest.mark.parametrize("expr", ["{k, {0{a}}}", "{0{k}} + k", "{0{k}}"])
+def test_zero_width_value_gets_a_verdict(tmp_path, capsys, expr):
+    src = write(tmp_path, "m.v", f"{ZERO_WIDTH}assign y = {expr};\nendmodule\n")
+    assert main(["analyze", "--top", "m", src]) in (0, 1, 2)
+    assert capsys.readouterr().err == ""
 
 
 def _limit_memory():

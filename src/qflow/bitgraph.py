@@ -21,12 +21,12 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._record import Record
 from .errors import CombinationalLoop, UnassignedNet, UnsupportedConstruct, WidthMismatch
 from .frontend import ast_nodes as A
-from .frontend.elaborate import ElaboratedDesign, const_eval
+from .frontend.elaborate import ElaboratedDesign, const_eval, constant
 from .frontend.lexer import WIDTH_LIMIT
 
 EXPAND_LIMIT = 4  # the widest adder or subtractor lowered to gates
@@ -41,8 +41,8 @@ _BINARY_OPS = frozenset(("&", "|", "^", "~^", "&&", "||", "==", "!=", "<", "<=",
 class BitRef(NamedTuple):
     """One bit of a net, a key of most dicts on the hot path.
 
-    A tuple rather than a frozen dataclass, so hashing and equality run
-    in C instead of in generated Python methods.
+    A tuple rather than a ``Record``, so hashing and equality run in C
+    instead of in Python methods.
     """
 
     net: str
@@ -57,12 +57,17 @@ class BitRef(NamedTuple):
 _bitref = functools.partial(tuple.__new__, BitRef)
 
 
-@dataclass(slots=True, eq=False)  # by identity: a shared node is one key
 class Node:
-    op: str  # const0 const1 leaf AND OR XOR NOT MUX ADDM SUBM
-    children: tuple = ()
-    ref: object = None  # leaves: a BitRef, or a channel id inside channels
-    meta: tuple | None = None  # macros: (width, out_bit)
+    """A gate, leaf or constant; equal and hashed by identity: a shared node is one key."""
+
+    __slots__ = ("op", "children", "ref", "meta")
+    __repr__ = Record.__repr__
+
+    def __init__(self, op: str, children: tuple = (), ref=None, meta: tuple | None = None):
+        self.op = op  # const0 const1 leaf AND OR XOR NOT MUX ADDM SUBM
+        self.children = children
+        self.ref = ref  # leaves: a BitRef, or a channel id inside channels
+        self.meta = meta  # macros: (width, out_bit)
 
     def is_macro(self):
         return self.op in _MACRO_OPS
@@ -72,10 +77,12 @@ CONST0 = Node("const0")
 CONST1 = Node("const1")
 
 
-@dataclass(slots=True)
-class BindTree:
-    root: BitRef
-    node: Node
+class BindTree(Record):
+    __slots__ = ("root", "node")
+
+    def __init__(self, root: BitRef, node: Node):
+        self.root = root
+        self.node = node
 
     def leaves(self):
         """Leaf refs, one per distinct leaf node, in ``postorder``."""
@@ -207,8 +214,8 @@ class _Blaster:
         elif kind is A.Select or kind is A.PartSelect:
             base = expr.base
             if kind is A.PartSelect:
-                msb = const_eval(expr.msb, {})
-                lsb = const_eval(expr.lsb, {})
+                msb = constant(expr.msb, "part-select bound")
+                lsb = constant(expr.lsb, "part-select bound")
                 if msb < lsb:
                     raise WidthMismatch(base if type(base) is str else "expression",
                                         f"reversed range [{msb}:{lsb}]")
@@ -287,7 +294,7 @@ class _Blaster:
             for part in reversed(expr.parts):  # written MSB-first
                 bits.extend(self.blast(part))
         elif kind is A.Repl:
-            count = const_eval(expr.count, {})
+            count = constant(expr.count, "replication count")
             if count < 0:
                 raise UnsupportedConstruct(f"replication count {count}")
             vbits = self.blast(expr.value)

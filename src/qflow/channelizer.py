@@ -20,8 +20,7 @@ macro node instead of a table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .bitgraph import BitRef, Node, eval_node, lane_masks, postorder
 from .errors import ArityMismatch
 
@@ -29,20 +28,25 @@ DEFAULT_MAX_CHANNEL_INPUTS = 5
 MAX_TABLE_INPUTS = 16  # 2^16 table entries
 
 
-@dataclass(slots=True)
-class Channel:
-    cid: int
-    # distinct, stable order: a leaf BitRef, or the id of a derived channel
-    inputs: tuple
-    table: int | None  # packed: bit a = output when input i is bit i of a
-    macro: Node | None  # ADDM | SUBM; leaves are inputs or constants
-    root: BitRef  # the root whose walk cut this channel
+class Channel(Record):
+    __slots__ = ("cid", "inputs", "table", "macro", "root")
+
+    def __init__(self, cid: int, inputs: tuple, table: int | None, macro: Node | None,
+                 root: BitRef):
+        self.cid = cid
+        # distinct, stable order: a leaf BitRef, or the id of a derived channel
+        self.inputs = inputs
+        self.table = table  # packed: bit a = output when input i is bit i of a
+        self.macro = macro  # ADDM | SUBM; leaves are inputs or constants
+        self.root = root  # the root whose walk cut this channel
 
 
-@dataclass
-class ChannelGraph:
-    channels: list = field(default_factory=list)
-    root_channel: dict = field(default_factory=dict)  # root BitRef -> cid, sorted by root
+class ChannelGraph(Record):
+    __slots__ = ("channels", "root_channel")
+
+    def __init__(self):
+        self.channels = []
+        self.root_channel = {}  # root BitRef -> cid, sorted by root
 
 
 def input_label(ci) -> str:
@@ -69,7 +73,7 @@ class _Merger:
 
     def add(self, inputs, table, macro) -> int:
         cid = len(self.graph.channels)
-        # positional: a slotted dataclass takes keywords at twice the cost
+        # positional: keywords double the cost of the call
         self.graph.channels.append(Channel(cid, tuple(inputs), table, macro,
                                            self.trees[self.nxt].root))
         return cid

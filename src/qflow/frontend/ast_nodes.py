@@ -1,183 +1,232 @@
 """AST node definitions for the supported Verilog subset.
 
-Expressions are slotted dataclasses: equal by value, unhashable, and
-without a per-instance ``__dict__``.  ``Select``/``PartSelect`` bases are
-net names in parsed code but elaboration is allowed to wrap arbitrary
+Every node is a ``Record``: equal by value, unhashable, and without a
+per-instance ``__dict__``.  ``Select``/``PartSelect`` bases are net
+names in parsed code but elaboration is allowed to wrap arbitrary
 expressions when lowering procedural blocks to per-bit assignments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .._record import Record
 
 
 # --------------------------------------------------------------------------
 # Expressions
 
-class Expr:
+class Expr(Record):
     __slots__ = ()
 
 
-@dataclass(slots=True)
 class Num(Expr):
-    value: int
-    width: int | None = None  # None: unsized literal, sized by context
+    __slots__ = ("value", "width")
+
+    def __init__(self, value: int, width: int | None = None):
+        self.value = value
+        self.width = width  # None: unsized literal, sized by context
 
 
-@dataclass(slots=True)
 class Ident(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(slots=True)
 class Select(Expr):
-    base: object  # str (net name) or Expr after lowering
-    index: Expr
+    __slots__ = ("base", "index")
+
+    def __init__(self, base, index: Expr):
+        self.base = base  # str (net name) or Expr after lowering
+        self.index = index
 
 
-@dataclass(slots=True)
 class PartSelect(Expr):
-    base: object
-    msb: Expr
-    lsb: Expr
+    __slots__ = ("base", "msb", "lsb")
+
+    def __init__(self, base, msb: Expr, lsb: Expr):
+        self.base = base
+        self.msb = msb
+        self.lsb = lsb
 
 
-@dataclass(slots=True)
 class Unary(Expr):
-    op: str  # ~ ! - + & | ^ ~& ~| ~^
-    operand: Expr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):
+        self.op = op  # ~ ! - + & | ^ ~& ~| ~^
+        self.operand = operand
 
 
-@dataclass(slots=True)
 class Binary(Expr):
-    op: str  # & | ^ ~^ && || == != < <= > >= << >> + -
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op  # & | ^ ~^ && || == != < <= > >= << >> + -
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True)
 class Ternary(Expr):
-    cond: Expr
-    then: Expr
-    other: Expr
+    __slots__ = ("cond", "then", "other")
+
+    def __init__(self, cond: Expr, then: Expr, other: Expr):
+        self.cond = cond
+        self.then = then
+        self.other = other
 
 
-@dataclass(slots=True)
 class Concat(Expr):
-    parts: tuple  # MSB-first, as written
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts  # MSB-first, as written
 
 
-@dataclass(slots=True)
 class Repl(Expr):
-    count: Expr
-    value: Expr
+    __slots__ = ("count", "value")
+
+    def __init__(self, count: Expr, value: Expr):
+        self.count = count
+        self.value = value
 
 
 # --------------------------------------------------------------------------
 # Statements (procedural)
 
-class Stmt:
+class Stmt(Record):
     __slots__ = ()
 
 
-@dataclass
 class Block(Stmt):
-    stmts: list
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: list):
+        self.stmts = stmts
 
 
-@dataclass
 class If(Stmt):
-    cond: Expr
-    then: Stmt
-    other: Stmt | None
+    __slots__ = ("cond", "then", "other")
+
+    def __init__(self, cond: Expr, then: Stmt, other: Stmt | None):
+        self.cond = cond
+        self.then = then
+        self.other = other
 
 
-@dataclass
 class ProcAssign(Stmt):
-    target: Expr  # Ident / Select / PartSelect
-    rhs: Expr
-    blocking: bool
-    line: int = 0
+    __slots__ = ("target", "rhs", "blocking", "line")
+
+    def __init__(self, target: Expr, rhs: Expr, blocking: bool, line: int = 0):
+        self.target = target  # Ident / Select / PartSelect
+        self.rhs = rhs
+        self.blocking = blocking
+        self.line = line
 
 
 # --------------------------------------------------------------------------
 # Module items
 
-@dataclass
-class PortDecl:
-    direction: str  # input | output
-    msb: Expr | None
-    lsb: Expr | None
-    name: str
-    high: bool = False
-    line: int = 0
+class PortDecl(Record):
+    __slots__ = ("direction", "msb", "lsb", "name", "high", "line")
+
+    def __init__(self, direction: str, msb: Expr | None, lsb: Expr | None, name: str,
+                 high: bool = False, line: int = 0):
+        self.direction = direction  # input | output
+        self.msb = msb
+        self.lsb = lsb
+        self.name = name
+        self.high = high
+        self.line = line
 
 
-@dataclass
-class NetDecl:
-    kind: str  # wire | reg
-    msb: Expr | None
-    lsb: Expr | None
-    name: str
-    init: Expr | None = None
-    line: int = 0
+class NetDecl(Record):
+    __slots__ = ("kind", "msb", "lsb", "name", "init", "line")
+
+    def __init__(self, kind: str, msb: Expr | None, lsb: Expr | None, name: str,
+                 init: Expr | None = None, line: int = 0):
+        self.kind = kind  # wire | reg
+        self.msb = msb
+        self.lsb = lsb
+        self.name = name
+        self.init = init
+        self.line = line
 
 
-@dataclass
-class ParamDecl:
-    name: str
-    value: Expr
+class ParamDecl(Record):
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: Expr):
+        self.name = name
+        self.value = value
 
 
-@dataclass
-class ContAssign:
-    target: Expr
-    rhs: Expr
-    line: int = 0
+class ContAssign(Record):
+    __slots__ = ("target", "rhs", "line")
+
+    def __init__(self, target: Expr, rhs: Expr, line: int = 0):
+        self.target = target
+        self.rhs = rhs
+        self.line = line
 
 
-@dataclass
-class Always:
-    sens: tuple  # ('comb',) or ('posedge', clock_net)
-    body: Stmt
-    line: int = 0
+class Always(Record):
+    __slots__ = ("sens", "body", "line")
+
+    def __init__(self, sens: tuple, body: Stmt, line: int = 0):
+        self.sens = sens  # ('comb',) or ('posedge', clock_net)
+        self.body = body
+        self.line = line
 
 
-@dataclass
-class GenerateFor:
-    genvar: str
-    init: Expr
-    cond: Expr
-    step: Expr
-    items: list
-    line: int = 0
-    label: str | None = None  # ``begin : label``; None names it genblk<n>
+class GenerateFor(Record):
+    __slots__ = ("genvar", "init", "cond", "step", "items", "line", "label")
+
+    def __init__(self, genvar: str, init: Expr, cond: Expr, step: Expr, items: list,
+                 line: int = 0, label: str | None = None):
+        self.genvar = genvar
+        self.init = init
+        self.cond = cond
+        self.step = step
+        self.items = items
+        self.line = line
+        self.label = label  # ``begin : label``; None names it genblk<n>
 
 
-@dataclass
-class Instance:
-    module: str
-    name: str
-    param_overrides: list  # (name | None, Expr); None = positional
-    connections: list  # (port name | None, Expr or None); None port = positional
-    line: int = 0
+class Instance(Record):
+    __slots__ = ("module", "name", "param_overrides", "connections", "line")
+
+    def __init__(self, module: str, name: str, param_overrides: list, connections: list,
+                 line: int = 0):
+        self.module = module
+        self.name = name
+        self.param_overrides = param_overrides  # (name | None, Expr); None = positional
+        # (port name | None, Expr or None); None port = positional
+        self.connections = connections
+        self.line = line
 
 
-@dataclass
-class ModuleDecl:
-    name: str
-    port_order: list  # port names in header order
-    ports: dict = field(default_factory=dict)  # name -> PortDecl
-    items: list = field(default_factory=list)
-    params: dict = field(default_factory=dict)  # name -> ParamDecl
+class ModuleDecl(Record):
+    __slots__ = ("name", "port_order", "ports", "items", "params")
+
+    def __init__(self, name: str, port_order: list):
+        self.name = name
+        self.port_order = port_order  # port names in header order
+        self.ports = {}  # name -> PortDecl
+        self.items = []
+        self.params = {}  # name -> ParamDecl
 
 
-@dataclass
-class Ast:
-    modules: dict  # name -> ModuleDecl
+class Ast(Record):
+    __slots__ = ("modules",)
+
+    def __init__(self, modules: dict):
+        self.modules = modules  # name -> ModuleDecl
 
 
-@dataclass
-class SourceUnit:
-    files: list  # (path, text)
-    top_module: str | None = None
+class SourceUnit(Record):
+    __slots__ = ("files", "top_module")
+
+    def __init__(self, files: list, top_module: str | None = None):
+        self.files = files  # (path, text)
+        self.top_module = top_module

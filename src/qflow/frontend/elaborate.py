@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import ChainMap
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..errors import (
@@ -28,6 +27,7 @@ from ..errors import (
     UnsupportedConstruct,
     WidthMismatch,
 )
+from .._record import Record
 from . import ast_nodes as A
 from .lexer import WIDTH_LIMIT
 
@@ -36,29 +36,37 @@ from .lexer import WIDTH_LIMIT
 # them): both are held to ``WIDTH_LIMIT`` bits, as nets are.
 
 
-@dataclass
-class FlatNet:
-    name: str
-    width: int
-    kind: str  # input | output | wire | reg
+class FlatNet(Record):
+    __slots__ = ("name", "width", "kind")
+
+    def __init__(self, name: str, width: int, kind: str):
+        self.name = name
+        self.width = width
+        self.kind = kind  # input | output | wire | reg
 
 
-@dataclass(slots=True)
-class FlatAssign:
-    target: str
-    msb: int
-    lsb: int
-    expr: A.Expr
-    sequential: bool = False
+class FlatAssign(Record):
+    __slots__ = ("target", "msb", "lsb", "expr", "sequential")
+
+    def __init__(self, target: str, msb: int, lsb: int, expr: A.Expr, sequential: bool = False):
+        self.target = target
+        self.msb = msb
+        self.lsb = lsb
+        self.expr = expr
+        self.sequential = sequential
 
 
-@dataclass
-class ElaboratedDesign:
-    top: str
-    nets: dict = field(default_factory=dict)  # name -> FlatNet
-    assigns: list = field(default_factory=list)
-    labels: dict = field(default_factory=dict)  # input net name -> 'high'|'low'
-    driver: dict = field(default_factory=dict)  # (net, bit) -> the FlatAssign that drives it
+class ElaboratedDesign(Record):
+    __slots__ = ("top", "nets", "assigns", "labels", "driver")
+
+    def __init__(self, top: str, nets: dict | None = None, assigns: list | None = None,
+                 labels: dict | None = None, driver: dict | None = None):
+        self.top = top
+        self.nets = {} if nets is None else nets  # name -> FlatNet
+        self.assigns = [] if assigns is None else assigns
+        self.labels = {} if labels is None else labels  # input net name -> 'high'|'low'
+        # (net, bit) -> the FlatAssign that drives it
+        self.driver = {} if driver is None else driver
 
     def high_bits(self):
         """Secret bit identities in declaration order: [(net, bit, secret_id)]."""
@@ -147,7 +155,18 @@ def const_eval(expr, env):
         return int(_CONST_BINARY[expr.op](a, b))
     if isinstance(expr, A.Ternary):
         return const_eval(expr.then if const_eval(expr.cond, env) else expr.other, env)
-    raise ValueError(f"not a constant expression: {expr!r}")
+    # the type, not the repr: the bit-blaster asks this of every select's index and
+    # catches it, so a repr would cost the size of the nest below each select
+    raise ValueError(f"not a constant expression: {type(expr).__name__}")
+
+
+def constant(expr, construct, location=""):
+    """The value of ``expr``, which the design must give as a constant: else
+    ``UnsupportedConstruct`` naming ``construct``, such as a replication count."""
+    try:
+        return const_eval(expr, {})
+    except ValueError:
+        raise UnsupportedConstruct(f"non-constant {construct}", location) from None
 
 
 class _Elaborator:
@@ -242,12 +261,14 @@ class _Elaborator:
         if isinstance(target, A.Select):
             if not isinstance(target.base, str):
                 raise UnsupportedConstruct("assignment to expression")
-            b = const_eval(target.index, {})
+            b = constant(target.index, "bit-select in an assignment target", target.base)
             return target.base, b, b
         if isinstance(target, A.PartSelect):
             if not isinstance(target.base, str):
                 raise UnsupportedConstruct("assignment to expression")
-            return target.base, const_eval(target.msb, {}), const_eval(target.lsb, {})
+            return (target.base,
+                    constant(target.msb, "part-select in an assignment target", target.base),
+                    constant(target.lsb, "part-select in an assignment target", target.base))
         raise UnsupportedConstruct(f"assignment target {type(target).__name__}")
 
     # -- instantiation -----------------------------------------------------
@@ -361,7 +382,8 @@ class _Elaborator:
             pname = name if name is not None else (pnames[i] if i < len(pnames) else None)
             if pname is None or pname not in child.params:
                 raise UnknownSignal(f"parameter {pname} of {inst.module}")
-            overrides[pname] = const_eval(self.resolve(expr, env, scope), {})
+            overrides[pname] = constant(self.resolve(expr, env, scope),
+                                        f"override of parameter {pname}", where)
 
         conns = {}
         for i, (pname, expr) in enumerate(inst.connections):

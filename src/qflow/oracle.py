@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-
+from ._record import Record
 from .bitgraph import CONST0, BindTree, BitRef, Node, eval_order, lane_masks, postorder
 from .channelizer import merge
 from .errors import TooLarge, TooManyObservations
@@ -36,12 +35,14 @@ KEY_CAP = 1 << 20
 CLASS_BITS = 6
 
 
-@dataclass
-class FlatFunction:
-    high_inputs: list  # BitRef
-    low_inputs: list  # BitRef
-    observations: list  # Node per observed bit: every output bit of every cycle
-    order: list  # postorder of the observations
+class FlatFunction(Record):
+    __slots__ = ("high_inputs", "low_inputs", "observations", "order")
+
+    def __init__(self, high_inputs: list, low_inputs: list, observations: list, order: list):
+        self.high_inputs = high_inputs  # BitRef
+        self.low_inputs = low_inputs  # BitRef
+        self.observations = observations  # Node per observed bit: every output bit of every cycle
+        self.order = order  # postorder of the observations
 
     def eval(self, h_bits, l_bits):
         values = dict(zip(self.high_inputs, h_bits))
@@ -365,11 +366,13 @@ def random_forest(rng: random.Random, max_bits=12):
     return forest, design
 
 
-@dataclass
-class DiffRecord:
-    index: int
-    exact_bits: float
-    qmodel_bits: float
+class DiffRecord(Record):
+    __slots__ = ("index", "exact_bits", "qmodel_bits")
+
+    def __init__(self, index: int, exact_bits: float, qmodel_bits: float):
+        self.index = index
+        self.exact_bits = exact_bits
+        self.qmodel_bits = qmodel_bits
 
     @property
     def dominated(self):

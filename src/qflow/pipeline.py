@@ -5,8 +5,8 @@ from __future__ import annotations
 import gc
 import re
 import time
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .bitgraph import bit_blast
 from .channelizer import DEFAULT_MAX_CHANNEL_INPUTS, MAX_TABLE_INPUTS, merge
 from .errors import DesignTooDeep, ProbabilityOnNonInput, UnknownSignal
@@ -21,33 +21,40 @@ _PROB_LINE = re.compile(
     r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*$")
 
 
-@dataclass
-class Config:
-    files: list  # paths
-    top: str
-    high_overrides: tuple = ()  # net names marked High from the CLI
-    prob_file: str | None = None
-    p_high: float | None = None  # single global secret-bit probability
-    max_channel_inputs: int = DEFAULT_MAX_CHANNEL_INPUTS
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    cap: bool = True
+class Config(Record):
+    __slots__ = ("files", "top", "high_overrides", "prob_file", "p_high", "max_channel_inputs",
+                 "thresholds", "cap")
 
-    def __post_init__(self):
-        if not 1 <= self.max_channel_inputs <= MAX_TABLE_INPUTS:
+    def __init__(self, files: list, top: str, high_overrides: tuple = (),
+                 prob_file: str | None = None, p_high: float | None = None,
+                 max_channel_inputs: int = DEFAULT_MAX_CHANNEL_INPUTS,
+                 thresholds: Thresholds | None = None, cap: bool = True):
+        if not 1 <= max_channel_inputs <= MAX_TABLE_INPUTS:
             raise ValueError(f"max_channel_inputs must be in [1, {MAX_TABLE_INPUTS}]")
-        if self.p_high is not None and not 0.0 <= self.p_high <= 1.0:
+        if p_high is not None and not 0.0 <= p_high <= 1.0:
             raise ValueError("probabilities must be in [0, 1]")
+        self.files = files  # paths
+        self.top = top
+        self.high_overrides = high_overrides  # net names marked High from the CLI
+        self.prob_file = prob_file
+        self.p_high = p_high  # single global secret-bit probability
+        self.max_channel_inputs = max_channel_inputs
+        self.thresholds = Thresholds() if thresholds is None else thresholds
+        self.cap = cap
 
 
-@dataclass
-class Analysis:
-    design: object
-    forest: list
-    deps: object
-    graph: object
-    annotated: object
-    totals: dict
-    report: Report
+class Analysis(Record):
+    __slots__ = ("design", "forest", "deps", "graph", "annotated", "totals", "report")
+
+    def __init__(self, design, forest: list, deps, graph, annotated, totals: dict,
+                 report: Report):
+        self.design = design
+        self.forest = forest
+        self.deps = deps
+        self.graph = graph
+        self.annotated = annotated
+        self.totals = totals
+        self.report = report
 
 
 def parse_probability_file(text: str):

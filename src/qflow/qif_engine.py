@@ -34,8 +34,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .bitgraph import BitRef
 from .channelizer import Channel, ChannelGraph
 from .errors import ArityMismatch
@@ -61,16 +61,19 @@ def source_leakage(p1: float) -> float:
     return -math.log2(m)
 
 
-@dataclass
-class ProbAnnotatedGraph:
-    graph: ChannelGraph
-    chan_prob: dict = field(default_factory=dict)  # cid -> p1
-    chan_pbv: dict = field(default_factory=dict)  # cid -> V1
-    chan_leak: dict = field(default_factory=dict)  # cid -> {sid: bits}
-    chan_tainted: dict = field(default_factory=dict)  # cid -> bool
-    reg_prob: dict = field(default_factory=dict)  # register BitRef -> p1
-    reg_leak: dict = field(default_factory=dict)  # register BitRef -> {sid: bits}
-    secrets: list = field(default_factory=list)  # (sid, net, bit, p_source)
+class ProbAnnotatedGraph(Record):
+    __slots__ = ("graph", "chan_prob", "chan_pbv", "chan_leak", "chan_tainted", "reg_prob",
+                 "reg_leak", "secrets")
+
+    def __init__(self, graph: ChannelGraph, secrets: list):
+        self.graph = graph
+        self.chan_prob = {}  # cid -> p1
+        self.chan_pbv = {}  # cid -> V1
+        self.chan_leak = {}  # cid -> {sid: bits}
+        self.chan_tainted = {}  # cid -> bool
+        self.reg_prob = {}  # register BitRef -> p1
+        self.reg_leak = {}  # register BitRef -> {sid: bits}
+        self.secrets = secrets  # (sid, net, bit, p_source)
 
 
 # --------------------------------------------------------------------------
@@ -144,11 +147,13 @@ def _macro_prob(channel: Channel, probs) -> float:
 # --------------------------------------------------------------------------
 # The channel dependency graph
 
-@dataclass
-class DependencyGraph:
-    edges: set = field(default_factory=set)  # (channel id, register it reads)
-    cycles: list = field(default_factory=list)  # id sets: SCCs of size>1 and self-loops
-    order: list = field(default_factory=list)  # every SCC as a list of ids, dependencies first
+class DependencyGraph(Record):
+    __slots__ = ("edges", "cycles", "order")
+
+    def __init__(self):
+        self.edges = set()  # (channel id, register it reads)
+        self.cycles = []  # id sets: SCCs of size>1 and self-loops
+        self.order = []  # every SCC as a list of ids, dependencies first
 
 
 def compute_dependencies(graph: ChannelGraph) -> DependencyGraph:

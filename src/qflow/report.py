@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+
+from ._record import Record
 
 # Defaults from the fully-diffusing reference calibration:
 # warning = smallest per-bit leakage, detection = mean per-bit leakage.
@@ -13,32 +14,48 @@ DEFAULT_WARN = 2.89154e-3
 DEFAULT_DETECT = 1.53939e-2
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    warn: float = DEFAULT_WARN
-    detect: float = DEFAULT_DETECT
+class Thresholds(Record):
+    """Immutable and hashable, so one value can be shared."""
 
-    def __post_init__(self):
-        if not (0.0 <= self.warn <= self.detect):
+    __slots__ = ("warn", "detect")
+
+    def __init__(self, warn: float = DEFAULT_WARN, detect: float = DEFAULT_DETECT):
+        if not (0.0 <= warn <= detect):
             raise ValueError(f"thresholds must satisfy 0 <= warn <= detect, "
-                             f"got warn={self.warn} detect={self.detect}")
+                             f"got warn={warn} detect={detect}")
+        object.__setattr__(self, "warn", warn)
+        object.__setattr__(self, "detect", detect)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash((self.warn, self.detect))
 
 
-@dataclass
-class SecretEntry:
-    net: str
-    bit: int
-    leakage_bits: float
-    cls: str  # leak | warn | ok
-    paths: list  # (output_net, output_bit, leakage_bits), nonzero only
+class SecretEntry(Record):
+    __slots__ = ("net", "bit", "leakage_bits", "cls", "paths")
+
+    def __init__(self, net: str, bit: int, leakage_bits: float, cls: str, paths: list):
+        self.net = net
+        self.bit = bit
+        self.leakage_bits = leakage_bits
+        self.cls = cls  # leak | warn | ok
+        self.paths = paths  # (output_net, output_bit, leakage_bits), nonzero only
 
 
-@dataclass
-class Report:
-    design: dict  # top, max_channel_inputs, cap
-    thresholds: Thresholds
-    secrets: list  # SecretEntry, ordered by secret id
-    runtime_seconds: float = 0.0
+class Report(Record):
+    __slots__ = ("design", "thresholds", "secrets", "runtime_seconds")
+
+    def __init__(self, design: dict, thresholds: Thresholds, secrets: list,
+                 runtime_seconds: float = 0.0):
+        self.design = design  # top, max_channel_inputs, cap
+        self.thresholds = thresholds
+        self.secrets = secrets  # SecretEntry, ordered by secret id
+        self.runtime_seconds = runtime_seconds
 
     def counts(self):
         c = {"leak": 0, "warn": 0, "ok": 0}

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflow import corpus
-from qflow.bitgraph import bit_blast, dump_forest, eval_node
-from qflow.channelizer import dump_channels
+from qflow.bitgraph import BindTree, BitRef, Node, bit_blast, dump_forest, eval_node
+from qflow.channelizer import Channel, dump_channels
 from qflow.errors import (
     LabelOnNonInput,
     MultipleDrivers,
@@ -699,6 +699,17 @@ def test_const_eval_applies_only_its_operator():
     assert peak < 1 << 20  # building 1 << 100_000_000 as well would take 12.5 MB
 
 
+def test_const_eval_error_names_the_node_type():
+    # the bit-blaster asks this of every select's index: a repr of the
+    # index would make k[k[...k[0]...]] quadratic, and deep enough, fail
+    expr = A.Num(0)
+    for _ in range(5000):
+        expr = A.Select("k", expr)
+    with pytest.raises(ValueError) as e:
+        const_eval(expr, {})
+    assert str(e.value) == "not a constant expression: Select"
+
+
 def test_expressions_equal_by_value_and_slotted():
     src = corpus.read("toy_spn.v")
     assert parse_text(src, "toy_spn") == parse_text(src, "toy_spn")
@@ -713,6 +724,9 @@ def test_expressions_equal_by_value_and_slotted():
                  A.Concat((one,)), A.Repl(one, one)):
         assert not hasattr(expr, "__dict__"), type(expr).__name__
     assert all(not hasattr(a, "__dict__") for a in full(EXAMPLE, "example").assigns)
+    leaf, root = Node("leaf", ref=BitRef("k", 0, "input-high")), BitRef("y", 0, "top-output")
+    for obj in (leaf, Channel(0, (leaf.ref,), 0b10, None, root), BindTree(root, leaf)):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 def test_constant_left_shift_limited():
@@ -1035,14 +1049,11 @@ endmodule
     def walk(e):
         if isinstance(e, A.Select) and isinstance(e.base, str):
             names.add(e.base)
-        for f in getattr(e, "__dataclass_fields__", {}):
+        for f in e.__slots__:
             v = getattr(e, f)
-            if isinstance(v, tuple):
-                for x in v:
-                    if hasattr(x, "__dataclass_fields__"):
-                        walk(x)
-            elif hasattr(v, "__dataclass_fields__"):
-                walk(v)
+            for x in v if isinstance(v, tuple) else (v,):
+                if isinstance(x, A.Expr):
+                    walk(x)
 
     walk(y.expr)
     assert "k" not in names  # substituted, not referenced

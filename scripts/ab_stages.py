@@ -19,10 +19,11 @@ Pass i runs the whole pool once with each tree, A then B when i is even
 and B then A when it is odd, so that a host that speeds up or slows down
 during the run weighs on both trees alike.  Each stage function that
 ``pipeline`` and ``oracle`` call is wrapped, in that tree's namespace
-only, to add its wall time to the pass.  The table gives, per stage and
-for the whole pass, each tree's median with its quartiles in raw
-milliseconds, the ratio B/A of the medians, and the number of passes in
-which B was faster.
+only, to add its wall time to the pass.  So is the lexer's ``scan``, as
+the parser binds it: its row is the part of ``parse`` spent scanning.
+The table gives, per stage and for the whole pass, each tree's median
+with its quartiles in raw milliseconds, the ratio B/A of the medians, and
+the number of passes in which B was faster.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ FAMILIES = Path(__file__).resolve().parent.parent / "bench" / "families.py"
 
 # (module, function): every stage the operation calls, in pipeline order
 STAGES = (
-    ("pipeline", "parse"), ("pipeline", "extract_labels"), ("pipeline", "elaborate"),
-    ("pipeline", "bit_blast"), ("pipeline", "merge"), ("pipeline", "compute_dependencies"),
-    ("pipeline", "build_input_probs"), ("pipeline", "propagate"),
+    ("pipeline", "parse"), ("parser", "scan"), ("pipeline", "extract_labels"),
+    ("pipeline", "elaborate"), ("pipeline", "bit_blast"), ("pipeline", "merge"),
+    ("pipeline", "compute_dependencies"), ("pipeline", "build_input_probs"),
+    ("pipeline", "propagate"),
     ("pipeline", "output_contributions"), ("pipeline", "accumulate_totals"),
     ("pipeline", "classify"), ("pipeline", "render"),
     ("oracle", "flatten_forest"), ("oracle", "exact_multiplicative_leakage"),
@@ -76,6 +78,7 @@ class Tree:
         self.pipeline = importlib.import_module(f"{name}.pipeline")
         self.oracle = importlib.import_module(f"{name}.oracle")
         self.frontend = importlib.import_module(f"{name}.frontend")
+        self.parser = importlib.import_module(f"{name}.frontend.parser")
         self.lexer = importlib.import_module(f"{name}.frontend.lexer")
         self.times = {}  # stage -> seconds in the pass under way
         for module, fn in STAGES:  # an older tree may lack a stage

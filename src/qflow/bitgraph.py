@@ -12,8 +12,11 @@ gates.  One method, ``_add``, lowers ``+``, binary ``-`` and unary
 macro node per sum bit, which the engine models in closed form.
 ``blast`` recurses once per expression level: it blasts each operand
 itself and hands bits, never an expression, to the helpers that build
-gates.  Which register reads which is a question for the channel graph
-(``qif_engine.compute_dependencies``), not for these DAGs.
+gates.  Its commonest leaf, a net's bit by a number (the parser's fused
+``k[3]``), is read straight from ``net_bit``, 0 outside the net, with no
+constant evaluation and no memo of its own.  Which register reads which
+is a question for the channel graph (``qif_engine.compute_dependencies``),
+not for these DAGs.
 """
 
 from __future__ import annotations
@@ -197,11 +200,15 @@ class _Blaster:
     # -- expressions -------------------------------------------------------
     def blast(self, expr):
         """The bits of ``expr``, LSB first, memoised by identity; one frame per level."""
+        kind = type(expr)
+        # a net's bit by a number: ``net_bit`` memoises it, 0 outside the net
+        if kind is A.Select and type(expr.index) is A.Num and type(expr.base) is str:
+            i = expr.index.value
+            return [self.net_bit(expr.base, i) if i >= 0 else CONST0]
         key = id(expr)
         hit = self._expr_memo.get(key)
         if hit is not None and hit[0] is expr:
             return hit[1]
-        kind = type(expr)
         if kind is A.Num:
             w = expr.width or max(expr.value.bit_length(), 1)
             bits = [CONST1 if (expr.value >> i) & 1 else CONST0 for i in range(w)]

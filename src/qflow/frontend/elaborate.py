@@ -194,10 +194,10 @@ class _Elaborator:
         """Substitute parameters/genvars with constants, flatten net names.
 
         In a procedural block, ``benv`` maps each blocking-assigned net to
-        its per-bit expressions, and a read of such a net becomes its
-        current value. A bit-select reads one bit's expression when its
-        index is constant; part-select bounds and replication counts never
-        read ``benv``.
+        the expressions of the bits written so far, ``{bit: expr}``, and a
+        read of such a net becomes its current value. A bit-select reads
+        one bit's expression when its index is constant; part-select bounds
+        and replication counts never read ``benv``.
         """
         if not benv and type(expr) is A.Select and type(expr.index) is A.Num:
             # the commonest read, a constant bit-select outside a block
@@ -221,10 +221,8 @@ class _Elaborator:
                 except ValueError:
                     return A.Select(self._rebuild(base, benv),
                                     self.resolve(expr.index, env, scope, benv))
-                bits = benv[base]
-                if 0 <= idx < len(bits) and bits[idx] is not None:
-                    return _expr(bits[idx])
-                return A.Select(base, A.Num(idx))
+                e = benv[base].get(idx)
+                return A.Select(base, A.Num(idx)) if e is None else _expr(e)
             return A.Select(base, self.resolve(expr.index, env, scope, benv))
         if isinstance(expr, A.PartSelect):
             base = scope.flat(expr.base)
@@ -420,31 +418,30 @@ class _Elaborator:
 
     # -- procedural lowering ----------------------------------------------
     def _lower_always(self, always, env, scope):
+        """Lower one block. Each net's written bits are a sparse
+        ``{bit: expr}``, so the cost follows the writes, not the widths of
+        the nets written."""
         sequential = always.sens[0] == "posedge"
-        benv = ChainMap()  # net -> list of per-bit exprs (blocking view)
-        nenv = ChainMap()  # net -> list of per-bit exprs (nonblocking targets)
+        benv = ChainMap()  # net -> {bit: expr} (blocking view)
+        nenv = ChainMap()  # net -> {bit: expr} (nonblocking targets)
         self._exec(always.body, env, scope, benv, nenv)
         benv, nenv = benv.maps[0], nenv.maps[0]
         if sequential:
             # blocking targets inside a clocked block infer registers too
             for net, bits in list(benv.items()):
-                dst = nenv.setdefault(net, [None] * len(bits))
-                for i, e in enumerate(bits):
-                    if e is not None and dst[i] is None:
-                        dst[i] = e
+                dst = nenv.setdefault(net, {})
+                for i, e in bits.items():
+                    dst.setdefault(i, e)
             emit, seq = nenv, True
         else:
             for net, bits in nenv.items():
-                dst = benv.setdefault(net, [None] * len(bits))
-                for i, e in enumerate(bits):
-                    if e is not None:
-                        dst[i] = e
+                benv.setdefault(net, {}).update(bits)
             emit, seq = benv, False
         for net, bits in emit.items():
             self._emit(net, bits, seq)
 
     def _emit(self, net, bits, sequential):
-        """A net's per-bit values as ``FlatAssign``s.
+        """A net's written bits as ``FlatAssign``s, lowest bit first.
 
         A vector write leaves ``(rhs, k)`` at bit ``lsb + k`` (see ``_expr``).
         Each maximal run of bits that reads bits 0, 1, ... of one ``rhs``
@@ -454,14 +451,15 @@ class _Elaborator:
         ``Select``'s expression base from the blasted base.
         """
         end = 0  # the bits below end are emitted
-        for i, e in enumerate(bits):
-            if e is None or i < end:
+        for i in sorted(bits):
+            if i < end:
                 continue
+            e = bits[i]
             end = i + 1
             if type(e) is tuple and e[1] == 0:
                 rhs = e[0]
-                while (end < len(bits) and type(bits[end]) is tuple
-                       and bits[end][1] == end - i and bits[end][0] is rhs):
+                while (type(nxt := bits.get(end)) is tuple
+                       and nxt[1] == end - i and nxt[0] is rhs):
                     end += 1
                 self.assigns.append(FlatAssign(net, end - 1, i, rhs, sequential))
             else:
@@ -471,8 +469,9 @@ class _Elaborator:
         """Current value of a net as an expression (MSB-first concat)."""
         bits = benv[net]
         parts = []
-        for i in range(len(bits) - 1, -1, -1):
-            parts.append(_expr(bits[i]) if bits[i] is not None else A.Select(net, A.Num(i)))
+        for i in range(self.nets[net].width - 1, -1, -1):
+            e = bits.get(i)
+            parts.append(A.Select(net, A.Num(i)) if e is None else _expr(e))
         if len(parts) == 1:
             return parts[0]
         return A.Concat(tuple(parts))
@@ -491,11 +490,12 @@ class _Elaborator:
             w = self.nets[net].width
             if not 0 <= lsb <= msb < w:
                 raise WidthMismatch(net, f"range [{msb}:{lsb}] outside width {w}")
-            bits = _written(benv if stmt.blocking else nenv, net, w)
+            bits = _written(benv if stmt.blocking else nenv, net)
             if msb == lsb:
                 bits[lsb] = rhs
             else:
-                bits[lsb:msb + 1] = zip(itertools.repeat(rhs), range(msb - lsb + 1))
+                bits.update(zip(range(lsb, msb + 1),
+                                zip(itertools.repeat(rhs), range(msb - lsb + 1))))
         elif isinstance(stmt, A.If):
             cond = self.resolve(stmt.cond, env, scope, benv or None)
             b1, n1 = benv.new_child(), nenv.new_child()
@@ -511,33 +511,37 @@ class _Elaborator:
     def _merge(self, cond, dest, w1, w2):
         """Join into ``dest`` the nets either branch wrote (``w1``, ``w2``),
         in first-write order, the ``then`` branch's first."""
+        empty = {}
         for net in dict.fromkeys([*w1, *w2]):
-            v1 = w1.get(net)
-            v2 = w2.get(net)
-            width = len(v1 if v1 is not None else v2)
-            out = _written(dest, net, width)
-            pre = list(out)
-            for i in range(width):
-                a = v1[i] if v1 is not None else None
-                b = v2[i] if v2 is not None else None
+            v1 = w1.get(net, empty)
+            v2 = w2.get(net, empty)
+            out = _written(dest, net)
+            pre = dict(out)
+            # a branch's bits hold the pre-branch ones it did not write, so
+            # only the bits either branch holds can change
+            for i in dict.fromkeys([*v1, *v2]):
+                a, b = v1.get(i), v2.get(i)
                 if a is b:
                     out[i] = a
                     continue
                 # untouched side keeps the pre-branch value (or the stored one)
-                fallback = pre[i] if pre[i] is not None else A.Select(net, A.Num(i))
+                fallback = pre.get(i)
+                if fallback is None:
+                    fallback = A.Select(net, A.Num(i))
                 a = a if a is not None else fallback
                 b = b if b is not None else fallback
                 out[i] = a if a is b else A.Ternary(cond, _expr(a), _expr(b))
 
 
-def _written(env, net, width):
-    """The bit list of ``net`` that a write to ``env``, a ``ChainMap``, may
-    change: the first write in a branch copies the enclosing list."""
+def _written(env, net):
+    """The written bits of ``net``, ``{bit: expr}``, that a write to ``env``,
+    a ``ChainMap``, may change: the first write in a branch copies the
+    enclosing ones."""
     own = env.maps[0]
     bits = own.get(net)
     if bits is None:
         outer = env.get(net) if len(env.maps) > 1 else None
-        bits = own[net] = list(outer or [None] * width)
+        bits = own[net] = dict(outer or ())
     return bits
 
 

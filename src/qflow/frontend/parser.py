@@ -5,18 +5,26 @@ An expression costs one frame per nesting level in each of two methods.
 table, ``_BIN_LEVEL`` (operator -> binding level, built from
 ``_BIN_LEVELS``), recursing only for a right operand that binds tighter,
 and at level 0 a ternary. ``unary`` reads every operand, parenthesised,
-concatenated and replicated ones included, and ``lvalue`` reads
-``name [ number ]`` as a ``Select`` without going through ``expression``.
+concatenated and replicated ones included, and ``lvalue`` reads a fused
+``name[digits]`` token, or ``name [ number ]``, as a ``Select`` without
+going through ``expression``.
+
 The parser reads the lexer's token columns (``lexer.scan``) by position:
 ``self.kinds[self.pos]`` is the next token's kind, and the plumbing
-returns positions, not tokens.
+returns positions, not tokens. The two operand reads are the only readers
+of a fused token. Every other reader of a name (``expect`` and ``at`` of
+an 'id', the port marks) and a failed ``expect``'s message first split it
+back into its four tokens with ``unfuse``, so each AST and each error is
+the one the unfused tokens give. A number's value
+(``literal``) and, for an error, a token's column (``column``) are
+computed where they are read.
 """
 
 from __future__ import annotations
 
 from ..errors import UnknownSignal, UnsupportedConstruct, VerilogSyntaxError
 from . import ast_nodes as A
-from .lexer import scan
+from .lexer import column, literal, position, scan, unfuse
 
 _QFLOW_ATTR = "qflow_high"
 _DIRECTIONS = ("input", "output", "inout")
@@ -53,9 +61,10 @@ _UNARY = frozenset(("~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"))
 class _Parser:
     def __init__(self, path, text):
         self.path = path
-        # the line -> column of each '// qflow: high' comment no input group has used yet
-        columns, self.high_comments = scan(path, text)
-        self.kinds, self.texts, self.values, self.lines, self.cols = columns
+        self.text = text
+        # the line -> match of each '// qflow: high' comment no input group has used yet
+        self.columns, self.high_comments = scan(path, text)
+        self.kinds, self.texts, self.lines = self.columns
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
@@ -69,6 +78,8 @@ class _Parser:
 
     def at(self, kind, text=None):
         pos = self.pos
+        if kind == "id":
+            unfuse(self.columns, pos)
         return self.kinds[pos] == kind and (text is None or self.texts[pos] == text)
 
     def accept(self, kind, text=None):
@@ -83,6 +94,8 @@ class _Parser:
     def expect(self, kind, text=None):
         """Consume the next token, which must match; return its position."""
         pos = self.pos
+        if self.kinds[pos] == "id":  # read, or named in the error, as a name
+            unfuse(self.columns, pos)
         if self.kinds[pos] != kind or (text is not None and self.texts[pos] != text):
             self.err(f"expected {text or kind!r}, found {self.texts[pos]!r}")
         if kind != "eof":
@@ -96,7 +109,11 @@ class _Parser:
     def err(self, msg, pos=None):
         if pos is None:
             pos = self.pos
-        raise VerilogSyntaxError(self.path, self.lines[pos], self.cols[pos], msg)
+        # the column of the unfused token: three more before it per fused one
+        fused = sum(kind == "id" and text[-1] == "]"
+                    for kind, text in zip(self.kinds[:pos], self.texts))
+        raise VerilogSyntaxError(self.path, self.lines[pos],
+                                 column(self.text, pos + 3 * fused), msg)
 
     def reject(self, pos):
         text = self.texts[pos]
@@ -115,7 +132,8 @@ class _Parser:
                 self.err("expected 'module'")
         if self.high_comments:
             line = min(self.high_comments)
-            raise VerilogSyntaxError(self.path, line, self.high_comments[line],
+            _, col = position(self.text, self.high_comments[line])
+            raise VerilogSyntaxError(self.path, line, col,
                                      "'// qflow: high' trails no input declaration")
         return modules
 
@@ -141,18 +159,23 @@ class _Parser:
         """Consume any (* qflow_high *) attribute / literal High prefix."""
         high = False
         while True:
-            kind, text = self.kinds[self.pos], self.texts[self.pos]
+            pos = self.pos
+            kind = self.kinds[pos]
             if kind == "attr":
-                high = high or _QFLOW_ATTR in text
-            elif kind == "id" and text == "High":
+                high = high or _QFLOW_ATTR in self.texts[pos]
+            elif kind == "id":
+                unfuse(self.columns, pos)
+                if self.texts[pos] != "High":
+                    return high
                 high = True
             else:
                 return high
-            self.pos += 1
+            self.pos = pos + 1
 
     def port_list(self, mod):
         if self.at(")"):
             return
+        unfuse(self.columns, self.pos)
         ansi = self.kinds[self.pos] == "attr" or self.texts[self.pos] in (*_DIRECTIONS, "High")
         if not ansi:
             while True:
@@ -454,18 +477,23 @@ class _Parser:
         return node
 
     def lvalue(self):
-        """``name``, ``name[index]`` or ``name[msb:lsb]``; ``name[number]``
-        is read here, as ``expression`` would read it."""
-        pos, kinds = self.pos, self.kinds
+        """``name``, ``name[index]`` or ``name[msb:lsb]``; a fused
+        ``name[digits]`` and ``name [ number ]`` are read here, as
+        ``expression`` would read them."""
+        pos, kinds, texts = self.pos, self.kinds, self.texts
         if kinds[pos] != "id":
-            self.err(f"expected 'id', found {self.texts[pos]!r}")
-        name = self.texts[pos]
+            self.err(f"expected 'id', found {texts[pos]!r}")
+        name = texts[pos]
+        if name[-1] == "]":  # fused
+            self.pos = pos + 1
+            name, _, digits = name[:-1].partition("[")
+            return A.Select(name, A.Num(int(digits)))
         if kinds[pos + 1] != "[":  # an 'id' is never last: 'eof' is
             self.pos = pos + 1
             return A.Ident(name)
         if kinds[pos + 2] == "num" and kinds[pos + 3] == "]":  # '[' and 'num' are not 'eof'
             self.pos = pos + 4
-            return A.Select(name, A.Num(*self.values[pos + 2]))
+            return A.Select(name, A.Num(*literal(texts[pos + 2])))
         self.pos = pos + 2
         first = self.expression()
         if self.accept(":"):
@@ -510,7 +538,7 @@ class _Parser:
             return self.lvalue()
         if kind == "num":
             self.pos = pos + 1
-            return A.Num(*self.values[pos])
+            return A.Num(*literal(self.texts[pos]))
         if kind in _UNARY:  # punctuation: its kind is its text
             self.pos = pos + 1
             return A.Unary(kind, self.unary())

@@ -23,6 +23,7 @@ from qflow.bitgraph import (
 from qflow.channelizer import dump_channels, merge
 from qflow.errors import CombinationalLoop
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
+from qflow.frontend import ast_nodes as A
 from qflow.oracle import exact_multiplicative_leakage, flatten_forest, synthetic_design
 from qflow.pipeline import Config, analyze
 from qflow.qif_engine import (accumulate_totals, channel_prob_pbv, compute_dependencies,
@@ -176,6 +177,23 @@ def test_macro_channels_take_the_closed_form_in_propagate(op, width):
                  else 0.3 if ci.role == "input-high" else 0.5 for ci in ch.inputs]
         assert a.annotated.chan_prob[ch.cid] == channel_prob_pbv(ch, probs)[0]
         assert a.annotated.chan_pbv[ch.cid] == 1.0
+
+
+def test_constant_select_outside_its_net_reads_zero():
+    # a net's bit by a number is read straight from the net: past its top
+    # bit, or below bit 0 where a genvar runs from -1, it reads 0
+    src = ("module m(input [3:0] k, input [3:0] a, output [3:0] y);\n"
+           "assign y[0] = k[9] ^ a[0];\ngenvar i;\ngenerate\n"
+           "for (i = -1; i < 2; i = i + 1) begin\nassign y[i + 2] = a[i] ^ k[i + 1];\nend\n"
+           "endgenerate\nendmodule\n")
+    reads = [a.expr.left for a in design_of(src, "m").assigns]
+    assert A.Select("k", A.Num(9)) in reads and A.Select("a", A.Num(-1)) in reads
+
+    def py(w):
+        k, a = w["k"], w["a"]
+        return {"y": (a & 1) | (k & 1) << 1 | ((a ^ k >> 1) & 3) << 2}
+
+    exhaustive_equal(src, "m", py, ["k", "a"])
 
 
 def test_concat_repl_partselect():

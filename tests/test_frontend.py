@@ -5,13 +5,15 @@ import itertools
 import os
 import random
 import re
+import statistics
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qflow import corpus
@@ -314,6 +316,7 @@ LEX_PIECES = [
     "0", "7", "42", "10_", "1_0", "1__0", "٣", "0b", "0b0011", "0b1_0", "8'hFF", "4'b1010",
     "'d9", "12'o7_7", "x", "z", "//", "// qflow: high", "//QFLOW :  High", "*/", "/*/",
     "*)", "(*)", "(* qflow_high *)", "/* c */", " ", "\t", "\r", "\n", "\r\n",
+    "k[3]", "[0]", "begin[1]", "x_reg[2]", "8'hAbegin[3]",
 ]
 LEX_TRAPS = ["$", "0b_", "00'd0", "4'b3", "4'bx1", "99999'd1", "'", "'h", "'b", "/*", "(*",
              "é", "²", "`"]
@@ -446,6 +449,79 @@ def test_cut_constant_bit_select(tail, col, found):
         parse_text(f"module m(input [3:0] k, output y);\nassign y = {tail}")
     assert (e.value.line, e.value.col, e.value.message) == (
         2, col, f"expected ']', found {found!r}")
+
+
+# A constant bit-select 'name[digits]' is one token; every reader but an
+# operand's splits it back. Operand and non-operand places for it, with a
+# '{}' per name or operand.
+FUSED_NAMES = ["k[0]", "k[3]", "k[12]", "k[007]", "k[\u0663]", "High[0]", "clk[0]", "or[0]",
+               "i[0]", "sub[0]", "begin[0]", "k[k[0]]", "k[1_0]", "k [0]", "k[0][0]",
+               "k[1:0]", "k", "y", "clk", "i"]
+FUSED_HEADERS = [*["module m(input clk, input [3:0] k, output y);"] * 6,
+                 "module m(input [3:0] k, output y{});", "module m({} input [3:0] k, output y);",
+                 "module m(input {}, output y);", "module m({}, y);", "module {}(input k);",
+                 "module m #(parameter {} = 1) (input k);"]
+FUSED_ITEMS = [
+    "assign {} = {} ^ ~{};", "assign {} = {{{}, {}}};", "assign {} = {} ? {} : {};",
+    "wire {};", "wire [3:0] {} = {};", "genvar {};", "{} u({}, {});",
+    "{} #(.P({})) u(.a({}));", "always @(posedge {}) {} <= {};",
+    "always @(posedge {} or {}) {} <= {};", "always @(posedge {} {}) {} <= {};",
+    "assign {} = {} {};", "always @(*) begin {} = {}; end",
+    "always @(*) begin : {} {} = {}; end", "always @(*) case ({}) {}: {} = {}; endcase",
+    "for (i = 0; i < 2; i = i + 1) begin : {} assign {} = {}; end",
+    "// qflow: high {}", "/* {} */", "(* qflow_high *) {}", "input {};", "High {}",
+]
+
+
+@st.composite
+def fused_texts(draw):
+    name = st.sampled_from(FUSED_NAMES)
+    parts = [draw(st.sampled_from(FUSED_HEADERS))]
+    parts += draw(st.lists(st.sampled_from(FUSED_ITEMS), min_size=1, max_size=4))
+    text = "\n".join(parts) + "\nendmodule\n"
+    return text.format(*(draw(name) for _ in range(text.count("{}"))))
+
+
+def parsed(text):
+    """The AST's repr, or the error's type, line and message: a blank moves
+    the column, nothing else."""
+    try:
+        return repr(parse_text(text))
+    except VerilogSyntaxError as e:
+        return VerilogSyntaxError, e.line, e.message
+    except UnsupportedConstruct as e:
+        return UnsupportedConstruct, str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(fused_texts())
+@example("module m(input clk, output y);\nalways @(posedge clk or[0]) y <= 1;\nendmodule\n")
+def test_fused_select_parses_as_its_four_tokens(text):
+    # a blank before each '[' leaves no 'name[digits]' token
+    assert parsed(text) == parsed(text.replace("[", " ["))
+
+
+# each error as the unfused tokens gave it before 'name[digits]' was one token
+@pytest.mark.parametrize("text, line, col, message", [
+    ("module m(input clk, output y);\nalways @(posedge clk[0]) y <= 1;\nendmodule\n",
+     2, 21, "expected ')', found '['"),
+    ("module m(input k[0], output y);\nendmodule\n", 1, 17, "expected ')', found '['"),
+    ("module m(input k, output y);\nwire w[0];\nendmodule\n", 2, 7, "expected ';', found '['"),
+    ("module m(input k, output y);\nsub[0] u(k, y);\nendmodule\n",
+     2, 4, "expected 'id', found '['"),
+    ("module m(input k, output y);\nassign y = begin[0];\nendmodule\n",
+     2, 12, "unexpected token 'begin' in expression"),
+    ("module m(High[0] input k, output y);\nendmodule\n", 1, 14, "expected port direction"),
+    ("module m(input k, output y);\ngenvar i[0];\nendmodule\n",
+     2, 9, "expected ';', found '['"),
+    ("module m(input [1:0] k, output y);\nassign y = k[0][0];\nendmodule\n",
+     2, 16, "expected ';', found '['"),
+])
+def test_fused_select_errors(text, line, col, message):
+    with pytest.raises(VerilogSyntaxError) as e:
+        parse_text(text)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
+
 
 def test_deep_parentheses_parse_and_analyse():
     # 150 levels of parentheses that spell out the left-associative
@@ -925,6 +1001,28 @@ def test_if_lowering_is_linear_in_the_ifs():
     design = elaborate(ast, "m", extract_labels(ast, "m"))
     assert time.perf_counter() - start < 3.0
     assert len(design.assigns) == 2 * n + 1  # a per-bit assign of each register, and y
+
+
+def test_per_bit_lowering_is_linear_in_the_width(monkeypatch):
+    # one clocked block per bit, each writing one bit of each net: a bit list
+    # as wide as each net it wrote made 4,096 routed bits cost about 4x per
+    # assign what 512 did
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import families
+    sizes = (512, 4096)
+    cases = []
+    for routed in sizes:
+        design = families.trojan_pipeline(random.Random(1), 2, 2 * routed, per_bit=True)
+        ast = parse(SourceUnit(design.files, design.top))
+        cases.append((ast, design.top, extract_labels(ast, design.top)))
+    times = {routed: [] for routed in sizes}
+    for _ in range(3):  # interleaved, so a host that slows down weighs on both
+        for routed, (ast, top, labels) in zip(sizes, cases):
+            start = time.perf_counter()
+            flat = elaborate(ast, top, labels)
+            times[routed].append((time.perf_counter() - start) / len(flat.assigns))
+    small, large = (statistics.median(times[routed]) for routed in sizes)
+    assert large < 2 * small, (small, large)
 
 
 @pytest.mark.parametrize("target", ["o[9:6]", "o[8]", "o[0 - 1]", "o[2:5]"])

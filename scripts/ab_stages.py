@@ -21,6 +21,10 @@ during the run weighs on both trees alike.  Each stage function that
 ``pipeline`` and ``oracle`` call is wrapped, in that tree's namespace
 only, to add its wall time to the pass.  So is the lexer's ``scan``, as
 the parser binds it: its row is the part of ``parse`` spent scanning.
+The ``gc`` row is the time the cyclic garbage collector ran during the
+pass, from ``gc.callbacks``, charged to the tree whose pass was running:
+a collection is started by whatever allocation crosses the threshold,
+so it also shows inside the stage rows it interrupted.
 The table gives, per stage and for the whole pass, each tree's median
 with its quartiles in raw milliseconds, the ratio B/A of the medians, and
 the number of passes in which B was faster.
@@ -49,6 +53,7 @@ STAGES = (
     ("pipeline", "classify"), ("pipeline", "render"),
     ("oracle", "flatten_forest"), ("oracle", "exact_multiplicative_leakage"),
 )
+GC = "gc"
 TOTAL = "total"
 
 
@@ -65,6 +70,23 @@ def load_module(name, path, package_dir=None):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+class CollectorClock:
+    """A ``gc.callbacks`` hook that adds each collection's wall time to the
+    ``GC`` entry of ``times``, the pass under way; ``None`` between passes."""
+
+    def __init__(self):
+        self.times = None
+        self.start = 0.0
+
+    def __call__(self, phase, info):
+        if self.times is None:
+            return
+        if phase == "start":
+            self.start = time.perf_counter()
+        else:
+            self.times[GC] = self.times.get(GC, 0.0) + time.perf_counter() - self.start
 
 
 class Tree:
@@ -127,12 +149,16 @@ class Tree:
         return tokens, repr(self.frontend.parse(self.frontend.SourceUnit(design.files,
                                                                          design.top)))
 
-    def run_pass(self, pool):
-        """Per-stage and total seconds of one pass over the pool."""
+    def run_pass(self, pool, clock):
+        """Per-stage, collector and total seconds of one pass over the pool."""
         self.times.clear()
+        clock.times = self.times
         start = time.perf_counter()
-        for design in pool:
-            self.op(design)
+        try:
+            for design in pool:
+                self.op(design)
+        finally:
+            clock.times = None
         times = dict(self.times)
         times[TOTAL] = time.perf_counter() - start
         return times
@@ -146,7 +172,8 @@ def quartiles(values):
 
 
 def table(a_passes, b_passes):
-    stages = [fn for _m, fn in STAGES if any(fn in p for p in a_passes + b_passes)] + [TOTAL]
+    stages = [fn for _m, fn in STAGES if any(fn in p for p in a_passes + b_passes)]
+    stages += [GC, TOTAL]
     lines = [f"{'stage':<30}{'A median [q1, q3] ms':>28}{'B median [q1, q3] ms':>28}"
              f"{'B/A':>7}{'B wins':>9}"]
     for stage in stages:
@@ -186,9 +213,12 @@ def main(argv=None):
         same_asts &= a_ast == b_ast
     a_passes, b_passes = [], []
     gc.collect()
+    clock = CollectorClock()
+    gc.callbacks.append(clock)
     for i in range(args.passes):
         for tree, passes in ((a, a_passes), (b, b_passes))[::1 if i % 2 == 0 else -1]:
-            passes.append(tree.run_pass(pool))
+            passes.append(tree.run_pass(pool, clock))
+    gc.callbacks.remove(clock)
     print(f"{args.workload} seed {args.seed}: {len(pool)} designs, {args.passes} passes "
           f"(A = {args.base_src}, B = {args.new_src}); outputs equal; token streams "
           f"{'equal' if same_tokens else 'differ'}; ASTs {'equal' if same_asts else 'differ'}")

@@ -13,7 +13,10 @@ distinct input bits (single-node channels may exceed the bound by their
 own arity, since a binary gate cannot have fewer than two inputs).
 A table is filled by one bit-parallel ``eval_node`` over lane masks and
 kept packed as an int: bit ``a`` is the output under assignment ``a``,
-whose bit ``i`` is the value of ``inputs[i]``.
+whose bit ``i`` is the value of ``inputs[i]``.  A piece that is one
+gate over distinct leaves has its children, in order, as its inputs, so
+its table depends on the gate's kind and arity alone: each ``merge``
+evaluates it once per kind and reuses it.
 ADD/SUB macro nodes become standalone macro channels that keep their
 macro node instead of a table.
 """
@@ -57,6 +60,12 @@ def input_label(ci) -> str:
     return f"{tag} {ci}"
 
 
+def _table(inputs, node) -> int:
+    """The packed table of ``node`` over ``inputs``, from one bit-parallel walk."""
+    return eval_node(node, dict(zip(inputs, lane_masks(len(inputs)))),
+                     (1 << (1 << len(inputs))) - 1)
+
+
 # A piece is (inputs, node): a node whose leaves are exactly ``inputs``,
 # ordered by first use, with each derived channel as Node("leaf", ref=cid).
 # Where nothing below a gate was sealed, the gate itself is its piece's node.
@@ -68,6 +77,8 @@ class _Merger:
         # over the whole forest, by node identity: node -> piece, piece node -> cid
         self.built = {}
         self.sealed = {}
+        # (op, arity) -> the table of one gate over distinct leaves, in child order
+        self.gate_tables = {}
         self.trees = trees  # sorted by root
         self.nxt = 0  # the tree whose walk is under way: the first whose node is not built
 
@@ -79,15 +90,24 @@ class _Merger:
         return cid
 
     def seal(self, piece) -> int:
-        """Materialize a piece as a table channel from one bit-parallel walk."""
+        """Materialize a piece as a table channel: one gate over distinct
+        leaves takes its kind's table, filled once per ``merge``; any other
+        piece is evaluated by one bit-parallel walk."""
         inputs, node = piece
         cid = self.sealed.get(node)
         if cid is None:
+            kids = node.children
             if node.op == "leaf":  # the identity of its one input
                 table = 0b10
+            elif len(inputs) == len(kids) and all(k.op == "leaf" for k in kids):
+                # one gate over distinct leaves: its inputs are its children in
+                # order, so its table is its kind's
+                key = node.op, len(kids)
+                table = self.gate_tables.get(key)
+                if table is None:
+                    table = self.gate_tables[key] = _table(inputs, node)
             else:
-                table = eval_node(node, dict(zip(inputs, lane_masks(len(inputs)))),
-                                  (1 << (1 << len(inputs))) - 1)
+                table = _table(inputs, node)
             cid = self.add(inputs, table, None)
             self.sealed[node] = cid
         return cid

@@ -9,6 +9,11 @@ into a ``ChainMap`` child of the enclosing view, and only the nets a
 branch wrote are merged, in first-write order.  A procedural vector
 write stays one ranged assignment of its right-hand side; only the bits
 that control flow or a later write changed become assignments of their own.
+
+In the top module's own scope, where names are flat already and each
+item is elaborated once, a parsed expression that nothing substitutes is
+handed on as it is, not copied; an instance or a generate iteration gets
+a fresh tree per copy, so that each copy blasts to gates of its own.
 """
 
 from __future__ import annotations
@@ -198,52 +203,87 @@ class _Elaborator:
         read of such a net becomes its current value. A bit-select reads
         one bit's expression when its index is constant; part-select bounds
         and replication counts never read ``benv``.
+
+        In the top module's own scope (``scope.prefix`` is empty) every name
+        is already flat and each parsed expression is resolved once, so an
+        expression that resolving leaves as it is comes back itself, not as
+        a copy.  Elsewhere one parsed tree is resolved once per instance or
+        generate iteration, and each gets a fresh tree: the blaster gives
+        one expression object one set of nodes, so sharing it would merge
+        the copies' gates.
         """
-        if not benv and type(expr) is A.Select and type(expr.index) is A.Num:
-            # the commonest read, a constant bit-select outside a block
-            if expr.base in env:  # parameter indexed as value: unsupported
-                raise UnsupportedConstruct(f"bit-select of parameter {expr.base}")
-            return A.Select(scope.flat(expr.base), expr.index)
-        if isinstance(expr, A.Num):
-            return expr
-        if isinstance(expr, A.Ident):
-            if expr.name in env:
-                return A.Num(env[expr.name])
-            name = scope.flat(expr.name)
-            return self._rebuild(name, benv) if benv and name in benv else A.Ident(name)
-        if isinstance(expr, A.Select):
-            if expr.base in env:  # parameter indexed as value: unsupported
-                raise UnsupportedConstruct(f"bit-select of parameter {expr.base}")
-            base = scope.flat(expr.base)
-            if benv and base in benv:
+        kind = type(expr)
+        if kind is A.Select:
+            base, index = expr.base, expr.index
+            if base in env:  # parameter indexed as value: unsupported
+                raise UnsupportedConstruct(f"bit-select of parameter {base}")
+            flat = scope.flat(base)
+            if benv and flat in benv:
                 try:
-                    idx = const_eval(expr.index, env)
+                    idx = const_eval(index, env)
                 except ValueError:
-                    return A.Select(self._rebuild(base, benv),
-                                    self.resolve(expr.index, env, scope, benv))
-                e = benv[base].get(idx)
-                return A.Select(base, A.Num(idx)) if e is None else _expr(e)
-            return A.Select(base, self.resolve(expr.index, env, scope, benv))
-        if isinstance(expr, A.PartSelect):
-            base = scope.flat(expr.base)
-            if benv and base in benv:
-                base = self._rebuild(base, benv)
-            return A.PartSelect(base, self.resolve(expr.msb, env, scope),
-                                self.resolve(expr.lsb, env, scope))
-        if isinstance(expr, A.Unary):
-            return A.Unary(expr.op, self.resolve(expr.operand, env, scope, benv))
-        if isinstance(expr, A.Binary):
-            return A.Binary(expr.op, self.resolve(expr.left, env, scope, benv),
-                            self.resolve(expr.right, env, scope, benv))
-        if isinstance(expr, A.Ternary):
-            return A.Ternary(self.resolve(expr.cond, env, scope, benv),
-                             self.resolve(expr.then, env, scope, benv),
-                             self.resolve(expr.other, env, scope, benv))
-        if isinstance(expr, A.Concat):
-            return A.Concat(tuple(self.resolve(p, env, scope, benv) for p in expr.parts))
-        if isinstance(expr, A.Repl):
-            return A.Repl(self.resolve(expr.count, env, scope),
-                          self.resolve(expr.value, env, scope, benv))
+                    return A.Select(self._rebuild(flat, benv),
+                                    self.resolve(index, env, scope, benv))
+                e = benv[flat].get(idx)
+                return A.Select(flat, A.Num(idx)) if e is None else _expr(e)
+            kind = type(index)
+            if kind is A.Ident and index.name in env:  # a genvar or a parameter
+                return A.Select(flat, A.Num(env[index.name]))
+            if kind is not A.Num:  # the commonest index is a number, which stays
+                index = self.resolve(index, env, scope, benv)
+            if scope.prefix or index is not expr.index:
+                return A.Select(flat, index)
+            return expr
+        if kind is A.Binary:
+            left = self.resolve(expr.left, env, scope, benv)
+            right = self.resolve(expr.right, env, scope, benv)
+            if scope.prefix or left is not expr.left or right is not expr.right:
+                return A.Binary(expr.op, left, right)
+            return expr
+        if kind is A.Ident:
+            name = expr.name
+            if name in env:
+                return A.Num(env[name])
+            flat = scope.flat(name)
+            if benv and flat in benv:
+                return self._rebuild(flat, benv)
+            return A.Ident(flat) if scope.prefix else expr
+        if kind is A.Num:
+            return expr
+        if kind is A.Unary:
+            operand = self.resolve(expr.operand, env, scope, benv)
+            if scope.prefix or operand is not expr.operand:
+                return A.Unary(expr.op, operand)
+            return expr
+        if kind is A.Ternary:
+            cond = self.resolve(expr.cond, env, scope, benv)
+            then = self.resolve(expr.then, env, scope, benv)
+            other = self.resolve(expr.other, env, scope, benv)
+            if (scope.prefix or cond is not expr.cond or then is not expr.then
+                    or other is not expr.other):
+                return A.Ternary(cond, then, other)
+            return expr
+        if kind is A.PartSelect:
+            base = flat = scope.flat(expr.base)
+            if benv and flat in benv:
+                base = self._rebuild(flat, benv)
+            msb = self.resolve(expr.msb, env, scope)
+            lsb = self.resolve(expr.lsb, env, scope)
+            if (scope.prefix or base is not flat or msb is not expr.msb
+                    or lsb is not expr.lsb):
+                return A.PartSelect(base, msb, lsb)
+            return expr
+        if kind is A.Concat:
+            parts = tuple([self.resolve(p, env, scope, benv) for p in expr.parts])
+            if scope.prefix or any(map(operator.is_not, parts, expr.parts)):
+                return A.Concat(parts)
+            return expr
+        if kind is A.Repl:
+            count = self.resolve(expr.count, env, scope)
+            value = self.resolve(expr.value, env, scope, benv)
+            if scope.prefix or count is not expr.count or value is not expr.value:
+                return A.Repl(count, value)
+            return expr
         raise UnsupportedConstruct(f"expression {type(expr).__name__}")
 
     def net_width(self, name):

@@ -453,7 +453,14 @@ class _Parser:
         return A.ProcAssign(target, rhs, blocking, line=self.lines[pos])
 
     def case_stmt(self):
-        """A ``case`` as the ``if`` chain it means: arms in order, then ``default``."""
+        """A ``case`` as the ``if`` chain it means: arms in order, then ``default``.
+
+        Each comparison gets its own copy of the subject, so the AST stays
+        a tree: elaboration hands a parsed expression on as it is, and the
+        bit-blaster gives one expression object one set of gates.
+        """
+        from copy import deepcopy  # only a design with a case pays for the import
+
         self.expect("kw", "case")
         self.expect("(")
         subject = self.expression()
@@ -470,9 +477,9 @@ class _Parser:
         self.expect("kw", "endcase")
         node = default
         for labels, body in reversed(arms):
-            cond = A.Binary("==", subject, labels[0])
+            cond = A.Binary("==", deepcopy(subject), labels[0])
             for lab in labels[1:]:
-                cond = A.Binary("||", cond, A.Binary("==", subject, lab))
+                cond = A.Binary("||", cond, A.Binary("==", deepcopy(subject), lab))
             node = A.If(cond, body, node)
         return node
 

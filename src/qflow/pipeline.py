@@ -126,13 +126,26 @@ def analyze(config: Config, file_texts=None) -> Analysis:
     caller's ``gc`` state comes back in a ``finally``, also when a stage
     raises.  An analysis allocates one object per AST expression, DAG
     node and channel and holds all of them until it ends, so every
-    automatic collection would rescan a graph that cannot be garbage.
-    The pause leaves nothing for a later collection either: the stages
-    build no reference cycles (a node refers only to its children, a
-    channel to its input bits and channel ids), so whatever an analysis
+    automatic collection would rescan a graph that cannot be garbage: the
+    stages build no reference cycles (a node refers only to its children,
+    a channel to its input bits and channel ids), so whatever an analysis
     drops is freed by reference counting at once.
     ``tests/test_pipeline.py`` checks that ``gc.collect()`` finds nothing
     after analyses and renders of the corpus.
+
+    The pause alone would only defer the scans: the allocation count
+    goes on while the collector is paused, so the first allocation after
+    the pause would start a collection of every survivor, and later ones
+    would scan them again on promotion.  So the ``finally`` also calls
+    ``gc.freeze()`` then ``gc.unfreeze()``, which moves every tracked
+    object into the oldest generation and zeroes the young count.  The
+    caller's own young objects move with them: a reference cycle the
+    caller dropped is reclaimed by the next full collection (or
+    ``gc.collect()``), not by the next young one.  A caller that has
+    frozen objects itself (``gc.get_freeze_count()`` is not zero, say a
+    server about to fork) keeps them frozen: the promotion is skipped.
+    So it is on CPython 3.12.1, which starts with the base and MRO tuples
+    of its static types frozen.
     """
     start = time.monotonic()
     enabled = gc.isenabled()
@@ -161,6 +174,9 @@ def analyze(config: Config, file_texts=None) -> Analysis:
                          "cap": config.cap},
             runtime_seconds=time.monotonic() - start)
     finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
         if enabled:
             gc.enable()
     return Analysis(design, forest, deps, graph, annotated, totals, report)

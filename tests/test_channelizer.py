@@ -133,6 +133,30 @@ endmodule
                 assert got[graph.root_channel[tree.root]] == want
 
 
+@pytest.mark.parametrize("rhs", ["k[0] ^ k[0]", "a & a", "s ? a : s"])
+def test_gate_over_repeated_leaves_gets_its_own_table(rhs):
+    """A gate whose children repeat a leaf has fewer inputs than children,
+    so it does not take the table of its kind over distinct leaves, which
+    ``u`` seals first; every channel agrees with its tree on every assignment."""
+    src = f"""module m(input [1:0] k, input a, input s, output u, output w, output y);
+assign u = k[1] ^ a;
+assign w = (a & s) | (s ? k[1] : a);
+assign y = {rhs};
+endmodule
+"""
+    for bound in (1, 2, 3, 5):
+        forest, graph = pipeline_to_graph(src, "m", bound)
+        leaves = sorted({leaf for t in forest for leaf in t.leaves()}, key=str)
+        for combo in itertools.product((0, 1), repeat=len(leaves)):
+            values = dict(zip(leaves, combo))
+            got = channel_values(graph, values)
+            for tree in forest:
+                assert got[graph.root_channel[tree.root]] == eval_node(tree.node, values)
+        (tree,) = [t for t in forest if t.root.net == "y"]
+        ch = graph.channels[graph.root_channel[tree.root]]
+        assert len(ch.inputs) < len(tree.node.children)
+
+
 def test_channel_eval_arity_mismatch():
     _forest, graph = pipeline_to_graph(EXAMPLE, "example", 3)
     ch = graph.channels[0]

@@ -692,6 +692,109 @@ def test_wire_declared_in_generate_loop_is_per_iteration():
     assert a.totals == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
 
+def test_top_level_assign_keeps_its_parsed_expression():
+    """The top module's own names are flat already and each of its items
+    is elaborated once, so an expression that elaboration leaves as it is
+    is handed on as the parsed object; a parameter read is substituted."""
+    src = """module m(input [3:0] k, input [3:0] a, output [3:0] o);
+localparam P = 2;
+assign o[3] = k[3] ^ a[3];
+assign o[2] = k[P] & ~a[2];
+endmodule
+"""
+    ast = parse_text(src, "m")
+    rhs = [item.rhs for item in ast.modules["m"].items if isinstance(item, A.ContAssign)]
+    d = elaborate(ast, "m", extract_labels(ast, "m"))
+    assert d.assigns[0].expr is rhs[0]
+    assert d.assigns[1].expr == A.Binary("&", A.Select("k", A.Num(2)), rhs[1].right)
+    assert d.assigns[1].expr is not rhs[1]
+    assert d.assigns[1].expr.right is rhs[1].right
+
+
+FRESH_PER_COPY = """module inv(input [1:0] a, output [1:0] y);
+assign y = ~a & (2'b10 | 2'b01);
+endmodule
+module top(input [3:0] k, input [3:0] a, output [3:0] o, output [3:0] p,
+           output [1:0] q, output [1:0] r);
+genvar i;
+generate
+for (i = 0; i < 4; i = i + 1) begin : g
+  assign o[i] = k[i] ^ a[i];
+  assign p[i] = k[0] & a[1];
+end
+endgenerate
+inv u0 (.a(k[1:0]), .y(q));
+inv u1 (.a(a[1:0]), .y(r));
+endmodule
+"""
+
+
+def test_generate_iterations_and_instances_get_fresh_expressions():
+    """One parsed tree elaborated once per generate iteration or instance
+    gives each copy its own tree, flattened, so each blasts to its own gates."""
+    d = full(FRESH_PER_COPY, "top")
+    by_target = {}
+    for a in d.assigns:
+        by_target.setdefault(a.target, []).append(a)
+    o = by_target["o"]
+    assert [(a.lsb, a.expr) for a in o] == [
+        (i, A.Binary("^", A.Select("k", A.Num(i)), A.Select("a", A.Num(i))))
+        for i in range(4)]
+    p = [a.expr for a in by_target["p"]]
+    assert p == [A.Binary("&", A.Select("k", A.Num(0)), A.Select("a", A.Num(1)))] * 4
+    assert len({id(e) for e in p}) == 4
+    gen = next(item for item in parse_text(FRESH_PER_COPY, "top").modules["top"].items
+               if isinstance(item, A.GenerateFor))
+    assert all(e is not gen.items[1].rhs for e in p)
+    inv = [by_target[f"u{n}.y"][0].expr for n in (0, 1)]
+    assert inv[0] == A.Binary("&", A.Unary("~", A.Ident("u0.a")),
+                              A.Binary("|", A.Num(2, 2), A.Num(1, 2)))
+    assert inv[1].left == A.Unary("~", A.Ident("u1.a"))
+    assert inv[0].right == inv[1].right and inv[0].right is not inv[1].right
+    roots = {(t.root.net, t.root.bit): t.node for t in bit_blast(d)}
+    assert len({id(roots["p", i]) for i in range(4)}) == 4
+    assert roots["q", 0].children[1] is not roots["r", 0].children[1]
+
+
+def test_blocking_read_in_always_still_substitutes():
+    src = """module m(input [1:0] a, input [1:0] b, output reg [1:0] y);
+reg [1:0] t;
+always @* begin
+  t = a ^ b;
+  y = t & a;
+end
+endmodule
+"""
+    d = full(src, "m")
+    t_rhs = A.Binary("^", A.Ident("a"), A.Ident("b"))
+    (y,) = [a for a in d.assigns if a.target == "y"]
+    assert y.expr == A.Binary(
+        "&", A.Concat((A.Select(t_rhs, A.Num(1)), A.Select(t_rhs, A.Num(0)))), A.Ident("a"))
+    (t,) = [a for a in d.assigns if a.target == "t"]
+    assert t.expr == t_rhs
+    assert y.expr.left.parts[0].base is t.expr  # one object: blasted once for both
+
+
+def test_case_subject_is_copied_per_comparison():
+    """A ``case`` lowers to one comparison per label, each with its own copy
+    of the subject: the AST stays a tree."""
+    src = """module m(input [1:0] s, input [1:0] k, input [2:0] d, output reg y);
+always @* begin
+  case (s ^ k)
+    2'd0, 2'd3: y = d[0];
+    2'd1: y = d[1];
+    default: y = d[2];
+  endcase
+end
+endmodule
+"""
+    stmt = parse_text(src, "m").modules["m"].items[-1].body.stmts[0]
+    cond = stmt.cond
+    subjects = [cond.left.left, cond.right.left, stmt.other.cond.left]
+    assert subjects == [A.Binary("^", A.Ident("s"), A.Ident("k"))] * 3
+    assert len({id(e) for e in subjects}) == 3
+
+
 def test_parameters_and_overrides():
     src = """module inner #(parameter W = 2) (input [W-1:0] a, output [W-1:0] y);
 assign y = ~a;

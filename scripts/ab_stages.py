@@ -10,7 +10,10 @@ the designs of one seeded workload pool (``bench/families.py``, the only
 file read from ``bench/``): ``analyze`` and the JSON report, and for the
 oracle designs the uncapped totals, ``flatten_forest`` and the exact
 leakage.  Before any timing, every design's JSON, text and CSV reports
-(runtime zeroed) and exact leakage must be equal in both trees.  Whether
+(runtime zeroed), exact leakage, ``dump_forest``, ``dump_channels``,
+``repr(deps.order)`` and the ``repr`` of every ``ProbAnnotatedGraph``
+field must be equal in both trees, so a change that renumbers channels
+or reorders a dict fails here even where the reports agree.  Whether
 the trees' token streams (``repr(tokenize(...))`` of every file) and ASTs
 (``repr(parse(...))``) are equal over the pool is printed, not required:
 a change may alter the AST on purpose and keep the reports.
@@ -102,6 +105,8 @@ class Tree:
         self.frontend = importlib.import_module(f"{name}.frontend")
         self.parser = importlib.import_module(f"{name}.frontend.parser")
         self.lexer = importlib.import_module(f"{name}.frontend.lexer")
+        self.bitgraph = importlib.import_module(f"{name}.bitgraph")
+        self.channelizer = importlib.import_module(f"{name}.channelizer")
         self.times = {}  # stage -> seconds in the pass under way
         for module, fn in STAGES:  # an older tree may lack a stage
             namespace = getattr(self, module)
@@ -137,11 +142,15 @@ class Tree:
         return analysis, exact
 
     def outputs(self, design):
-        """The reports with the runtime zeroed, and the exact leakage, of one design."""
+        """The reports with the runtime zeroed, the exact leakage, the forest
+        and channel dumps, the dependency order and every annotation of one design."""
         analysis, exact = self.op(design)
         analysis.report.runtime_seconds = 0.0
+        annotated = analysis.annotated
         return ([self.pipeline.render_report(analysis, fmt) for fmt in ("json", "text", "csv")],
-                exact)
+                exact, self.bitgraph.dump_forest(analysis.forest),
+                self.channelizer.dump_channels(analysis.graph), repr(analysis.deps.order),
+                [repr(getattr(annotated, name)) for name in annotated.__slots__])
 
     def frontend_outputs(self, design):
         """The repr of every file's tokens, and of the design's AST."""

@@ -72,9 +72,6 @@ class Node:
         self.ref = ref  # leaves: a BitRef, or a channel id inside channels
         self.meta = meta  # macros: (width, out_bit)
 
-    def is_macro(self):
-        return self.op in _MACRO_OPS
-
 
 CONST0 = Node("const0")
 CONST1 = Node("const1")
@@ -400,18 +397,26 @@ def eval_node(node: Node, values, ones=1) -> int:
     With ``ones = 2**n - 1`` and each leaf bound to an n-bit lane mask (see
     ``lane_masks``), one walk evaluates n assignments at once: bit j of the
     result is the node's value under the assignment of lane j.  A leaf or
-    a constant is its own value, and a gate over leaves and constants
-    needs no walk either: its children, then itself, are an evaluation order.
+    a constant is its own value, and a node no more than two levels deep
+    needs no walk either: each child after its own children, then the
+    node, is an evaluation order (a node listed twice gets one value).
     """
     kids = node.children
     if not kids:
         if node.op == "leaf":
             return values[node.ref]
         return ones if node.op == "const1" else 0
+    order = []
     for kid in kids:
-        if kid.children:
-            return eval_order(postorder((node,)), values, ones)[node]
-    return eval_order((*kids, node), values, ones)[node]
+        grandkids = kid.children
+        if grandkids:
+            for g in grandkids:
+                if g.children:  # deeper: one walk
+                    return eval_order(postorder((node,)), values, ones)[node]
+            order += grandkids
+        order.append(kid)
+    order.append(node)
+    return eval_order(order, values, ones)[node]
 
 
 def eval_order(order, values, ones=1) -> dict:
@@ -481,7 +486,7 @@ def dump_forest(forest) -> str:
                 text[node] = str(node.ref) if node.op == "leaf" else node.op[-1]
                 continue
             tag = node.op
-            if node.is_macro():
+            if node.op in _MACRO_OPS:
                 w, out_bit = node.meta
                 tag = f"{tag}:{out_bit}/{w}"
             body = " ".join(text.pop(c) if reads[c] == 1 else text[c]

@@ -8,6 +8,14 @@ it is sealed, it is one channel that all its readers take as the same
 input.  A root's channel is sealed once its node is built, so roots that
 are one node share it; a channel's ``root`` is the root whose walk cut it.
 
+A piece is (inputs, node): a node whose leaves, a derived channel being
+``Node("leaf", ref=cid)``, are exactly ``inputs``, a dict used as an
+ordered set that is never changed once built: a binary gate's is its
+children's ``a | b``, and a one-child gate's is its child's own.  Over
+the bound, ``cut`` seals the largest child piece first; a tie goes to
+the smaller first input label as a string (``D 10`` before ``D 9``), and
+only a tie formats labels.
+
 A table channel is a Boolean function over at most ``max_channel_inputs``
 distinct input bits (single-node channels may exceed the bound by their
 own arity, since a binary gate cannot have fewer than two inputs).
@@ -22,6 +30,9 @@ macro node instead of a table.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 from ._record import Record
 from .bitgraph import BitRef, Node, eval_node, lane_masks, postorder
@@ -66,73 +77,75 @@ def _table(inputs, node) -> int:
                      (1 << (1 << len(inputs))) - 1)
 
 
-# A piece is (inputs, node): a node whose leaves are exactly ``inputs``,
-# ordered by first use, with each derived channel as Node("leaf", ref=cid).
-# Where nothing below a gate was sealed, the gate itself is its piece's node.
-
 class _Merger:
-    def __init__(self, graph: ChannelGraph, bound: int, trees):
-        self.graph = graph
+    def __init__(self, graph: ChannelGraph, bound: int):
+        self.channels = graph.channels
+        self.root_channel = graph.root_channel
         self.bound = bound
         # over the whole forest, by node identity: node -> piece, piece node -> cid
         self.built = {}
         self.sealed = {}
         # (op, arity) -> the table of one gate over distinct leaves, in child order
         self.gate_tables = {}
-        self.trees = trees  # sorted by root
-        self.nxt = 0  # the tree whose walk is under way: the first whose node is not built
-
-    def add(self, inputs, table, macro) -> int:
-        cid = len(self.graph.channels)
-        # positional: keywords double the cost of the call
-        self.graph.channels.append(Channel(cid, tuple(inputs), table, macro,
-                                           self.trees[self.nxt].root))
-        return cid
+        self.root = None  # the root whose walk is under way: its cuts are its channels
 
     def seal(self, piece) -> int:
         """Materialize a piece as a table channel: one gate over distinct
         leaves takes its kind's table, filled once per ``merge``; any other
         piece is evaluated by one bit-parallel walk."""
         inputs, node = piece
-        cid = self.sealed.get(node)
-        if cid is None:
-            kids = node.children
-            if node.op == "leaf":  # the identity of its one input
-                table = 0b10
-            elif len(inputs) == len(kids) and all(k.op == "leaf" for k in kids):
-                # one gate over distinct leaves: its inputs are its children in
-                # order, so its table is its kind's
-                key = node.op, len(kids)
-                table = self.gate_tables.get(key)
-                if table is None:
-                    table = self.gate_tables[key] = _table(inputs, node)
-            else:
+        if node in self.sealed:
+            return self.sealed[node]
+        kids = node.children
+        if node.op == "leaf":  # the identity of its one input
+            table = 0b10
+        else:
+            key = None  # a gate over distinct leaves has them, in order, as inputs
+            if len(inputs) == len(kids):
+                for kid in kids:
+                    if kid.op != "leaf":
+                        break
+                else:
+                    key = node.op, len(kids)
+            table = self.gate_tables.get(key)
+            if table is None:
                 table = _table(inputs, node)
-            cid = self.add(inputs, table, None)
-            self.sealed[node] = cid
+                if key:
+                    self.gate_tables[key] = table
+        cid = self.sealed[node] = len(self.channels)
+        # positional: keywords double the cost of the call
+        self.channels.append(Channel(cid, tuple(inputs), table, None, self.root))
         return cid
 
     def derived(self, cid):
-        return [cid], Node("leaf", (), cid)
+        return {cid: None}, Node("leaf", (), cid)
 
-    def build(self):
+    def build(self, trees):
         """Each node's piece from its children's, in one walk of every root;
         each root's piece is sealed, in order, once its node is built."""
-        built, trees, nodes = self.built, self.trees, [t.node for t in self.trees]
-        bound, root_channel, seal = self.bound, self.graph.root_channel, self.seal
-        waiting = nodes[0] if nodes else None  # the node of tree nxt
+        built, bound, seal, root_channel = self.built, self.bound, self.seal, self.root_channel
+        nodes = [t.node for t in trees]
+        nxt = 0  # tree nxt's walk is under way
+        waiting, self.root = (nodes[0], trees[0].root) if trees else (None, None)
         for node in postorder(nodes):
             kids = node.children
             if not kids:  # a leaf or a constant
-                built[node] = ([node.ref] if node.op == "leaf" else []), node
-            elif node.is_macro():
+                built[node] = ({node.ref: None} if node.op == "leaf" else {}), node
+            elif node.op == "ADDM" or node.op == "SUBM":
                 built[node] = self.macro_piece(node)
+            elif len(kids) == 2:  # the commonest gate: no list of pieces
+                a, b = kids
+                pa, pb = built[a], built[b]
+                inputs = pa[0] | pb[0]
+                if len(inputs) > bound:
+                    pieces = [pa, pb]
+                    inputs = self.cut(pieces, inputs)
+                    pa, pb = pieces
+                built[node] = inputs, (node if pa[1] is a and pb[1] is b
+                                       else Node(node.op, (pa[1], pb[1])))
             else:
                 pieces = [built[c] for c in kids]
-                inputs = []
-                for p in pieces:
-                    inputs += p[0]
-                inputs = list(dict.fromkeys(inputs))
+                inputs = functools.reduce(operator.or_, [p[0] for p in pieces])
                 if len(inputs) > bound:
                     inputs = self.cut(pieces, inputs)
                 new = tuple([p[1] for p in pieces])
@@ -140,30 +153,32 @@ class _Merger:
             if node is not waiting:
                 continue  # the walk of tree nxt goes on
             while waiting in built:
-                root_channel[trees[self.nxt].root] = seal(built[waiting])
-                self.nxt += 1
-                if self.nxt == len(trees):
+                root_channel[self.root] = seal(built[waiting])
+                nxt += 1
+                if nxt == len(trees):
                     break
-                waiting = nodes[self.nxt]
+                waiting, self.root = nodes[nxt], trees[nxt].root
 
     def cut(self, pieces, inputs):
         """Seal children of a gate until the union of their inputs, which
         ``inputs`` holds, meets the bound; return the union.
 
         Sealing goes largest-child-first so cheap leaves stay direct inputs;
-        ties break toward the lexicographically smaller first input label
-        for determinism.  A fully sealed gate always fits (its arity is the
-        floor on channel size).
+        ties break toward the lexicographically smaller first input label,
+        then the earlier child, for determinism.  A fully sealed gate always
+        fits (its arity is the floor on channel size).
         """
         while len(inputs) > self.bound:
-            candidates = [i for i, p in enumerate(pieces) if len(p[0]) > 1]
-            if not candidates:
+            sizes = [len(p[0]) for p in pieces]
+            top = max(sizes)
+            if top < 2:
                 break  # all single-input: arity floor, accept over-bound
-            candidates.sort(key=lambda i: (-len(pieces[i][0]),
-                                           input_label(pieces[i][0][0])))
-            i = candidates[0]
+            i = sizes.index(top)
+            if sizes.count(top) > 1:  # only a tie needs the labels
+                i = min((j for j, n in enumerate(sizes) if n == top),
+                        key=lambda j: input_label(next(iter(pieces[j][0]))))
             pieces[i] = self.derived(self.seal(pieces[i]))
-            inputs = list(dict.fromkeys(ci for p in pieces for ci in p[0]))
+            inputs = functools.reduce(operator.or_, [p[0] for p in pieces])
         return inputs
 
     def macro_piece(self, node: Node):
@@ -174,9 +189,10 @@ class _Merger:
             if piece[1].op not in ("const0", "const1", "leaf"):  # a nested macro is a leaf
                 piece = self.derived(self.seal(piece))
             kids.append(piece[1])
-        inputs = dict.fromkeys(c.ref for c in kids if c.op == "leaf")
+        inputs = tuple(dict.fromkeys(c.ref for c in kids if c.op == "leaf"))
         macro = Node(node.op, tuple(kids), meta=node.meta)
-        return self.derived(self.add(inputs, None, macro))
+        self.channels.append(Channel(len(self.channels), inputs, None, macro, self.root))
+        return self.derived(len(self.channels) - 1)
 
 
 def merge(forest, max_channel_inputs=DEFAULT_MAX_CHANNEL_INPUTS) -> ChannelGraph:
@@ -185,7 +201,7 @@ def merge(forest, max_channel_inputs=DEFAULT_MAX_CHANNEL_INPUTS) -> ChannelGraph
         raise ValueError(f"max_channel_inputs must be in [1, {MAX_TABLE_INPUTS}]")
     graph = ChannelGraph()
     trees = sorted(forest, key=lambda t: (t.root.net, t.root.bit))
-    _Merger(graph, max_channel_inputs, trees).build()
+    _Merger(graph, max_channel_inputs).build(trees)
     return graph
 
 

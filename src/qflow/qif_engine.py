@@ -14,10 +14,13 @@ components of the channel graph, dependencies first: a channel reads its
 derived inputs, and a register input is an edge to that register's root
 channel.  ``propagate`` creates the ``ProbAnnotatedGraph`` it returns and
 fills its dicts as it goes.  One step, a local function, computes a
-channel: one loop over its inputs reads each one's taint, P(1) and
-leakage vector, ``_kernel`` gives its P(1) and PBV, the summed leakage is
-scaled by the PBV, and every register whose root channel it is takes the
-same values, its leakage capped at each secret's source min-entropy.
+channel: one loop over its inputs reads each one's (P(1), taint, leakage
+vector) by one lookup, ``_kernel`` gives its P(1) and PBV, the summed
+leakage is scaled by the PBV, and every register whose root channel it
+is takes the same values, its leakage capped at each secret's source
+min-entropy.  A channel with one leaking input keeps that vector itself
+unless its PBV is not 1, and a register its channel's unless a value is
+over its cap: stored vectors are shared, so none is changed once stored.
 A single channel that does not read itself through a register is one
 step.  A sequential cycle covers the oracle's horizon,
 ``DEFAULT_UNROLL_CYCLES`` cycles from reset: the registers it reads back
@@ -36,7 +39,7 @@ import math
 import operator
 
 from ._record import Record
-from .bitgraph import BitRef
+from .bitgraph import _bitref
 from .channelizer import Channel, ChannelGraph
 from .errors import ArityMismatch
 
@@ -158,8 +161,9 @@ class DependencyGraph(Record):
 
 def compute_dependencies(graph: ChannelGraph) -> DependencyGraph:
     """Each channel's reads, in input order: its derived inputs, and for a
-    register input, that register's root channel.  Sequential cycles are
-    flagged for the 8-cycle sweeps."""
+    register input, that register's root channel.  A plain walk gives the
+    order unless it meets a cycle; then Tarjan's does, and flags the
+    sequential cycles for the 8-cycle sweeps."""
     deps, adj = DependencyGraph(), []
     root_channel, edges = graph.root_channel, deps.edges
     for ch in graph.channels:
@@ -171,9 +175,41 @@ def compute_dependencies(graph: ChannelGraph) -> DependencyGraph:
                 reads.append(root_channel[ci])
                 edges.add((ch.cid, ci))
         adj.append(reads)
-    deps.order = _sccs(adj)
-    deps.cycles = [set(scc) for scc in deps.order if len(scc) > 1 or scc[0] in adj[scc[0]]]
+    deps.order = _finish_order(adj)
+    if deps.order is None:  # a cycle
+        deps.order = _sccs(adj)
+        deps.cycles = [set(scc) for scc in deps.order
+                       if len(scc) > 1 or scc[0] in adj[scc[0]]]
     return deps
+
+
+def _finish_order(adj):
+    """``_sccs(adj)`` for a graph without cycles, from the same walk without
+    low links or a stack; None as soon as the walk meets a cycle."""
+    num, out = [-1] * len(adj), []  # -1 unmet, 0 on the walk's path, 1 finished
+    for start in range(len(adj)):
+        if num[start] >= 0:
+            continue
+        if not adj[start]:
+            num[start] = 1
+            out.append([start])
+            continue
+        num[start] = 0
+        work = [(start, iter(adj[start]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if num[w] < 0:  # descend into w
+                    num[w] = 0
+                    work.append((w, iter(adj[w])))
+                    break
+                if not num[w]:
+                    return None
+            else:  # v is finished
+                work.pop()
+                num[v] = 1
+                out.append([v])
+    return out
 
 
 def _sccs(adj):
@@ -234,10 +270,10 @@ def _sccs(adj):
 def _kernel(memo, ch, probs, tainted):
     """``channel_prob_pbv``, memoised in ``memo`` for table channels (a
     macro channel's result depends on its macro node, which the key lacks).
-    ``len(probs)`` fixes the arity, so equal keys give equal results."""
+    ``len(key)`` fixes the arity, so equal keys give equal results."""
     if ch.macro is not None:
         return channel_prob_pbv(ch, probs, tainted)
-    key = (ch.table, tuple(probs), tuple(tainted))
+    key = (ch.table, *probs, *tainted)
     out = memo.get(key)
     if out is None:
         out = memo[key] = channel_prob_pbv(ch, probs, tainted)
@@ -253,15 +289,16 @@ def propagate(graph: ChannelGraph, design, input_probs,
                for net, bit, sid in design.high_bits()]
     out = ProbAnnotatedGraph(graph=graph, secrets=secrets)
     minent = {sid: source_leakage(p) for sid, _n, _b, p in secrets}
-    source = {BitRef(net, bit, "input-high"): {sid: minent[sid]} if minent[sid] > 0.0 else {}
-              for sid, net, bit, _p in secrets}
+    # channel id or bit -> (P(1), taint, leakage vector): a secret bit's from
+    # the start, a channel's and a register's once computed; a low bit has none
+    val = {_bitref((net, bit, "input-high")):
+           (p, True, {sid: minent[sid]} if minent[sid] > 0.0 else {})
+           for sid, net, bit, p in secrets}
     channels, root_channel = graph.channels, graph.root_channel
     chan_prob, chan_pbv, chan_leak, chan_tainted = (
         out.chan_prob, out.chan_pbv, out.chan_leak, out.chan_tainted)
-    # each register's values, final once its root channel is
-    reg_prob, reg_leak, reg_tainted = out.reg_prob, out.reg_leak, {}
-    # (table, probs, tainted) -> kernel result, for this propagation only
-    kernel = functools.partial(_kernel, {})
+    reg_prob, reg_leak = out.reg_prob, out.reg_leak
+    memo = {}  # (table, *probs, *tainted) -> kernel result, for this propagation only
     # cid -> its cycle's channels in id order, and the registers the cycle reads back
     loops, looped = {}, set()
     for cycle in deps.cycles:
@@ -282,42 +319,41 @@ def propagate(graph: ChannelGraph, design, input_probs,
         values, and the same values for the registers it holds, its
         leakage capped at each secret's source min-entropy."""
         cid = ch.cid
-        probs, tainted, incoming = [], [], {}
+        probs, tainted, vecs = [], [], []
         for ci in ch.inputs:
-            if type(ci) is int:
-                probs.append(chan_prob[ci])
-                tainted.append(chan_tainted[ci])
-                vec = chan_leak[ci]
-            elif ci.role == "register":
-                probs.append(reg_prob[ci])
-                tainted.append(reg_tainted[ci])
-                vec = reg_leak[ci]
+            v = val.get(ci)
+            if v is not None:
+                p, t, vec = v
+            elif ci.role == "input-low":
+                p, t, vec = input_probs.get(ci[:2], 0.5), False, None
             else:
-                probs.append(input_probs.get(ci[:2], 0.5))
-                if ci.role != "input-high":
-                    tainted.append(False)
-                    continue
-                tainted.append(True)
-                vec = source[ci]
-            for sid, val in vec.items():
-                incoming[sid] = incoming.get(sid, 0.0) + val
-        p1, pbv = kernel(ch, probs, tainted)
-        chan_tainted[cid] = taint = True in tainted
-        chan_prob[cid], chan_pbv[cid] = p1, pbv
-        # v * 1.0 is v: a PBV of 1 passes the summed vector on as it is
-        chan_leak[cid] = leak = (incoming if pbv == 1.0
-                                 else {sid: v * pbv for sid, v in incoming.items()})
+                raise KeyError(ci)  # a register read before its root channel
+            probs.append(p)
+            tainted.append(t)
+            if vec:
+                vecs.append(vec)
+        p1, pbv = _kernel(memo, ch, probs, tainted)
+        taint = True in tainted
+        if len(vecs) == 1:  # the one leaking input's vector, as it is
+            leak = vecs[0]
+        else:  # summed in input order
+            leak = {}
+            for vec in vecs:
+                for sid, v in vec.items():
+                    leak[sid] = leak.get(sid, 0.0) + v
+        if pbv != 1.0:  # v * 1.0 is v
+            leak = {sid: v * pbv for sid, v in leak.items()}
+        chan_tainted[cid], chan_prob[cid], chan_pbv[cid], chan_leak[cid] = taint, p1, pbv, leak
+        val[cid] = p1, taint, leak
         regs = held.get(cid)
         if regs:
-            capped = {}
-            for sid, val in leak.items():
-                cap = minent[sid]
-                if cap < val:
-                    val = cap
-                if val > 0.0:
-                    capped[sid] = val
+            capped = leak  # as it is, unless a value is over its cap or not positive
+            for sid, v in leak.items():
+                if not 0.0 < v <= minent[sid]:
+                    capped = {s: c for s, v in leak.items() if (c := min(v, minent[s])) > 0.0}
+                    break
             for reg in regs:
-                reg_tainted[reg], reg_prob[reg], reg_leak[reg] = taint, p1, capped
+                reg_prob[reg], reg_leak[reg], val[reg] = p1, capped, (p1, taint, capped)
 
     def sweep_cycle(scc, cycle, chans, regs):
         """Taint, P(1), PBV and leakage of a cycle's channels and of the
@@ -332,39 +368,29 @@ def propagate(graph: ChannelGraph, design, input_probs,
         tainted, sids = False, set()
         for ch in chans:
             for ci in ch.inputs:
-                if type(ci) is int:
-                    if ci in cycle:
-                        continue
-                    taint, vec = chan_tainted[ci], chan_leak[ci]
-                elif ci.role == "register":
-                    if root_channel[ci] in cycle:
-                        continue
-                    taint, vec = reg_tainted[ci], reg_leak[ci]
-                elif ci.role == "input-high":
-                    taint, vec = True, source[ci]
-                else:
-                    continue
-                tainted = tainted or taint
-                sids.update(vec)
+                v = val.get(ci)  # none for a low bit
+                if v and (ci if type(ci) is int else root_channel.get(ci)) not in cycle:
+                    tainted = tainted or v[1]
+                    sids.update(v[2])
         top = {sid: minent[sid] for sid in sorted(sids)}
         for reg in regs:  # what the first sweep reads
-            reg_tainted[reg], reg_prob[reg], reg_leak[reg] = tainted, 0.0, top
+            reg_prob[reg], reg_leak[reg], val[reg] = 0.0, top, (0.0, tainted, top)
         for cid in scc:  # the other registers it holds come next, in component order
             for reg in held.get(cid, ()):
                 reg_prob[reg] = reg_leak[reg] = None
         for sweep in range(DEFAULT_UNROLL_CYCLES):
             if sweep:
                 for reg in regs:
-                    reg_prob[reg] = chan_prob[root_channel[reg]]
+                    reg_prob[reg] = p = chan_prob[root_channel[reg]]
+                    val[reg] = p, tainted, top
             for ch in chans:
                 step(ch)
 
     for scc in deps.order:
-        loop = loops.get(scc[0])
-        if loop is None:
-            step(channels[scc[0]])
+        if scc[0] in loops:
+            sweep_cycle(scc, *loops[scc[0]])
         else:
-            sweep_cycle(scc, *loop)
+            step(channels[scc[0]])
     if len(chan_prob) != len(channels):
         raise ValueError("the dependency order does not reach every channel")
     return out
@@ -372,12 +398,13 @@ def propagate(graph: ChannelGraph, design, input_probs,
 
 def output_contributions(annotated: ProbAnnotatedGraph, design):
     """Per top-output bit: its leakage vector. [(net, bit, {sid: bits})]"""
+    reg_leak, chan_leak = annotated.reg_leak, annotated.chan_leak
+    root_channel = annotated.graph.root_channel
     out = []
     for name, bit in design.output_bits():
-        vec = annotated.reg_leak.get(BitRef(name, bit, "register"))
+        vec = reg_leak.get(_bitref((name, bit, "register")))
         if vec is None:
-            cid = annotated.graph.root_channel.get(BitRef(name, bit, "top-output"))
-            vec = annotated.chan_leak.get(cid, {})
+            vec = chan_leak.get(root_channel.get(_bitref((name, bit, "top-output"))), {})
         out.append((name, bit, vec))
     return out
 

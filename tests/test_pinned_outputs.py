@@ -5,21 +5,28 @@ Each case hashes one text that holds, labelled, ``dump_forest``,
 ``ProbAnnotatedGraph`` field (dicts in insertion order) and the JSON,
 text and CSV reports with the runtime zeroed.  The digests were recorded
 before the back end's per-bit hot paths were rewritten; a rewrite that
-changes any value, any order or any float's last bit changes one.  CI
-also runs this module under two fixed ``PYTHONHASHSEED`` values, so an
+changes any value, any order or any float's last bit changes one.  One
+more digest covers forests built by hand, with no frontend: seeded
+``random_dag`` forests and one whose cut breaks a size tie between the
+pieces of channels 9 and 10, each at channel bounds 1 to 5 (channel
+dump, dependency order, annotations, output contributions).  CI also
+runs this module under two fixed ``PYTHONHASHSEED`` values, so an
 output that depends on set order fails there.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from qflow import corpus
-from qflow.bitgraph import dump_forest
-from qflow.channelizer import dump_channels
+from qflow.bitgraph import BindTree, BitRef, Node, dump_forest, postorder
+from qflow.channelizer import dump_channels, merge
 from qflow.pipeline import Config, analyze, render_report
-from qflow.qif_engine import ProbAnnotatedGraph
+from qflow.qif_engine import (ProbAnnotatedGraph, compute_dependencies, output_contributions,
+                               propagate)
 
+from test_bitgraph import random_dag
 from test_frontend import datapath_source, reconvergent_source, register_pipeline_source
 from test_pipeline import CORPUS
 from test_qif_engine import CYCLE_DESIGNS
@@ -160,3 +167,86 @@ def test_every_case_pinned():
     assert set(PINNED) == ({f"{design}@{config}" for config in CONFIGS
                             for design in (*(f[:-2] for f, *_ in CORPUS), *CYCLES)}
                            | {f"{design}@default" for design in INLINE})
+
+
+class ForestDesign:
+    """What ``propagate`` and ``output_contributions`` read of a design,
+    for a forest built by hand: its secret bits and its output bits."""
+
+    def __init__(self, forest):
+        leaves = {n.ref for n in postorder([t.node for t in forest]) if n.op == "leaf"}
+        self.highs = sorted((r for r in leaves if r.role == "input-high"), key=str)
+        self.outputs = [t.root[:2] for t in forest if t.root.role == "top-output"]
+
+    def high_bits(self):
+        return [(net, bit, sid) for sid, (net, bit, _role) in enumerate(self.highs)]
+
+    def output_bits(self):
+        return self.outputs
+
+
+def forest_text(forest, input_probs):
+    """``dump_channels``, ``deps.order``, every annotation and the output
+    contributions of ``forest`` at channel bounds 1 to 5."""
+    design = ForestDesign(forest)
+    parts = []
+    for bound in range(1, 6):
+        graph = merge(forest, bound)
+        deps = compute_dependencies(graph)
+        annotated = propagate(graph, design, input_probs, deps)
+        parts += [dump_channels(graph), repr(deps.order)]
+        parts += [repr(getattr(annotated, name)) for name in ProbAnnotatedGraph.__slots__
+                  if name != "graph"]
+        parts.append(repr(output_contributions(annotated, design)))
+    return "\n".join(parts)
+
+
+def random_forests(seed, count):
+    """Seeded forests over ``random_dag``: constants, NOT, MUX, ADDM and shared
+    nodes; two registers whose roots the other nodes read, and outputs that
+    may repeat another root's node."""
+    rng = random.Random(seed)
+    refs = ([BitRef("h", i, "input-high") for i in range(3)]
+            + [BitRef("l", i, "input-low") for i in range(2)]
+            + [BitRef("r", i, "register") for i in range(2)])
+    for _ in range(count):
+        nodes = random_dag(rng, refs, rng.randint(1, 40))
+        roots = refs[5:] + [BitRef("y", i, "top-output") for i in range(rng.randint(1, 5))]
+        yield [BindTree(root, rng.choice(nodes[-8:] if rng.random() < 0.7 else nodes))
+               for root in roots]
+
+
+def tie_forest():
+    """At bound 2 the gate of ``y[0]`` reads two pieces of two inputs each,
+    one led by channel 9 and one by channel 10, so the cut's tie-break
+    decides which is sealed first: ``D 10`` sorts before ``D 9``."""
+    leaf = [Node("leaf", ref=BitRef("l", i, "input-low")) for i in range(18)]
+    forest = [BindTree(BitRef("o", i, "top-output"), Node("AND", (leaf[i], leaf[i + 9])))
+              for i in range(9)]  # channels 0 to 8
+    x = Node("XOR", (Node("XOR", (leaf[0], leaf[1])), leaf[2]))  # seals channel 9
+    y = Node("XOR", (Node("XOR", (leaf[3], leaf[4])), leaf[5]))  # seals channel 10
+    return forest + [BindTree(BitRef("y", 0, "top-output"), Node("AND", (x, y)))]
+
+
+# recorded at 96a258f, before merge, compute_dependencies and propagate
+# were rewritten to handle each channel once
+RANDOM_FORESTS_PINNED = "3beb48564182ba841261ec1039305e69a755c383adf99abdac7e377e75643b36"
+
+
+def random_forests_digest():
+    h = hashlib.sha256()
+    probs = {("h", 0): 0.7, ("h", 2): 0.25, ("l", 1): 0.9}
+    for forest in [tie_forest(), *random_forests(30, 40)]:
+        h.update(forest_text(forest, probs).encode())
+    return h.hexdigest()
+
+
+def test_tie_forest_seals_the_piece_of_channel_10_first():
+    graph = merge(tie_forest(), 2)
+    y = graph.channels[graph.root_channel[BitRef("y", 0, "top-output")]]
+    assert [graph.channels[cid].inputs[0] for cid in y.inputs] == [9, 10]
+    assert y.inputs == (12, 11)
+
+
+def test_random_forest_outputs_pinned():
+    assert random_forests_digest() == RANDOM_FORESTS_PINNED

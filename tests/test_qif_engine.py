@@ -11,7 +11,7 @@ from qflow.bitgraph import EXPAND_LIMIT, BindTree, BitRef, Node, bit_blast, dump
 from qflow.channelizer import Channel, merge
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.oracle import exact_multiplicative_leakage, flatten_forest
-from qflow.pipeline import Config, analyze
+from qflow.pipeline import Config, analyze, render_report
 from qflow.qif_engine import (
     DependencyGraph,
     accumulate_totals,
@@ -593,3 +593,55 @@ def test_kernel_memo_transparent_on_cycles(design, p_high, bound, monkeypatch):
     b = analyze_source(CYCLE_DESIGNS[design], "m", p_high=p_high, max_channel_inputs=bound)
     for field_name in ("chan_prob", "chan_pbv", "chan_leak", "reg_prob", "reg_leak"):
         assert repr(getattr(b.annotated, field_name)) == repr(getattr(a.annotated, field_name))
+
+
+# -- shared leakage vectors ---------------------------------------------------
+
+@pytest.mark.parametrize("p_high", [None, 0.9])
+def test_stored_leak_vectors_never_change(p_high):
+    """A channel with one leaking input stores that input's vector as it
+    is, so channels and registers share vectors; no reader of a finished
+    analysis changes one, nor does a second ``propagate`` of its graph."""
+    analyses = [analyze_source(src, "m", p_high=p_high) for src in CYCLE_DESIGNS.values()]
+    analyses.append(analyze_corpus("aes_t2100.v", "TSC", high_overrides=("key",),
+                                   p_high=p_high))
+    for a in analyses:
+        an = a.annotated
+        before = repr(an.chan_leak), repr(an.reg_leak)
+        for fmt in ("json", "text", "csv"):
+            render_report(a, fmt)
+        qif_engine.output_contributions(an, a.design)
+        for cap in (True, False):
+            accumulate_totals(an, a.design, cap=cap)
+        assert (repr(an.chan_leak), repr(an.reg_leak)) == before
+        input_probs = ({(n, b): p_high for n, b, _ in a.design.high_bits()}
+                       if p_high is not None else {})
+        again = propagate(a.graph, a.design, input_probs, a.deps)
+        assert (repr(an.chan_leak), repr(an.reg_leak)) == before
+        assert (repr(again.chan_leak), repr(again.reg_leak)) == before
+    # aes_t2100's register pipeline passes one vector down its stages
+    an = analyses[-1].annotated
+    vectors = [v for v in (*an.chan_leak.values(), *an.reg_leak.values()) if v]
+    assert len({id(v) for v in vectors}) < len(vectors)
+
+
+def test_plain_walk_gives_tarjans_order_without_cycles():
+    """``compute_dependencies`` takes a graph's order from a plain walk and
+    runs Tarjan only when that walk meets a cycle: both agree on every
+    graph without one, and the walk meets every cycle, self-loops included."""
+    rng = random.Random(17)
+    acyclic = 0
+    for _ in range(400):
+        n = rng.randint(1, 25)
+        # mostly reads of earlier vertices, as derived inputs are; a few of
+        # any vertex, as register reads are
+        adj = [[rng.randrange(n) if rng.random() < 0.1 else rng.randrange(max(v, 1))
+                for _ in range(rng.randint(0, 3) if v else 0)] for v in range(n)]
+        order = qif_engine._sccs(adj)
+        walk = qif_engine._finish_order(adj)
+        if any(len(scc) > 1 or scc[0] in adj[scc[0]] for scc in order):
+            assert walk is None
+        else:
+            assert walk == order
+            acyclic += 1
+    assert 100 < acyclic < 350

@@ -9,7 +9,8 @@ not increase along the sweep on the bundled pipelined calibration design.
 import argparse
 
 from qflow import corpus
-from qflow.pipeline import Config, analyze
+from qflow.channelizer import MAX_TABLE_INPUTS
+from qflow.pipeline import Config, build, evaluate
 
 
 def main():
@@ -18,13 +19,17 @@ def main():
     parser.add_argument("--top", default="toy_spn")
     parser.add_argument("--max-bound", type=int, default=5)
     args = parser.parse_args()
+    if not 1 <= args.max_bound <= MAX_TABLE_INPUTS:
+        parser.error(f"argument --max-bound: must be in [1, {MAX_TABLE_INPUTS}]")
 
+    cfg = Config(files=[corpus.path(args.design)], top=args.top)
+    design, forest = build(cfg)
+    if not design.high_bits():
+        parser.exit(1, f"{parser.prog}: error: {args.top} in {args.design} has no secret bit\n")
     print("merge_bound,mean_leakage_bits,max_leakage_bits")
     for bound in range(1, args.max_bound + 1):
-        cfg = Config(files=[corpus.path(args.design)], top=args.top,
-                     max_channel_inputs=bound)
-        result = analyze(cfg)
-        vals = list(result.totals.values())
+        cfg.max_channel_inputs = bound
+        vals = list(evaluate(design, forest, cfg).totals.values())
         print(f"{bound},{sum(vals) / len(vals):.6f},{max(vals):.6f}")
 
 

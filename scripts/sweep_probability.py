@@ -8,7 +8,7 @@ about 0.5 for designs whose channels treat the secret bits uniformly.
 import argparse
 
 from qflow import corpus
-from qflow.pipeline import Config, analyze
+from qflow.pipeline import Config, build, evaluate
 
 
 def main():
@@ -19,14 +19,16 @@ def main():
     parser.add_argument("--high", default="key")
     parser.add_argument("--steps", type=int, default=20)
     args = parser.parse_args()
+    if args.steps < 1:
+        parser.error("argument --steps: must be at least 1")
 
-    highs = tuple(h for h in args.high.split(",") if h)
+    cfg = Config(files=[corpus.path(args.design)], top=args.top,
+                 high_overrides=tuple(h for h in args.high.split(",") if h))
+    design, forest = build(cfg)
     print("p_high,total_leakage_bits")
     for i in range(args.steps + 1):
-        p = i / args.steps
-        cfg = Config(files=[corpus.path(args.design)], top=args.top,
-                     high_overrides=highs, p_high=p)
-        result = analyze(cfg)
+        cfg.p_high = p = i / args.steps
+        result = evaluate(design, forest, cfg)
         print(f"{p:.3f},{sum(result.totals.values()):.6f}")
 
 

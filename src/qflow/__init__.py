@@ -11,7 +11,7 @@ from .oracle import (
     exact_prior_vulnerability,
     flatten_forest,
 )
-from .pipeline import Analysis, Config, analyze, render_report
+from .pipeline import Analysis, Config, analyze, build, evaluate, render_report
 from .qif_engine import (
     accumulate_totals,
     channel_prob_pbv,
@@ -34,12 +34,14 @@ __all__ = [
     "accumulate_totals",
     "analyze",
     "bit_blast",
+    "build",
     "calibrate_thresholds",
     "channel_prob_pbv",
     "classify",
     "compute_dependencies",
     "differential_run",
     "elaborate",
+    "evaluate",
     "exact_multiplicative_leakage",
     "exact_posterior_vulnerability",
     "exact_prior_vulnerability",

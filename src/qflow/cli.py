@@ -10,7 +10,7 @@ from .bitgraph import dump_forest
 from .channelizer import DEFAULT_MAX_CHANNEL_INPUTS, dump_channels
 from .errors import QFlowError
 from .oracle import differential_run
-from .pipeline import Config, analyze, render_report
+from .pipeline import Config, analyze, build, evaluate, render_report
 from .report import DEFAULT_DETECT, DEFAULT_WARN, Thresholds, calibrate_thresholds
 
 ERROR_EXIT = 3
@@ -99,16 +99,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    bounds = range(1, 6) if args.sweep else (args.max_channel_inputs,)
+    config = _config_from(args)
+    design, forest = build(config)
     rows = []
-    analysis = None
-    for bound in bounds:
-        config = _config_from(args)
+    for bound in range(1, 6) if args.sweep else (args.max_channel_inputs,):
         config.max_channel_inputs = bound
-        analysis = analyze(config)
-        totals = analysis.totals
-        t = calibrate_thresholds(totals)
-        rows.append((bound, t))
+        analysis = evaluate(design, forest, config)
+        rows.append((bound, calibrate_thresholds(analysis.totals)))
     _maybe_dump(args, analysis)
     if args.sweep:
         print(f"{'max_channel_inputs':>18}  {'min (warn)':>14}  {'mean (detect)':>14}")

@@ -19,11 +19,10 @@ import math
 import random
 from ._record import Record
 from .bitgraph import CONST0, BindTree, BitRef, Node, eval_order, lane_masks, postorder
-from .channelizer import merge
 from .errors import TooLarge, TooManyObservations
 from .frontend.elaborate import ElaboratedDesign, FlatNet
-from .qif_engine import (DEFAULT_UNROLL_CYCLES, accumulate_totals, compute_dependencies,
-                         ordered_sum, propagate)
+from .pipeline import Config, evaluate
+from .qif_engine import DEFAULT_UNROLL_CYCLES, ordered_sum
 
 ENUMERATION_LIMIT = 24
 LANE_BITS = 16  # input bits per lane block: one unroll evaluates 2^16 assignments
@@ -382,8 +381,7 @@ class DiffRecord(Record):
 # Bound 2 is where the estimate's read-once domination claim holds.  The
 # cap is off: the comparison is against the design's joint exact leakage,
 # which a per-secret-bit cap would understate.
-DIFF_MAX_CHANNEL_INPUTS = 2
-DIFF_CAP = False
+DIFF_CONFIG = Config([], "synthetic", max_channel_inputs=2, cap=False)
 
 
 def differential_run(seed, count, max_bits=12):
@@ -392,10 +390,7 @@ def differential_run(seed, count, max_bits=12):
     records = []
     for i in range(count):
         forest, design = random_forest(rng, max_bits)
-        graph = merge(forest, DIFF_MAX_CHANNEL_INPUTS)
-        annotated = propagate(graph, design, {}, compute_dependencies(graph))
-        totals = accumulate_totals(annotated, design, cap=DIFF_CAP)
-        qmodel = ordered_sum(totals.values())
+        qmodel = ordered_sum(evaluate(design, forest, DIFF_CONFIG).totals.values())
         f = flatten_forest(forest, design)
         _ratio, exact = exact_multiplicative_leakage(f)
         records.append(DiffRecord(i, exact, qmodel))

@@ -1,4 +1,6 @@
-"""End-to-end analysis driver shared by the CLI, scripts, and tests."""
+"""End-to-end analysis driver shared by the CLI, scripts, and tests: ``build``
+reads a design into its bind forest, ``evaluate`` analyses the forest at one
+channel bound and prior, and ``analyze`` is both; a sweep builds once."""
 
 from __future__ import annotations
 
@@ -113,14 +115,44 @@ def load_sources(paths):
     return files
 
 
+def build(config: Config, file_texts=None):
+    """Parse, labels, elaborate and ``bit_blast``; returns ``(design, forest)``.
+
+    ``file_texts`` bypasses the filesystem.  Raises ``DesignTooDeep`` where a
+    stage recurses deeper than the interpreter's stack allows (no later one
+    recurses)."""
+    files = file_texts if file_texts is not None else load_sources(config.files)
+    try:
+        ast = parse(SourceUnit(files, config.top))
+        labels = extract_labels(ast, config.top, [(n, "high") for n in config.high_overrides])
+        design = elaborate(ast, config.top, labels)
+        return design, bit_blast(design)
+    except RecursionError as e:
+        raise DesignTooDeep() from e
+
+
+def evaluate(design, forest, config: Config) -> Analysis:
+    """``merge`` through ``classify`` of one ``build`` under ``config``.
+
+    No stage changes ``design`` or ``forest``, so one build serves every
+    point of a sweep.  The report's runtime is this call's."""
+    start = time.monotonic()
+    graph = merge(forest, config.max_channel_inputs)
+    deps = compute_dependencies(graph)
+    input_probs = build_input_probs(design, config)
+    annotated = propagate(graph, design, input_probs, deps)
+    contributions = output_contributions(annotated, design)
+    totals = accumulate_totals(annotated, design, cap=config.cap, contributions=contributions)
+    report = classify(
+        totals, config.thresholds, annotated.secrets, contributions,
+        design_meta={"top": config.top, "max_channel_inputs": config.max_channel_inputs,
+                     "cap": config.cap},
+        runtime_seconds=time.monotonic() - start)
+    return Analysis(design, forest, deps, graph, annotated, totals, report)
+
+
 def analyze(config: Config, file_texts=None) -> Analysis:
-    """Run the full pipeline; ``file_texts`` bypasses the filesystem.
-
-    Stages: parse, labels, elaborate, ``bit_blast``, ``merge``, then
-    ``compute_dependencies`` of the channels, ``propagate`` and totals.
-
-    Raises ``DesignTooDeep`` where the parser, elaboration or the
-    bit-blaster recurses deeper than the interpreter's stack allows.
+    """``evaluate(*build(config, file_texts), config)``, timed as a whole.
 
     The stages run with the cyclic garbage collector paused, and the
     caller's ``gc`` state comes back in a ``finally``, also when a stage
@@ -145,41 +177,21 @@ def analyze(config: Config, file_texts=None) -> Analysis:
     frozen objects itself (``gc.get_freeze_count()`` is not zero, say a
     server about to fork) keeps them frozen: the promotion is skipped.
     So it is on CPython 3.12.1, which starts with the base and MRO tuples
-    of its static types frozen.
+    of its static types frozen.  Only ``analyze`` pauses the collector.
     """
     start = time.monotonic()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        files = file_texts if file_texts is not None else load_sources(config.files)
-        try:
-            ast = parse(SourceUnit(files, config.top))
-            labels = extract_labels(ast, config.top,
-                                    [(n, "high") for n in config.high_overrides])
-            design = elaborate(ast, config.top, labels)
-            forest = bit_blast(design)
-            graph = merge(forest, config.max_channel_inputs)
-            deps = compute_dependencies(graph)
-            input_probs = build_input_probs(design, config)
-            annotated = propagate(graph, design, input_probs, deps)
-            contributions = output_contributions(annotated, design)
-            totals = accumulate_totals(annotated, design, cap=config.cap,
-                                       contributions=contributions)
-        except RecursionError as e:
-            raise DesignTooDeep() from e
-        report = classify(
-            totals, config.thresholds, annotated.secrets, contributions,
-            design_meta={"top": config.top,
-                         "max_channel_inputs": config.max_channel_inputs,
-                         "cap": config.cap},
-            runtime_seconds=time.monotonic() - start)
+        analysis = evaluate(*build(config, file_texts), config)
+        analysis.report.runtime_seconds = time.monotonic() - start
     finally:
         if not gc.get_freeze_count():
             gc.freeze()
             gc.unfreeze()
         if enabled:
             gc.enable()
-    return Analysis(design, forest, deps, graph, annotated, totals, report)
+    return analysis
 
 
 def render_report(analysis: Analysis, fmt: str) -> bytes:

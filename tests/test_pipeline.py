@@ -1,5 +1,5 @@
 """`pipeline.analyze`: the collector pause, the promotion of its survivors
-and the no-reference-cycle contract."""
+and the no-reference-cycle contract; `evaluate` over one shared `build`."""
 
 import gc
 import weakref
@@ -7,8 +7,10 @@ import weakref
 import pytest
 
 from qflow import corpus
+from qflow.bitgraph import dump_forest
+from qflow.channelizer import dump_channels
 from qflow.errors import DesignTooDeep, UnknownSignal
-from qflow.pipeline import Config, analyze, render_report
+from qflow.pipeline import Config, analyze, build, evaluate, render_report
 
 from conftest import analyze_source
 from test_channelizer import chain_source
@@ -134,3 +136,29 @@ def test_analysis_and_rendering_make_no_reference_cycles(restore_gc):
         del analysis
         found[name] = gc.collect()
     assert found == dict.fromkeys(found, 0)
+
+
+def sweep_outputs(analysis):
+    """The totals, the forest and channel dumps, the dependency order and
+    the three reports (runtime zeroed) of one analysis."""
+    analysis.report.runtime_seconds = 0.0
+    return (analysis.totals, dump_forest(analysis.forest), dump_channels(analysis.graph),
+            repr(analysis.deps.order),
+            [render_report(analysis, fmt) for fmt in ("json", "text", "csv")])
+
+
+@pytest.mark.parametrize("name,top,high,extra", CORPUS, ids=[c[0][:-2] for c in CORPUS])
+def test_evaluate_over_one_build_equals_analyze(name, top, high, extra):
+    """Every (bound, p_high) point evaluated over one shared build, first in
+    sweep order and then in reverse, gives what ``analyze`` gives at that
+    point: no stage after ``bit_blast`` leaves state in the design or forest."""
+    files = [corpus.path(n) for n in (*extra, name)]
+    configs = [Config(files=files, top=top, high_overrides=high, max_channel_inputs=bound,
+                      p_high=p)
+               for bound in range(1, 6) for p in (None, 0.3, 0.9)]
+    expected = [sweep_outputs(analyze(config)) for config in configs]
+    design, forest = build(configs[0])
+    for config, want in [*zip(configs, expected), *reversed(list(zip(configs, expected)))]:
+        analysis = evaluate(design, forest, config)
+        assert analysis.design is design and analysis.forest is forest
+        assert sweep_outputs(analysis) == want

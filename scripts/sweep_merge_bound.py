@@ -23,7 +23,10 @@ def main():
         parser.error(f"argument --max-bound: must be in [1, {MAX_TABLE_INPUTS}]")
 
     cfg = Config(files=[corpus.path(args.design)], top=args.top)
-    design, forest = build(cfg)
+    try:
+        design, forest = build(cfg)
+    except OSError as e:
+        parser.exit(1, f"{parser.prog}: error: {args.design}: {e.strerror}\n")
     if not design.high_bits():
         parser.exit(1, f"{parser.prog}: error: {args.top} in {args.design} has no secret bit\n")
     print("merge_bound,mean_leakage_bits,max_leakage_bits")

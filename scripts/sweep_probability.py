@@ -24,7 +24,10 @@ def main():
 
     cfg = Config(files=[corpus.path(args.design)], top=args.top,
                  high_overrides=tuple(h for h in args.high.split(",") if h))
-    design, forest = build(cfg)
+    try:
+        design, forest = build(cfg)
+    except OSError as e:
+        parser.exit(1, f"{parser.prog}: error: {args.design}: {e.strerror}\n")
     print("p_high,total_leakage_bits")
     for i in range(args.steps + 1):
         cfg.p_high = p = i / args.steps

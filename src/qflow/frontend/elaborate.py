@@ -10,6 +10,17 @@ branch wrote are merged, in first-write order.  A procedural vector
 write stays one ranged assignment of its right-hand side; only the bits
 that control flow or a later write changed become assignments of their own.
 
+A generate loop that is plainly bit-parallel is elaborated once, as
+vector statements: its iterations are ``lo..hi`` in order, its body is
+clocked blocks of nonblocking writes alone, and every target and read is
+``net[g]`` of the bare genvar, joined only by bitwise ``& | ^ ~^ ~``.
+Each ``net[g]`` becomes ``net[hi:lo]``, so a statement is one ranged
+assignment, blasted once.  Only clocked loops qualify: their targets are
+registers, whose reads are leaves, so blasting a whole vector cannot reach
+back into its own bits, as a combinational ``assign`` of one bit that
+reads another bit of its vector would (a false ``CombinationalLoop``).
+Every other loop is elaborated once per iteration.
+
 In the top module's own scope, where names are flat already and each
 item is elaborated once, a parsed expression that nothing substitutes is
 handed on as it is, not copied; an instance or a generate iteration gets
@@ -362,8 +373,13 @@ class _Elaborator:
                                      scope))
             elif isinstance(item, A.GenerateFor):
                 loops += 1
+                envs = self._generate_envs(item, env)
+                vector = self._vector_items(item, envs, scope)
+                if vector is not None:
+                    deferred += [(v, dict(env), scope) for v in vector]
+                    continue
                 label = item.label or f"genblk{loops}"
-                for ienv in self._generate_envs(item, env):
+                for ienv in envs:
                     prefix = f"{scope.prefix}{label}[{ienv[item.genvar]}]."
                     local = dict(scope.local)
                     local.update((d.name, prefix + d.name) for d in item.items
@@ -391,6 +407,53 @@ class _Elaborator:
                 raise NonConstantGenerateBound(f"genvar {gen.genvar}") from e
         raise UnsupportedConstruct(
             f"generate loop of more than {WIDTH_LIMIT} iterations (genvar {gen.genvar})")
+
+    def _vector_items(self, gen, envs, scope):
+        """The body of a bit-parallel loop (see the module docstring) as
+        vector statements, whose bit ``lo + k`` is iteration ``lo + k``'s;
+        None for any other loop."""
+        values = [ienv[gen.genvar] for ienv in envs]
+        if not values or values != list(range(values[0], values[0] + len(values))):
+            return None
+        lo, hi = values[0], values[-1]
+        # a name in envs[0] is a parameter or the genvar, never a net
+        loop = (gen.genvar, lo, hi, envs[0], scope)
+        items = []
+        for item in gen.items:
+            if (type(item) is not A.Always or item.sens[0] != "posedge"
+                    or type(item.body) is not A.Block):
+                return None
+            stmts = []
+            for s in item.body.stmts:
+                if type(s) is not A.ProcAssign or s.blocking or type(s.target) is not A.Select:
+                    return None
+                target, rhs = self._vector(s.target, loop), self._vector(s.rhs, loop)
+                if target is None or rhs is None:
+                    return None
+                stmts.append(A.ProcAssign(target, rhs, False, s.line))
+            items.append(A.Always(item.sens, A.Block(stmts), item.line))
+        return items
+
+    def _vector(self, e, loop):
+        """``e`` with each ``net[g]`` read as ``net[hi:lo]``, or ``net`` when
+        that is all of it; None if ``e`` is not bitwise over such reads."""
+        kind = type(e)
+        if kind is A.Binary and e.op in ("&", "|", "^", "~^"):
+            left, right = self._vector(e.left, loop), self._vector(e.right, loop)
+            return left and right and A.Binary(e.op, left, right)
+        if kind is A.Unary and e.op == "~":
+            operand = self._vector(e.operand, loop)
+            return operand and A.Unary("~", operand)
+        genvar, lo, hi, consts, scope = loop
+        if (kind is not A.Select or type(e.index) is not A.Ident
+                or e.index.name != genvar or e.base in consts):
+            return None
+        net = self.nets.get(scope.flat(e.base))  # None: not declared before the loop
+        if net is None or lo < 0 or hi >= net.width:
+            return None
+        if lo == 0 and hi == net.width - 1:
+            return A.Ident(e.base)
+        return A.PartSelect(e.base, A.Num(hi), A.Num(lo))
 
     def _elab_item(self, item, env, scope, stack):
         if isinstance(item, A.ContAssign):

@@ -33,8 +33,8 @@ class Config(Record):
                  thresholds: Thresholds | None = None, cap: bool = True):
         if not 1 <= max_channel_inputs <= MAX_TABLE_INPUTS:
             raise ValueError(f"max_channel_inputs must be in [1, {MAX_TABLE_INPUTS}]")
-        if p_high is not None and not 0.0 <= p_high <= 1.0:
-            raise ValueError("probabilities must be in [0, 1]")
+        if p_high is not None:
+            _check_probability(p_high)
         self.files = files  # paths
         self.top = top
         self.high_overrides = high_overrides  # net names marked High from the CLI
@@ -59,6 +59,11 @@ class Analysis(Record):
         self.report = report
 
 
+def _check_probability(p):
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("probabilities must be in [0, 1]")
+
+
 def parse_probability_file(text: str):
     """Lines `net[bit] = p` or `net = p`; returns (per_bit, per_net) maps."""
     per_bit, per_net = {}, {}
@@ -81,7 +86,8 @@ def parse_probability_file(text: str):
 
 def build_input_probs(design, config: Config):
     probs = {}
-    if config.p_high is not None:
+    if config.p_high is not None:  # a sweep sets it after ``Config`` checked it
+        _check_probability(config.p_high)
         for net, bit, _sid in design.high_bits():
             probs[(net, bit)] = config.p_high
     if config.prob_file:

@@ -629,8 +629,12 @@ def test_generate_unroll_t2100():
     src = corpus.read("aes_t2100.v")
     d = full(src, "TSC")
     seq = [a for a in d.assigns if a.sequential]
-    # 64 generate slices, five nonblocking assignments each
-    assert len(seq) == 320
+    # a bit-parallel loop of 64 slices: one ranged assign per statement,
+    # which write the 320 register bits of the 64 slices' five statements each
+    assert [(a.target, a.msb, a.lsb) for a in seq] == [
+        (net, 63, 0) for net in ("tmp0", "tmp1", "tmp2", "tmp3", "load")]
+    assert set(d.driver) == {(net, b) for net in ("tmp0", "tmp1", "tmp2", "tmp3", "load")
+                             for b in range(64)}
     assert d.nets["tmp0"].kind == "reg"
     assert d.nets["load"].kind == "output"
 
@@ -1106,26 +1110,52 @@ def test_if_lowering_is_linear_in_the_ifs():
     assert len(design.assigns) == 2 * n + 1  # a per-bit assign of each register, and y
 
 
-def test_per_bit_lowering_is_linear_in_the_width(monkeypatch):
+def per_bit_if_pipeline(width, depth=2):
+    """A generate loop of one clocked block per bit whose writes are each
+    under an ``if``: not bit-parallel, so each iteration is lowered alone."""
+    regs = ", ".join(f"s{j}" for j in range(depth))
+    lines = [f"module p(input clk, High input [{width - 1}:0] key, input [{width - 1}:0] in,",
+             f"output reg [{width - 1}:0] y);", f"reg [{width - 1}:0] {regs};",
+             "genvar i;", "generate", f"for (i = 0; i < {width}; i = i + 1) begin",
+             "always @(posedge clk) begin", " if (in[i]) s0[i] <= key[i];"]
+    lines += [f" if (in[i]) s{j}[i] <= s{j - 1}[i];" for j in range(1, depth)]
+    lines += [f" y[i] <= s{depth - 1}[i];", "end", "end", "endgenerate", "endmodule", ""]
+    return "\n".join(lines)
+
+
+def test_per_bit_lowering_is_linear_in_the_width():
     # one clocked block per bit, each writing one bit of each net: a bit list
     # as wide as each net it wrote made 4,096 routed bits cost about 4x per
-    # assign what 512 did
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    import families
+    # bit written what 512 did
     sizes = (512, 4096)
     cases = []
-    for routed in sizes:
-        design = families.trojan_pipeline(random.Random(1), 2, 2 * routed, per_bit=True)
-        ast = parse(SourceUnit(design.files, design.top))
-        cases.append((ast, design.top, extract_labels(ast, design.top)))
-    times = {routed: [] for routed in sizes}
+    for width in sizes:
+        ast = parse_text(per_bit_if_pipeline(width), "p")
+        cases.append((ast, extract_labels(ast, "p")))
+    times = {width: [] for width in sizes}
     for _ in range(3):  # interleaved, so a host that slows down weighs on both
-        for routed, (ast, top, labels) in zip(sizes, cases):
+        for width, (ast, labels) in zip(sizes, cases):
             start = time.perf_counter()
-            flat = elaborate(ast, top, labels)
-            times[routed].append((time.perf_counter() - start) / len(flat.assigns))
-    small, large = (statistics.median(times[routed]) for routed in sizes)
+            flat = elaborate(ast, "p", labels)
+            elapsed = time.perf_counter() - start
+            bits = sum(a.msb - a.lsb + 1 for a in flat.assigns)
+            assert len(flat.assigns) == bits == 3 * width  # the per-iteration path
+            times[width].append(elapsed / bits)
+    small, large = (statistics.median(times[width]) for width in sizes)
     assert large < 2 * small, (small, large)
+
+
+@pytest.mark.parametrize("depth", [12, 28])
+def test_per_bit_trojan_pipeline_is_one_assign_per_stage(monkeypatch, depth):
+    """The per-bit benchmark pipeline of depth D elaborates to the D + 1
+    ranged assigns of its vector twin."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import families
+    for per_bit in (True, False):
+        design = families.trojan_pipeline(random.Random(1), depth, 64, per_bit=per_bit)
+        flat = full(design.files[0][1], design.top)
+        assert [(a.target, a.msb, a.lsb) for a in flat.assigns if a.sequential] == [
+            *((f"s{j}", 31, 0) for j in range(depth)), ("load", 31, 0)]
 
 
 @pytest.mark.parametrize("target", ["o[9:6]", "o[8]", "o[0 - 1]", "o[2:5]"])
@@ -1166,6 +1196,173 @@ def test_vector_pipeline_matches_per_bit_twin(seed):
                     render_report(a, "json")))
     assert got[0] == got[1]
     assert len(full(vector, "p").assigns) == 7  # one per vector statement
+
+
+def bit_parallel_loop_twins(seed):
+    """A seeded bit-parallel generate loop and its hand-unrolled twin.
+
+    The loop runs over ``lo..hi`` inside nets of ``width`` bits and holds
+    1-3 clocked blocks of random bitwise statements, each register written
+    once: a register may read itself (an accumulator), a register another
+    statement writes, the inputs, a wire of the inputs and a wire of a
+    register.  The twin writes each bit as a statement of its own,
+    ``r0[lo] <= ...; r0[lo + 1] <= ...;``, with no loop.  Returns
+    ``(loop, twin, registers)``.
+    """
+    rng = random.Random(seed)
+    width = rng.randint(1, 6)
+    lo = rng.randrange(width)
+    hi = rng.randint(lo, width - 1)
+    regs = [f"r{j}" for j in range(rng.randint(1, 4))]
+    reads = ["k", "a", "w", "v", *regs]
+
+    def expr(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return rng.choice(reads) + "{g}"
+        if roll < 0.45:
+            return f"~({expr(depth - 1)})"
+        return f"({expr(depth - 1)} {rng.choice(['&', '|', '^', '~^'])} {expr(depth - 1)})"
+    blocks = [[] for _ in range(rng.randint(1, 3))]
+    for reg in regs:
+        rng.choice(blocks).append(f"{reg}{{g}} <= {expr(3)};")
+    top = f"{width - 1}:0"
+    head = (f"module m(input clk, High input [{top}] k, input [{top}] a, "
+            f"output [{len(regs) * (hi - lo + 1) - 1}:0] y);\n"
+            f"reg [{top}] {', '.join(regs)};\nwire [{top}] w, v;\nassign w = k ^ ~a;\n"
+            f"assign v[{hi}:{lo}] = r0[{hi}:{lo}] & a[{hi}:{lo}];\n")
+    tail = "assign y = {" + ", ".join(f"{reg}[{hi}:{lo}]" for reg in regs) + "};\nendmodule\n"
+    loop = head + (f"genvar i;\ngenerate\nfor (i = {lo}; i <= {hi}; i = i + 1) begin\n"
+                   + "".join("always @(posedge clk) begin\n"
+                             + "".join(s.format(g="[i]") + "\n" for s in block) + "end\n"
+                             for block in blocks)
+                   + "end\nendgenerate\n") + tail
+    twin = head + "".join("always @(posedge clk) begin\n"
+                          + "".join(s.format(g=f"[{b}]") + "\n"
+                                    for b in range(lo, hi + 1) for s in block) + "end\n"
+                          for block in blocks) + tail
+    return loop, twin, regs
+
+
+def analysis_outputs(src, bound, p_high):
+    """The forest and channel dumps, the dependency order, every field of
+    the annotated graph and the three reports (runtime zeroed) of ``src``."""
+    a = analyze_source(src, "m", max_channel_inputs=bound, p_high=p_high)
+    a.report.runtime_seconds = 0.0
+    return (dump_forest(a.forest), dump_channels(a.graph), repr(a.deps.order),
+            [repr(getattr(a.annotated, name)) for name in a.annotated.__slots__],
+            [render_report(a, fmt) for fmt in ("json", "text", "csv")])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_bit_parallel_loop_matches_its_unrolled_twin(seed):
+    loop, twin, regs = bit_parallel_loop_twins(seed)
+    # one ranged assign per statement of the loop, one per bit of the twin
+    assert len([a for a in full(loop, "m").assigns if a.sequential]) == len(regs)
+    for bound in range(1, 6):
+        for p_high in (None, 0.9):
+            assert analysis_outputs(loop, bound, p_high) == analysis_outputs(twin, bound, p_high)
+
+
+# a bit-parallel loop inside a module instantiated twice, and inside an outer
+# generate loop whose body declares the net it writes
+SCOPED_LOOPS = {
+    "instance": ("module c(input clk, input [3:0] k, input [3:0] a, output reg [3:0] q);\n"
+                 "reg [3:0] s;\n{loop}endmodule\n"
+                 "module m(input clk, High input [3:0] k, input [3:0] a, output [3:0] y, "
+                 "output [3:0] z);\nc u0 (.clk(clk), .k(k), .a(a), .q(y));\n"
+                 "c u1 (.clk(clk), .k(a), .a(k), .q(z));\nendmodule\n",
+                 "s{g} <= k{g} ^ a{g}; q{g} <= ~s{g} & a{g};"),
+    "outer loop": ("module m(input clk, High input [3:0] k, input [3:0] a, output [7:0] y);\n"
+                   "genvar i;\ngenerate for (i = 0; i < 2; i = i + 1) begin : g\nreg [3:0] t;\n"
+                   "{loop}assign y[4 * i + 3:4 * i] = t;\nend endgenerate\nendmodule\n",
+                   "t{g} <= k{g} ^ a{g} ^ t{g};"),
+}
+
+
+@pytest.mark.parametrize("case", SCOPED_LOOPS)
+def test_bit_parallel_loop_in_a_scope_matches_its_unrolled_twin(case):
+    module, body = SCOPED_LOOPS[case]
+    loop = module.format(loop="genvar j;\nfor (j = 0; j < 4; j = j + 1) begin\n"
+                         "always @(posedge clk) begin " + body.format(g="[j]") + " end\nend\n")
+    twin = module.format(loop="always @(posedge clk) begin\n" + "".join(
+        body.format(g=f"[{b}]") + "\n" for b in range(4)) + "end\n")
+    assert all(a.lsb == 0 and a.msb == 3 for a in full(loop, "m").assigns if a.sequential)
+    assert analysis_outputs(loop, 3, 0.9) == analysis_outputs(twin, 3, 0.9)
+
+
+LOOP_SOURCE = """module inv(input a, output y);
+assign y = ~a;
+endmodule
+module m(input clk, input [7:0] a, input [7:0] b, input [3:0] n, output [7:0] y);
+localparam P = 1;
+reg [7:0] r;
+wire [7:0] t;
+genvar i, j;
+generate
+for ({header}) begin
+{body}
+end
+endgenerate
+assign y = r;
+endmodule
+"""
+CLOCKED = "always @(posedge clk) begin\nr[i] <= a[i] ^ b[i];\nend"
+
+
+def loop_writes(body=CLOCKED, header="i = 0; i < 8; i = i + 1"):
+    """(msb, lsb) of each assign to ``r`` that a generate loop elaborates to."""
+    design = full(LOOP_SOURCE.format(header=header, body=body), "m")
+    return [(a.msb, a.lsb) for a in design.assigns if a.target == "r"]
+
+
+def test_bit_parallel_loop_is_one_vector_statement():
+    assert loop_writes() == [(7, 0)]
+    assert loop_writes(header="i = 2; i <= 5; i = i + 1") == [(5, 2)]
+    assert loop_writes(header="i = 6; i < 7; i = i + 1") == [(6, 6)]
+
+
+# the body of every loop that is not plainly bit-parallel, by what declines it
+DECLINED_BODIES = {
+    "assign": CLOCKED + "\nassign t[i] = a[i];",
+    "declaration": "wire u;\n" + CLOCKED,
+    "localparam": "localparam J = 0;\n" + CLOCKED,
+    "instance": "inv u (.a(a[i]), .y(t[i]));\n" + CLOCKED,
+    "nested loop": "for (j = 0; j < 1; j = j + 1) begin\n" + CLOCKED + "\nend",
+    "if": "always @(posedge clk) begin\nif (b[i]) r[i] <= a[i];\nend",
+    "case": ("always @(posedge clk) begin\ncase (b[i])\n1'b0: r[i] <= a[i];\n"
+             "default: r[i] <= b[i];\nendcase\nend"),
+    "blocking": "always @(posedge clk) begin\nr[i] = a[i];\nend",
+    "combinational": "always @* begin\nr[i] = a[i];\nend",
+    "no begin-end": "always @(posedge clk) r[i] <= a[i];",
+    "nested begin-end": "always @(posedge clk) begin\nbegin\nr[i] <= a[i];\nend\nend",
+    "constant": "always @(posedge clk) begin\nr[i] <= a[i] ^ 1'b1;\nend",
+    "offset": "always @(posedge clk) begin\nr[i] <= a[i + 1];\nend",
+    "fixed bit": "always @(posedge clk) begin\nr[i] <= a[0];\nend",
+    "whole net": "always @(posedge clk) begin\nr[i] <= a;\nend",
+    "outside a net": "always @(posedge clk) begin\nr[i] <= n[i];\nend",
+    "parameter": "always @(posedge clk) begin\nr[i] <= a[i] & P;\nend",
+    "reduction": "always @(posedge clk) begin\nr[i] <= ^a[i];\nend",
+    "comparison": "always @(posedge clk) begin\nr[i] <= a[i] == b[i];\nend",
+    "shift": "always @(posedge clk) begin\nr[i] <= a[i] << b[i];\nend",
+    "arithmetic": "always @(posedge clk) begin\nr[i] <= a[i] + b[i];\nend",
+    "logical": "always @(posedge clk) begin\nr[i] <= !a[i] || b[i];\nend",
+    "ternary": "always @(posedge clk) begin\nr[i] <= b[i] ? a[i] : r[i];\nend",
+}
+
+
+@pytest.mark.parametrize("case", DECLINED_BODIES)
+def test_loop_that_is_not_bit_parallel_is_unrolled(case):
+    """Each iteration of a declined loop is elaborated by itself: one
+    assign per bit it writes."""
+    assert loop_writes(DECLINED_BODIES[case]) == [(b, b) for b in range(8)]
+
+
+@pytest.mark.parametrize("header, bits", [
+    ("i = 0; i < 8; i = i + 2", range(0, 8, 2)), ("i = 7; i >= 0; i = i - 1", range(7, -1, -1)),
+], ids=["step", "descending"])
+def test_loop_over_other_than_lo_to_hi_is_unrolled(header, bits):
+    assert loop_writes(header=header) == [(b, b) for b in bits]
 
 
 def next_values(src, net):

@@ -162,3 +162,16 @@ def test_evaluate_over_one_build_equals_analyze(name, top, high, extra):
         analysis = evaluate(design, forest, config)
         assert analysis.design is design and analysis.forest is forest
         assert sweep_outputs(analysis) == want
+
+
+@pytest.mark.parametrize("p", [1.5, -0.25, float("nan")])
+def test_evaluate_rejects_a_probability_set_after_construction(p):
+    """A sweep sets ``p_high`` on a checked ``Config``: a value out of [0, 1]
+    is the error ``Config`` raises, not all-zero totals."""
+    with pytest.raises(ValueError, match=r"probabilities must be in \[0, 1\]"):
+        Config(files=["<test>"], top="m", p_high=p)
+    config = Config(files=["<test>"], top="m")
+    design, forest = build(config, file_texts=[("<test>", PIPELINE)])
+    config.p_high = p
+    with pytest.raises(ValueError, match=r"probabilities must be in \[0, 1\]"):
+        evaluate(design, forest, config)

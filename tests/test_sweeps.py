@@ -114,3 +114,11 @@ def test_merge_bound_sweep_of_a_design_with_no_secret_bit():
     assert r.returncode == 1
     assert r.stdout == b""
     assert r.stderr == b"sweep_merge_bound.py: error: TSC in aes_t2100.v has no secret bit\n"
+
+
+@pytest.mark.parametrize("name", ["sweep_merge_bound.py", "sweep_probability.py"])
+def test_sweep_of_a_missing_design_is_one_error_line(name):
+    r = run_script_process(name, "--design", "nope.v")
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert r.stderr == name.encode() + b": error: nope.v: No such file or directory\n"

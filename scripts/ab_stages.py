@@ -13,7 +13,10 @@ leakage.  Before any timing, every design's JSON, text and CSV reports
 (runtime zeroed), exact leakage, ``dump_forest``, ``dump_channels``,
 ``repr(deps.order)`` and the ``repr`` of every ``ProbAnnotatedGraph``
 field must be equal in both trees, so a change that renumbers channels
-or reorders a dict fails here even where the reports agree.  Whether
+or reorders a dict fails here even where the reports agree.  Beside
+"outputs equal" each tree's root count over the pool is printed, with how
+many of those roots are ``bitgraph.ShiftedTree`` bits of a bit-parallel
+register statement (0 in a tree without the class).  Whether
 the trees' token streams (``repr(tokenize(...))`` of every file) and ASTs
 (``repr(parse(...))``) are equal over the pool is printed, not required:
 a change may alter the AST on purpose and keep the reports.
@@ -108,6 +111,7 @@ class Tree:
         self.bitgraph = importlib.import_module(f"{name}.bitgraph")
         self.channelizer = importlib.import_module(f"{name}.channelizer")
         self.times = {}  # stage -> seconds in the pass under way
+        self.roots = self.shifted = 0  # over the designs ``outputs`` has seen
         for module, fn in STAGES:  # an older tree may lack a stage
             namespace = getattr(self, module)
             if hasattr(namespace, fn):
@@ -146,6 +150,9 @@ class Tree:
         and channel dumps, the dependency order and every annotation of one design."""
         analysis, exact = self.op(design)
         analysis.report.runtime_seconds = 0.0
+        shifted = getattr(self.bitgraph, "ShiftedTree", None)  # an older tree lacks the class
+        self.roots += len(analysis.forest)
+        self.shifted += sum(type(t) is shifted for t in analysis.forest)
         annotated = analysis.annotated
         return ([self.pipeline.render_report(analysis, fmt) for fmt in ("json", "text", "csv")],
                 exact, self.bitgraph.dump_forest(analysis.forest),
@@ -229,7 +236,8 @@ def main(argv=None):
             passes.append(tree.run_pass(pool, clock))
     gc.callbacks.remove(clock)
     print(f"{args.workload} seed {args.seed}: {len(pool)} designs, {args.passes} passes "
-          f"(A = {args.base_src}, B = {args.new_src}); outputs equal; token streams "
+          f"(A = {args.base_src}, B = {args.new_src}); outputs equal; roots A {a.roots} "
+          f"({a.shifted} shifted), B {b.roots} ({b.shifted} shifted); token streams "
           f"{'equal' if same_tokens else 'differ'}; ASTs {'equal' if same_asts else 'differ'}")
     print(table(a_passes, b_passes))
     return 0

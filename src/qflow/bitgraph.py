@@ -16,11 +16,26 @@ gates.  Its commonest leaf, a net's bit by a number (the parser's fused
 ``k[3]``), is read straight from ``net_bit``, 0 outside the net, with no
 constant evaluation and no memo of its own.  Which register reads which
 is a question for the channel graph (``qif_engine.compute_dependencies``),
-not for these DAGs.
+not for these DAGs.  A wire driven by a concatenation reads only the part
+that holds the bit when every part's width is known without blasting, so
+``assign w = {w[0], k};`` is no loop.
+
+A *bit-parallel register statement* is sequential, at least 2 bits wide,
+and only ``& | ^ ~^`` and ``~`` over operands of exactly its width, an
+``Ident`` or a constant ``PartSelect`` of a *leaf net*: an input, a net
+of registers, or a whole-net ``assign w = x;`` of one of those.  Bit i's
+DAG is then bit 0's with every leaf i bits up, so only bit 0 is blasted;
+each other bit is a ``ShiftedTree`` that builds its DAG when first read,
+and the channelizer shifts bit 0's channel to it.  Only register targets
+qualify, since no other root reaches their gates (a combinational
+vector's are shared with its readers), and only when no object of the
+expression occurs twice among the design's: the identity memo of
+``blast`` would share its gates.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections import Counter
@@ -37,6 +52,7 @@ _SHIFT_AMOUNT_LIMIT = 16
 
 _MACRO_OPS = ("ADDM", "SUBM")
 _GATE = {"&": "AND", "|": "OR", "^": "XOR"}  # a bitwise operator's, or a reduction's, gate
+_BITWISE = frozenset(("&", "|", "^", "~^"))
 _BINARY_OPS = frozenset(("&", "|", "^", "~^", "&&", "||", "==", "!=", "<", "<=", ">", ">=",
                          "<<", ">>", "+", "-"))
 
@@ -87,6 +103,38 @@ class BindTree(Record):
     def leaves(self):
         """Leaf refs, one per distinct leaf node, in ``postorder``."""
         return [n.ref for n in postorder((self.node,)) if n.op == "leaf"]
+
+
+_TREE_NODE = BindTree.node  # the slot, which ``ShiftedTree.node`` fills when first read
+
+
+class ShiftedTree(BindTree):
+    """Bit ``offset`` of a bit-parallel register statement whose lowest bit
+    is the tree ``first``: its DAG is built on the first read of ``node``."""
+
+    __slots__ = ("first", "offset", "_bit_of")
+
+    def __init__(self, root: BitRef, first: BindTree, offset: int, bit_of):
+        self.root, self.first, self.offset, self._bit_of = root, first, offset, bit_of
+
+    @property
+    def node(self):
+        """This bit's DAG, built on the first read and kept."""
+        try:
+            return _TREE_NODE.__get__(self)
+        except AttributeError:
+            node = self.build()
+            _TREE_NODE.__set__(self, node)
+            return node
+
+    def build(self) -> Node:
+        """This bit's DAG, not kept: a bare leaf is the blaster's node of that bit."""
+        return self._bit_of(self.offset)
+
+    def shift(self, refs) -> tuple:
+        """Bits of the first bit's DAG, moved up to this bit's."""
+        j = self.offset
+        return tuple([_bitref((r.net, r.bit + j, r.role)) for r in refs])
 
 
 def postorder(roots):
@@ -160,6 +208,8 @@ class _Blaster:
                            for name, net in design.nets.items() if net.kind == "input"}
         self._net_memo = {}
         self._expr_memo = {}
+        self._measures = {}
+        self._leaf_width = {}
         self._in_progress = []
 
     # -- nets --------------------------------------------------------------
@@ -186,13 +236,132 @@ class _Blaster:
             raise CombinationalLoop([f"{n}[{b}]" for n, b in cycle])
         self._in_progress.append(key)
         try:
-            bits = self.blast(drv.expr)
-            pos = bit - drv.lsb
+            expr, pos = drv.expr, bit - drv.lsb
+            if type(expr) is A.Concat:
+                expr, pos = self._part(expr, pos)
+            bits = self.blast(expr)
             node = bits[pos] if pos < len(bits) else CONST0
         finally:
             self._in_progress.pop()
         self._net_memo[key] = node
         return node
+
+    def _part(self, expr, pos):
+        """The part of a concatenation, and the bit in it, that holds its
+        bit ``pos``, descending while ``_measure`` knows the parts' widths."""
+        while type(expr) is A.Concat:
+            starts = self._measure(expr)
+            if starts is None or pos >= starts[-1]:
+                break
+            i = bisect.bisect_right(starts, pos) - 1
+            expr, pos = expr.parts[-1 - i], pos - starts[i]
+        return expr, pos
+
+    def _measure(self, expr):
+        """A concatenation's list of each part's lowest bit, LSB first, then
+        its width, or any other expression's width, when the form gives
+        them without blasting; else None.  Memoised by identity."""
+        hit = self._measures.get(id(expr))
+        if hit is not None and hit[0] is expr:
+            return hit[1]
+        kind, m = type(expr), None
+        if kind is A.Select:
+            m = 1
+        elif kind is A.Num:
+            m = expr.width or max(expr.value.bit_length(), 1)
+        elif kind is A.Ident:
+            m = self.design.nets[expr.name].width if expr.name in self.design.nets else None
+        elif kind is A.PartSelect and type(expr.msb) is A.Num and type(expr.lsb) is A.Num:
+            m = expr.msb.value - expr.lsb.value + 1 if expr.msb.value >= expr.lsb.value else None
+        elif kind is not A.PartSelect:
+            parts = (expr.parts[::-1] if kind is A.Concat
+                     else (expr.operand,) if kind is A.Unary and expr.op == "~"
+                     else (expr.left, expr.right) if kind is A.Binary and expr.op in _BITWISE
+                     else ())
+            widths = [w[-1] if type(w) is list else w for w in map(self._measure, parts)]
+            if widths and None not in widths:
+                m = (list(itertools.accumulate(widths, initial=0)) if kind is A.Concat
+                     else max(widths))
+        self._measures[id(expr)] = expr, m
+        return m
+
+    # -- bit-parallel register statements ------------------------------------
+    def bit_parallel(self, assigns) -> set:
+        """The ids of the bit-parallel register statements among ``assigns``."""
+        candidates = [(a, ids) for a in assigns if a.sequential and a.msb > a.lsb
+                      for ids in (self._bitwise(a.expr, a.msb - a.lsb + 1),) if ids]
+        if not candidates:
+            return set()
+        seen, shared = set(), set()  # the ids met, and those met again; each entered once
+        stack = [a.expr for a in assigns]
+        while stack:
+            e = stack.pop()
+            if id(e) in seen:
+                shared.add(id(e))
+                continue
+            seen.add(id(e))
+            kind = type(e)
+            if kind is A.Binary:
+                stack += (e.left, e.right)
+            elif kind is A.Concat:
+                stack += e.parts
+            elif kind is not A.Num and kind is not A.Ident:
+                stack += [v for v in map(getattr, itertools.repeat(e), e.__slots__)
+                          if isinstance(v, A.Expr)]
+        return {id(a) for a, ids in candidates if ids.isdisjoint(shared)}
+
+    def _bitwise(self, expr, width) -> set:
+        """The ids of ``expr``'s objects if it is ``& | ^ ~^`` and ``~`` over
+        ``width`` bits of leaf nets, each an ``Ident`` or a constant
+        ``PartSelect``, with no object twice; else an empty set."""
+        stack, ids = [expr], set()
+        while stack:
+            e = stack.pop()
+            if id(e) in ids:
+                return set()
+            ids.add(id(e))
+            kind = type(e)
+            if kind is A.Binary and e.op in _BITWISE:
+                stack += (e.left, e.right)
+            elif kind is A.Unary and e.op == "~":
+                stack.append(e.operand)
+            elif not (self.leaf_width(e.name) == width if kind is A.Ident else
+                      kind is A.PartSelect and type(e.base) is str
+                      and type(e.msb) is A.Num and type(e.lsb) is A.Num
+                      and e.msb.value - e.lsb.value + 1 == width
+                      and 0 <= e.lsb.value and e.msb.value < self.leaf_width(e.base)):
+                return set()
+        return ids
+
+    def leaf_width(self, name, alias=True) -> int:
+        """The width of a leaf net: an input, a net of registers or, with
+        ``alias``, a whole-net ``assign w = x;`` of one of those; else 0."""
+        w = self._leaf_width.get((name, alias))
+        if w is None:
+            net, drv = self.design.nets.get(name), self.driver.get((name, 0))
+            w = net.width if net is not None else 0
+            top = 0  # the bits below top are registers; a driver drives its whole range
+            while top < w and (d := self.driver.get((name, top))) is not None and d.sequential:
+                top = d.msb + 1
+            if not (name in self.input_role or top >= w or (
+                    alias and drv is not None and not drv.sequential and type(drv.expr) is A.Ident
+                    and drv.lsb == 0 and drv.msb + 1 == w == self.leaf_width(drv.expr.name, False))):
+                w = 0
+            self._leaf_width[name, alias] = w
+        return w
+
+    def bit_of(self, expr, k) -> Node:
+        """Bit ``k`` of a bit-parallel statement's ``expr``: what
+        ``blast(expr)[k]`` builds, and none of the other bits."""
+        kind = type(expr)
+        if kind is A.Binary:
+            x, y = self.bit_of(expr.left, k), self.bit_of(expr.right, k)
+            return _not(_xor(x, y)) if expr.op == "~^" else Node(_GATE[expr.op], (x, y))
+        if kind is A.Unary:
+            return _not(self.bit_of(expr.operand, k))
+        if kind is A.Ident:
+            return self.net_bit(expr.name, k)
+        return self.net_bit(expr.base, expr.lsb.value + k)
 
     # -- expressions -------------------------------------------------------
     def blast(self, expr):
@@ -370,8 +539,11 @@ class _Blaster:
 
 
 def bit_blast(design: ElaboratedDesign):
-    """One BindTree per top-output bit and per register bit, stable order."""
+    """One BindTree per top-output bit and per register bit, stable order;
+    a ``ShiftedTree`` for each bit but the lowest of a bit-parallel
+    register statement."""
     blaster = _Blaster(design)
+    parallel = blaster.bit_parallel(design.assigns)
     driver, seq_bits = blaster.driver, blaster.seq_bits
     roots = [(net, bit, "register") for net, bit in sorted(seq_bits)]
     for key in design.output_bits():
@@ -381,13 +553,22 @@ def bit_blast(design: ElaboratedDesign):
             raise UnassignedNet(*key)
         roots.append((*key, "top-output"))
     forest = []
-    last = bits = None  # the driver of the root before, and its bits
+    last = bits = first = None  # the driver of the root before, its bits or its first bit's tree
     for root in roots:
         drv = driver[root[:2]]
-        if drv is not last:  # a vector's bits are adjacent roots
-            last, bits = drv, blaster.blast(drv.expr)
         pos = root[1] - drv.lsb
-        forest.append(BindTree(_bitref(root), bits[pos] if pos < len(bits) else CONST0))
+        if drv is not last:  # a vector's bits are adjacent roots
+            last = drv
+            if id(drv) in parallel and pos == 0:
+                bit_of = functools.partial(blaster.bit_of, drv.expr)
+                first = BindTree(_bitref(root), bit_of(0))
+                forest.append(first)
+                continue
+            first, bits = None, blaster.blast(drv.expr)
+        if first is not None:
+            forest.append(ShiftedTree(_bitref(root), first, pos, bit_of))
+        else:
+            forest.append(BindTree(_bitref(root), bits[pos] if pos < len(bits) else CONST0))
     return forest
 
 

@@ -27,6 +27,15 @@ its table depends on the gate's kind and arity alone: each ``merge``
 evaluates it once per kind and reuses it.
 ADD/SUB macro nodes become standalone macro channels that keep their
 macro node instead of a table.
+
+The other bits of a bit-parallel register statement (``bitgraph``'s
+``ShiftedTree``) are not walked when its first bit's walk cuts nothing:
+when that bit is a leaf, one gate over leaves, or reads at most the
+bound's leaves.  Right after the first bit's channel is sealed, each gets
+that table over its inputs moved up by its offset, which is the channel
+and id its walk would give, since roots go in sorted order and its gates
+are private; its DAG is not built.  A buffer's bit takes the channel of
+its leaf, sealed once per leaf, so two buffers of one register share it.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import functools
 import operator
 
 from ._record import Record
-from .bitgraph import BitRef, Node, eval_node, lane_masks, postorder
+from .bitgraph import BitRef, Node, ShiftedTree, eval_node, lane_masks, postorder
 from .errors import ArityMismatch
 
 DEFAULT_MAX_CHANNEL_INPUTS = 5
@@ -120,10 +129,49 @@ class _Merger:
     def derived(self, cid):
         return {cid: None}, Node("leaf", (), cid)
 
+    def plan(self, trees):
+        """The trees to walk, and the shifted trees to stamp instead, keyed
+        by the index among the walked of their first bit, for each first
+        bit whose walk cuts nothing."""
+        if ShiftedTree not in set(map(type, trees)):
+            return trees, {}
+        walked, runs = [], {}
+        i, n = 0, len(trees)
+        while i < n:
+            first = trees[i]
+            walked.append(first)
+            i = j = i + 1
+            while j < n and type(trees[j]) is ShiftedTree and trees[j].first is first:
+                j += 1
+            # a leaf, one gate over leaves, or at most ``bound`` leaves: no cut
+            if j > i and (all(kid.op == "leaf" for kid in first.node.children)
+                          or len(first.leaves()) <= self.bound):
+                runs[len(walked) - 1] = trees[i:j]
+                i = j
+        return walked, runs
+
+    def stamp(self, first, run):
+        """Give each shifted tree of ``run`` the channel its walk would seal,
+        after ``first``'s: a buffer's bit its leaf's, sealed once per leaf,
+        and any other bit ``first``'s table over its inputs shifted up."""
+        channels, root_channel = self.channels, self.root_channel
+        if first.node.op == "leaf":
+            for tree in run:
+                self.root = tree.root
+                leaf = tree.build()
+                root_channel[tree.root] = self.seal(({leaf.ref: None}, leaf))
+            return
+        model = channels[root_channel[first.root]]
+        for tree in run:
+            cid = root_channel[tree.root] = len(channels)
+            channels.append(Channel(cid, tree.shift(model.inputs), model.table, None, tree.root))
+
     def build(self, trees):
         """Each node's piece from its children's, in one walk of every root;
-        each root's piece is sealed, in order, once its node is built."""
+        each root's piece is sealed, in order, once its node is built, and
+        the shifted trees of its run stamped right after it."""
         built, bound, seal, root_channel = self.built, self.bound, self.seal, self.root_channel
+        trees, runs = self.plan(trees)
         nodes = [t.node for t in trees]
         nxt = 0  # tree nxt's walk is under way
         waiting, self.root = (nodes[0], trees[0].root) if trees else (None, None)
@@ -154,6 +202,8 @@ class _Merger:
                 continue  # the walk of tree nxt goes on
             while waiting in built:
                 root_channel[self.root] = seal(built[waiting])
+                if nxt in runs:
+                    self.stamp(trees[nxt], runs[nxt])
                 nxt += 1
                 if nxt == len(trees):
                     break

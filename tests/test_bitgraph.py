@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import operator
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from qflow.bitgraph import (
     BindTree,
     BitRef,
     Node,
+    ShiftedTree,
     bit_blast,
     dump_forest,
     eval_node,
@@ -21,13 +23,15 @@ from qflow.bitgraph import (
     postorder,
 )
 from qflow.channelizer import dump_channels, merge
-from qflow.errors import CombinationalLoop
+from qflow.errors import CombinationalLoop, UnassignedNet
 from qflow.frontend import SourceUnit, elaborate, extract_labels, parse
 from qflow.frontend import ast_nodes as A
 from qflow.oracle import exact_multiplicative_leakage, flatten_forest, synthetic_design
 from qflow.pipeline import Config, analyze
 from qflow.qif_engine import (accumulate_totals, channel_prob_pbv, compute_dependencies,
                                propagate)
+
+from conftest import analysis_outputs, analyze_source
 
 
 def design_of(src, top):
@@ -593,3 +597,319 @@ def test_deep_dag_takes_any_depth():
     assert sorted(totals) == list(range(4))
     _ratio, exact = exact_multiplicative_leakage(flatten_forest(forest, design))
     assert 0.0 <= exact <= 1.0  # one output bit
+
+
+# -- bit-parallel register statements ------------------------------------------
+
+def bit_parallel_twins(seed):
+    """A seeded design of 1-4 bit-parallel register statements, each 2-9
+    bits wide, and its hand-unrolled twin, which writes every bit as a
+    1-bit statement of its own: ``r0[0] <= h[2] ^ r1[0];``.
+
+    An operand is a high or low input, another register, the statement's
+    own register or a whole-net alias wire, read whole or as a part-select
+    at an offset inside a wider net; now and then it is narrower than the
+    statement or reaches past its net, which the rule declines.  A
+    statement may be a bare operand, and two may buffer one register.
+    """
+    rng = random.Random(seed)
+    widths = [rng.randint(2, 9) for _ in range(rng.randint(1, 4))]
+    nets = {"h": rng.randint(9, 12), "l": rng.randint(9, 12),
+            **{f"r{i}": w for i, w in enumerate(widths)}}
+    aliases = {f"v{i}": rng.choice(sorted(nets)) for i in range(rng.randint(0, 2))}
+    nets.update({v: nets[x] for v, x in aliases.items()})
+
+    def operand(width):
+        net = rng.choice(sorted(nets))
+        read = width if rng.random() < 0.9 else rng.randint(1, width)  # narrower
+        top = max(nets[net] - read, 0) if rng.random() < 0.9 else nets[net]  # past the net
+        return net, rng.randint(0, top), read
+
+    def expr(width, depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.35:
+            return operand(width)
+        if roll < 0.5:
+            return ("~", expr(width, depth - 1))
+        return (rng.choice(["&", "|", "^", "~^"]), expr(width, depth - 1),
+                expr(width, depth - 1))
+
+    def vector(e):
+        if len(e) == 2:
+            return f"~({vector(e[1])})"
+        if type(e[0]) is str and e[0] in ("&", "|", "^", "~^"):
+            return f"({vector(e[1])} {e[0]} {vector(e[2])})"
+        net, off, read = e
+        if off == 0 and read == nets[net] and rng.random() < 0.5:
+            return net
+        return f"{net}[{off + read - 1}:{off}]"
+
+    def bit(e, j):
+        if len(e) == 2:
+            return f"~({bit(e[1], j)})"
+        if type(e[0]) is str and e[0] in ("&", "|", "^", "~^"):
+            return f"({bit(e[1], j)} {e[0]} {bit(e[2], j)})"
+        net, off, read = e
+        return f"{net}[{off + j}]" if j < read else "1'b0"  # zero-extended
+
+    stmts = []
+    buffered = operand(2)[0]
+    for i, w in enumerate(widths):
+        if i > 0 and rng.random() < 0.2 and nets[buffered] >= w:  # a second buffer of one net
+            e = (buffered, 0, w)
+        else:
+            e = expr(w, rng.randint(0, 3))
+        stmts.append((f"r{i}", w, e))
+    head = ("module m(input clk, High input [{}:0] h, input [{}:0] l, output [{}:0] y);\n"
+            .format(nets["h"] - 1, nets["l"] - 1, sum(widths) - 1)
+            + "".join(f"reg [{w - 1}:0] r{i};\n" for i, w in enumerate(widths))
+            + "".join(f"wire [{nets[v] - 1}:0] {v};\nassign {v} = {x};\n"
+                      for v, x in aliases.items()))
+    tail = "assign y = {" + ", ".join(f"r{i}" for i in range(len(widths))) + "};\nendmodule\n"
+    clocked = "always @(posedge clk) begin\n{}end\n"
+    vec = head + clocked.format("".join(f"{r} <= {vector(e)};\n" for r, _w, e in stmts)) + tail
+    twin = head + clocked.format("".join(f"{r}[{j}] <= {bit(e, j)};\n"
+                                         for r, w, e in stmts for j in range(w))) + tail
+    return vec, twin
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_bit_parallel_statements_match_their_unrolled_twin(seed):
+    vec, twin = bit_parallel_twins(seed)
+    for bound in range(1, 6):
+        for p_high in (None, 0.9):
+            assert analysis_outputs(vec, bound, p_high) == analysis_outputs(
+                twin, bound, p_high), (bound, p_high)
+
+
+def test_bit_parallel_twins_take_both_paths():
+    """Over the seeds of the twin test, most statements are shifted, and
+    the twins themselves never are."""
+    shifted = registers = 0
+    for seed in range(24):
+        vec, twin = bit_parallel_twins(seed)
+        forest = forest_of(vec, "m")
+        shifted += sum(type(t) is ShiftedTree for t in forest)
+        registers += sum(t.root.role == "register" for t in forest)
+        assert not any(type(t) is ShiftedTree for t in forest_of(twin, "m"))
+    assert shifted > registers / 2, (shifted, registers)
+
+
+PARALLEL = """module m(input clk, High input [3:0] a, input [3:0] b, input [3:0] c,
+input [1:0] n, output [3:0] y);
+reg [3:0] r;
+{decl}always @(posedge clk) begin
+{body}
+end
+assign y = r;
+endmodule
+"""
+
+
+def tree_kinds(body, decl="", net=None):
+    """The class of each register tree, or each of ``net``, of the design
+    with ``body`` in its clocked block."""
+    forest = forest_of(PARALLEL.format(decl=decl, body=body), "m")
+    return [type(t).__name__ for t in forest
+            if t.root.role == "register" and net in (None, t.root.net)]
+
+
+def test_bit_parallel_statement_shifts_all_but_its_first_bit():
+    assert tree_kinds("r <= a ^ b;") == ["BindTree"] + ["ShiftedTree"] * 3
+    assert tree_kinds("r <= ~(a & c) ~^ r;") == ["BindTree"] + ["ShiftedTree"] * 3
+    # a part-select inside a wider register, and a whole-net alias of an input
+    assert tree_kinds("r <= q[5:2] | v;", "reg [7:0] q;\nwire [3:0] v;\nassign v = c;\n"
+                      "always @(posedge clk) q <= {a, b};\n") == (
+        ["BindTree"] * 9 + ["ShiftedTree"] * 3)
+
+
+# each statement the rule declines, by what declines it
+DECLINED = {
+    "width 1": ("r[0] <= a[0] ^ b[0];\nr[1] <= a[1];\nr[2] <= b[2];\nr[3] <= c[3];", ""),
+    "blocking temporary read twice": ("t = a ^ b;\nr <= t & t;", "reg [3:0] t;\n"),
+    "narrower operand": ("r <= a ^ n;", ""),
+    "part-select past its net": ("r <= a ^ b[4:1];", ""),
+    "wire that is no alias": ("r <= w[5:2] | b;", "wire [7:0] w;\nassign w = {a, b};\n"),
+    "alias of an alias": ("r <= w ^ b;", "wire [3:0] w, v;\nassign w = v;\nassign v = a;\n"),
+    "mixed register and wire bits": (
+        "r <= x ^ b;", "reg [3:0] x;\nalways @(posedge clk) x[1:0] <= a[1:0];\n"
+        "always @* x[3:2] = b[3:2];\n"),
+    "+": ("r <= a + b;", ""),
+    "?:": ("r <= n[0] ? a : b;", ""),
+    "constant": ("r <= a ^ 4'b0110;", ""),
+    "shift": ("r <= a << 1;", ""),
+    "reduction": ("r <= a ^ {4{^b}};", ""),
+}
+
+
+@pytest.mark.parametrize("case", DECLINED)
+def test_bit_parallel_rule_declines(case):
+    body, decl = DECLINED[case]
+    assert tree_kinds(body, decl, "r") == ["BindTree"] * 4
+
+
+def test_combinational_vector_is_not_shifted():
+    src = PARALLEL.format(decl="wire [3:0] w;\nassign w = a ^ b;\n", body="r <= w;")
+    src = src.replace("assign y = r;", "assign y = w;")
+    assert all(type(t) is BindTree for t in forest_of(src, "m"))
+
+
+def test_shared_blocking_temporary_keeps_the_eager_path():
+    """``t``'s object is in both statements: the eager blaster shares its
+    gates, so ``r2``'s cut at bound 2 reuses ``r1``'s channel."""
+    src = """module m(input clk, High input [1:0] a, input [1:0] b, input [1:0] c,
+output [1:0] y, output [1:0] z);
+reg [1:0] t, r1, r2;
+always @(posedge clk) begin
+t = a ^ b;
+r1 <= t;
+r2 <= t & c;
+end
+assign y = r1;
+assign z = r2;
+endmodule
+"""
+    a = analyze_source(src, "m", max_channel_inputs=2)
+    assert all(type(t) is BindTree for t in a.forest)
+    assert " out=r1[0],t[0] " in dump_channels(a.graph)
+
+
+def test_two_buffers_of_one_register_share_its_channels():
+    """A buffer's shifted bit takes its leaf's sealed channel, as the walk
+    does, and builds no DAG."""
+    src = PARALLEL.format(decl="reg [3:0] q, p;\n", body="q <= a ^ b;\np <= q;\nr <= q;")
+    a = analyze_source(src, "m")
+    dump = dump_channels(a.graph)
+    for bit in range(4):
+        assert f" out=p[{bit}],r[{bit}] inputs=[R q[{bit}]] table=0x2/1" in dump, dump
+    assert not any(has_built(t) for t in a.forest if type(t) is ShiftedTree)
+
+
+def test_alias_of_an_alias_still_raises_combinational_loop():
+    src = PARALLEL.format(decl="wire [3:0] v, w;\nassign v = w;\nassign w = v;\n",
+                          body="r <= v ^ b;")
+    with pytest.raises(CombinationalLoop):
+        forest_of(src, "m")
+
+
+def test_first_bit_that_cuts_walks_its_shifted_bits():
+    """Three operands at bound 2: bit 0's walk cuts, so every bit is built
+    and walked; at bound 3 none is built."""
+    src = PARALLEL.format(decl="", body="r <= (a ^ b) & c;")
+    twin = PARALLEL.format(decl="", body="".join(
+        f"r[{j}] <= (a[{j}] ^ b[{j}]) & c[{j}];\n" for j in range(4)))
+    for bound, built in ((2, True), (3, False)):
+        a = analyze_source(src, "m", max_channel_inputs=bound)
+        shifted = [t for t in a.forest if type(t) is ShiftedTree]
+        assert len(shifted) == 3
+        assert all(has_built(t) == built for t in shifted)
+        assert analysis_outputs(src, bound, None) == analysis_outputs(twin, bound, None)
+
+
+def has_built(tree):
+    """Whether a shifted tree's DAG is built: ``node`` fills the slot when first read."""
+    try:
+        BindTree.node.__get__(tree)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_shifted_tree_reads_like_a_bind_tree():
+    forest = forest_of(PARALLEL.format(decl="", body="r <= a ^ b;"), "m")
+    tree = forest[1]
+    assert isinstance(tree, BindTree) and type(tree) is ShiftedTree
+    assert not hasattr(tree, "__dict__")
+    assert tree.root == BitRef("r", 1, "register")
+    assert not has_built(tree)
+    node = tree.node
+    assert has_built(tree) and tree.node is node
+    assert tree.leaves() == [BitRef("a", 1, "input-high"), BitRef("b", 1, "input-low")]
+    assert dump_forest([tree]) == "r[1] = (XOR a[1] b[1])\n"
+
+
+def test_trojan_pipeline_builds_no_shifted_dag(monkeypatch):
+    """On the seed-1 trojan_pipeline pool, over 10,000 of the 11,136 roots
+    are shifted trees, and ``analyze`` builds none of their DAGs; the
+    other pools have none."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import families
+    for workload in families.POOLS:
+        roots = shifted = 0
+        for design in families.workload_pool(workload, 1):
+            a = analyze(Config(files=[p for p, _ in design.files], top=design.top,
+                               high_overrides=design.high_overrides,
+                               max_channel_inputs=design.max_channel_inputs),
+                        file_texts=design.files)
+            roots += len(a.forest)
+            trees = [t for t in a.forest if type(t) is ShiftedTree]
+            shifted += len(trees)
+            assert not any(map(has_built, trees)), design.name
+        if workload == "trojan_pipeline":
+            assert roots == 11136 and shifted >= 10000, (roots, shifted)
+        else:
+            assert shifted == 0, workload
+
+
+# a concatenation that reads its own bit: w[1] is w[0], which is k's bit
+SELF_CONCAT = """module m(input [1:0] k, // qflow: high
+output [{top}:0] y);
+wire [{top}:0] w;
+assign w = {rhs};
+assign y = w;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("rhs, top, want", [
+    ("{w[0], k[0]}", 1, "w[0] = k[0]\nw[1] = k[0]"),
+    ("{w[1:0], k}", 3, "w[2] = k[0]\nw[3] = k[1]"),
+    ("{w[0] ^ k[1], k}", 2, "w[2] = (XOR k[0] k[1])"),
+])
+def test_concatenation_that_reads_its_own_bit_is_no_loop(rhs, top, want):
+    src = SELF_CONCAT.format(rhs=rhs, top=top)
+    design = design_of(src, "m")
+    forest = bit_blast(design)
+    dump = dump_forest(forest)
+    for line in want.split("\n"):
+        assert line.replace("w[", "y[") in dump, dump
+    a = analyze_source(src, "m")
+    assert sorted(a.totals) == [0, 1]
+
+
+def test_undriven_net_in_an_unread_part_is_not_read():
+    """Only the part that holds a read bit is blasted, so an undriven
+    net in a part no root reads raises nothing."""
+    src = """module m(input [1:0] k, // qflow: high
+output y);
+wire [2:0] w;
+wire u;
+assign w = {u, k};
+assign y = w[0];
+endmodule
+"""
+    assert dump_forest(forest_of(src, "m")) == "y[0] = k[0]\n"
+    with pytest.raises(UnassignedNet):
+        forest_of(src.replace("w[0]", "w[2]"), "m")
+
+
+def test_shared_expression_dag_is_walked_once():
+    """An expression object read twice per level, 60 levels deep, as no
+    frontend form makes today: the bit-parallel rule declines it at its
+    first repeat, and a concatenation's part of that shape is measured
+    once per object, not once per path."""
+    from qflow.frontend.elaborate import ElaboratedDesign, FlatAssign, FlatNet
+    dag = A.Binary("^", A.Ident("a"), A.Ident("b"))
+    for _ in range(60):
+        dag = A.Binary("^", dag, dag)
+    assigns = [FlatAssign("r", 3, 0, dag, True), FlatAssign("s", 3, 0, A.PartSelect(
+        "w", A.Num(4), A.Num(1)), True),
+               FlatAssign("w", 4, 0, A.Concat((A.Binary("&", dag, A.Ident("a")),
+                                               A.Select("a", A.Num(0)))))]
+    nets = {name: FlatNet(name, w, kind) for name, w, kind in (
+        ("a", 4, "input"), ("b", 4, "input"), ("r", 4, "reg"), ("s", 4, "reg"),
+        ("w", 5, "wire"))}
+    driver = {(f.target, bit): f for f in assigns for bit in range(f.lsb, f.msb + 1)}
+    forest = bit_blast(ElaboratedDesign("m", nets, assigns, {"a": "high"}, driver))
+    assert all(type(t) is BindTree for t in forest)
+    assert forest[5].node.op == "AND"  # s[1] = w[2] = bit 1 of dag & a

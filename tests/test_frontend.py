@@ -33,7 +33,7 @@ from qflow.frontend import ast_nodes as A
 from qflow.frontend.lexer import _PUNCT, KEYWORDS, WIDTH_LIMIT, Token, tokenize
 from qflow.pipeline import render_report
 
-from conftest import analyze_source
+from conftest import analysis_outputs, analyze_source
 
 
 def parse_text(src, top=None):
@@ -1242,16 +1242,6 @@ def bit_parallel_loop_twins(seed):
                                     for b in range(lo, hi + 1) for s in block) + "end\n"
                           for block in blocks) + tail
     return loop, twin, regs
-
-
-def analysis_outputs(src, bound, p_high):
-    """The forest and channel dumps, the dependency order, every field of
-    the annotated graph and the three reports (runtime zeroed) of ``src``."""
-    a = analyze_source(src, "m", max_channel_inputs=bound, p_high=p_high)
-    a.report.runtime_seconds = 0.0
-    return (dump_forest(a.forest), dump_channels(a.graph), repr(a.deps.order),
-            [repr(getattr(a.annotated, name)) for name in a.annotated.__slots__],
-            [render_report(a, fmt) for fmt in ("json", "text", "csv")])
 
 
 @pytest.mark.parametrize("seed", range(24))
